@@ -9,8 +9,9 @@ Monte Carlo ensemble of exact per-path solutions.
 Modules
 -------
 grf
-    Correlation kernels, grid covariances, Cholesky path sampling and
-    the stochastic path integral.
+    Correlation kernels, grid covariances, Cholesky block sampling and
+    FieldPath, the one path-or-block representation (running integral,
+    interpolation, nested restriction).
 attenuation
     Deterministic Beer / Beer-Lambert / depth-varying baselines.
 medium
@@ -51,23 +52,8 @@ from .errors import (
     UnsupportedKernel,
     UnsupportedOrder,
 )
-from .grf import (
-    CorrelationKernel,
-    FieldPath,
-    FieldSampler,
-    Grid,
-    covariance_matrix,
-    sample_path,
-    stochastic_integral,
-)
-from .medium import (
-    MfpSeries,
-    StochasticMedium,
-    abs_moment,
-    absorption_at,
-    mfp_mc_estimate,
-    mfp_series,
-)
+from .grf import CorrelationKernel, FieldPath, FieldSampler, Grid, covariance_matrix
+from .medium import MfpSeries, StochasticMedium, abs_moment, mfp_series
 from .montecarlo import (
     EnsembleStats,
     default_depths,
@@ -102,7 +88,6 @@ __all__ = [
     "UnsupportedKernel",
     "UnsupportedOrder",
     "abs_moment",
-    "absorption_at",
     "averaged_intensity",
     "averaged_intensity_bl",
     "beer",
@@ -114,7 +99,6 @@ __all__ = [
     "default_depths",
     "inner_w",
     "lognormal_oracle",
-    "mfp_mc_estimate",
     "mfp_series",
     "ode_residual",
     "ordered_double_integral",
@@ -122,9 +106,7 @@ __all__ = [
     "path_intensity",
     "path_intensity_em",
     "run_ensemble",
-    "sample_path",
     "square_double_integral",
-    "stochastic_integral",
     "theta",
     "__version__",
 ]

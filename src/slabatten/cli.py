@@ -12,21 +12,31 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr
 
 from .attenuation import MediumSpec, beer
 from .averaged import AveragedLaw, ExponentConvention, averaged_intensity
 from .errors import DivergentSeries, FactorizationFailure, UnsupportedKernel
-from .grf import CorrelationKernel, FieldSampler, Grid, _trapezoid_cumulative
-from .medium import StochasticMedium, mfp_mc_estimate, mfp_series
-from .montecarlo import EnsembleStats, default_depths, run_ensemble
+from .grf import CorrelationKernel, FieldPath, FieldSampler, Grid
+from .medium import StochasticMedium, mfp_series
+from .montecarlo import (
+    EnsembleStats,
+    default_depths,
+    path_intensity,
+    path_intensity_em,
+    run_ensemble,
+)
 
 MODES = ("beer", "paper", "exact", "mc", "euler-check")
 COLUMNS = ("z", "beer", "averaged_paper", "averaged_exact", "mc_mean", "mc_sem")
+# Paths averaged by the euler-check mode.
+_EULER_CHECK_PATHS = 100
 
 _DEFAULTS = {
     "sigma_a": 1.0,
@@ -223,31 +233,28 @@ def _adjudicate(rows: list) -> list:
     return lines
 
 
-def _euler_check_lines(config: ExperimentConfig, n_check: int = 100) -> list:
+def _euler_check_lines(config: ExperimentConfig) -> list:
     """Mean |Euler - exact| at the slab exit across grid refinements.
 
     Paths are sampled once on the finest grid and restricted to nested
     subgrids, so every refinement integrates the same realizations and
     the observed order is not washed out by path-to-path variation.
     """
-    medium, kernel = config.medium, config.kernel
-    base = config.grid
+    medium, base = config.medium, config.grid
     fine = Grid(base.length, (base.n_points - 1) * 4 + 1)
-    block = FieldSampler(kernel, fine).sample_block(config.master_seed, 0, n_check)
+    sampler = FieldSampler(config.kernel, fine)
+    paths = FieldPath.from_values(
+        fine, sampler.sample_block(config.master_seed, 0, _EULER_CHECK_PATHS)
+    )
     lines = ["euler check (mean |Euler - exact| at z = L, nested refinements):"]
     errors = []
     for stride in (4, 2, 1):
-        grid = Grid(base.length, (fine.n_points - 1) // stride + 1)
-        values = block[:, ::stride]
-        cumulative = _trapezoid_cumulative(values, grid.spacing)
-        exact = beer(medium, grid.length) * np.exp(
-            -medium.alpha * medium.sigma_a * cumulative[:, -1]
-        )
-        coeff = medium.sigma_a * (1.0 + medium.alpha * values)
-        euler = medium.i0 * np.prod(1.0 - coeff[:, :-1] * grid.spacing, axis=1)
+        path = paths.restrict(stride)
+        euler = path_intensity_em(medium, path, base.length)
+        exact = path_intensity(medium, path, base.length)
         err = float(np.mean(np.abs(euler - exact)))
         errors.append(err)
-        lines.append(f"  h = {grid.spacing:.6g}: {err:.6g}")
+        lines.append(f"  h = {path.grid.spacing:.6g}: {err:.6g}")
     for i in range(1, len(errors)):
         if errors[i] > 0:
             order = np.log2(errors[i - 1] / errors[i])
@@ -265,11 +272,9 @@ def run(config: ExperimentConfig) -> int:
     stochastic = StochasticMedium(medium, kernel)
     if medium.alpha > 0 and medium.sigma_a > 0:
         series = mfp_series(stochastic)
-        estimate = mfp_mc_estimate(stochastic, seed=config.master_seed)
         report.append(
             f"mean free path: series (1+S)/sigma_a = {series.mean_free_path:.6g} cm "
-            f"(S = {series.shift:.6g}, converged = {series.converged}); "
-            f"MC E<1/|A|> = {estimate:.6g} cm (recorded, not asserted equal)"
+            f"(S = {series.shift:.6g}, converged = {series.converged})"
         )
 
     if "beer" in config.modes:
@@ -293,9 +298,13 @@ def run(config: ExperimentConfig) -> int:
         )
         columns["mc_mean"] = stats.mean
         columns["mc_sem"] = stats.sem
+        # P(G < -1/alpha) for G ~ N(0, C); exactly 0 without fluctuations.
+        alpha, amplitude = medium.alpha, kernel.amplitude
+        expected = ndtr(-1.0 / (alpha * math.sqrt(amplitude))) if alpha > 0 else 0.0
         report.append(
             f"ensemble: {stats.n_paths} paths, negative-coefficient fraction = "
-            f"{stats.negative_coefficient_fraction:.6g}"
+            f"{stats.negative_coefficient_fraction:.6g} "
+            f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected:.6g})"
         )
         report.append(
             "slab integral of G: skewness = "

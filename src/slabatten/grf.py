@@ -21,6 +21,8 @@ from .errors import FactorizationFailure, OutOfDomain
 # kernel amplitude: start at 1e-12*C, multiply by 10 on failure, stop at
 # 1e-6*C.
 _JITTER_EXPONENTS = range(-12, -5)
+# Grid.for_kernel resolves the correlation length with this many nodes.
+_POINTS_PER_LENGTH = 10
 
 
 @dataclass(frozen=True)
@@ -95,37 +97,29 @@ class Grid:
         return np.linspace(0.0, self.length, self.n_points)
 
     @classmethod
-    def for_kernel(
-        cls, length: float, kernel: CorrelationKernel, points_per_length: int = 10
-    ) -> "Grid":
+    def for_kernel(cls, length: float, kernel: CorrelationKernel) -> "Grid":
         """Grid fine enough to resolve the correlation length.
 
         Chooses n_points so the spacing is at most
-        ``correlation_length / points_per_length``.  Override by
-        constructing a Grid directly when a specific resolution is needed.
+        ``correlation_length / 10``.  Override by constructing a Grid
+        directly when a specific resolution is needed.
         """
-        target = kernel.correlation_length / points_per_length
+        target = kernel.correlation_length / _POINTS_PER_LENGTH
         n = max(2, math.ceil(length / target) + 1)
         return cls(length, n)
 
 
-def _trapezoid_cumulative(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Running trapezoid integral along the last axis, starting at 0."""
-    values = np.asarray(values, dtype=float)
-    segments = 0.5 * spacing * (values[..., 1:] + values[..., :-1])
-    out = np.zeros(values.shape)
-    np.cumsum(segments, axis=-1, out=out[..., 1:])
-    return out
-
-
 @dataclass(frozen=True)
 class FieldPath:
-    """One field realization together with its running integral.
+    """Field realizations on a grid together with their running integrals.
 
-    ``values[q]`` is the field at Z_q and ``cumulative_integral[q]`` is
-    the trapezoid accumulation of the values from 0 to Z_q (units cm,
-    the field itself being dimensionless).  The first entry of the
-    cumulative integral is exactly 0.
+    ``values`` holds one path, shape ``(n,)``, or a block of paths, shape
+    ``(rows, n)``, with ``values[..., q]`` the field at Z_q.
+    ``cumulative_integral`` has the same shape and holds the trapezoid
+    accumulation of the values from 0 to Z_q (units cm, the field itself
+    being dimensionless); its first entry along the grid axis is exactly
+    0.  Every operation acts on each row independently, so a block gives
+    bit-identical results to its rows taken one at a time.
     """
 
     grid: Grid
@@ -134,13 +128,46 @@ class FieldPath:
 
     @classmethod
     def from_values(cls, grid: Grid, values) -> "FieldPath":
-        """Build a path from raw grid values (synthetic or sampled)."""
+        """Build a path or block from raw grid values (synthetic or sampled)."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_points,):
+        if values.ndim not in (1, 2) or values.shape[-1] != grid.n_points:
             raise ValueError(
-                f"values shape {values.shape} does not match grid ({grid.n_points},)"
+                f"values shape {values.shape} does not match grid "
+                f"({grid.n_points},) or (rows, {grid.n_points})"
             )
-        return cls(grid, values, _trapezoid_cumulative(values, grid.spacing))
+        segments = 0.5 * grid.spacing * (values[..., 1:] + values[..., :-1])
+        cumulative = np.zeros(values.shape)
+        np.cumsum(segments, axis=-1, out=cumulative[..., 1:])
+        return cls(grid, values, cumulative)
+
+    def integral_at(self, depths):
+        """Integral of the field from 0 to each depth, linear between nodes.
+
+        The result has shape ``values.shape[:-1] + np.shape(depths)`` and
+        is exactly 0 at depth 0.  Raises OutOfDomain for depths outside
+        [0, L].
+        """
+        grid = self.grid
+        depths = np.asarray(depths, dtype=float)
+        if np.any(depths < 0) or np.any(depths > grid.length):
+            raise OutOfDomain(f"depths must lie within [0, {grid.length}]")
+        points = grid.points
+        idx = np.clip(
+            np.searchsorted(points, depths, side="right") - 1, 0, grid.n_points - 2
+        )
+        frac = (depths - points[idx]) / grid.spacing
+        cumulative = self.cumulative_integral
+        return cumulative[..., idx] * (1.0 - frac) + cumulative[..., idx + 1] * frac
+
+    def restrict(self, stride: int) -> "FieldPath":
+        """The same realizations on the nested grid of every stride-th node."""
+        n = self.grid.n_points
+        if stride < 1 or (n - 1) % stride:
+            raise ValueError(
+                f"stride {stride} does not nest in a grid of {n} points"
+            )
+        coarse = Grid(self.grid.length, (n - 1) // stride + 1)
+        return FieldPath.from_values(coarse, self.values[..., ::stride])
 
 
 def covariance_matrix(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
@@ -156,14 +183,17 @@ def covariance_matrix(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
 def _cholesky_with_jitter(matrix: np.ndarray, amplitude: float):
     """Factor ``matrix + jitter*I`` climbing the jitter ladder.
 
-    Returns the lower-triangular factor and the jitter that succeeded.
-    Raises FactorizationFailure once the ladder is exhausted.
+    The jitter is written onto the diagonal of ``matrix`` in place, so
+    the caller must not need the matrix afterwards.  Returns the
+    lower-triangular factor and the jitter that succeeded.  Raises
+    FactorizationFailure once the ladder is exhausted.
     """
-    eye = np.eye(matrix.shape[0])
+    diagonal = matrix.diagonal().copy()
     for expo in _JITTER_EXPONENTS:
         jitter = amplitude * 10.0**expo
+        np.fill_diagonal(matrix, diagonal + jitter)
         try:
-            return np.linalg.cholesky(matrix + jitter * eye), jitter
+            return np.linalg.cholesky(matrix), jitter
         except np.linalg.LinAlgError:
             continue
     raise FactorizationFailure(
@@ -186,17 +216,8 @@ class FieldSampler:
     def __init__(self, kernel: CorrelationKernel, grid: Grid):
         self.kernel = kernel
         self.grid = grid
-        self.covariance = covariance_matrix(kernel, grid)
         self.factor, self.jitter = _cholesky_with_jitter(
-            self.covariance, kernel.amplitude
-        )
-
-    def sample(self, seed) -> FieldPath:
-        """One path; deterministic for a fixed (kernel, grid, seed)."""
-        rng = np.random.default_rng(seed)
-        values = self.factor @ rng.standard_normal(self.grid.n_points)
-        return FieldPath(
-            self.grid, values, _trapezoid_cumulative(values, self.grid.spacing)
+            covariance_matrix(kernel, grid), kernel.amplitude
         )
 
     def sample_block(self, master_seed: int, start: int, count: int) -> np.ndarray:
@@ -205,7 +226,8 @@ class FieldSampler:
         Path ``i`` always consumes the generator seeded by
         ``SeedSequence(master_seed, spawn_key=(i,))`` and is transformed by
         one fixed-shape matrix-vector product, so any partition of the
-        ensemble into blocks reproduces bit-identical paths.
+        ensemble into blocks reproduces bit-identical paths.  Wrap the
+        result in ``FieldPath.from_values`` for its running integrals.
         """
         n = self.grid.n_points
         values = np.empty((count, n))
@@ -215,26 +237,3 @@ class FieldSampler:
             )
             values[row] = self.factor @ np.random.default_rng(seq).standard_normal(n)
         return values
-
-    def sample_indexed(self, master_seed: int, index: int) -> FieldPath:
-        """Ensemble path ``index``, identical to the block-sampled row."""
-        values = self.sample_block(master_seed, index, 1)[0]
-        return FieldPath(
-            self.grid, values, _trapezoid_cumulative(values, self.grid.spacing)
-        )
-
-
-def sample_path(kernel: CorrelationKernel, grid: Grid, seed) -> FieldPath:
-    """Convenience one-shot sampler (factorizes the covariance each call)."""
-    return FieldSampler(kernel, grid).sample(seed)
-
-
-def stochastic_integral(path: FieldPath, z: float) -> float:
-    """Integral of the field from 0 to z, linear between grid nodes.
-
-    Exactly 0 at z = 0.  Raises OutOfDomain for z outside [0, L].
-    """
-    grid = path.grid
-    if z < 0 or z > grid.length:
-        raise OutOfDomain(f"z = {z} outside the slab [0, {grid.length}]")
-    return float(np.interp(z, grid.points, path.cumulative_integral))

@@ -5,11 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .attenuation import MediumSpec
-from .errors import DivergentSeries, OutOfDomain
-from .grf import CorrelationKernel, FieldPath
+from .errors import DivergentSeries
+from .grf import CorrelationKernel
 
 # A trailing term this small relative to the accumulated sum counts as
 # converged.
@@ -22,7 +20,10 @@ class StochasticMedium:
 
     Along a sampled path the coefficient is sigma_a * (1 + alpha * G(z));
     its ensemble mean is sigma_a and its standard deviation
-    alpha * sigma_a * sqrt(C).
+    alpha * sigma_a * sqrt(C).  Gaussian tails make it negative at a plane
+    with probability Phi(-1 / (alpha * sqrt(C))); such values are kept
+    as-is, since clamping would bias the moments, and the ensemble runner
+    reports their frequency.
     """
 
     medium: MediumSpec
@@ -31,21 +32,6 @@ class StochasticMedium:
     @property
     def fluctuation_std(self) -> float:
         return self.medium.alpha * self.medium.sigma_a * math.sqrt(self.kernel.amplitude)
-
-
-def absorption_at(sm: StochasticMedium, path: FieldPath, z: float) -> float:
-    """Pathwise absorption coefficient sigma_a * (1 + alpha * G(z)), 1/cm.
-
-    The field value is interpolated linearly from the path grid.  Large
-    alpha can make the result negative (Gaussian tails are unbounded);
-    negative values are returned as-is since clamping would bias the
-    moments, and the ensemble runner reports their frequency separately.
-    """
-    grid = path.grid
-    if z < 0 or z > grid.length:
-        raise OutOfDomain(f"z = {z} outside the slab [0, {grid.length}]")
-    g = float(np.interp(z, grid.points, path.values))
-    return sm.medium.sigma_a * (1.0 + sm.medium.alpha * g)
 
 
 def abs_moment(amplitude: float, order: int) -> float:
@@ -106,21 +92,3 @@ def mfp_series(sm: StochasticMedium, max_order: int = 20) -> MfpSeries:
         mean_free_path = math.inf
     return MfpSeries(shift, tuple(terms), converged, mean_free_path)
 
-
-def mfp_mc_estimate(
-    sm: StochasticMedium, n_samples: int = 200_000, seed: int = 0
-) -> float:
-    """Monte Carlo estimate of the mean reciprocal |coefficient| at a plane.
-
-    Samples G ~ N(0, C) pointwise and averages 1/|sigma_a*(1 + alpha*G)|.
-    Recorded next to the series estimate for comparison only: the exact
-    Gaussian expectation has an integrable-looking spike where the
-    coefficient crosses zero, so the two need not agree and no test
-    asserts that they do.
-    """
-    if not sm.medium.sigma_a > 0:
-        raise ValueError("sigma_a must be > 0 for a mean-free-path estimate")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(n_samples) * math.sqrt(sm.kernel.amplitude)
-    coeff = sm.medium.sigma_a * (1.0 + sm.medium.alpha * g)
-    return float(np.mean(1.0 / np.abs(coeff)))

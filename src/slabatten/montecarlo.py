@@ -19,7 +19,7 @@ import numpy as np
 
 from .attenuation import MediumSpec, beer
 from .errors import NegativeDepth, OutOfDomain, ReliabilityWarning
-from .grf import FieldPath, FieldSampler, Grid, _trapezoid_cumulative, stochastic_integral
+from .grf import FieldPath, FieldSampler, Grid
 from .medium import StochasticMedium
 from .quadrature import square_double_integral
 
@@ -50,19 +50,22 @@ class EnsembleStats:
     integral_excess_kurtosis: float
 
 
-def path_intensity(medium: MediumSpec, path: FieldPath, z: float) -> float:
-    """Exact pathwise intensity I0*exp(-sigma_a*z - alpha*sigma_a*int G)."""
-    integral = stochastic_integral(path, z)
-    factor = np.exp(-medium.alpha * medium.sigma_a * integral)
-    return float(beer(medium, z) * factor)
+def path_intensity(medium: MediumSpec, path: FieldPath, depths):
+    """Exact pathwise intensity I0*exp(-sigma_a*z - alpha*sigma_a*int_0^z G).
+
+    One value per path row and depth: the result has shape
+    ``path.values.shape[:-1] + np.shape(depths)``.
+    """
+    integral = path.integral_at(depths)
+    return beer(medium, depths) * np.exp(-medium.alpha * medium.sigma_a * integral)
 
 
-def path_intensity_em(medium: MediumSpec, path: FieldPath, z: float) -> float:
+def path_intensity_em(medium: MediumSpec, path: FieldPath, z: float):
     """Explicit Euler stepping of the pathwise decay ODE on the path grid.
 
-    First-order accurate in the grid spacing; converges to
-    path_intensity under grid refinement and exists only as an
-    independent integrator cross-check.
+    One value per path row.  First-order accurate in the grid spacing;
+    converges to path_intensity under grid refinement and exists only as
+    an independent integrator cross-check.
     """
     grid = path.grid
     if z < 0 or z > grid.length:
@@ -70,18 +73,20 @@ def path_intensity_em(medium: MediumSpec, path: FieldPath, z: float) -> float:
     points = grid.points
     coeff = medium.sigma_a * (1.0 + medium.alpha * path.values)
     last = min(int(np.searchsorted(points, z, side="right")) - 1, grid.n_points - 1)
-    intensity = medium.i0 * float(np.prod(1.0 - coeff[:last] * grid.spacing))
+    intensity = medium.i0 * np.prod(1.0 - coeff[..., :last] * grid.spacing, axis=-1)
     partial = z - points[last]
     if partial > 0:
-        intensity *= 1.0 - coeff[last] * partial
+        intensity = intensity * (1.0 - coeff[..., last] * partial)
     return intensity
 
 
-def default_depths(grid: Grid, max_rows: int = _MAX_DEFAULT_ROWS) -> np.ndarray:
-    """Grid abscissae subsampled to at most max_rows output depths."""
-    if grid.n_points <= max_rows:
+def default_depths(grid: Grid) -> np.ndarray:
+    """Grid abscissae subsampled to at most 256 output depths."""
+    if grid.n_points <= _MAX_DEFAULT_ROWS:
         return grid.points
-    idx = np.unique(np.linspace(0, grid.n_points - 1, max_rows).round().astype(int))
+    idx = np.unique(
+        np.linspace(0, grid.n_points - 1, _MAX_DEFAULT_ROWS).round().astype(int)
+    )
     return grid.points[idx]
 
 
@@ -138,19 +143,14 @@ def run_ensemble(
                 stacklevel=2,
             )
 
-    points = grid.points
-    idx = np.clip(
-        np.searchsorted(points, depths, side="right") - 1, 0, grid.n_points - 2
-    )
-    frac = (depths - points[idx]) / grid.spacing
-    neg_cut = -1.0 / medium.alpha if medium.alpha > 0 else None
+    neg_cut = -1.0 / medium.alpha if medium.alpha > 0 else -np.inf
 
     def chunk_partials(start: int, count: int):
-        block = sampler.sample_block(master_seed, start, count)
-        cumulative = _trapezoid_cumulative(block, grid.spacing)
-        integral_at = cumulative[:, idx] * (1.0 - frac) + cumulative[:, idx + 1] * frac
-        factors = np.exp(-scale * integral_at)
-        slab_integral = cumulative[:, -1]
+        block = FieldPath.from_values(
+            grid, sampler.sample_block(master_seed, start, count)
+        )
+        factors = np.exp(-scale * block.integral_at(depths))
+        slab_integral = block.cumulative_integral[:, -1]
         raw = np.array(
             [
                 slab_integral.sum(),
@@ -159,7 +159,7 @@ def run_ensemble(
                 (slab_integral**4).sum(),
             ]
         )
-        negatives = int(np.count_nonzero(block < neg_cut)) if neg_cut is not None else 0
+        negatives = int(np.count_nonzero(block.values < neg_cut))
         return factors.sum(axis=0), (factors**2).sum(axis=0), raw, negatives
 
     tasks = [

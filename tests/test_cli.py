@@ -1,10 +1,12 @@
 """Experiment runner: flags, CSV contract, report, exit codes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from slabatten import ReliabilityWarning
 from slabatten.cli import (
     COLUMNS,
     UsageError,
@@ -166,6 +168,24 @@ class TestCsvContract:
         assert "negative-coefficient fraction" in report
         assert "mean free path" in report
         assert "skewness" in report
+
+    @pytest.mark.parametrize("alpha,expected", [("0.8", "0.10565"), ("0", "0")])
+    def test_negative_fraction_shown_with_its_exact_expectation(
+        self, tmp_path, capsys, alpha, expected
+    ):
+        out = tmp_path / "curves.csv"
+        with warnings.catch_warnings():
+            # alpha = 0 must give the exact 0 without a division by zero
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", ReliabilityWarning)
+            code = main([
+                "--alpha", alpha, "--modes", "mc", "--paths", "50",
+                "--grid-points", "21", "--length", "2", "--out", str(out),
+            ])
+        assert code == 0
+        report = capsys.readouterr().out
+        assert f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected})" in report
+        assert "E<1/|A|>" not in report
 
     def test_euler_check_mode_reports_order(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"

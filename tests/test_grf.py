@@ -15,9 +15,7 @@ from slabatten import (
     Grid,
     OutOfDomain,
     covariance_matrix,
-    sample_path,
     square_double_integral,
-    stochastic_integral,
 )
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -129,25 +127,32 @@ class TestCovarianceMatrix:
             assert eigs.min() >= -1e-10 * amp
 
 
+def _path(kernel, grid, seed):
+    """Ensemble path 0 of master seed ``seed`` as a one-row block."""
+    sampler = FieldSampler(kernel, grid)
+    return FieldPath.from_values(grid, sampler.sample_block(seed, 0, 1))
+
+
 class TestSampling:
     def test_vanishing_amplitude_gives_null_paths(self):
         k = CorrelationKernel(1e-30, 1.0, 2.0)
-        p = sample_path(k, Grid(2.0, 21), seed=1)
+        p = _path(k, Grid(2.0, 21), seed=1)
         assert np.max(np.abs(p.values)) < 1e-13
 
     def test_fixed_seed_is_deterministic(self):
         k = CorrelationKernel(1.0, 1.0, 2.0)
         g = Grid(2.0, 21)
-        a = sample_path(k, g, seed=42)
-        b = sample_path(k, g, seed=42)
+        a = _path(k, g, seed=42)
+        b = _path(k, g, seed=42)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.cumulative_integral, b.cumulative_integral)
 
     def test_indexed_path_matches_block_row(self):
+        # paths are keyed by index, so two partitions agree bit for bit
         sampler = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21))
         block = sampler.sample_block(99, 3, 4)
-        single = sampler.sample_indexed(99, 5)
-        assert np.array_equal(block[2], single.values)
+        single = sampler.sample_block(99, 5, 1)
+        assert np.array_equal(block[2], single[0])
 
     def test_super_gaussian_kernel_fails_factorization(self):
         # exponents above 2 are not positive semidefinite; the jitter
@@ -183,24 +188,47 @@ class TestFieldPath:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FieldPath.from_values(Grid(1.0, 5), [1.0, 2.0])
+        with pytest.raises(ValueError):
+            FieldPath.from_values(Grid(1.0, 5), np.zeros((2, 3, 5)))
+
+    def test_restrict_keeps_the_realizations_on_a_nested_grid(self):
+        g = Grid(2.0, 21)
+        block = FieldPath.from_values(g, np.arange(42.0).reshape(2, 21) ** 2)
+        coarse = block.restrict(4)
+        assert coarse.grid == Grid(2.0, 6)
+        assert np.array_equal(coarse.values, block.values[:, ::4])
+        # the coarse running integral is the trapezoid rule on the coarse grid
+        expected = FieldPath.from_values(coarse.grid, block.values[:, ::4])
+        assert np.array_equal(coarse.cumulative_integral, expected.cumulative_integral)
+        assert block.restrict(1).grid == g
+        for stride in (0, 3):
+            with pytest.raises(ValueError):
+                block.restrict(stride)
 
 
 class TestStochasticIntegral:
+    """``FieldPath.integral_at``, the running integral of the field."""
+
     def test_zero_at_origin(self):
-        p = sample_path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), seed=3)
-        assert stochastic_integral(p, 0.0) == 0.0
+        p = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), seed=3)
+        assert p.integral_at(0.0) == 0.0
 
     def test_constant_path_integrates_exactly(self):
         g = Grid(2.0, 21)
         p = FieldPath.from_values(g, np.full(21, 1.7))
         for z in (0.05, 0.5, 1.0, 1.33, 2.0):
-            assert stochastic_integral(p, z) == pytest.approx(1.7 * z, rel=1e-13)
+            assert p.integral_at(z) == pytest.approx(1.7 * z, rel=1e-13)
+        depths = [0.05, 0.5, 1.0, 1.33, 2.0]
+        np.testing.assert_allclose(p.integral_at(depths), 1.7 * np.array(depths),
+                                   rtol=1e-13)
 
     @pytest.mark.parametrize("z", [-0.1, 2.0001, 50.0])
     def test_out_of_domain_rejected(self, z):
-        p = sample_path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), seed=3)
+        p = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), seed=3)
         with pytest.raises(OutOfDomain):
-            stochastic_integral(p, z)
+            p.integral_at(z)
+        with pytest.raises(OutOfDomain):
+            p.integral_at([1.0, z])
 
 
 class TestIntegralStatistics:

@@ -14,12 +14,10 @@ from slabatten import (
     FieldSampler,
     Grid,
     MediumSpec,
-    OutOfDomain,
     StochasticMedium,
     abs_moment,
-    absorption_at,
-    mfp_mc_estimate,
     mfp_series,
+    path_intensity_em,
 )
 
 
@@ -31,29 +29,21 @@ def _medium(alpha=0.3, sigma_a=1.0, amplitude=1.0, zeta=1.0):
 
 
 class TestAbsorptionAt:
+    """The pathwise coefficient sigma_a * (1 + alpha * G(z))."""
+
     def test_deterministic_limit(self):
+        # without fluctuations every sampled path steps with sigma_a
+        # exactly, so its Euler intensity equals that of a null path
         sm = _medium(alpha=0.0)
         grid = Grid(2.0, 21)
         sampler = FieldSampler(sm.kernel, grid)
+        null = FieldPath.from_values(grid, np.zeros(21))
         for seed in (1, 2, 3):
-            path = sampler.sample(seed)
+            path = FieldPath.from_values(grid, sampler.sample_block(seed, 0, 1))
             for z in (0.0, 0.5, 1.234, 2.0):
-                assert absorption_at(sm, path, z) == 1.0
-
-    def test_linear_interpolation_between_nodes(self):
-        sm = _medium(alpha=0.5, sigma_a=2.0)
-        grid = Grid(1.0, 3)
-        path = FieldPath.from_values(grid, [0.0, 1.0, 0.0])
-        # halfway up the first segment the field is 0.5
-        assert absorption_at(sm, path, 0.25) == pytest.approx(
-            2.0 * (1.0 + 0.5 * 0.5), rel=1e-14
-        )
-
-    def test_out_of_domain(self):
-        sm = _medium()
-        path = FieldSampler(sm.kernel, Grid(2.0, 21)).sample(1)
-        with pytest.raises(OutOfDomain):
-            absorption_at(sm, path, 2.5)
+                assert path_intensity_em(sm.medium, path, z) == path_intensity_em(
+                    sm.medium, null, z
+                )
 
     def test_ensemble_mean_and_two_point_moment(self):
         # first and second moments of the coefficient across 1e5 paths
@@ -156,15 +146,3 @@ class TestMfpSeries:
         assert mfp_series(_medium(alpha=0.1), max_order=20).converged
         assert not mfp_series(_medium(alpha=0.9), max_order=4).converged
 
-
-class TestMfpMcEstimate:
-    def test_deterministic_limit(self):
-        assert mfp_mc_estimate(_medium(alpha=0.0, sigma_a=2.0), 1000, seed=1) == 0.5
-
-    def test_finite_in_small_fluctuation_regime(self, capsys):
-        # recorded next to the series value, not asserted equal
-        sm = _medium(alpha=0.3, amplitude=1.0)
-        estimate = mfp_mc_estimate(sm, 200_000, seed=9)
-        series = mfp_series(sm).mean_free_path
-        assert math.isfinite(estimate)
-        print(f"MFP series {series:.6f} cm vs MC estimate {estimate:.6f} cm")

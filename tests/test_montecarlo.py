@@ -36,18 +36,16 @@ def _sm(alpha=0.1, sigma_a=1.0, i0=10.0, amplitude=1.0, zeta=1.0):
     )
 
 
-def _nested_subpath(path: FieldPath, stride: int) -> FieldPath:
-    """Restrict a path to every stride-th node (same underlying sample)."""
-    n = path.grid.n_points
-    assert (n - 1) % stride == 0
-    sub = Grid(path.grid.length, (n - 1) // stride + 1)
-    return FieldPath.from_values(sub, path.values[::stride])
+def _path(kernel, grid, seed, rows=1):
+    """Ensemble paths [0, rows) of master seed ``seed`` as a block."""
+    sampler = FieldSampler(kernel, grid)
+    return FieldPath.from_values(grid, sampler.sample_block(seed, 0, rows))
 
 
 class TestPathIntensity:
     def test_deterministic_limit_equals_beer(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.0, i0=10.0)
-        path = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(3.0, 31)).sample(5)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(3.0, 31), 5)
         for z in (0.0, 1.0, 2.5, 3.0):
             assert path_intensity(medium, path, z) == beer(medium, z)
 
@@ -62,21 +60,43 @@ class TestPathIntensity:
 
     def test_boundary_value(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.4, i0=7.0)
-        path = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21)).sample(8)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), 8)
         assert path_intensity(medium, path, 0.0) == 7.0
 
     def test_out_of_domain(self):
         medium = MediumSpec(sigma_a=1.0)
-        path = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21)).sample(8)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), 8)
         with pytest.raises(OutOfDomain):
             path_intensity(medium, path, 2.1)
+
+    def test_block_matches_rows_one_at_a_time(self):
+        sm = _sm(alpha=0.3)
+        block = _path(sm.kernel, Grid(2.0, 41), 21, rows=6)
+        depths = np.array([0.0, 0.33, 1.0, 1.77, 2.0])
+        integral = block.integral_at(depths)
+        exact = path_intensity(sm.medium, block, depths)
+        euler = path_intensity_em(sm.medium, block, 1.23)
+        assert integral.shape == exact.shape == (6, 5) and euler.shape == (6,)
+        for r in range(6):
+            row = FieldPath.from_values(block.grid, block.values[r])
+            assert np.array_equal(row.cumulative_integral, block.cumulative_integral[r])
+            assert np.array_equal(row.integral_at(depths), integral[r])
+            assert np.array_equal(path_intensity(sm.medium, row, depths), exact[r])
+            assert path_intensity_em(sm.medium, row, 1.23) == euler[r]
 
 
 class TestPathIntensityEuler:
     def test_boundary_value(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.4, i0=7.0)
-        path = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21)).sample(8)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), 8)
         assert path_intensity_em(medium, path, 0.0) == 7.0
+
+    def test_out_of_domain(self):
+        medium = MediumSpec(sigma_a=1.0, alpha=0.3)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), 1)
+        for z in (-0.1, 2.5):
+            with pytest.raises(OutOfDomain):
+                path_intensity_em(medium, path, z)
 
     def test_first_order_error_against_beer(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.0, i0=1.0)
@@ -92,9 +112,9 @@ class TestPathIntensityEuler:
         # on nested restrictions of one sampled path, 2*I(h/2) - I(h)
         # converges an order faster than either Euler value
         sm = _sm(alpha=0.3)
-        fine = FieldSampler(sm.kernel, Grid(2.0, 161)).sample(12)
+        fine = _path(sm.kernel, Grid(2.0, 161), 12)
         exact = path_intensity(sm.medium, fine, 2.0)
-        values = {s: path_intensity_em(sm.medium, _nested_subpath(fine, s), 2.0)
+        values = {s: path_intensity_em(sm.medium, fine.restrict(s), 2.0)
                   for s in (8, 4, 2, 1)}
         rich_err_coarse = abs(2.0 * values[4] - values[8] - exact)
         rich_err_fine = abs(2.0 * values[1] - values[2] - exact)
