@@ -45,6 +45,7 @@ from .errors import (
     DivergentSeries,
     FactorizationFailure,
     FluctuationWarning,
+    MemoryBudgetExceeded,
     NegativeDepth,
     OutOfDomain,
     ReliabilityWarning,
@@ -79,6 +80,7 @@ __all__ = [
     "FluctuationWarning",
     "Grid",
     "MediumSpec",
+    "MemoryBudgetExceeded",
     "MfpSeries",
     "NegativeDepth",
     "OutOfDomain",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +23,19 @@ from scipy.special import ndtr
 
 from .attenuation import MediumSpec, beer
 from .averaged import AveragedLaw, ExponentConvention, averaged_intensity
-from .errors import DivergentSeries, FactorizationFailure, UnsupportedKernel
-from .grf import CorrelationKernel, FieldPath, FieldSampler, Grid
+from .errors import (
+    DivergentSeries,
+    FactorizationFailure,
+    ReliabilityWarning,
+    UnsupportedKernel,
+)
+from .grf import (
+    CHUNK_PATHS,
+    CorrelationKernel,
+    FieldPath,
+    FieldSampler,
+    Grid,
+)
 from .medium import StochasticMedium, mfp_series
 from .montecarlo import (
     EnsembleStats,
@@ -182,7 +194,8 @@ def _config_echo(config: ExperimentConfig) -> str:
         f"amplitude={_fmt(k.amplitude)}", f"zeta={_fmt(k.correlation_length)}",
         f"kappa={_fmt(k.exponent)}", f"length={_fmt(g.length)}",
         f"grid_points={g.n_points}", f"paths={config.n_paths}",
-        f"seed={config.master_seed}", f"modes={','.join(config.modes)}",
+        f"chunk={CHUNK_PATHS}", f"seed={config.master_seed}",
+        f"modes={','.join(config.modes)}",
         "units=cm,1/cm,W/cm^2",
     ]
     return "# slabatten " + " ".join(fields)
@@ -288,14 +301,17 @@ def run(config: ExperimentConfig) -> int:
 
     stats: EnsembleStats | None = None
     if "mc" in config.modes:
-        stats = run_ensemble(
-            stochastic,
-            grid,
-            config.n_paths,
-            config.master_seed,
-            depths=depths,
-            workers=config.workers,
-        )
+        # The ensemble's warnings belong to this run's report, not stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ReliabilityWarning)
+            stats = run_ensemble(
+                stochastic,
+                grid,
+                config.n_paths,
+                config.master_seed,
+                depths=depths,
+                workers=config.workers,
+            )
         columns["mc_mean"] = stats.mean
         columns["mc_sem"] = stats.sem
         # P(G < -1/alpha) for G ~ N(0, C); exactly 0 without fluctuations.
@@ -310,6 +326,9 @@ def run(config: ExperimentConfig) -> int:
             "slab integral of G: skewness = "
             f"{stats.integral_skewness:.4f}, excess kurtosis = "
             f"{stats.integral_excess_kurtosis:.4f}"
+        )
+        report.extend(
+            f"warning: {w.category.__name__}: {w.message}" for w in caught
         )
 
     rows = _csv_rows(depths, columns)

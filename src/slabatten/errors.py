@@ -38,6 +38,10 @@ class DegenerateStep(SlabModelError):
     """Finite-difference step too small for the floating-point budget."""
 
 
+class MemoryBudgetExceeded(SlabModelError, ValueError):
+    """Grid too fine for the dense covariance factor within the memory budget."""
+
+
 class FluctuationWarning(UserWarning):
     """Fluctuation magnitude outside the small-perturbation regime."""
 

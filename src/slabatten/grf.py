@@ -3,9 +3,13 @@
 The field G(z) is zero-mean with two-point covariance
 ``C * exp(-|z1 - z2|**kappa / zeta**kappa)``.  Paths are drawn by dense
 Cholesky factorization of the grid covariance (exact for any kernel and
-grid at the sizes used here), and the running integral of each path is
-accumulated with the composite trapezoid rule, matching the Riemann-sum
-definition of the stochastic integral.
+grid at the sizes used here): a block of paths is one keyed stream of
+standard normals times the transposed factor, a single matrix product.
+Ensembles are cut into fixed blocks of ``CHUNK_PATHS`` paths, and block
+``c`` of master seed ``s`` is always drawn from
+``SeedSequence(s, spawn_key=(c,))``.  The running integral of each path
+is accumulated with the composite trapezoid rule, matching the
+Riemann-sum definition of the stochastic integral.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationFailure, OutOfDomain
+from .errors import FactorizationFailure, MemoryBudgetExceeded, OutOfDomain
 
 # Diagonal jitter ladder for the Cholesky factorization, relative to the
 # kernel amplitude: start at 1e-12*C, multiply by 10 on failure, stop at
@@ -23,6 +27,13 @@ from .errors import FactorizationFailure, OutOfDomain
 _JITTER_EXPONENTS = range(-12, -5)
 # Grid.for_kernel resolves the correlation length with this many nodes.
 _POINTS_PER_LENGTH = 10
+# Paths per keyed stream: an ensemble draws block c of its paths as
+# sample_block(master_seed, c, CHUNK_PATHS), the last block shorter.
+CHUNK_PATHS = 4096
+# Bytes FieldSampler may need for one grid: the covariance, the copy and
+# the factor np.linalg.cholesky holds at once, plus the normals and the
+# field values of one block.  2 GiB leaves room on an 8 GB machine.
+_MEMORY_BUDGET = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -69,10 +80,18 @@ class CorrelationKernel:
         common shifts of both arguments; coincident points return exactly
         the amplitude.
         """
-        sep = np.abs(np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float))
-        zeta = self.correlation_length
-        out = self.amplitude * np.exp(-(sep**self.exponent) / zeta**self.exponent)
-        return float(out) if np.ndim(out) == 0 else out
+        z1 = np.asarray(z1, dtype=float)
+        z2 = np.asarray(z2, dtype=float)
+        # One buffer for the whole formula: a grid covariance is n x n.
+        out = np.empty(np.broadcast_shapes(z1.shape, z2.shape))
+        np.subtract(z1, z2, out=out)
+        np.abs(out, out=out)
+        out **= self.exponent
+        np.negative(out, out=out)
+        out /= self.correlation_length**self.exponent
+        np.exp(out, out=out)
+        out *= self.amplitude
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -152,12 +171,13 @@ class FieldPath:
         if np.any(depths < 0) or np.any(depths > grid.length):
             raise OutOfDomain(f"depths must lie within [0, {grid.length}]")
         points = grid.points
-        idx = np.clip(
-            np.searchsorted(points, depths, side="right") - 1, 0, grid.n_points - 2
-        )
+        # A depth on a node gets frac = 0 and the node's value exactly; the
+        # last node is its own upper neighbour.
+        idx = np.searchsorted(points, depths, side="right") - 1
+        upper = np.minimum(idx + 1, grid.n_points - 1)
         frac = (depths - points[idx]) / grid.spacing
         cumulative = self.cumulative_integral
-        return cumulative[..., idx] * (1.0 - frac) + cumulative[..., idx + 1] * frac
+        return cumulative[..., idx] * (1.0 - frac) + cumulative[..., upper] * frac
 
     def restrict(self, stride: int) -> "FieldPath":
         """The same realizations on the nested grid of every stride-th node."""
@@ -208,32 +228,41 @@ class FieldSampler:
     """Draws field paths for one (kernel, grid) pair.
 
     The covariance factor is computed once at construction; sampling is
-    then pure in the seed, so a single sampler can be shared read-only
-    across concurrent workers.  Ensemble paths are seeded by index from
-    a master seed, which makes results independent of execution order.
+    then pure in (seed, chunk, count), so a single sampler can be shared
+    read-only across concurrent workers.  Grids whose dense factor would
+    not fit the memory budget are rejected with MemoryBudgetExceeded
+    before anything is allocated.
     """
 
     def __init__(self, kernel: CorrelationKernel, grid: Grid):
+        n = grid.n_points
+        needed = 8 * (3 * n * n + 2 * CHUNK_PATHS * n)
+        if needed > _MEMORY_BUDGET:
+            raise MemoryBudgetExceeded(
+                f"a grid of {n} points needs about {needed / 2**30:.1f} GiB "
+                "for its dense covariance factor, above the "
+                f"{_MEMORY_BUDGET / 2**30:.0f} GiB budget; use fewer grid "
+                "points or a longer correlation length"
+            )
         self.kernel = kernel
         self.grid = grid
         self.factor, self.jitter = _cholesky_with_jitter(
             covariance_matrix(kernel, grid), kernel.amplitude
         )
 
-    def sample_block(self, master_seed: int, start: int, count: int) -> np.ndarray:
-        """Values for ensemble paths [start, start+count) as a (count, n) array.
+    def sample_block(self, master_seed: int, chunk: int, count: int) -> np.ndarray:
+        """Values of ``count`` paths of ensemble block ``chunk``, shape (count, n).
 
-        Path ``i`` always consumes the generator seeded by
-        ``SeedSequence(master_seed, spawn_key=(i,))`` and is transformed by
-        one fixed-shape matrix-vector product, so any partition of the
-        ensemble into blocks reproduces bit-identical paths.  Wrap the
-        result in ``FieldPath.from_values`` for its running integrals.
+        The block is one stream, ``SeedSequence(master_seed,
+        spawn_key=(chunk,))``, of ``(count, n)`` standard normals, times the
+        transposed factor in one matrix product.  The same (master_seed,
+        chunk, count) always gives the same bits, also from concurrent
+        threads; a row is not promised to equal the same row of a block of
+        another count (a one-row product takes a different BLAS kernel).
+        Wrap the result in ``FieldPath.from_values`` for its running
+        integrals.
         """
-        n = self.grid.n_points
-        values = np.empty((count, n))
-        for row in range(count):
-            seq = np.random.SeedSequence(
-                entropy=master_seed, spawn_key=(start + row,)
-            )
-            values[row] = self.factor @ np.random.default_rng(seq).standard_normal(n)
-        return values
+        rng = np.random.default_rng(
+            np.random.SeedSequence(master_seed, spawn_key=(chunk,))
+        )
+        return rng.standard_normal((count, self.grid.n_points)) @ self.factor.T

@@ -19,11 +19,10 @@ import numpy as np
 
 from .attenuation import MediumSpec, beer
 from .errors import NegativeDepth, OutOfDomain, ReliabilityWarning
-from .grf import FieldPath, FieldSampler, Grid
+from .grf import CHUNK_PATHS, FieldPath, FieldSampler, Grid
 from .medium import StochasticMedium
 from .quadrature import square_double_integral
 
-_CHUNK = 4096
 _MAX_DEFAULT_ROWS = 256
 # Exponent standard deviations above this make the lognormal sample mean
 # heavy-tailed enough that the SEM stops being trustworthy.
@@ -105,14 +104,14 @@ def run_ensemble(
     master_seed: int,
     depths=None,
     workers: int = 1,
-    chunk_size: int = _CHUNK,
 ) -> EnsembleStats:
     """Per-depth mean and SEM of the exact pathwise intensity.
 
-    Paths are seeded by index from master_seed and partial sums are
-    reduced in fixed chunk order, so the result is bit-identical for any
-    worker count.  The covariance factor is computed once and shared
-    read-only by the workers.
+    Paths are drawn in fixed blocks of CHUNK_PATHS, block c from the
+    stream keyed by (master_seed, c), and partial sums are reduced in
+    block order, so the result is bit-identical for any worker count.
+    The covariance factor is computed once and shared read-only by the
+    workers.
 
     Emits a ReliabilityWarning when the exponent standard deviation
     alpha*sigma_a*sqrt(Var int G) at the deepest requested depth exceeds
@@ -145,9 +144,10 @@ def run_ensemble(
 
     neg_cut = -1.0 / medium.alpha if medium.alpha > 0 else -np.inf
 
-    def chunk_partials(start: int, count: int):
+    def chunk_partials(chunk: int):
+        count = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS)
         block = FieldPath.from_values(
-            grid, sampler.sample_block(master_seed, start, count)
+            grid, sampler.sample_block(master_seed, chunk, count)
         )
         factors = np.exp(-scale * block.integral_at(depths))
         slab_integral = block.cumulative_integral[:, -1]
@@ -162,15 +162,12 @@ def run_ensemble(
         negatives = int(np.count_nonzero(block.values < neg_cut))
         return factors.sum(axis=0), (factors**2).sum(axis=0), raw, negatives
 
-    tasks = [
-        (start, min(chunk_size, n_paths - start))
-        for start in range(0, n_paths, chunk_size)
-    ]
+    chunks = range((n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda t: chunk_partials(*t), tasks))
+            partials = list(pool.map(chunk_partials, chunks))
     else:
-        partials = [chunk_partials(*t) for t in tasks]
+        partials = [chunk_partials(c) for c in chunks]
 
     factor_sum = np.zeros(beer_depths.shape)
     factor_sq_sum = np.zeros(beer_depths.shape)

@@ -181,9 +181,9 @@ def test_criterion_06_sampler_statistics():
     n = 100_000
     sq_sum = np.zeros(grid.n_points)
     t_sums = np.zeros(4)
-    for begin in range(0, n, 8192):
+    for chunk, begin in enumerate(range(0, n, 8192)):
         count = min(8192, n - begin)
-        block = sampler.sample_block(60, begin, count)
+        block = sampler.sample_block(60, chunk, count)
         sq_sum += (block**2).sum(axis=0)
         segs = 0.5 * grid.spacing * (block[:, 1:] + block[:, :-1])
         t = segs.sum(axis=1)

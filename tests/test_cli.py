@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from slabatten import ReliabilityWarning
+from slabatten import ReliabilityWarning, grf
 from slabatten.cli import (
     COLUMNS,
     UsageError,
@@ -107,6 +107,19 @@ class TestMainExitCodes:
         assert code == 2
         assert "positive definite" in capsys.readouterr().err
 
+    def test_grid_beyond_the_memory_budget_exits_1(self, tmp_path, capsys, monkeypatch):
+        def build(kernel, grid):
+            raise AssertionError("covariance built")
+
+        monkeypatch.setattr(grf, "covariance_matrix", build)
+        out = tmp_path / "x.csv"
+        code = main([
+            "--zeta", "0.01", "--length", "10", "--modes", "mc", "--paths", "10",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "10001 points" in capsys.readouterr().err
+
     def test_colored_noise_sampling_without_closed_forms_is_fine(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main([
@@ -168,6 +181,19 @@ class TestCsvContract:
         assert "negative-coefficient fraction" in report
         assert "mean free path" in report
         assert "skewness" in report
+
+    def test_reliability_warning_goes_to_the_report(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            code = main(["--paths", "200", "--out", str(out)])
+        assert code == 0
+        assert not [w for w in leaked if w.category is ReliabilityWarning]
+        captured = capsys.readouterr()
+        assert "warning: ReliabilityWarning: exponent std 2.24 > 1.5" in captured.out
+        assert "ReliabilityWarning" not in captured.err
+        echo, _ = _read_csv(out)
+        assert "chunk=4096" in echo.split()
 
     @pytest.mark.parametrize("alpha,expected", [("0.8", "0.10565"), ("0", "0")])
     def test_negative_fraction_shown_with_its_exact_expectation(

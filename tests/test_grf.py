@@ -1,6 +1,7 @@
 """Kernel, grid, covariance and path-sampling behavior."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from slabatten import (
     FieldPath,
     FieldSampler,
     Grid,
+    MemoryBudgetExceeded,
     OutOfDomain,
     covariance_matrix,
+    grf,
     square_double_integral,
 )
 
@@ -33,6 +36,17 @@ class TestCorrelationKernel:
     def test_colored_noise_value(self):
         k = CorrelationKernel(2.0, 0.5, 1.0)
         assert k.evaluate(0.0, 1.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
+    def test_same_bits_as_the_textbook_expression(self, kappa):
+        k = CorrelationKernel(1.3, 0.7, kappa)
+        z = Grid(5.0, 301).points
+        sep = np.abs(z[:, None] - z[None, :])
+        expected = 1.3 * np.exp(-(sep**kappa) / 0.7**kappa)
+        assert np.array_equal(k.evaluate(z[:, None], z[None, :]), expected)
+        scalar = k.evaluate(0.1, 0.5)
+        assert type(scalar) is float
+        assert scalar == 1.3 * np.exp(-(0.4**kappa) / 0.7**kappa)
 
     @settings(max_examples=200, deadline=None)
     @given(z1=finite, z2=finite)
@@ -147,12 +161,40 @@ class TestSampling:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.cumulative_integral, b.cumulative_integral)
 
-    def test_indexed_path_matches_block_row(self):
-        # paths are keyed by index, so two partitions agree bit for bit
-        sampler = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21))
-        block = sampler.sample_block(99, 3, 4)
-        single = sampler.sample_block(99, 5, 1)
-        assert np.array_equal(block[2], single[0])
+    def test_stream_is_keyed_by_seed_chunk_and_count(self):
+        # the same (seed, chunk, count) gives the same bits, serially and
+        # from more threads than cores; another chunk is another stream.
+        # 300 x 201 blocks are large enough for threaded BLAS.
+        sampler = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 201))
+        keys = [(99, chunk, 300) for chunk in range(4)] * 2
+        serial = [sampler.sample_block(*key) for key in keys]
+        assert serial[0].shape == (300, 201)
+        assert np.array_equal(serial[0], serial[4])
+        for other in serial[1:4]:
+            assert not np.any(serial[0] == other)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda key: sampler.sample_block(*key), keys))
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+    def test_grid_beyond_the_memory_budget_is_rejected_before_allocating(
+        self, monkeypatch
+    ):
+        class Built(Exception):
+            pass
+
+        def build(kernel, grid):
+            raise Built
+
+        monkeypatch.setattr(grf, "covariance_matrix", build)
+        kernel = CorrelationKernel(1.0, 0.01, 1.0)
+        with pytest.raises(MemoryBudgetExceeded, match="10001 points"):
+            FieldSampler(kernel, Grid.for_kernel(10.0, kernel))
+        assert issubclass(MemoryBudgetExceeded, ValueError)
+        # the reference grid and the 4001-point Euler-check grid fit
+        for n in (51, 4001):
+            with pytest.raises(Built):
+                FieldSampler(kernel, Grid(5.0, n))
 
     def test_super_gaussian_kernel_fails_factorization(self):
         # exponents above 2 are not positive semidefinite; the jitter
@@ -166,8 +208,8 @@ class TestSampling:
         sampler = FieldSampler(CorrelationKernel(amp, 1.0, 2.0), Grid(2.0, 21))
         n = 40_000
         sq_sum = np.zeros(21)
-        for start in range(0, n, 8192):
-            block = sampler.sample_block(2024, start, min(8192, n - start))
+        for chunk, start in enumerate(range(0, n, 8192)):
+            block = sampler.sample_block(2024, chunk, min(8192, n - start))
             sq_sum += (block**2).sum(axis=0)
         variance = sq_sum / n
         three_se = 3.0 * amp * math.sqrt(2.0 / n)
@@ -222,6 +264,13 @@ class TestStochasticIntegral:
         np.testing.assert_allclose(p.integral_at(depths), 1.7 * np.array(depths),
                                    rtol=1e-13)
 
+    @pytest.mark.parametrize("n", [51, 1001])
+    def test_exact_at_grid_nodes(self, n):
+        grid = Grid(5.0, n)
+        values = np.random.default_rng(n).standard_normal((8, n))
+        block = FieldPath.from_values(grid, values)
+        assert np.array_equal(block.integral_at(grid.points), block.cumulative_integral)
+
     @pytest.mark.parametrize("z", [-0.1, 2.0001, 50.0])
     def test_out_of_domain_rejected(self, z):
         p = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), seed=3)
@@ -238,9 +287,9 @@ class TestIntegralStatistics:
     def _integrals(self, n, seed, grid, kernel):
         sampler = FieldSampler(kernel, grid)
         out = np.empty(n)
-        for start in range(0, n, 8192):
+        for chunk, start in enumerate(range(0, n, 8192)):
             count = min(8192, n - start)
-            block = sampler.sample_block(seed, start, count)
+            block = sampler.sample_block(seed, chunk, count)
             segs = 0.5 * grid.spacing * (block[:, 1:] + block[:, :-1])
             out[start : start + count] = segs.sum(axis=1)
         return out

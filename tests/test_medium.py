@@ -57,9 +57,9 @@ class TestAbsorptionAt:
         n = 100_000
         a1 = np.empty(n)
         a2 = np.empty(n)
-        for start in range(0, n, 8192):
+        for chunk, start in enumerate(range(0, n, 8192)):
             count = min(8192, n - start)
-            block = sampler.sample_block(77, start, count)
+            block = sampler.sample_block(77, chunk, count)
             a1[start : start + count] = m.sigma_a * (1.0 + m.alpha * block[:, z1_idx])
             a2[start : start + count] = m.sigma_a * (1.0 + m.alpha * block[:, z2_idx])
 

@@ -141,13 +141,20 @@ class TestRunEnsemble:
         assert stats.negative_coefficient_fraction == 0.0
 
     def test_worker_count_does_not_change_bits(self):
+        # 9000 paths are three fixed-size chunks; at 1001 points each chunk
+        # is a product large enough for threaded BLAS
         sm = _sm(alpha=0.2)
-        grid = Grid(2.0, 41)
-        a = run_ensemble(sm, grid, 3000, master_seed=11, workers=1, chunk_size=512)
-        b = run_ensemble(sm, grid, 3000, master_seed=11, workers=4, chunk_size=512)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.sem, b.sem)
-        assert a.integral_skewness == b.integral_skewness
+        for grid in (Grid(2.0, 41), Grid(2.0, 1001)):
+            a, *others = [
+                run_ensemble(sm, grid, 9000, master_seed=11, workers=workers)
+                for workers in (1, 2, 4)
+            ]
+            for b in others:
+                assert np.array_equal(a.mean, b.mean)
+                assert np.array_equal(a.sem, b.sem)
+                assert a.integral_skewness == b.integral_skewness
+                fraction = a.negative_coefficient_fraction
+                assert fraction == b.negative_coefficient_fraction
 
     def test_repeat_run_is_identical(self):
         sm = _sm(alpha=0.2)
