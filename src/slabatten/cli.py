@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedKernel,
 )
 from .grf import (
+    AR1_ROUTE,
     CHUNK_PATHS,
     CorrelationKernel,
     FieldPath,
@@ -275,6 +276,15 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     return lines
 
 
+def _sampler_line(stats: EnsembleStats, grid: Grid) -> str:
+    if stats.sampler_route == AR1_ROUTE:
+        return "sampler: AR(1) recursion (exact for kappa = 1)"
+    return (
+        f"sampler: dense Cholesky, n = {grid.n_points}, "
+        f"jitter = {stats.jitter:.3g}"
+    )
+
+
 def run(config: ExperimentConfig) -> int:
     """Run the selected pipelines, write the CSV, print the report."""
     medium, kernel, grid = config.medium, config.kernel, config.grid
@@ -322,6 +332,7 @@ def run(config: ExperimentConfig) -> int:
             f"{stats.negative_coefficient_fraction:.6g} "
             f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected:.6g})"
         )
+        report.append(_sampler_line(stats, grid))
         report.append(
             "slab integral of G: skewness = "
             f"{stats.integral_skewness:.4f}, excess kurtosis = "

@@ -1,14 +1,20 @@
 """Stationary Gaussian random fields on a uniform 1-D slab grid.
 
 The field G(z) is zero-mean with two-point covariance
-``C * exp(-|z1 - z2|**kappa / zeta**kappa)``.  Paths are drawn by dense
-Cholesky factorization of the grid covariance (exact for any kernel and
-grid at the sizes used here): a block of paths is one keyed stream of
-standard normals times the transposed factor, a single matrix product.
-Ensembles are cut into fixed blocks of ``CHUNK_PATHS`` paths, and block
-``c`` of master seed ``s`` is always drawn from
-``SeedSequence(s, spawn_key=(c,))``.  The running integral of each path
-is accumulated with the composite trapezoid rule, matching the
+``C * exp(-|z1 - z2|**kappa / zeta**kappa)``.  A block of paths is one
+keyed stream of standard normals turned into field values.  For
+``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov on a uniform grid)
+the normals go through the exact AR(1) recursion
+``x_i = rho*x_{i-1} + sqrt(C*(1 - rho**2))*xi_i`` with
+``rho = exp(-h/zeta)`` (Gillespie, Phys. Rev. E 54, 2084, 1996), the
+closed-form Cholesky factor of the grid covariance, in O(n) time and no
+n x n storage.  Every other kernel is drawn by dense Cholesky
+factorization of the grid covariance (exact for any kernel and grid at
+the sizes used here), the normals times the transposed factor in a
+single matrix product.  Ensembles are cut into fixed blocks of
+``CHUNK_PATHS`` paths, and block ``c`` of master seed ``s`` is always
+drawn from ``SeedSequence(s, spawn_key=(c,))``.  The running integral of
+each path is accumulated with the composite trapezoid rule, matching the
 Riemann-sum definition of the stochastic integral.
 """
 
@@ -30,10 +36,15 @@ _POINTS_PER_LENGTH = 10
 # Paths per keyed stream: an ensemble draws block c of its paths as
 # sample_block(master_seed, c, CHUNK_PATHS), the last block shorter.
 CHUNK_PATHS = 4096
-# Bytes FieldSampler may need for one grid: the covariance, the copy and
-# the factor np.linalg.cholesky holds at once, plus the normals and the
-# field values of one block.  2 GiB leaves room on an 8 GB machine.
+# Bytes FieldSampler may need at once.  The dense route is charged the
+# covariance, the copy and the factor np.linalg.cholesky holds at once,
+# plus the normals and the field values of one block; the AR(1) route only
+# the block it draws and the running integral its caller builds from it.
+# 2 GiB leaves room on an 8 GB machine.
 _MEMORY_BUDGET = 2 * 2**30
+# FieldSampler.route values.
+AR1_ROUTE = "ar1"
+CHOLESKY_ROUTE = "cholesky"
 
 
 @dataclass(frozen=True)
@@ -224,28 +235,47 @@ def _cholesky_with_jitter(matrix: np.ndarray, amplitude: float):
     )
 
 
+def _check_budget(needed: int, what: str) -> None:
+    if needed > _MEMORY_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"{what} needs about {needed / 2**30:.1f} GiB, above the "
+            f"{_MEMORY_BUDGET / 2**30:.0f} GiB budget; use fewer grid points "
+            "or a longer correlation length"
+        )
+
+
 class FieldSampler:
     """Draws field paths for one (kernel, grid) pair.
 
-    The covariance factor is computed once at construction; sampling is
-    then pure in (seed, chunk, count), so a single sampler can be shared
-    read-only across concurrent workers.  Grids whose dense factor would
-    not fit the memory budget are rejected with MemoryBudgetExceeded
-    before anything is allocated.
+    The kernel alone picks the route.  ``kappa = 1`` uses the exact AR(1)
+    recursion (``route == AR1_ROUTE``, with ``rho`` and the innovation
+    scale ``innovation``, ``factor`` None and ``jitter`` 0);
+    any other kernel the dense Cholesky factor of the grid covariance,
+    computed once at construction (``route == CHOLESKY_ROUTE``, with the
+    diagonal ``jitter`` that made it succeed).  Sampling is then pure in
+    (seed, chunk, count), so a single sampler can be shared read-only
+    across concurrent workers.  Requests above the memory budget raise
+    MemoryBudgetExceeded before anything is allocated: a dense grid at
+    construction, an AR(1) block when it is drawn.
     """
 
     def __init__(self, kernel: CorrelationKernel, grid: Grid):
-        n = grid.n_points
-        needed = 8 * (3 * n * n + 2 * CHUNK_PATHS * n)
-        if needed > _MEMORY_BUDGET:
-            raise MemoryBudgetExceeded(
-                f"a grid of {n} points needs about {needed / 2**30:.1f} GiB "
-                "for its dense covariance factor, above the "
-                f"{_MEMORY_BUDGET / 2**30:.0f} GiB budget; use fewer grid "
-                "points or a longer correlation length"
-            )
         self.kernel = kernel
         self.grid = grid
+        if kernel.exponent == 1:
+            steps = grid.spacing / kernel.correlation_length
+            self.route = AR1_ROUTE
+            self.rho = math.exp(-steps)
+            # sqrt(C (1 - rho^2)), accurate also when rho is close to 1
+            self.innovation = math.sqrt(kernel.amplitude * -math.expm1(-2.0 * steps))
+            self.factor, self.jitter = None, 0.0
+            return
+        n = grid.n_points
+        _check_budget(
+            8 * (3 * n * n + 2 * CHUNK_PATHS * n),
+            f"the dense covariance factor of a grid of {n} points",
+        )
+        self.route = CHOLESKY_ROUTE
         self.factor, self.jitter = _cholesky_with_jitter(
             covariance_matrix(kernel, grid), kernel.amplitude
         )
@@ -255,14 +285,32 @@ class FieldSampler:
 
         The block is one stream, ``SeedSequence(master_seed,
         spawn_key=(chunk,))``, of ``(count, n)`` standard normals, times the
-        transposed factor in one matrix product.  The same (master_seed,
-        chunk, count) always gives the same bits, also from concurrent
-        threads; a row is not promised to equal the same row of a block of
-        another count (a one-row product takes a different BLAS kernel).
-        Wrap the result in ``FieldPath.from_values`` for its running
-        integrals.
+        transposed factor in one matrix product, or run through the AR(1)
+        recursion in place; the recursion is that factor in closed form, so
+        both routes give the same paths for the same key up to the dense
+        route's jitter (about 1e-11).  The same (master_seed, chunk, count)
+        always gives the same bits, also from concurrent threads; a row is
+        not promised to equal the same row of a block of another count (a
+        one-row product takes a different BLAS kernel).  Wrap the result in
+        ``FieldPath.from_values`` for its running integrals.
         """
+        n = self.grid.n_points
+        ar1 = self.route == AR1_ROUTE
+        if ar1:
+            _check_budget(
+                8 * 2 * count * n, f"a block of {count} paths on {n} grid points"
+            )
         rng = np.random.default_rng(
             np.random.SeedSequence(master_seed, spawn_key=(chunk,))
         )
-        return rng.standard_normal((count, self.grid.n_points)) @ self.factor.T
+        normals = rng.standard_normal((count, n))
+        if not ar1:
+            return normals @ self.factor.T
+        # x_0 = sqrt(C) xi_0, x_i = rho x_{i-1} + sqrt(C (1 - rho^2)) xi_i,
+        # one grid column at a time on the transposed view.
+        columns = normals.T
+        columns[0] *= math.sqrt(self.kernel.amplitude)
+        for i in range(1, n):
+            columns[i] *= self.innovation
+            columns[i] += self.rho * columns[i - 1]
+        return normals

@@ -37,7 +37,9 @@ class EnsembleStats:
     pairs where the sampled absorption coefficient went negative, a
     model-validity diagnostic.  The integral skewness/kurtosis describe
     the path integral of the field over the whole slab, which should be
-    Gaussian.
+    Gaussian.  sampler_route is the FieldSampler route that drew the
+    paths (grf.AR1_ROUTE or grf.CHOLESKY_ROUTE) and jitter the diagonal
+    jitter its factor actually used (0 for the AR(1) recursion).
     """
 
     depths: np.ndarray
@@ -47,6 +49,8 @@ class EnsembleStats:
     negative_coefficient_fraction: float
     integral_skewness: float
     integral_excess_kurtosis: float
+    sampler_route: str
+    jitter: float
 
 
 def path_intensity(medium: MediumSpec, path: FieldPath, depths):
@@ -110,8 +114,8 @@ def run_ensemble(
     Paths are drawn in fixed blocks of CHUNK_PATHS, block c from the
     stream keyed by (master_seed, c), and partial sums are reduced in
     block order, so the result is bit-identical for any worker count.
-    The covariance factor is computed once and shared read-only by the
-    workers.
+    One FieldSampler (for a dense route, one covariance factor) is built
+    and shared read-only by the workers.
 
     Emits a ReliabilityWarning when the exponent standard deviation
     alpha*sigma_a*sqrt(Var int G) at the deepest requested depth exceeds
@@ -202,6 +206,8 @@ def run_ensemble(
         negative_coefficient_fraction=negative_count / (n_paths * grid.n_points),
         integral_skewness=skewness,
         integral_excess_kurtosis=excess_kurtosis,
+        sampler_route=sampler.route,
+        jitter=sampler.jitter,
     )
 
 

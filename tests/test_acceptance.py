@@ -299,7 +299,7 @@ def test_criterion_09_euler_cross_check_order():
 
 def test_criterion_10_byte_identical_csv(tmp_path):
     args = ["--alpha", "0.2", "--length", "3", "--grid-points", "31",
-            "--paths", "2000", "--seed", "424242"]
+            "--paths", "9000", "--seed", "424242"]  # three 4096-path chunks
     outputs = []
     for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
         out = tmp_path / f"run_{tag}.csv"

@@ -120,6 +120,23 @@ class TestMainExitCodes:
         assert code == 1
         assert "10001 points" in capsys.readouterr().err
 
+    def test_colored_noise_on_the_same_grid_needs_no_covariance(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def build(kernel, grid):
+            raise AssertionError("covariance built")
+
+        monkeypatch.setattr(grf, "covariance_matrix", build)
+        out = tmp_path / "x.csv"
+        code = main([
+            "--kappa", "1", "--zeta", "0.01", "--length", "10",
+            "--modes", "mc,euler-check", "--paths", "10", "--out", str(out),
+        ])
+        assert code == 0
+        report = capsys.readouterr().out
+        assert "grid_points=10001" in report
+        assert "euler check" in report
+
     def test_colored_noise_sampling_without_closed_forms_is_fine(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main([
@@ -195,6 +212,25 @@ class TestCsvContract:
         echo, _ = _read_csv(out)
         assert "chunk=4096" in echo.split()
 
+    @pytest.mark.parametrize(
+        "kappa,line",
+        [
+            ("1", "sampler: AR(1) recursion (exact for kappa = 1)"),
+            ("2", "sampler: dense Cholesky, n = 21, jitter = 1e-12"),
+        ],
+        ids=["kappa1", "kappa2"],
+    )
+    def test_report_names_the_sampling_route(self, tmp_path, capsys, kappa, line):
+        out = tmp_path / "curves.csv"
+        code = main([
+            "--kappa", kappa, "--alpha", "0.2", "--modes", "mc", "--paths", "50",
+            "--grid-points", "21", "--length", "2", "--out", str(out),
+        ])
+        assert code == 0
+        report = capsys.readouterr().out.splitlines()
+        assert [r for r in report if r.startswith("sampler:")] == [line]
+        assert "sampler" not in out.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("alpha,expected", [("0.8", "0.10565"), ("0", "0")])
     def test_negative_fraction_shown_with_its_exact_expectation(
         self, tmp_path, capsys, alpha, expected
@@ -234,9 +270,15 @@ class TestDeterminism:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_count_is_byte_invariant(self, tmp_path):
-        args = ["--alpha", "0.2", "--paths", "3000", "--grid-points", "21",
-                "--length", "2", "--seed", "99"]
+    @pytest.mark.parametrize(
+        "kappa,modes",
+        [("1", "beer,mc"), ("2", "beer,paper,exact,mc")],
+        ids=["kappa1", "kappa2"],
+    )
+    def test_worker_count_is_byte_invariant(self, tmp_path, kappa, modes):
+        # 9000 paths are three 4096-path chunks, so four workers share them
+        args = ["--alpha", "0.2", "--paths", "9000", "--grid-points", "21",
+                "--length", "2", "--seed", "99", "--kappa", kappa, "--modes", modes]
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w4.csv"
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(args + ["--workers", "4", "--out", str(out2)]) == 0

@@ -161,11 +161,12 @@ class TestSampling:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.cumulative_integral, b.cumulative_integral)
 
-    def test_stream_is_keyed_by_seed_chunk_and_count(self):
+    @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
+    def test_stream_is_keyed_by_seed_chunk_and_count(self, kappa):
         # the same (seed, chunk, count) gives the same bits, serially and
         # from more threads than cores; another chunk is another stream.
         # 300 x 201 blocks are large enough for threaded BLAS.
-        sampler = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 201))
+        sampler = FieldSampler(CorrelationKernel(1.0, 1.0, kappa), Grid(2.0, 201))
         keys = [(99, chunk, 300) for chunk in range(4)] * 2
         serial = [sampler.sample_block(*key) for key in keys]
         assert serial[0].shape == (300, 201)
@@ -187,7 +188,7 @@ class TestSampling:
             raise Built
 
         monkeypatch.setattr(grf, "covariance_matrix", build)
-        kernel = CorrelationKernel(1.0, 0.01, 1.0)
+        kernel = CorrelationKernel(1.0, 0.01, 2.0)
         with pytest.raises(MemoryBudgetExceeded, match="10001 points"):
             FieldSampler(kernel, Grid.for_kernel(10.0, kernel))
         assert issubclass(MemoryBudgetExceeded, ValueError)
@@ -195,6 +196,58 @@ class TestSampling:
         for n in (51, 4001):
             with pytest.raises(Built):
                 FieldSampler(kernel, Grid(5.0, n))
+
+    def test_ar1_block_beyond_the_memory_budget_is_rejected_before_drawing(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocating call reached")
+
+        monkeypatch.setattr(grf, "covariance_matrix", refuse)
+        kernel = CorrelationKernel(1.0, 0.01, 1.0)
+        # the 10 001-point grid the dense route rejects takes no factor here
+        sampler = FieldSampler(kernel, Grid.for_kernel(10.0, kernel))
+        assert sampler.route == grf.AR1_ROUTE and sampler.factor is None
+        big = FieldSampler(kernel, Grid(10.0, 100_001))
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(MemoryBudgetExceeded, match="4096 paths on 100001") as err:
+            big.sample_block(0, 0, 4096)
+        assert "covariance" not in str(err.value)
+        assert "factor" not in str(err.value)
+
+    @pytest.mark.parametrize("zeta,n", [(1.0, 51), (0.3, 168), (0.05, 1001)])
+    def test_ar1_recursion_is_the_cholesky_factor_of_the_covariance(self, zeta, n):
+        kernel = CorrelationKernel(2.5, zeta, 1.0)
+        grid = Grid(5.0, n)
+        sampler = FieldSampler(kernel, grid)
+        assert sampler.route == grf.AR1_ROUTE
+        assert sampler.jitter == 0.0
+        normals = np.random.default_rng(
+            np.random.SeedSequence(31, spawn_key=(2,))
+        ).standard_normal((200, n))
+        factor = np.linalg.cholesky(covariance_matrix(kernel, grid))
+        np.testing.assert_allclose(
+            sampler.sample_block(31, 2, 200), normals @ factor.T, rtol=0, atol=1e-9
+        )
+
+    def test_ar1_variance_and_lag_one_covariance(self):
+        amp, zeta = 1.7, 0.3
+        grid = Grid(2.0, 41)
+        sampler = FieldSampler(CorrelationKernel(amp, zeta, 1.0), grid)
+        rho = math.exp(-grid.spacing / zeta)
+        assert sampler.rho == rho
+        n = 100_000
+        sq_sum = np.zeros(41)
+        lag_sum = np.zeros(40)
+        for chunk, start in enumerate(range(0, n, 8192)):
+            block = sampler.sample_block(606, chunk, min(8192, n - start))
+            sq_sum += (block**2).sum(axis=0)
+            lag_sum += (block[:, 1:] * block[:, :-1]).sum(axis=0)
+        # Var(x^2) = 2 C^2 and Var(x_i x_{i+1}) = C^2 (1 + rho^2) for Gaussians
+        var_se = amp * math.sqrt(2.0 / n)
+        lag_se = amp * math.sqrt((1.0 + rho**2) / n)
+        assert np.max(np.abs(sq_sum / n - amp)) < 3.0 * var_se
+        assert np.max(np.abs(lag_sum / n - amp * rho)) < 3.0 * lag_se
 
     def test_super_gaussian_kernel_fails_factorization(self):
         # exponents above 2 are not positive semidefinite; the jitter
