@@ -164,15 +164,15 @@ def cumulant_series_exponent(
     z: float,
     max_order: int = 2,
     convention: ExponentConvention = ExponentConvention.EXACT,
-    quad_points=None,
 ) -> float:
     """Truncated cumulant exponent evaluated by quadrature.
 
     The order-1 term vanishes (the field is zero-mean); the order-2 term
     is gain * alpha^2 * sigma_a^2 times the ordered double integral of
-    the covariance, computed by the panelized nested rule so it can
-    cross-check the erf closed form.  Orders above 2 carry no nonzero
-    Gaussian cumulants and raise UnsupportedOrder.
+    the covariance, computed by the panelized lag-form rule
+    (``int_0^z (z - u) phi(u) du``) so it can cross-check the erf closed
+    form.  Orders above 2 carry no nonzero Gaussian cumulants and raise
+    UnsupportedOrder.
     """
     if max_order not in (1, 2):
         raise UnsupportedOrder(
@@ -183,5 +183,5 @@ def cumulant_series_exponent(
         raise NegativeDepth("z must be >= 0")
     if max_order == 1:
         return 0.0
-    ordered = ordered_double_integral(kernel, z, quad_points)
+    ordered = ordered_double_integral(kernel, z)
     return convention.gain * alpha**2 * sigma_a**2 * ordered

@@ -5,7 +5,7 @@ Each sampled path has the closed pathwise solution
 discretization in the headline estimate is the trapezoid quadrature of
 the path integral.  An explicit Euler integrator is kept alongside as an
 independent cross-check, and an analytic lognormal oracle (Gaussian
-moment identity plus nested quadrature) bypasses both the sampler and
+moment identity plus tensor-product quadrature) bypasses both the sampler and
 the erf closed form.
 """
 
@@ -211,13 +211,14 @@ def run_ensemble(
     )
 
 
-def lognormal_oracle(sm: StochasticMedium, z: float, quad_points=None) -> float:
+def lognormal_oracle(sm: StochasticMedium, z: float) -> float:
     """Analytic mean intensity from the Gaussian moment identity alone.
 
     E<e^X> = e^{Var(X)/2} with Var(X) = alpha^2 * sigma_a^2 times the
-    covariance integral over [0, z]^2 by nested quadrature.  Shares no
-    code with either the erf closed form or the path sampler, so it can
-    referee both.
+    covariance integral over [0, z]^2 by the tensor-product rule of
+    square_double_integral (diagonal panels split at the kink).  Shares
+    no code with either the erf closed form or the path sampler, so it
+    can referee both.
     """
     if z < 0:
         raise NegativeDepth("z must be >= 0")
@@ -225,6 +226,6 @@ def lognormal_oracle(sm: StochasticMedium, z: float, quad_points=None) -> float:
     variance = (
         medium.alpha**2
         * medium.sigma_a**2
-        * square_double_integral(sm.kernel, z, quad_points)
+        * square_double_integral(sm.kernel, z)
     )
     return float(beer(medium, z) * np.exp(0.5 * variance))

@@ -4,6 +4,22 @@ These evaluators are the quadrature side of the dual-route checks on the
 error-function closed forms: they only ever evaluate the kernel on
 panelized nodes and never touch erf.  Panels no wider than one correlation length keep the
 order-16 rule at machine accuracy across the whole parameter sweep.
+
+The kernel depends only on the lag ``|z1 - z2|``, so neither route
+evaluates it on a grid of node pairs.  With ``P`` panels:
+
+- the ordered route integrates ``(z - u) * phi(u)`` over the lag ``u``,
+  an exact rewriting of the triangle integral, with the first panel
+  graded toward ``u = 0`` (``16 (P + 14)`` kernel values);
+- the square route keeps the tensor-product rule over ``[0, z]^2`` and
+  sums it by panel offset, since every pair of panels ``d`` apart
+  carries the same block of lags; the diagonal panels split their inner
+  interval at the diagonal (``256 (P - 1) + 512`` kernel values).
+
+The square route deliberately does not use the lag identity: it stays a
+second, independent discretization of the same variance, so agreement
+between ``square = 2 * ordered`` checks both.  Memory is O(256 P), about
+1 MB at the 512-panel cap.
 """
 
 from __future__ import annotations
@@ -18,85 +34,105 @@ from .grf import CorrelationKernel
 _PANEL_ORDER = 16
 _MIN_PANELS = 8
 _MAX_PANELS = 512
-# Outer nodes are processed in fixed-size blocks so memory stays bounded
-# and the accumulation order never depends on problem size.
-_BLOCK = 256
+# The lag rule splits its first panel [0, 1/P] into [2^-k, 2^(1-k)]/P for
+# k = 1..14 plus [0, 2^-14]/P: for non-integer kappa, u**kappa is not
+# smooth at u = 0.  Against 30-digit adaptive quadrature the ordered route
+# is off by 8e-8 relative at kappa = 1.5 without grading, by 1e-13 at
+# kappa = 1.05 with 10 levels and by at most 5e-16 with 14.
+_GRADING_LEVELS = 14
+
+
+def _read_only(*arrays):
+    """Freeze cached rules: one stray in-place write would corrupt every
+    later integral that shares them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @lru_cache(maxsize=None)
-def _unit_panel_rule(order: int = _PANEL_ORDER):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+def _unit_panel_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    return _read_only((nodes + 1.0) / 2.0, weights / 2.0)
 
 
 @lru_cache(maxsize=64)
-def composite_unit_rule(n_panels: int, order: int = _PANEL_ORDER):
+def composite_unit_rule(n_panels: int):
     """Nodes and weights of a panelized Gauss-Legendre rule on [0, 1]."""
     if n_panels < 1:
         raise ValueError(f"n_panels must be >= 1, got {n_panels}")
-    base, weights = _unit_panel_rule(order)
+    base, weights = _unit_panel_rule()
     offsets = np.arange(n_panels)[:, None] / n_panels
     nodes = (offsets + base[None, :] / n_panels).ravel()
-    return nodes, np.tile(weights / n_panels, n_panels)
+    return _read_only(nodes, np.tile(weights / n_panels, n_panels))
 
 
-def _panel_count(span: float, scale: float, quad_points) -> int:
-    if quad_points is not None:
-        return max(1, math.ceil(int(quad_points) / _PANEL_ORDER))
-    if span <= 0:
-        return 1
+@lru_cache(maxsize=64)
+def graded_unit_rule(n_panels: int):
+    """``composite_unit_rule(n_panels)`` with its first panel graded
+    geometrically toward 0 over ``_GRADING_LEVELS`` halvings."""
+    t, w = _unit_panel_rule()
+    nodes, weights = composite_unit_rule(n_panels)
+    halvings = np.ldexp(1.0, -np.arange(1, _GRADING_LEVELS + 1))
+    lefts = np.append(halvings, 0.0) / n_panels
+    widths = np.append(halvings, halvings[-1]) / n_panels
+    return _read_only(
+        np.concatenate([(lefts[:, None] + widths[:, None] * t).ravel(), nodes[t.size :]]),
+        np.concatenate([(widths[:, None] * w).ravel(), weights[t.size :]]),
+    )
+
+
+def _panel_count(span: float, scale: float) -> int:
     wanted = math.ceil(span / scale)
     return int(min(max(wanted, _MIN_PANELS), _MAX_PANELS))
 
 
-def ordered_double_integral(
-    kernel: CorrelationKernel, z: float, quad_points=None
-) -> float:
+def ordered_double_integral(kernel: CorrelationKernel, z: float) -> float:
     """Ordered covariance integral over the triangle 0 <= z2 <= z1 <= z.
 
-    Evaluates ``int_0^z int_0^{z1} phi(z1, z2) dz2 dz1`` by nesting the
-    panelized rule; the inner rule is the unit rule rescaled to [0, z1].
-    ``quad_points`` pins the approximate per-axis node count; by default
-    panels are sized to half a correlation length.
+    Evaluates ``int_0^z int_0^{z1} phi(z1 - z2) dz2 dz1`` through the
+    exact lag identity ``int_0^z (z - u) phi(u) du``: one kernel value per
+    node of a panelized rule on [0, z], panels sized to one correlation
+    length, the first panel graded toward the lag-0 endpoint where
+    ``u**kappa`` is singular for non-integer kappa.
     """
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
     if z == 0:
         return 0.0
-    panels = _panel_count(z, kernel.correlation_length, quad_points)
-    t, wt = composite_unit_rule(panels)
-    outer = z * t
-    outer_w = z * wt
-    total = 0.0
-    for s in range(0, outer.size, _BLOCK):
-        x = outer[s : s + _BLOCK]
-        inner_nodes = x[:, None] * t[None, :]
-        vals = kernel.evaluate(x[:, None], inner_nodes)
-        inner = (vals * wt[None, :]).sum(axis=1) * x
-        total += float(inner @ outer_w[s : s + _BLOCK])
-    return total
+    t, wt = graded_unit_rule(_panel_count(z, kernel.correlation_length))
+    phi = kernel.evaluate(z * t, 0.0)
+    return float(z * z * ((wt * (1.0 - t)) @ phi))
 
 
-def square_double_integral(
-    kernel: CorrelationKernel, z: float, quad_points=None
-) -> float:
+def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     """Covariance integral over the full square [0, z]^2.
 
     This is the variance of the path integral of the field up to z.  For
     a symmetric kernel it equals twice the ordered integral, but it is
-    evaluated directly here so the two routes stay independent.
+    evaluated here by a tensor-product rule over the square, not through
+    the lag identity, so the two routes stay independent.
+
+    With ``P`` panels of width ``h`` the tensor-product sum is
+    ``h^2 (P D_0 + 2 sum_{d=1}^{P-1} (P - d) S_d)``, where
+    ``S_d = sum_{a,b} w_a w_b phi(h (d + t_a - t_b))`` is the block of
+    every panel pair ``d`` apart.  The diagonal block ``D_0`` has the
+    ``|u|`` kink of kappa < 2 kernels inside it, so each outer node
+    ``s_a`` splits its inner interval at the diagonal:
+    ``D_0 = sum_a w_a [int_0^{s_a} phi(h v) dv + int_0^{1 - s_a} phi(h v) dv]``,
+    each part by the 16-point rule scaled to its length.
     """
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
     if z == 0:
         return 0.0
-    panels = _panel_count(z, kernel.correlation_length, quad_points)
-    t, wt = composite_unit_rule(panels)
-    nodes = z * t
-    weights = z * wt
-    total = 0.0
-    for s in range(0, nodes.size, _BLOCK):
-        x = nodes[s : s + _BLOCK]
-        vals = kernel.evaluate(x[:, None], nodes[None, :])
-        total += float(weights[s : s + _BLOCK] @ (vals @ weights))
-    return total
+    panels = _panel_count(z, kernel.correlation_length)
+    h = z / panels
+    t, w = _unit_panel_rule()
+    parts = np.concatenate([t, 1.0 - t])
+    inner = kernel.evaluate(h * parts[:, None] * t, 0.0) @ w
+    diagonal = float(np.tile(w, 2) @ (parts * inner))
+    d = np.arange(1.0, panels)
+    blocks = kernel.evaluate(h * (d[:, None, None] + (t[:, None] - t)), 0.0)
+    offsets = (blocks @ w) @ w
+    return h * h * (panels * diagonal + 2.0 * float((panels - d) @ offsets))

@@ -203,6 +203,24 @@ class TestRunEnsemble:
             warnings.simplefilter("error", ReliabilityWarning)
             run_ensemble(_sm(alpha=0.1), grid, 100, master_seed=1)
 
+    def test_heavy_tail_check_evaluates_few_kernel_values(self, monkeypatch):
+        # zeta 0.01 over L = 10 needs the 512-panel cap: (16*512)^2 = 6.7e7
+        # kernel values on a grid of node pairs, 1.3e5 on lags
+        kernel = CorrelationKernel(20.0, 0.01, 1.0)
+        sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.8, i0=10.0), kernel)
+        evaluate = CorrelationKernel.evaluate
+        sizes = []
+
+        def counting(self, z1, z2):
+            out = evaluate(self, z1, z2)
+            sizes.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(CorrelationKernel, "evaluate", counting)
+        with pytest.warns(ReliabilityWarning):
+            run_ensemble(sm, Grid.for_kernel(10.0, kernel), 2, master_seed=1)
+        assert 0 < sum(sizes) < 1e6
+
     def test_invariants_and_validation(self):
         sm = _sm(alpha=0.3)
         grid = Grid(2.0, 21)

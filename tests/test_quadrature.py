@@ -4,9 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from slabatten import CorrelationKernel, ordered_double_integral, square_double_integral
-from slabatten.quadrature import composite_unit_rule
+from slabatten.quadrature import _unit_panel_rule, composite_unit_rule, graded_unit_rule
+
+
+def _lag_form(kernel, z):
+    """Adaptive-quadrature value of int_0^z (z - u) phi(u) du."""
+    value, _ = quad(
+        lambda u: (z - u) * kernel.evaluate(u, 0.0), 0.0, z,
+        epsabs=0.0, epsrel=1e-13, limit=500,
+    )
+    return value
+
+
+def _dense_square(kernel, z, panels):
+    """The tensor-product rule over [0, z]^2 evaluated on every node pair."""
+    t, w = composite_unit_rule(panels)
+    nodes, weights = z * t, z * w
+    return float(weights @ kernel.evaluate(nodes[:, None], nodes[None, :]) @ weights)
 
 
 class TestCompositeRule:
@@ -28,6 +45,25 @@ class TestCompositeRule:
     def test_invalid_panel_count(self):
         with pytest.raises(ValueError):
             composite_unit_rule(0)
+
+    def test_graded_rule_integrates_polynomials_exactly(self):
+        # the first panel is split into 15 subpanels, the other 4 kept
+        nodes, w = graded_unit_rule(5)
+        assert nodes.size == 16 * (15 + 4)
+        assert np.all(nodes > 0.0) and np.all(nodes < 1.0)
+        for p in range(10):
+            assert (w @ nodes**p) == pytest.approx(1.0 / (p + 1), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [_unit_panel_rule, lambda: composite_unit_rule(3), lambda: graded_unit_rule(3)],
+        ids=["unit", "composite", "graded"],
+    )
+    def test_cached_rules_are_read_only(self, rule):
+        # every later integral shares the cached arrays
+        for array in rule():
+            with pytest.raises(ValueError):
+                array[0] = 0.5
 
 
 class TestOrderedDoubleIntegral:
@@ -57,11 +93,13 @@ class TestOrderedDoubleIntegral:
     def test_zero_upper_limit(self):
         assert ordered_double_integral(CorrelationKernel(1.0, 1.0, 2.0), 0.0) == 0.0
 
-    def test_explicit_point_count(self):
-        k = CorrelationKernel(1.0, 1.0, 2.0)
-        expected = self._closed_form(1.0, 1.0, 1.0)
-        assert ordered_double_integral(k, 1.0, quad_points=4096) == pytest.approx(
-            expected, rel=1e-12
+    @pytest.mark.parametrize("kappa", [1.2, 1.5, 2.0])
+    @pytest.mark.parametrize("zeta, z", [(0.05, 3.0), (0.3, 0.7), (1.0, 10.0)])
+    def test_matches_adaptive_quadrature_of_the_lag_form(self, kappa, zeta, z):
+        # u**kappa is singular at u = 0 for non-integer kappa
+        k = CorrelationKernel(1.3, zeta, kappa)
+        assert ordered_double_integral(k, z) == pytest.approx(
+            _lag_form(k, z), rel=1e-12
         )
 
     def test_negative_limit_rejected(self):
@@ -88,10 +126,25 @@ class TestSquareDoubleIntegral:
     def test_colored_noise_kernel_against_analytic(self):
         # kappa=1: integral of C*exp(-|u|/zeta) over [0,z]^2 is
         # 2*C*zeta*(z - zeta*(1 - exp(-z/zeta))).  The kink along the
-        # diagonal caps the rule at algebraic convergence, so this needs
-        # more points than the smooth kappa=2 cases.
+        # diagonal lies on a split point, never inside a panel.
         c, zeta, z = 2.0, 0.5, 3.0
         k = CorrelationKernel(c, zeta, 1.0)
         expected = 2.0 * c * zeta * (z - zeta * (1.0 - math.exp(-z / zeta)))
-        got = square_double_integral(k, z, quad_points=2048)
-        assert got == pytest.approx(expected, rel=1e-5)
+        assert square_double_integral(k, z) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("zeta, z", [(0.1, 3.0), (0.3, 10.0), (1.0, 1.0), (5.0, 10.0)])
+    def test_panel_offset_sum_matches_the_dense_rule(self, zeta, z):
+        # smooth kappa=2 kernel: splitting the diagonal panels changes
+        # nothing beyond rounding, so the dense rule is a reference
+        k = CorrelationKernel(1.0, zeta, 2.0)
+        panels = max(8, math.ceil(z / zeta))
+        assert square_double_integral(k, z) == pytest.approx(
+            _dense_square(k, z, panels), rel=1e-13
+        )
+
+    @pytest.mark.parametrize("zeta, z", [(0.05, 3.0), (0.3, 0.7), (1.0, 10.0)])
+    def test_fractional_exponent_against_adaptive_quadrature(self, zeta, z):
+        k = CorrelationKernel(1.3, zeta, 1.5)
+        assert square_double_integral(k, z) == pytest.approx(
+            2.0 * _lag_form(k, z), rel=1e-7
+        )
