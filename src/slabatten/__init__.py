@@ -13,10 +13,9 @@ grf
     AR(1) recursion for kappa = 1, dense Cholesky for other kernels) and
     FieldPath, the one path-or-block representation (running integral,
     interpolation, nested restriction).
-attenuation
-    Deterministic Beer / Beer-Lambert / depth-varying baselines.
 medium
-    The fluctuating absorption coefficient, its moments and the
+    The purely absorbing slab: MediumSpec, Beer's decay (beer), the
+    fluctuating absorption coefficient, its moments and the
     mean-free-path series.
 averaged
     Error-function closed forms for the averaged intensity, the drift
@@ -28,12 +27,10 @@ cli
     The `slabatten` batch experiment runner (CSV curves plus report).
 """
 
-from .attenuation import MediumSpec, beer, beer_lambert, beer_variable
 from .averaged import (
     AveragedLaw,
     ExponentConvention,
     averaged_intensity,
-    averaged_intensity_bl,
     boost_factor,
     cumulant_series_exponent,
     inner_w,
@@ -52,10 +49,9 @@ from .errors import (
     ReliabilityWarning,
     SlabModelError,
     UnsupportedKernel,
-    UnsupportedOrder,
 )
 from .grf import CorrelationKernel, FieldPath, FieldSampler, Grid, covariance_matrix
-from .medium import MfpSeries, StochasticMedium, abs_moment, mfp_series
+from .medium import MediumSpec, MfpSeries, StochasticMedium, abs_moment, beer, mfp_series
 from .montecarlo import (
     EnsembleStats,
     default_depths,
@@ -68,6 +64,8 @@ from .quadrature import ordered_double_integral, square_double_integral
 
 __version__ = "0.1.0"
 
+# EnsembleStats and MfpSeries are the return types of run_ensemble and
+# mfp_series; SlabModelError is the base class callers catch.
 __all__ = [
     "AveragedLaw",
     "CorrelationKernel",
@@ -89,13 +87,9 @@ __all__ = [
     "SlabModelError",
     "StochasticMedium",
     "UnsupportedKernel",
-    "UnsupportedOrder",
     "abs_moment",
     "averaged_intensity",
-    "averaged_intensity_bl",
     "beer",
-    "beer_lambert",
-    "beer_variable",
     "boost_factor",
     "covariance_matrix",
     "cumulant_series_exponent",

@@ -1,7 +1,7 @@
 """Closed-form cumulant-averaged attenuation for the smooth kernel.
 
 Averaging the exact pathwise solution over field realizations multiplies
-Beer's decay by a boost factor ``exp(gain * alpha^2 * sigma^2 * C * Y(z))``
+Beer's decay by a boost factor ``exp(gain * alpha^2 * sigma_a^2 * C * Y(z))``
 built from the ordered covariance double integral Y(z), which has an
 error-function closed form when kappa = 2.  Two gains are implemented
 behind ExponentConvention: 1 (EXACT, the lognormal identity
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .attenuation import MediumSpec, _scalar_or_array, beer, beer_lambert
-from .errors import DegenerateStep, NegativeDepth, UnsupportedKernel, UnsupportedOrder
+from .errors import DegenerateStep, NegativeDepth, UnsupportedKernel
 from .grf import CorrelationKernel
+from .medium import MediumSpec, beer
 from .quadrature import ordered_double_integral
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -55,7 +55,7 @@ def inner_w(zeta: float, z1):
     z1 = np.asarray(z1, dtype=float)
     if np.any(z1 < 0):
         raise NegativeDepth("z1 must be >= 0")
-    return _scalar_or_array(0.5 * _SQRT_PI * zeta * special.erf(z1 / zeta))
+    return 0.5 * _SQRT_PI * zeta * special.erf(z1 / zeta)
 
 
 def outer_y(zeta: float, z):
@@ -69,9 +69,7 @@ def outer_y(zeta: float, z):
     if np.any(z < 0):
         raise NegativeDepth("z must be >= 0")
     u = z / zeta
-    return _scalar_or_array(
-        0.5 * zeta * (_SQRT_PI * z * special.erf(u) + zeta * (np.exp(-(u**2)) - 1.0))
-    )
+    return 0.5 * zeta * (_SQRT_PI * z * special.erf(u) + zeta * (np.exp(-(u**2)) - 1.0))
 
 
 def theta(kernel: CorrelationKernel, z):
@@ -95,19 +93,16 @@ class AveragedLaw:
         _require_squared_exponential(self.kernel)
 
 
-def boost_factor(law: AveragedLaw, z, sigma: float | None = None):
-    """Attenuation relief exp(gain * alpha^2 * sigma^2 * C * Y(z)) >= 1.
+def boost_factor(law: AveragedLaw, z):
+    """Attenuation relief exp(gain * alpha^2 * sigma_a^2 * C * Y(z)) >= 1.
 
-    Equals 1 at z = 0 and is nondecreasing in z.  ``sigma`` defaults to
-    the absorption coefficient; pass the total coefficient for the
-    Beer-Lambert variant.
+    Equals 1 at z = 0 and is nondecreasing in z.
     """
     m = law.medium
-    s = m.sigma_a if sigma is None else sigma
     exponent = (
         law.convention.gain
         * m.alpha**2
-        * s**2
+        * m.sigma_a**2
         * law.kernel.amplitude
         * outer_y(law.kernel.correlation_length, z)
     )
@@ -120,15 +115,7 @@ def averaged_intensity(law: AveragedLaw, z):
     Reduces exactly to Beer's law at alpha = 0 and at z = 0 returns the
     incident intensity.
     """
-    return _scalar_or_array(beer(law.medium, z) * boost_factor(law, z))
-
-
-def averaged_intensity_bl(law: AveragedLaw, z):
-    """Beer-Lambert variant: the total coefficient replaces the absorption
-    coefficient in both the decay and the boost (absorption and scattering
-    fluctuations ride the same noise)."""
-    m = law.medium
-    return _scalar_or_array(beer_lambert(m, z) * boost_factor(law, z, sigma=m.sigma_t))
+    return beer(law.medium, z) * boost_factor(law, z)
 
 
 def ode_residual(law: AveragedLaw, z: float, h_fd: float) -> float:
@@ -162,26 +149,18 @@ def cumulant_series_exponent(
     alpha: float,
     sigma_a: float,
     z: float,
-    max_order: int = 2,
     convention: ExponentConvention = ExponentConvention.EXACT,
 ) -> float:
-    """Truncated cumulant exponent evaluated by quadrature.
+    """Cumulant exponent of the averaged law, evaluated by quadrature.
 
-    The order-1 term vanishes (the field is zero-mean); the order-2 term
-    is gain * alpha^2 * sigma_a^2 times the ordered double integral of
-    the covariance, computed by the panelized lag-form rule
-    (``int_0^z (z - u) phi(u) du``) so it can cross-check the erf closed
-    form.  Orders above 2 carry no nonzero Gaussian cumulants and raise
-    UnsupportedOrder.
+    The series stops at order 2, and exactly: the order-1 term vanishes
+    (the field is zero-mean) and a Gaussian field has no nonzero
+    cumulants beyond order 2.  The order-2 term is gain * alpha^2 *
+    sigma_a^2 times the ordered double integral of the covariance,
+    computed by the panelized lag-form rule (``int_0^z (z - u) phi(u)
+    du``) so it can cross-check the erf closed form.
     """
-    if max_order not in (1, 2):
-        raise UnsupportedOrder(
-            f"max_order must be 1 or 2, got {max_order}: a Gaussian field "
-            "has no nonzero cumulants beyond order 2"
-        )
     if z < 0:
         raise NegativeDepth("z must be >= 0")
-    if max_order == 1:
-        return 0.0
     ordered = ordered_double_integral(kernel, z)
     return convention.gain * alpha**2 * sigma_a**2 * ordered

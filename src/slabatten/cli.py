@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from .attenuation import MediumSpec, beer
 from .averaged import AveragedLaw, ExponentConvention, averaged_intensity
 from .errors import (
     DivergentSeries,
@@ -37,7 +36,7 @@ from .grf import (
     FieldSampler,
     Grid,
 )
-from .medium import StochasticMedium, mfp_series
+from .medium import MediumSpec, StochasticMedium, beer, mfp_series
 from .montecarlo import (
     EnsembleStats,
     default_depths,
@@ -53,7 +52,6 @@ _EULER_CHECK_PATHS = 100
 
 _DEFAULTS = {
     "sigma_a": 1.0,
-    "sigma_s": 0.0,
     "alpha": 0.8,
     "i0": 10.0,
     "zeta": 1.0,
@@ -96,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sigma-a", type=float, default=_DEFAULTS["sigma_a"],
                    help="mean absorption coefficient, 1/cm")
-    p.add_argument("--sigma-s", type=float, default=_DEFAULTS["sigma_s"],
-                   help="scattering coefficient, 1/cm")
     p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"],
                    help="relative fluctuation magnitude")
     p.add_argument("--i0", type=float, default=_DEFAULTS["i0"],
@@ -127,10 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv=None) -> ExperimentConfig:
     args = build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')}: must be finite, got {value}")
     if args.sigma_a < 0:
         raise UsageError(f"--sigma-a: must be >= 0, got {args.sigma_a}")
-    if args.sigma_s < 0:
-        raise UsageError(f"--sigma-s: must be >= 0, got {args.sigma_s}")
     if args.alpha < 0:
         raise UsageError(f"--alpha: must be >= 0, got {args.alpha}")
     if args.i0 <= 0:
@@ -159,9 +156,7 @@ def parse_args(argv=None) -> ExperimentConfig:
             f"--modes: unknown mode(s) {','.join(unknown)}; valid: {','.join(MODES)}"
         )
 
-    medium = MediumSpec(
-        sigma_a=args.sigma_a, sigma_s=args.sigma_s, alpha=args.alpha, i0=args.i0
-    )
+    medium = MediumSpec(sigma_a=args.sigma_a, alpha=args.alpha, i0=args.i0)
     kernel = CorrelationKernel(
         amplitude=args.amplitude,
         correlation_length=args.zeta,
@@ -191,7 +186,7 @@ def _config_echo(config: ExperimentConfig) -> str:
     m, k, g = config.medium, config.kernel, config.grid
     fields = [
         f"i0={_fmt(m.i0)}", f"sigma_a={_fmt(m.sigma_a)}",
-        f"sigma_s={_fmt(m.sigma_s)}", f"alpha={_fmt(m.alpha)}",
+        "sigma_s=0", f"alpha={_fmt(m.alpha)}",  # the slab is purely absorbing
         f"amplitude={_fmt(k.amplitude)}", f"zeta={_fmt(k.correlation_length)}",
         f"kappa={_fmt(k.exponent)}", f"length={_fmt(g.length)}",
         f"grid_points={g.n_points}", f"paths={config.n_paths}",
@@ -357,7 +352,7 @@ def run(config: ExperimentConfig) -> int:
 def main(argv=None) -> int:
     try:
         config = parse_args(argv)
-    except UsageError as err:
+    except (UsageError, ValueError) as err:
         print(f"slabatten: error: {err}", file=sys.stderr)
         return 1
     try:

@@ -30,10 +30,6 @@ class UnsupportedKernel(SlabModelError):
     """Closed-form evaluation requires the squared-exponential kernel."""
 
 
-class UnsupportedOrder(SlabModelError):
-    """Cumulant order beyond 2, where a Gaussian field contributes nothing."""
-
-
 class DegenerateStep(SlabModelError):
     """Finite-difference step too small for the floating-point budget."""
 

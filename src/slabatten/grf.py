@@ -117,6 +117,9 @@ class Grid:
             raise ValueError(f"length must be > 0, got {self.length}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        _check_budget(
+            8 * self.n_points, f"the node array of a grid of {self.n_points:.6g} points"
+        )
 
     @property
     def spacing(self) -> float:
@@ -135,8 +138,11 @@ class Grid:
         directly when a specific resolution is needed.
         """
         target = kernel.correlation_length / _POINTS_PER_LENGTH
-        n = max(2, math.ceil(length / target) + 1)
-        return cls(length, n)
+        # Checked as a float first: the count may overflow to inf (or target
+        # underflow to 0), and inf has no integer for Grid to check.
+        cells = length / target if target > 0 else math.inf
+        _check_budget(8 * cells, f"the node array of a grid of {cells:.6g} points")
+        return cls(length, max(2, math.ceil(cells) + 1))
 
 
 @dataclass(frozen=True)
@@ -238,7 +244,7 @@ def _cholesky_with_jitter(matrix: np.ndarray, amplitude: float):
 def _check_budget(needed: int, what: str) -> None:
     if needed > _MEMORY_BUDGET:
         raise MemoryBudgetExceeded(
-            f"{what} needs about {needed / 2**30:.1f} GiB, above the "
+            f"{what} needs about {needed / 2**30:.3g} GiB, above the "
             f"{_MEMORY_BUDGET / 2**30:.0f} GiB budget; use fewer grid points "
             "or a longer correlation length"
         )

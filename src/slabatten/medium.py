@@ -1,17 +1,62 @@
-"""The randomly fluctuating absorption coefficient and its moment series."""
+"""The purely absorbing slab: its parameters, Beer's decay, the fluctuating
+absorption coefficient and its moment series."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import KW_ONLY, dataclass
 
-from .attenuation import MediumSpec
-from .errors import DivergentSeries
+import numpy as np
+
+from .errors import DivergentSeries, FluctuationWarning, NegativeDepth
 from .grf import CorrelationKernel
 
 # A trailing term this small relative to the accumulated sum counts as
 # converged.
 _CONVERGENCE_CUT = 1e-12
+
+
+@dataclass(frozen=True)
+class MediumSpec:
+    """Parameters of a purely absorbing slab.
+
+    sigma_a : mean absorption coefficient, 1/cm, >= 0.
+    alpha   : relative magnitude of absorption fluctuations, >= 0.
+    i0      : incident beam intensity, W/cm^2, > 0.
+
+    Fields after sigma_a are keyword-only.  alpha >= 1 is allowed but
+    emits a FluctuationWarning: the model is a small-fluctuation
+    expansion about the mean coefficient.
+    """
+
+    sigma_a: float
+    _: KW_ONLY
+    alpha: float = 0.0
+    i0: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.sigma_a < 0:
+            raise ValueError(f"sigma_a must be >= 0, got {self.sigma_a}")
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not self.i0 > 0:
+            raise ValueError(f"i0 must be > 0, got {self.i0}")
+        if self.alpha >= 1:
+            # Skip this frame and the generated __init__: report the caller.
+            warnings.warn(
+                f"alpha = {self.alpha} is outside the small-fluctuation regime",
+                FluctuationWarning,
+                stacklevel=3,
+            )
+
+
+def beer(medium: MediumSpec, z):
+    """Pure-absorption exponential decay I0 * exp(-sigma_a * z)."""
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise NegativeDepth("depth z must be >= 0")
+    return medium.i0 * np.exp(-medium.sigma_a * z)
 
 
 @dataclass(frozen=True)
@@ -28,10 +73,6 @@ class StochasticMedium:
 
     medium: MediumSpec
     kernel: CorrelationKernel
-
-    @property
-    def fluctuation_std(self) -> float:
-        return self.medium.alpha * self.medium.sigma_a * math.sqrt(self.kernel.amplitude)
 
 
 def abs_moment(amplitude: float, order: int) -> float:

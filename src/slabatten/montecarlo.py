@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attenuation import MediumSpec, beer
 from .errors import NegativeDepth, OutOfDomain, ReliabilityWarning
 from .grf import CHUNK_PATHS, FieldPath, FieldSampler, Grid
-from .medium import StochasticMedium
+from .medium import MediumSpec, StochasticMedium, beer
 from .quadrature import square_double_integral
 
 _MAX_DEFAULT_ROWS = 256

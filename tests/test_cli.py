@@ -37,7 +37,6 @@ class TestParseArgs:
         config = parse_args([])
         assert config.medium.i0 == 10.0
         assert config.medium.sigma_a == 1.0
-        assert config.medium.sigma_s == 0.0
         assert config.medium.alpha == 0.8
         assert config.kernel.amplitude == 1.0
         assert config.kernel.correlation_length == 1.0
@@ -70,6 +69,15 @@ class TestParseArgs:
         with pytest.raises(UsageError, match=flag.replace("-", "\\-")):
             parse_args(argv)
 
+    @pytest.mark.parametrize(
+        "flag", ["--sigma-a", "--alpha", "--i0", "--zeta", "--amplitude", "--kappa",
+                 "--length"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_flags_name_the_flag(self, flag, value):
+        with pytest.raises(UsageError, match=flag.replace("-", "\\-") + ": must be finite"):
+            parse_args([flag, value])
+
     def test_unknown_flag_is_a_usage_error(self):
         with pytest.raises(UsageError):
             parse_args(["--warp-factor", "9"])
@@ -84,6 +92,30 @@ class TestMainExitCodes:
     def test_usage_error_exits_1(self, capsys):
         assert main(["--alpha", "-0.1"]) == 1
         assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["--sigma-s", "1"], "--sigma-s"),
+            (["--alpha", "nan", "--modes", "beer,exact"], "--alpha"),
+            (["--zeta", "inf"], "--zeta"),
+            (["--length", "nan"], "--length"),
+            (["--amplitude", "nan"], "--amplitude"),
+            (["--kappa", "nan"], "--kappa"),
+            (["--grid-points", "10000000000", "--modes", "beer"], "budget"),
+            (["--zeta", "1e-9", "--modes", "beer"], "budget"),
+            (["--zeta", "1e-300"], "budget"),
+            (["--zeta", "1e-320", "--modes", "beer"], "budget"),
+        ],
+    )
+    def test_bad_numbers_exit_1_without_a_traceback(self, tmp_path, capsys, argv, needle):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("slabatten: error:")
+        assert needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_closed_form_with_wrong_kernel_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -211,6 +243,8 @@ class TestCsvContract:
         assert "ReliabilityWarning" not in captured.err
         echo, _ = _read_csv(out)
         assert "chunk=4096" in echo.split()
+        # the slab is purely absorbing; the token keeps the echo line stable
+        assert "sigma_s=0" in echo.split()
 
     @pytest.mark.parametrize(
         "kappa,line",

@@ -108,6 +108,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(length, n)
 
+    def test_node_array_beyond_the_memory_budget_is_rejected(self):
+        with pytest.raises(MemoryBudgetExceeded, match="grid of 1e\\+10 points"):
+            Grid(1.0, 10**10)
+
+    @pytest.mark.parametrize("zeta", [1e-9, 1e-300, 1e-320])
+    def test_for_kernel_checks_the_budget_before_counting_points(self, zeta):
+        # 1e-300 overflows the point count to inf and 1e-320 underflows
+        # the target spacing to 0; both must fail as a budget error, not
+        # in np.linspace or an int conversion
+        with pytest.raises(MemoryBudgetExceeded):
+            Grid.for_kernel(5.0, CorrelationKernel(1.0, zeta, 2.0))
+
 
 class TestCovarianceMatrix:
     def test_degenerate_grid_is_all_amplitude(self):

@@ -1,6 +1,8 @@
-"""Fluctuating absorption coefficient: moments and the MFP series."""
+"""The slab medium: its parameters, Beer's decay, the fluctuating
+coefficient, its moments and the MFP series."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +14,81 @@ from slabatten import (
     DivergentSeries,
     FieldPath,
     FieldSampler,
+    FluctuationWarning,
     Grid,
     MediumSpec,
+    NegativeDepth,
     StochasticMedium,
     abs_moment,
+    beer,
     mfp_series,
     path_intensity_em,
 )
+
+
+class TestMediumSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(sigma_a=-0.1),
+            dict(sigma_a=1.0, alpha=-0.5),
+            dict(sigma_a=1.0, i0=0.0),
+            dict(sigma_a=1.0, i0=-3.0),
+        ],
+    )
+    def test_invalid_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            MediumSpec(**kwargs)
+
+    def test_fields_after_sigma_a_are_keyword_only(self):
+        # the old positional order (sigma_a, sigma_s, alpha) must not
+        # silently put the scattering slot into alpha
+        with pytest.raises(TypeError):
+            MediumSpec(1.0, 0.0, 0.8)
+
+    def test_large_fluctuation_warns_but_constructs(self):
+        with pytest.warns(FluctuationWarning):
+            m = MediumSpec(sigma_a=1.0, alpha=1.2)
+        assert m.alpha == 1.2
+
+    def test_fluctuation_warning_points_at_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            MediumSpec(sigma_a=1.0, alpha=1.2)
+        [w] = caught
+        assert w.category is FluctuationWarning
+        assert w.filename == __file__
+
+    def test_small_fluctuation_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            MediumSpec(sigma_a=1.0, alpha=0.8)
+
+
+class TestBeer:
+    def test_boundary_value(self):
+        assert beer(MediumSpec(sigma_a=1.0, i0=10.0), 0.0) == 10.0
+
+    def test_unit_depth(self):
+        m = MediumSpec(sigma_a=1.0, i0=10.0)
+        assert beer(m, 1.0) == pytest.approx(10.0 * math.exp(-1.0), rel=1e-15)
+
+    def test_transparent_medium(self):
+        assert beer(MediumSpec(sigma_a=0.0, i0=10.0), 5.0) == 10.0
+
+    def test_strictly_decreasing(self):
+        m = MediumSpec(sigma_a=0.7, i0=2.0)
+        vals = beer(m, np.linspace(0.0, 10.0, 200))
+        assert np.all(np.diff(vals) < 0)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(NegativeDepth):
+            beer(MediumSpec(sigma_a=1.0), -0.5)
+
+    def test_scalar_depth_gives_a_float_and_arrays_keep_their_shape(self):
+        m = MediumSpec(sigma_a=0.7, i0=2.0)
+        assert isinstance(beer(m, 1.5), float)
+        assert beer(m, np.zeros((2, 3))).shape == (2, 3)
 
 
 def _medium(alpha=0.3, sigma_a=1.0, amplitude=1.0, zeta=1.0):
