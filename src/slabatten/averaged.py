@@ -3,7 +3,8 @@
 Averaging the exact pathwise solution over field realizations multiplies
 Beer's decay by a boost factor ``exp(gain * alpha^2 * sigma_a^2 * C * Y(z))``
 built from the ordered covariance double integral Y(z), which has an
-error-function closed form when kappa = 2.  Two gains are implemented
+error-function closed form when kappa = 2, evaluated with ``math.erf``
+so the package needs no scipy.  Two gains are implemented
 behind ExponentConvention: 1 (EXACT, the lognormal identity
 E<e^X> = e^{Var(X)/2} applied to the ordered integral, which counts each
 unordered pair once) and 1/2 (PAPER_HALF, the halved-exponent variant
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateStep, NegativeDepth, UnsupportedKernel
 from .grf import CorrelationKernel
@@ -26,6 +26,19 @@ from .medium import MediumSpec, beer
 from .quadrature import ordered_double_integral
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+def _erf(x):
+    """``math.erf`` elementwise, keeping the shape of ``x``.
+
+    The closed forms evaluate at most a few hundred depths per call, so a
+    scalar loop costs microseconds and keeps scipy off the import path.  A
+    0-d ``x`` (one depth per call, as in a depth sweep) skips the array
+    round trip, which costs about 20 times the erf itself.
+    """
+    if x.ndim == 0:
+        return math.erf(x)
+    return np.fromiter(map(math.erf, x.ravel()), float, x.size).reshape(x.shape)
 
 
 class ExponentConvention(enum.Enum):
@@ -49,27 +62,29 @@ def _require_squared_exponential(kernel: CorrelationKernel) -> None:
 def inner_w(zeta: float, z1):
     """Incomplete Gaussian integral W(z1) = int_0^{z1} exp(-(z1-u)^2/zeta^2) du.
 
-    Closed form (sqrt(pi)/2) * zeta * erf(z1/zeta): zero at z1 = 0 and
-    saturating at (sqrt(pi)/2) * zeta once z1 >> zeta.  Units cm.
+    Closed form (sqrt(pi)/2) * zeta * erf(z1/zeta), erf from ``math.erf``
+    elementwise: zero at z1 = 0 and saturating at (sqrt(pi)/2) * zeta once
+    z1 >> zeta.  Units cm.  A scalar depth gives a float.
     """
     z1 = np.asarray(z1, dtype=float)
     if np.any(z1 < 0):
         raise NegativeDepth("z1 must be >= 0")
-    return 0.5 * _SQRT_PI * zeta * special.erf(z1 / zeta)
+    return 0.5 * _SQRT_PI * zeta * _erf(z1 / zeta)
 
 
 def outer_y(zeta: float, z):
     """Ordered double integral Y(z) = int_0^z W(z1) dz1 in closed form.
 
     Y(z) = (zeta/2) * [sqrt(pi)*z*erf(z/zeta) + zeta*(exp(-z^2/zeta^2) - 1)],
-    nondecreasing with Y(0) = 0 and the large-z asymptote
-    (zeta/2)*(sqrt(pi)*z - zeta).  Units cm^2.
+    erf from ``math.erf`` elementwise, nondecreasing with Y(0) = 0 and the
+    large-z asymptote (zeta/2)*(sqrt(pi)*z - zeta).  Units cm^2.  A scalar
+    depth gives a float.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise NegativeDepth("z must be >= 0")
     u = z / zeta
-    return 0.5 * zeta * (_SQRT_PI * z * special.erf(u) + zeta * (np.exp(-(u**2)) - 1.0))
+    return 0.5 * zeta * (_SQRT_PI * z * _erf(u) + zeta * (np.exp(-(u**2)) - 1.0))
 
 
 def theta(kernel: CorrelationKernel, z):

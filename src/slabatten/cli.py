@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .averaged import AveragedLaw, ExponentConvention, averaged_intensity
 from .errors import (
@@ -70,8 +69,60 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse with our exit codes, reading any negative float as a value.
+
+    argparse takes a token after a flag for an option unless it looks like
+    ``-3`` or ``-.5``, so ``--alpha -1e-3`` or ``--sigma-a -inf`` would fail
+    with "expected one argument" before the range checks could name the
+    bound.  A float flag (or, as argparse allows, a prefix of one) followed
+    by a token that parses as a float is joined into ``--flag=token`` first.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.float_flags = set()  # filled by add_argument, also from super()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.type is float:
+            self.float_flags.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if (
+                joined
+                and self._takes_float(joined[-1])
+                and token.startswith("-")
+                and _is_float(token)
+            ):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+    def _takes_float(self, token: str) -> bool:
+        if token in self.float_flags:
+            return True
+        # An ambiguous prefix stays ambiguous after joining; argparse says so.
+        return (
+            self.allow_abbrev
+            and token.startswith("--")
+            and len(token) > 2
+            and any(flag.startswith(token) for flag in self.float_flags)
+        )
+
     def error(self, message):  # argparse would exit(2); we own the exit codes
         raise UsageError(message)
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -271,6 +322,14 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     return lines
 
 
+def _negative_fraction_expectation(alpha: float, amplitude: float) -> float:
+    """P(G < -1/alpha) for G ~ N(0, C), Phi(-1/(alpha sqrt C)) written as
+    0.5 erfc(1/(alpha sqrt(2C))); exactly 0 without fluctuations."""
+    if alpha <= 0:
+        return 0.0
+    return 0.5 * math.erfc(1.0 / (alpha * math.sqrt(2.0 * amplitude)))
+
+
 def _sampler_line(stats: EnsembleStats, grid: Grid) -> str:
     if stats.sampler_route == AR1_ROUTE:
         return "sampler: AR(1) recursion (exact for kappa = 1)"
@@ -319,9 +378,7 @@ def run(config: ExperimentConfig) -> int:
             )
         columns["mc_mean"] = stats.mean
         columns["mc_sem"] = stats.sem
-        # P(G < -1/alpha) for G ~ N(0, C); exactly 0 without fluctuations.
-        alpha, amplitude = medium.alpha, kernel.amplitude
-        expected = ndtr(-1.0 / (alpha * math.sqrt(amplitude))) if alpha > 0 else 0.0
+        expected = _negative_fraction_expectation(medium.alpha, kernel.amplitude)
         report.append(
             f"ensemble: {stats.n_paths} paths, negative-coefficient fraction = "
             f"{stats.negative_coefficient_fraction:.6g} "

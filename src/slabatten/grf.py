@@ -24,6 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that
+# cost out of the first sample_block call.
+from numpy.random import SeedSequence, default_rng
 
 from .errors import FactorizationFailure, MemoryBudgetExceeded, OutOfDomain
 
@@ -306,9 +309,7 @@ class FieldSampler:
             _check_budget(
                 8 * 2 * count * n, f"a block of {count} paths on {n} grid points"
             )
-        rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=(chunk,))
-        )
+        rng = default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))
         normals = rng.standard_normal((count, n))
         if not ar1:
             return normals @ self.factor.T

@@ -28,6 +28,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
+# Imported here, not through np.polynomial on first use, so the first
+# integral does not pay for loading numpy.polynomial.
+from numpy.polynomial.legendre import leggauss
 
 from .grf import CorrelationKernel
 
@@ -52,7 +55,7 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=None)
 def _unit_panel_rule():
-    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    nodes, weights = leggauss(_PANEL_ORDER)
     return _read_only((nodes + 1.0) / 2.0, weights / 2.0)
 
 

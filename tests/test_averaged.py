@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from slabatten import (
     AveragedLaw,
@@ -95,6 +95,55 @@ class TestOuterY:
         z = np.linspace(0.0, 8.0, 300)
         vals = outer_y(0.6, z)
         assert np.all(np.diff(vals) >= 0)
+
+
+class TestScipyParity:
+    """``math.erf`` against the ``scipy.special.erf`` expressions the closed
+    forms were first written with."""
+
+    ZETAS = [0.01, 0.25, 1.0, 7.0]
+    # z = 0, tiny u = z/zeta down to the subnormal range, and far tails.
+    DEPTHS = np.array([0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0,
+                       2.0, 5.0, 10.0, 60.0])
+
+    @staticmethod
+    def _scipy_inner_w(zeta, z):
+        return 0.5 * SQRT_PI * zeta * special.erf(z / zeta)
+
+    @staticmethod
+    def _scipy_outer_y(zeta, z):
+        u = z / zeta
+        return 0.5 * zeta * (SQRT_PI * z * special.erf(u) + zeta * (np.exp(-(u**2)) - 1.0))
+
+    @pytest.mark.parametrize("zeta", ZETAS)
+    def test_grid(self, zeta):
+        np.testing.assert_allclose(
+            inner_w(zeta, self.DEPTHS), self._scipy_inner_w(zeta, self.DEPTHS),
+            rtol=1e-13, atol=0.0,
+        )
+        np.testing.assert_allclose(
+            outer_y(zeta, self.DEPTHS), self._scipy_outer_y(zeta, self.DEPTHS),
+            rtol=1e-13, atol=0.0,
+        )
+
+    def test_zero_d_input_gives_a_float(self):
+        z = np.array(0.7)
+        for f, ref in ((inner_w, self._scipy_inner_w), (outer_y, self._scipy_outer_y)):
+            assert isinstance(f(0.3, z), float) and np.ndim(f(0.3, z)) == 0
+            assert isinstance(f(0.3, 0.7), float)
+            assert f(0.3, z) == pytest.approx(ref(0.3, z), rel=1e-13, abs=0.0)
+
+    def test_two_d_input_keeps_its_shape(self):
+        z = self.DEPTHS[1:].reshape(3, 4)
+        for f, ref in ((inner_w, self._scipy_inner_w), (outer_y, self._scipy_outer_y)):
+            got = f(0.25, z)
+            assert got.shape == (3, 4)
+            np.testing.assert_allclose(got, ref(0.25, z), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("f", [inner_w, outer_y])
+    def test_negative_depth_in_an_array_rejected(self, f):
+        with pytest.raises(NegativeDepth):
+            f(1.0, np.array([[0.5, 1.0], [-1e-300, 2.0]]))
 
 
 class TestTheta:

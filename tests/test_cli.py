@@ -11,6 +11,7 @@ from slabatten.cli import (
     COLUMNS,
     UsageError,
     _DEFAULTS,
+    _negative_fraction_expectation,
     main,
     parse_args,
 )
@@ -106,6 +107,12 @@ class TestMainExitCodes:
             (["--zeta", "1e-9", "--modes", "beer"], "budget"),
             (["--zeta", "1e-300"], "budget"),
             (["--zeta", "1e-320", "--modes", "beer"], "budget"),
+            # Negative values argparse alone would read as options
+            # ("expected one argument") reach the range checks.
+            (["--alpha", "-1e-3"], "--alpha: must be >= 0"),
+            (["--sigma-a", "-inf"], "--sigma-a: must be finite"),
+            (["--zeta", "-1e-3"], "--zeta: must be > 0"),
+            (["--alp", "-1e-3"], "--alpha: must be >= 0"),
         ],
     )
     def test_bad_numbers_exit_1_without_a_traceback(self, tmp_path, capsys, argv, needle):
@@ -177,6 +184,24 @@ class TestMainExitCodes:
             "--out", str(out),
         ])
         assert code == 0
+
+
+class TestNegativeFractionExpectation:
+    @pytest.mark.parametrize("alpha", [0.1, 0.8, 3.0])
+    @pytest.mark.parametrize("amplitude", [0.25, 1.0, 2.5])
+    def test_matches_scipy_ndtr(self, alpha, amplitude):
+        from scipy.special import ndtr
+
+        expected = ndtr(-1.0 / (alpha * math.sqrt(amplitude)))
+        got = _negative_fraction_expectation(alpha, amplitude)
+        assert abs(got - expected) <= 1e-15
+        # Far in the tail (x = 1/(alpha sqrt C) up to 20) one ulp of the
+        # argument moves Phi(-x) by about x^2 ulp relative, in either form;
+        # against 40-digit mpmath both are within 7e-14 at x = 20.
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_zero_without_fluctuations(self):
+        assert _negative_fraction_expectation(0.0, 1.0) == 0.0
 
 
 class TestCsvContract:

@@ -233,10 +233,11 @@ class TestRunEnsemble:
         with pytest.raises(OutOfDomain):
             run_ensemble(sm, grid, 10, master_seed=9, depths=[1.0, 2.5])
 
-    def test_default_depths_subsampling(self):
-        grid = Grid(5.0, 1001)
-        depths = default_depths(grid)
-        assert len(depths) <= 256
+    @pytest.mark.parametrize("n_points", [257, 1001, 4001, 10001, 40001])
+    def test_default_depths_subsampling(self, n_points):
+        # Exactly 256 distinct depths: the rounded indices need no dedup.
+        depths = default_depths(Grid(5.0, n_points))
+        assert len(depths) == 256
         assert depths[0] == 0.0 and depths[-1] == 5.0
         assert np.all(np.diff(depths) > 0)
 

@@ -1,9 +1,14 @@
-"""Package hygiene: module boundaries and the public name list."""
+"""Package hygiene: module boundaries, the public name list, import discipline."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import slabatten
+from slabatten.cli import main
 
 PACKAGE = Path(slabatten.__file__).resolve().parent
 
@@ -25,3 +30,49 @@ def test_every_public_name_resolves():
     missing = [name for name in slabatten.__all__ if not hasattr(slabatten, name)]
     assert missing == []
     assert len(set(slabatten.__all__)) == len(slabatten.__all__)
+
+
+# Runs the CLI with scipy unimportable and reports, per command, the exit
+# code and the numpy/scipy modules that were first imported during main().
+_IMPORT_PROBE = """
+import json, sys
+sys.modules["scipy"] = None
+import slabatten.cli
+
+def loaded():
+    return {k for k in sys.modules if k.split(".")[0] in ("numpy", "scipy")}
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    before = loaded()
+    code = slabatten.cli.main(argv)
+    results.append({"code": code, "new": sorted(loaded() - before)})
+sys.stderr.write("PROBE " + json.dumps(results) + "\\n")
+"""
+
+
+def test_cli_runs_without_scipy_and_imports_nothing_inside_main(tmp_path):
+    commands = [
+        [],
+        ["--kappa", "1", "--modes", "beer,mc,euler-check", "--paths", "200"],
+        ["--kappa", "1", "--zeta", "0.05", "--modes", "beer"],  # 1001 points: subsampled depths
+    ]
+    argvs = [cmd + ["--out", str(tmp_path / f"sub{i}.csv")] for i, cmd in enumerate(commands)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH", "")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = [line for line in proc.stderr.splitlines() if line.startswith("PROBE ")]
+    results = json.loads(probe[-1][len("PROBE "):])
+    # A module first loaded inside main() is an import paid in every run's
+    # wall time; numpy submodules belong at module import.
+    assert results == [{"code": 0, "new": []}] * len(commands)
+    for i, cmd in enumerate(commands):
+        local = tmp_path / f"local{i}.csv"
+        assert main(cmd + ["--out", str(local)]) == 0
+        assert (tmp_path / f"sub{i}.csv").read_bytes() == local.read_bytes()
