@@ -1,21 +1,30 @@
 """Stationary Gaussian random fields on a uniform 1-D slab grid.
 
 The field G(z) is zero-mean with two-point covariance
-``C * exp(-|z1 - z2|**kappa / zeta**kappa)``.  A block of paths is one
-keyed stream of standard normals turned into field values.  For
-``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov on a uniform grid)
-the normals go through the exact AR(1) recursion
+``C * exp(-|z1 - z2|**kappa / zeta**kappa)``.  Ensembles are cut into
+fixed blocks of ``CHUNK_PATHS`` paths, and block ``c`` of master seed
+``s`` is always one stream, ``SeedSequence(s, spawn_key=(c,))``, of
+standard normals, one grid row per path.  A block is drawn either whole
+(``FieldSampler.sample_block``) or as consecutive row tiles
+(``FieldSampler.tiles``) that read the same normals, so an ensemble holds
+a few tiles per worker instead of whole blocks.  Tiles are a few hundred
+kilobytes on fine AR(1) grids and grow, up to a whole block, where each
+tile repeats costly work: the scan's per-column-block calls on coarse
+AR(1) grids, the pass over the n x n factor on the dense route.  Each
+tile of normals becomes field values by one transform that acts row by
+row.
+For ``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov on a uniform
+grid) that is the exact AR(1) recursion
 ``x_i = rho*x_{i-1} + sqrt(C*(1 - rho**2))*xi_i`` with
 ``rho = exp(-h/zeta)`` (Gillespie, Phys. Rev. E 54, 2084, 1996), the
-closed-form Cholesky factor of the grid covariance, in O(n) time and no
-n x n storage.  Every other kernel is drawn by dense Cholesky
-factorization of the grid covariance (exact for any kernel and grid at
-the sizes used here), the normals times the transposed factor in a
-single matrix product.  Ensembles are cut into fixed blocks of
-``CHUNK_PATHS`` paths, and block ``c`` of master seed ``s`` is always
-drawn from ``SeedSequence(s, spawn_key=(c,))``.  The running integral of
-each path is accumulated with the composite trapezoid rule, matching the
-Riemann-sum definition of the stochastic integral.
+closed-form Cholesky factor of the grid covariance, evaluated as a
+blocked, rescaled prefix sum (Blelloch, CMU-CS-90-190, 1990) in O(n)
+time and no n x n storage.  Every other kernel is drawn by dense
+Cholesky factorization of the grid covariance (exact for any kernel and
+grid at the sizes used here), the normals times the transposed factor
+in one matrix product.  The running integral of each path is
+accumulated with the composite trapezoid rule, matching the Riemann-sum
+definition of the stochastic integral.
 """
 
 from __future__ import annotations
@@ -40,11 +49,28 @@ _POINTS_PER_LENGTH = 10
 # sample_block(master_seed, c, CHUNK_PATHS), the last block shorter.
 CHUNK_PATHS = 4096
 # Bytes FieldSampler may need at once.  The dense route is charged the
-# covariance, the copy and the factor np.linalg.cholesky holds at once,
-# plus the normals and the field values of one block; the AR(1) route only
-# the block it draws and the running integral its caller builds from it.
-# 2 GiB leaves room on an 8 GB machine.
+# covariance, the copy and the factor np.linalg.cholesky holds at once;
+# sample_block the block it returns and one block of transform
+# temporaries; an ensemble (montecarlo.run_ensemble) its concurrent tile
+# streams and the dense factor.  2 GiB leaves room on an 8 GB machine.
 _MEMORY_BUDGET = 2 * 2**30
+# FieldSampler.tiles yields tiles of about this many bytes, so a tile and
+# its running integral stay in cache, but never fewer than _MIN_TILE_ROWS
+# rows: on long grids fewer rows leave too little work per numpy call
+# for worker threads to overlap.  Dense-route tiles are taller (see
+# FieldSampler.__init__).
+_TILE_BYTES = 512 * 2**10
+_MIN_TILE_ROWS = 64
+# The AR(1) scan rescales a block of columns by rho**-m, m < K, with K the
+# largest width keeping rho**-(K - 1) <= e**40, far inside the float range.
+# Once h/zeta passes 40, K is 1: no power of 1/rho is formed and the scan
+# is the plain recursion, finite down to rho = 0.
+_SCAN_EXPONENT = 40.0
+# Each K-column block of the scan costs a few numpy calls per tile, so an
+# AR(1) tile has at least this many values per block: on coarse grids,
+# with few columns per block, tiles grow (to a whole chunk once h/zeta
+# passes 20) instead of paying those calls once per few dozen rows.
+_SCAN_BLOCK_VALUES = 8192
 # FieldSampler.route values.
 AR1_ROUTE = "ar1"
 CHOLESKY_ROUTE = "cholesky"
@@ -120,7 +146,7 @@ class Grid:
             raise ValueError(f"length must be > 0, got {self.length}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
-        _check_budget(
+        check_budget(
             8 * self.n_points, f"the node array of a grid of {self.n_points:.6g} points"
         )
 
@@ -144,7 +170,7 @@ class Grid:
         # Checked as a float first: the count may overflow to inf (or target
         # underflow to 0), and inf has no integer for Grid to check.
         cells = length / target if target > 0 else math.inf
-        _check_budget(8 * cells, f"the node array of a grid of {cells:.6g} points")
+        check_budget(8 * cells, f"the node array of a grid of {cells:.6g} points")
         return cls(length, max(2, math.ceil(cells) + 1))
 
 
@@ -174,9 +200,14 @@ class FieldPath:
                 f"values shape {values.shape} does not match grid "
                 f"({grid.n_points},) or (rows, {grid.n_points})"
             )
-        segments = 0.5 * grid.spacing * (values[..., 1:] + values[..., :-1])
-        cumulative = np.zeros(values.shape)
-        np.cumsum(segments, axis=-1, out=cumulative[..., 1:])
+        # The trapezoid segments are built and summed inside the result, so
+        # a block costs one array beyond its values.
+        cumulative = np.empty(values.shape)
+        cumulative[..., 0] = 0.0
+        segments = cumulative[..., 1:]
+        np.add(values[..., 1:], values[..., :-1], out=segments)
+        segments *= 0.5 * grid.spacing
+        np.cumsum(segments, axis=-1, out=segments)
         return cls(grid, values, cumulative)
 
     def integral_at(self, depths):
@@ -244,7 +275,8 @@ def _cholesky_with_jitter(matrix: np.ndarray, amplitude: float):
     )
 
 
-def _check_budget(needed: int, what: str) -> None:
+def check_budget(needed: int, what: str) -> None:
+    """Raise MemoryBudgetExceeded when ``needed`` bytes pass the budget."""
     if needed > _MEMORY_BUDGET:
         raise MemoryBudgetExceeded(
             f"{what} needs about {needed / 2**30:.3g} GiB, above the "
@@ -263,14 +295,22 @@ class FieldSampler:
     computed once at construction (``route == CHOLESKY_ROUTE``, with the
     diagonal ``jitter`` that made it succeed).  Sampling is then pure in
     (seed, chunk, count), so a single sampler can be shared read-only
-    across concurrent workers.  Requests above the memory budget raise
+    across concurrent workers.  Both ``sample_block`` and ``tiles`` read
+    block ``chunk`` from its keyed stream and send every tile of normals
+    through the same row-by-row transform, so on the AR(1) route a row is
+    bit-identical however its block was cut; a dense-route row may differ
+    in the last bits, since a matrix product of another height can take
+    another BLAS kernel.  Requests above the memory budget raise
     MemoryBudgetExceeded before anything is allocated: a dense grid at
-    construction, an AR(1) block when it is drawn.
+    construction, a block when it is drawn.  ``tile_rows`` is the height
+    of the tiles ``tiles`` yields, at most.
     """
 
     def __init__(self, kernel: CorrelationKernel, grid: Grid):
         self.kernel = kernel
         self.grid = grid
+        n = grid.n_points
+        self.tile_rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n))
         if kernel.exponent == 1:
             steps = grid.spacing / kernel.correlation_length
             self.route = AR1_ROUTE
@@ -278,46 +318,88 @@ class FieldSampler:
             # sqrt(C (1 - rho^2)), accurate also when rho is close to 1
             self.innovation = math.sqrt(kernel.amplitude * -math.expm1(-2.0 * steps))
             self.factor, self.jitter = None, 0.0
+            if steps * (n - 1) <= _SCAN_EXPONENT:
+                width = n
+            else:
+                width = 1 + int(_SCAN_EXPONENT / steps)
+            # Per-column factors of the scan in _transform: block powers
+            # rho**m, m = column mod K, and the input scales.
+            self._growth = np.resize(self.rho ** np.arange(width), n)
+            self._shrink = self.innovation / self._growth
+            self._shrink[0] = math.sqrt(kernel.amplitude)
+            self._carry = self.rho**width
+            self._width = width
+            self.tile_rows = max(self.tile_rows, -(-_SCAN_BLOCK_VALUES // width))
             return
-        n = grid.n_points
-        _check_budget(
-            8 * (3 * n * n + 2 * CHUNK_PATHS * n),
-            f"the dense covariance factor of a grid of {n} points",
+        check_budget(
+            8 * 3 * n * n, f"the dense covariance factor of a grid of {n} points"
         )
         self.route = CHOLESKY_ROUTE
         self.factor, self.jitter = _cholesky_with_jitter(
             covariance_matrix(kernel, grid), kernel.amplitude
         )
+        # Each tile's product reads the whole factor again, so a dense tile
+        # has at least n rows: it then holds no more than the factor does,
+        # and the product runs at the speed of a whole block.
+        self.tile_rows = max(self.tile_rows, n)
 
     def sample_block(self, master_seed: int, chunk: int, count: int) -> np.ndarray:
         """Values of ``count`` paths of ensemble block ``chunk``, shape (count, n).
 
-        The block is one stream, ``SeedSequence(master_seed,
-        spawn_key=(chunk,))``, of ``(count, n)`` standard normals, times the
-        transposed factor in one matrix product, or run through the AR(1)
-        recursion in place; the recursion is that factor in closed form, so
-        both routes give the same paths for the same key up to the dense
-        route's jitter (about 1e-11).  The same (master_seed, chunk, count)
-        always gives the same bits, also from concurrent threads; a row is
-        not promised to equal the same row of a block of another count (a
-        one-row product takes a different BLAS kernel).  Wrap the result in
-        ``FieldPath.from_values`` for its running integrals.
+        The block is one tile: one draw of ``(count, n)`` normals from the
+        stream ``SeedSequence(master_seed, spawn_key=(chunk,))``, through
+        the transform ``tiles`` uses.  The AR(1) recursion is the dense
+        factor in closed form, so both routes give the same paths for the
+        same key up to the dense route's jitter (about 1e-11).  The same
+        (master_seed, chunk, count) always gives the same bits, also from
+        concurrent threads.  Wrap the result in ``FieldPath.from_values``
+        for its running integrals.
         """
         n = self.grid.n_points
-        ar1 = self.route == AR1_ROUTE
-        if ar1:
-            _check_budget(
-                8 * 2 * count * n, f"a block of {count} paths on {n} grid points"
-            )
-        rng = default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))
-        normals = rng.standard_normal((count, n))
-        if not ar1:
+        check_budget(
+            8 * 2 * count * n, f"a block of {count} paths on {n} grid points"
+        )
+        return self._transform(_stream(master_seed, chunk).standard_normal((count, n)))
+
+    def tiles(self, master_seed: int, chunk: int, count: int):
+        """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
+
+        Each tile has shape ``(rows, n)`` with ``rows`` at most
+        ``tile_rows`` (and balanced, so no tile is a sliver); the tiles are
+        consecutive draws from the block's one stream, so together they
+        are the rows of ``sample_block(master_seed, chunk, count)``.
+        """
+        n = self.grid.n_points
+        stream = _stream(master_seed, chunk)
+        n_tiles = max(1, -(-count // self.tile_rows))
+        base, extra = divmod(count, n_tiles)
+        for t in range(n_tiles):
+            yield self._transform(stream.standard_normal((base + (t < extra), n)))
+
+    def _transform(self, normals: np.ndarray) -> np.ndarray:
+        """Field values from a ``(rows, n)`` tile of normals, row by row."""
+        if self.route == CHOLESKY_ROUTE:
             return normals @ self.factor.T
-        # x_0 = sqrt(C) xi_0, x_i = rho x_{i-1} + sqrt(C (1 - rho^2)) xi_i,
-        # one grid column at a time on the transposed view.
-        columns = normals.T
-        columns[0] *= math.sqrt(self.kernel.amplitude)
-        for i in range(1, n):
-            columns[i] *= self.innovation
-            columns[i] += self.rho * columns[i - 1]
-        return normals
+        # x_0 = sqrt(C) xi_0, x_i = rho x_{i-1} + sqrt(C (1 - rho^2)) xi_i, in
+        # place.  With b = innovation xi, a block of K columns after the
+        # carry c = x_{a-1} is x_{a+m} = rho^m y_m with
+        # y_m = rho c + sum_{j <= m} rho^-j b_{a+j}.  So scale every column,
+        # per block add rho c = rho^K y_{K-1} of the block before and take
+        # one prefix sum along each row (nothing to sum for K = 1), then
+        # scale every column back.
+        x = normals
+        x *= self._shrink
+        width = self._width
+        for start in range(0, x.shape[1], width):
+            block = x[:, start : start + width]
+            if start:
+                block[:, 0] += self._carry * x[:, start - 1]
+            if width > 1:
+                np.cumsum(block, axis=1, out=block)
+        x *= self._growth
+        return x
+
+
+def _stream(master_seed: int, chunk: int) -> np.random.Generator:
+    """The keyed stream of ensemble block ``chunk``."""
+    return default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))

@@ -242,6 +242,84 @@ class TestSampling:
             sampler.sample_block(31, 2, 200), normals @ factor.T, rtol=0, atol=1e-9
         )
 
+    @pytest.mark.parametrize("n", [2, 3, 41, 1001])
+    @pytest.mark.parametrize("amp", [1.0, 1e4])
+    @pytest.mark.parametrize(
+        "steps", [1e-6, 0.025, 0.1, 1.0, 20.0, 40.0, 100.0, 700.0, 730.0, 800.0]
+    )
+    def test_ar1_scan_matches_the_sequential_recursion(self, steps, amp, n):
+        # h/zeta = steps: rho runs from 1 - 1e-6 through subnormal (730) to 0
+        grid = Grid(steps * (n - 1), n)
+        sampler = FieldSampler(CorrelationKernel(amp, 1.0, 1.0), grid)
+        xi = np.random.default_rng(
+            np.random.SeedSequence(5, spawn_key=(1,))
+        ).standard_normal((50, n))
+        expected = xi.copy()
+        expected[:, 0] *= math.sqrt(amp)
+        for i in range(1, n):
+            expected[:, i] = (
+                sampler.rho * expected[:, i - 1] + sampler.innovation * xi[:, i]
+            )
+        got = sampler.sample_block(5, 1, 50)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * math.sqrt(amp)
+
+    def test_ar1_with_rho_zero_is_scaled_white_noise(self):
+        amp, n = 2.5, 41
+        grid = Grid(800.0 * (n - 1), n)
+        sampler = FieldSampler(CorrelationKernel(amp, 1.0, 1.0), grid)
+        assert sampler.rho == 0.0
+        xi = np.random.default_rng(
+            np.random.SeedSequence(5, spawn_key=(1,))
+        ).standard_normal((50, n))
+        assert np.array_equal(sampler.sample_block(5, 1, 50), math.sqrt(amp) * xi)
+
+    @pytest.mark.parametrize("steps", [40.0, 100.0, 700.0])
+    def test_ar1_keeps_the_memory_term_at_tiny_rho(self, steps):
+        # rho * x_{i-1} is far below rounding of a typical x_i; with a zero
+        # innovation it is all of x_i
+        amp = 2.5
+        sampler = FieldSampler(CorrelationKernel(amp, 1.0, 1.0), Grid(2 * steps, 3))
+        assert 0.0 < sampler.rho < 2.0**-53
+        x = sampler._transform(np.array([[1.0, 0.0, 1.0]]))
+        assert x[0, 1] == sampler.rho * math.sqrt(amp)
+
+    @pytest.mark.parametrize(
+        "kappa, zeta, least, most",
+        [
+            (1.0, 0.05, 65, 65),  # fine AR(1): 512 KiB tiles of 1001 points
+            (1.0, 1e-4, 4096, None),  # h/zeta 50: one-column scan blocks
+            (2.0, 0.5, 1001, None),  # dense: no fewer rows than the factor
+        ],
+    )
+    def test_tile_height_follows_the_work_each_tile_repeats(
+        self, kappa, zeta, least, most
+    ):
+        kernel = CorrelationKernel(1.0, zeta, kappa)
+        rows = FieldSampler(kernel, Grid(5.0, 1001)).tile_rows
+        assert rows >= least
+        assert most is None or rows <= most
+
+    @pytest.mark.parametrize("count", [1, 300, 4096])
+    @pytest.mark.parametrize("n", [51, 1001])
+    @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
+    def test_tiles_are_the_rows_of_the_block(self, kappa, n, count):
+        sampler = FieldSampler(CorrelationKernel(1.0, 0.5, kappa), Grid(5.0, n))
+        tiles = list(sampler.tiles(8, 3, count))
+        heights = [len(tile) for tile in tiles]
+        assert sum(heights) == count
+        assert max(heights) <= sampler.tile_rows
+        assert max(heights) - min(heights) <= 1
+        block = sampler.sample_block(8, 3, count)
+        if kappa == 1.0:
+            # the scan acts row by row, so the cut does not move a bit
+            assert np.array_equal(np.concatenate(tiles), block)
+        else:
+            # a product of another height may take another BLAS kernel
+            np.testing.assert_allclose(
+                np.concatenate(tiles), block, rtol=0, atol=1e-13
+            )
+
     def test_ar1_variance_and_lag_one_covariance(self):
         amp, zeta = 1.7, 0.3
         grid = Grid(2.0, 41)

@@ -1,6 +1,7 @@
 """Ensemble runner, pathwise solutions, and the lognormal oracle."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from slabatten import (
     CorrelationKernel,
+    MemoryBudgetExceeded,
     ExponentConvention,
     FieldPath,
     FieldSampler,
@@ -23,8 +25,10 @@ from slabatten import (
     lognormal_oracle,
     path_intensity,
     path_intensity_em,
+    grf,
     run_ensemble,
 )
+from slabatten.grf import CHUNK_PATHS
 
 LOGNORMAL_EXAMPLE = 4.846583187098  # I0=10, sigma=1, C=1, zeta=1, alpha=0.8, z=1
 
@@ -155,6 +159,76 @@ class TestRunEnsemble:
                 assert a.integral_skewness == b.integral_skewness
                 fraction = a.negative_coefficient_fraction
                 assert fraction == b.negative_coefficient_fraction
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
+    def test_tiles_follow_the_chunk_streams(self, kappa):
+        # Two chunks, the second short, each cut into several tiles: a tile
+        # drawn from a fresh stream, or a dropped or repeated row, moves the
+        # statistics away from those of the whole blocks.
+        medium = MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0)
+        sm = StochasticMedium(medium, CorrelationKernel(1.0, 0.5, kappa))
+        grid = Grid(5.0, 1001)
+        counts = (CHUNK_PATHS, 300)
+        n = sum(counts)
+        one, three = (run_ensemble(sm, grid, n, 41, workers=w) for w in (1, 3))
+        assert np.array_equal(one.mean, three.mean)
+        assert np.array_equal(one.sem, three.sem)
+        sampler = FieldSampler(sm.kernel, grid)
+        f_sum = f_sq = 0.0
+        for chunk, count in enumerate(counts):
+            block = FieldPath.from_values(grid, sampler.sample_block(41, chunk, count))
+            # the pathwise factor path_intensity / beer, one row per path
+            f = np.exp(-medium.alpha * medium.sigma_a * block.integral_at(one.depths))
+            f_sum = f_sum + f.sum(axis=0)
+            f_sq = f_sq + (f**2).sum(axis=0)
+        beer_depths = beer(medium, one.depths)
+        mean = beer_depths * (f_sum / n)
+        var = np.maximum((f_sq - f_sum**2 / n) / (n - 1), 0.0)
+        sem = beer_depths * np.sqrt(var / n)
+        # Sums taken tile by tile round differently from whole-block sums,
+        # and the SEM's f_sq - f_sum**2/n cancellation near the surface
+        # magnifies that; a dropped or repeated row moves both by about 1e-4.
+        np.testing.assert_allclose(one.mean, mean, rtol=1e-13)
+        np.testing.assert_allclose(one.sem, sem, rtol=1e-9)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_peak_is_a_few_tiles(self, workers):
+        # A whole 4096 x 2001 block is 62.5 MiB; one tile is 1 MiB.  Two
+        # chunks, so two workers really stream tiles at the same time.
+        sm = StochasticMedium(
+            MediumSpec(sigma_a=1.0, alpha=0.1, i0=10.0),
+            CorrelationKernel(1.0, 1.0, 1.0),
+        )
+        tracemalloc.start()
+        try:
+            run_ensemble(sm, Grid(5.0, 2001), 2 * CHUNK_PATHS, 3, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_memory_charge_counts_concurrent_workers(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(grf, "default_rng", refuse)
+        sm = StochasticMedium(
+            MediumSpec(sigma_a=1.0, alpha=0.1, i0=10.0),
+            CorrelationKernel(1.0, 1.0, 1.0),
+        )
+        # Tiles of 64 rows on 700 001 points: one worker's stream is charged
+        # about 1.4 GB, two are past the 2 GiB budget.
+        grid = Grid(5.0, 700_001)
+        with pytest.raises(Drawn):
+            run_ensemble(sm, grid, 2 * CHUNK_PATHS, 0, workers=1)
+        with pytest.raises(MemoryBudgetExceeded, match="2 worker"):
+            run_ensemble(sm, grid, 2 * CHUNK_PATHS, 0, workers=2)
+        # a single chunk runs on one worker whatever the pool size
+        with pytest.raises(Drawn):
+            run_ensemble(sm, grid, CHUNK_PATHS, 0, workers=2)
 
     def test_repeat_run_is_identical(self):
         sm = _sm(alpha=0.2)
