@@ -9,7 +9,7 @@ Monte Carlo ensemble of exact per-path solutions.
 Modules
 -------
 grf
-    Correlation kernels, grid covariances, block and row-tile sampling
+    Correlation kernels, grid covariances, row-tile sampling
     (the exact AR(1) recursion as a prefix-sum scan for kappa = 1, dense
     Cholesky for other kernels) and
     FieldPath, the one path-or-block representation (running integral,

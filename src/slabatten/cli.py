@@ -193,6 +193,8 @@ def parse_args(argv=None) -> ExperimentConfig:
         raise UsageError(f"--length: must be > 0, got {args.length}")
     if args.grid_points is not None and args.grid_points < 2:
         raise UsageError(f"--grid-points: must be >= 2, got {args.grid_points}")
+    if args.seed < 0:
+        raise UsageError(f"--seed: must be >= 0, got {args.seed}")
     if args.paths < 2:
         raise UsageError(f"--paths: must be >= 2, got {args.paths}")
     if args.workers < 1:
@@ -298,23 +300,30 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
 
     Paths are sampled once on the finest grid and restricted to nested
     subgrids, so every refinement integrates the same realizations and
-    the observed order is not washed out by path-to-path variation.
+    the observed order is not washed out by path-to-path variation.  The
+    paths arrive in row tiles; only the per-path errors are kept.
     """
     medium, base = config.medium, config.grid
     fine = Grid(base.length, (base.n_points - 1) * 4 + 1)
     sampler = FieldSampler(config.kernel, fine)
-    paths = FieldPath.from_values(
-        fine, sampler.sample_block(config.master_seed, 0, _EULER_CHECK_PATHS)
-    )
+    strides = (4, 2, 1)
+    per_path = np.empty((len(strides), _EULER_CHECK_PATHS))
+    start = 0
+    for values in sampler.tiles(config.master_seed, 0, _EULER_CHECK_PATHS):
+        tile = FieldPath.from_values(fine, values)
+        stop = start + len(values)
+        for i, stride in enumerate(strides):
+            path = tile if stride == 1 else tile.restrict(stride)
+            euler = path_intensity_em(medium, path, base.length)
+            exact = path_intensity(medium, path, base.length)
+            per_path[i, start:stop] = np.abs(euler - exact)
+        start = stop
+        del values, tile, path  # free this tile before the next one is drawn
     lines = ["euler check (mean |Euler - exact| at z = L, nested refinements):"]
-    errors = []
-    for stride in (4, 2, 1):
-        path = paths.restrict(stride)
-        euler = path_intensity_em(medium, path, base.length)
-        exact = path_intensity(medium, path, base.length)
-        err = float(np.mean(np.abs(euler - exact)))
-        errors.append(err)
-        lines.append(f"  h = {path.grid.spacing:.6g}: {err:.6g}")
+    errors = [float(np.mean(row)) for row in per_path]
+    for stride, err in zip(strides, errors):
+        spacing = base.length / ((fine.n_points - 1) // stride)
+        lines.append(f"  h = {spacing:.6g}: {err:.6g}")
     for i in range(1, len(errors)):
         if errors[i] > 0:
             order = np.log2(errors[i - 1] / errors[i])
@@ -322,10 +331,13 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     return lines
 
 
-def _negative_fraction_expectation(alpha: float, amplitude: float) -> float:
+def _negative_fraction_expectation(
+    sigma_a: float, alpha: float, amplitude: float
+) -> float:
     """P(G < -1/alpha) for G ~ N(0, C), Phi(-1/(alpha sqrt C)) written as
-    0.5 erfc(1/(alpha sqrt(2C))); exactly 0 without fluctuations."""
-    if alpha <= 0:
+    0.5 erfc(1/(alpha sqrt(2C))); exactly 0 without fluctuations or
+    without absorption, where sigma_a (1 + alpha G) is never negative."""
+    if alpha <= 0 or sigma_a <= 0:
         return 0.0
     return 0.5 * math.erfc(1.0 / (alpha * math.sqrt(2.0 * amplitude)))
 
@@ -378,7 +390,9 @@ def run(config: ExperimentConfig) -> int:
             )
         columns["mc_mean"] = stats.mean
         columns["mc_sem"] = stats.sem
-        expected = _negative_fraction_expectation(medium.alpha, kernel.amplitude)
+        expected = _negative_fraction_expectation(
+            medium.sigma_a, medium.alpha, kernel.amplitude
+        )
         report.append(
             f"ensemble: {stats.n_paths} paths, negative-coefficient fraction = "
             f"{stats.negative_coefficient_fraction:.6g} "

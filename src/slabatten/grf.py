@@ -4,15 +4,13 @@ The field G(z) is zero-mean with two-point covariance
 ``C * exp(-|z1 - z2|**kappa / zeta**kappa)``.  Ensembles are cut into
 fixed blocks of ``CHUNK_PATHS`` paths, and block ``c`` of master seed
 ``s`` is always one stream, ``SeedSequence(s, spawn_key=(c,))``, of
-standard normals, one grid row per path.  A block is drawn either whole
-(``FieldSampler.sample_block``) or as consecutive row tiles
-(``FieldSampler.tiles``) that read the same normals, so an ensemble holds
-a few tiles per worker instead of whole blocks.  Tiles are a few hundred
-kilobytes on fine AR(1) grids and grow, up to a whole block, where each
-tile repeats costly work: the scan's per-column-block calls on coarse
-AR(1) grids, the pass over the n x n factor on the dense route.  Each
-tile of normals becomes field values by one transform that acts row by
-row.
+standard normals, one grid row per path.  A block is always drawn as
+consecutive row tiles (``FieldSampler.tiles``), so a caller holds a few
+tiles instead of whole blocks.  Tiles are a few hundred kilobytes on fine
+AR(1) grids and grow, up to a whole block, where each tile repeats costly
+work: the scan's per-column-block calls on coarse AR(1) grids, the pass
+over the n x n factor on the dense route.  Each tile of normals becomes
+field values by one transform that acts row by row.
 For ``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov on a uniform
 grid) that is the exact AR(1) recursion
 ``x_i = rho*x_{i-1} + sqrt(C*(1 - rho**2))*xi_i`` with
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 # numpy loads numpy.random on first use; importing it here keeps that
-# cost out of the first sample_block call.
+# cost out of the first tile drawn.
 from numpy.random import SeedSequence, default_rng
 
 from .errors import FactorizationFailure, MemoryBudgetExceeded, OutOfDomain
@@ -46,13 +44,13 @@ _JITTER_EXPONENTS = range(-12, -5)
 # Grid.for_kernel resolves the correlation length with this many nodes.
 _POINTS_PER_LENGTH = 10
 # Paths per keyed stream: an ensemble draws block c of its paths as
-# sample_block(master_seed, c, CHUNK_PATHS), the last block shorter.
+# tiles(master_seed, c, CHUNK_PATHS), the last block shorter.
 CHUNK_PATHS = 4096
 # Bytes FieldSampler may need at once.  The dense route is charged the
 # covariance, the copy and the factor np.linalg.cholesky holds at once;
-# sample_block the block it returns and one block of transform
-# temporaries; an ensemble (montecarlo.run_ensemble) its concurrent tile
-# streams and the dense factor.  2 GiB leaves room on an 8 GB machine.
+# tiles its tallest tile and one tile of transform temporaries; an
+# ensemble (montecarlo.run_ensemble) its concurrent tile streams and the
+# dense factor.  2 GiB leaves room on an 8 GB machine.
 _MEMORY_BUDGET = 2 * 2**30
 # FieldSampler.tiles yields tiles of about this many bytes, so a tile and
 # its running integral stay in cache, but never fewer than _MIN_TILE_ROWS
@@ -295,15 +293,15 @@ class FieldSampler:
     computed once at construction (``route == CHOLESKY_ROUTE``, with the
     diagonal ``jitter`` that made it succeed).  Sampling is then pure in
     (seed, chunk, count), so a single sampler can be shared read-only
-    across concurrent workers.  Both ``sample_block`` and ``tiles`` read
-    block ``chunk`` from its keyed stream and send every tile of normals
+    across concurrent workers.  ``tiles`` is the one draw method: it reads
+    block ``chunk`` from its keyed stream and sends every tile of normals
     through the same row-by-row transform, so on the AR(1) route a row is
-    bit-identical however its block was cut; a dense-route row may differ
-    in the last bits, since a matrix product of another height can take
-    another BLAS kernel.  Requests above the memory budget raise
+    bit-identical however its block was cut into tiles; a dense-route row
+    may differ in the last bits, since a matrix product of another height
+    can take another BLAS kernel.  Requests above the memory budget raise
     MemoryBudgetExceeded before anything is allocated: a dense grid at
-    construction, a block when it is drawn.  ``tile_rows`` is the height
-    of the tiles ``tiles`` yields, at most.
+    construction, a tile before the first one is drawn.  ``tile_rows`` is
+    the height of the tiles ``tiles`` yields, at most.
     """
 
     def __init__(self, kernel: CorrelationKernel, grid: Grid):
@@ -343,36 +341,25 @@ class FieldSampler:
         # and the product runs at the speed of a whole block.
         self.tile_rows = max(self.tile_rows, n)
 
-    def sample_block(self, master_seed: int, chunk: int, count: int) -> np.ndarray:
-        """Values of ``count`` paths of ensemble block ``chunk``, shape (count, n).
-
-        The block is one tile: one draw of ``(count, n)`` normals from the
-        stream ``SeedSequence(master_seed, spawn_key=(chunk,))``, through
-        the transform ``tiles`` uses.  The AR(1) recursion is the dense
-        factor in closed form, so both routes give the same paths for the
-        same key up to the dense route's jitter (about 1e-11).  The same
-        (master_seed, chunk, count) always gives the same bits, also from
-        concurrent threads.  Wrap the result in ``FieldPath.from_values``
-        for its running integrals.
-        """
-        n = self.grid.n_points
-        check_budget(
-            8 * 2 * count * n, f"a block of {count} paths on {n} grid points"
-        )
-        return self._transform(_stream(master_seed, chunk).standard_normal((count, n)))
-
     def tiles(self, master_seed: int, chunk: int, count: int):
         """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
 
         Each tile has shape ``(rows, n)`` with ``rows`` at most
-        ``tile_rows`` (and balanced, so no tile is a sliver); the tiles are
-        consecutive draws from the block's one stream, so together they
-        are the rows of ``sample_block(master_seed, chunk, count)``.
+        ``tile_rows`` (and balanced, so no tile is a sliver).  The tiles
+        are consecutive draws from the block's one stream,
+        ``SeedSequence(master_seed, spawn_key=(chunk,))``, so the same
+        (master_seed, chunk, count) always gives the same bits, also from
+        concurrent threads.  The AR(1) recursion is the dense factor in
+        closed form, so both routes give the same paths for the same key
+        up to the dense route's jitter (about 1e-11).  Wrap a tile in
+        ``FieldPath.from_values`` for its running integrals.
         """
         n = self.grid.n_points
-        stream = _stream(master_seed, chunk)
         n_tiles = max(1, -(-count // self.tile_rows))
         base, extra = divmod(count, n_tiles)
+        rows = base + (extra > 0)
+        check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} grid points")
+        stream = default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))
         for t in range(n_tiles):
             yield self._transform(stream.standard_normal((base + (t < extra), n)))
 
@@ -399,7 +386,3 @@ class FieldSampler:
         x *= self._growth
         return x
 
-
-def _stream(master_seed: int, chunk: int) -> np.random.Generator:
-    """The keyed stream of ensemble block ``chunk``."""
-    return default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))

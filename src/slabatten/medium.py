@@ -15,6 +15,9 @@ from .grf import CorrelationKernel
 # A trailing term this small relative to the accumulated sum counts as
 # converged.
 _CONVERGENCE_CUT = 1e-12
+# Orders Q = 1.._MFP_ORDER of the mean-free-path series; its converged flag
+# reports whether the last one was small enough.
+_MFP_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -98,10 +101,10 @@ class MfpSeries:
     mean_free_path: float
 
 
-def mfp_series(sm: StochasticMedium, max_order: int = 20) -> MfpSeries:
+def mfp_series(sm: StochasticMedium) -> MfpSeries:
     """Binomial expansion of the averaged reciprocal coefficient.
 
-    The shift S sums ``binom(-1, Q) * |R|^Q`` for Q = 1..max_order with
+    The shift S sums ``binom(-1, Q) * |R|^Q`` for Q = 1..20 with
     ``R = alpha * abs_moment(C, Q)^(1/Q)`` and ``binom(-1, Q) = (-1)^Q``;
     the averaged mean free path is then ``(1 + S) / sigma_a``.  Only even
     orders contribute, so S is a geometric series in (alpha^2 * C).
@@ -110,13 +113,11 @@ def mfp_series(sm: StochasticMedium, max_order: int = 20) -> MfpSeries:
     too large for the expansion.  ``converged`` reports whether the last
     computed term fell below 1e-12 relative to 1 + |S|.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
     alpha = sm.medium.alpha
     amplitude = sm.kernel.amplitude
     terms = []
     shift = 0.0
-    for q in range(1, max_order + 1):
+    for q in range(1, _MFP_ORDER + 1):
         ratio = alpha * abs_moment(amplitude, q) ** (1.0 / q)
         if ratio >= 1.0:
             raise DivergentSeries(

@@ -157,7 +157,8 @@ def run_ensemble(
                 stacklevel=2,
             )
 
-    neg_cut = -1.0 / medium.alpha if medium.alpha > 0 else -np.inf
+    # sigma_a (1 + alpha G) is never negative without alpha or sigma_a
+    neg_cut = -1.0 / medium.alpha if min(medium.alpha, medium.sigma_a) > 0 else -np.inf
 
     def chunk_partials(chunk: int):
         count = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS)

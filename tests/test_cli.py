@@ -1,6 +1,7 @@
 """Experiment runner: flags, CSV contract, report, exit codes."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -113,6 +114,9 @@ class TestMainExitCodes:
             (["--sigma-a", "-inf"], "--sigma-a: must be finite"),
             (["--zeta", "-1e-3"], "--zeta: must be > 0"),
             (["--alp", "-1e-3"], "--alpha: must be >= 0"),
+            # numpy's SeedSequence would reject it without naming the flag,
+            # and a run without a sampler would not notice it at all
+            (["--seed", "-1", "--modes", "beer"], "--seed: must be >= 0"),
         ],
     )
     def test_bad_numbers_exit_1_without_a_traceback(self, tmp_path, capsys, argv, needle):
@@ -193,7 +197,7 @@ class TestNegativeFractionExpectation:
         from scipy.special import ndtr
 
         expected = ndtr(-1.0 / (alpha * math.sqrt(amplitude)))
-        got = _negative_fraction_expectation(alpha, amplitude)
+        got = _negative_fraction_expectation(1.0, alpha, amplitude)
         assert abs(got - expected) <= 1e-15
         # Far in the tail (x = 1/(alpha sqrt C) up to 20) one ulp of the
         # argument moves Phi(-x) by about x^2 ulp relative, in either form;
@@ -201,7 +205,11 @@ class TestNegativeFractionExpectation:
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_zero_without_fluctuations(self):
-        assert _negative_fraction_expectation(0.0, 1.0) == 0.0
+        assert _negative_fraction_expectation(1.0, 0.0, 1.0) == 0.0
+
+    def test_zero_without_absorption(self):
+        # sigma_a (1 + alpha G) is identically 0 at sigma_a = 0
+        assert _negative_fraction_expectation(0.0, 0.8, 1.0) == 0.0
 
 
 class TestCsvContract:
@@ -290,23 +298,50 @@ class TestCsvContract:
         assert [r for r in report if r.startswith("sampler:")] == [line]
         assert "sampler" not in out.read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("alpha,expected", [("0.8", "0.10565"), ("0", "0")])
+    @pytest.mark.parametrize(
+        "flags,fraction,expected",
+        [
+            (["--alpha", "0.8"], None, "0.10565"),
+            (["--alpha", "0"], "0", "0"),
+            # no absorption, so no negative coefficient, whatever G does
+            (["--sigma-a", "0"], "0", "0"),
+        ],
+    )
     def test_negative_fraction_shown_with_its_exact_expectation(
-        self, tmp_path, capsys, alpha, expected
+        self, tmp_path, capsys, flags, fraction, expected
     ):
         out = tmp_path / "curves.csv"
         with warnings.catch_warnings():
             # alpha = 0 must give the exact 0 without a division by zero
             warnings.simplefilter("error", RuntimeWarning)
             warnings.simplefilter("ignore", ReliabilityWarning)
-            code = main([
-                "--alpha", alpha, "--modes", "mc", "--paths", "50",
+            code = main(flags + [
+                "--modes", "mc", "--paths", "50",
                 "--grid-points", "21", "--length", "2", "--out", str(out),
             ])
         assert code == 0
         report = capsys.readouterr().out
+        if fraction is not None:
+            assert f"negative-coefficient fraction = {fraction} " in report
         assert f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected})" in report
         assert "E<1/|A|>" not in report
+
+    def test_euler_check_holds_tiles_not_its_whole_block(self, tmp_path):
+        # 100 paths on the 4001-point refined grid (1001 points at zeta
+        # 0.05) are 3.2 MB as one block; the Euler check streams them in
+        # row tiles and keeps only per-path errors.
+        out = tmp_path / "curves.csv"
+        tracemalloc.start()
+        try:
+            code = main([
+                "--kappa", "1", "--zeta", "0.05", "--modes", "euler-check",
+                "--out", str(out),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 100 * 4001 * 8
 
     def test_euler_check_mode_reports_order(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"

@@ -153,10 +153,15 @@ class TestCovarianceMatrix:
             assert eigs.min() >= -1e-10 * amp
 
 
+def _block(sampler, seed, chunk, count):
+    """Ensemble block ``chunk`` of master seed ``seed``: its tiles' rows."""
+    return np.concatenate(list(sampler.tiles(seed, chunk, count)))
+
+
 def _path(kernel, grid, seed):
     """Ensemble path 0 of master seed ``seed`` as a one-row block."""
     sampler = FieldSampler(kernel, grid)
-    return FieldPath.from_values(grid, sampler.sample_block(seed, 0, 1))
+    return FieldPath.from_values(grid, _block(sampler, seed, 0, 1))
 
 
 class TestSampling:
@@ -180,13 +185,13 @@ class TestSampling:
         # 300 x 201 blocks are large enough for threaded BLAS.
         sampler = FieldSampler(CorrelationKernel(1.0, 1.0, kappa), Grid(2.0, 201))
         keys = [(99, chunk, 300) for chunk in range(4)] * 2
-        serial = [sampler.sample_block(*key) for key in keys]
+        serial = [_block(sampler, *key) for key in keys]
         assert serial[0].shape == (300, 201)
         assert np.array_equal(serial[0], serial[4])
         for other in serial[1:4]:
             assert not np.any(serial[0] == other)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda key: sampler.sample_block(*key), keys))
+            threaded = list(pool.map(lambda key: _block(sampler, *key), keys))
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
 
@@ -220,10 +225,17 @@ class TestSampling:
         # the 10 001-point grid the dense route rejects takes no factor here
         sampler = FieldSampler(kernel, Grid.for_kernel(10.0, kernel))
         assert sampler.route == grf.AR1_ROUTE and sampler.factor is None
-        big = FieldSampler(kernel, Grid(10.0, 100_001))
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        with pytest.raises(MemoryBudgetExceeded, match="4096 paths on 100001") as err:
-            big.sample_block(0, 0, 4096)
+        monkeypatch.setattr(grf, "default_rng", refuse)
+        # A block is charged one tile at a time: 4096 paths on 100 001
+        # points stream in 64-row tiles and reach the draw...
+        wide = FieldSampler(kernel, Grid(10.0, 100_001))
+        assert wide.tile_rows == 64
+        with pytest.raises(AssertionError, match="allocating call reached"):
+            next(wide.tiles(0, 0, 4096))
+        # ...while one 64-row tile on 2 200 001 points is past the budget.
+        big = FieldSampler(kernel, Grid(10.0, 2_200_001))
+        with pytest.raises(MemoryBudgetExceeded, match="64 paths on 2200001") as err:
+            next(big.tiles(0, 0, 4096))
         assert "covariance" not in str(err.value)
         assert "factor" not in str(err.value)
 
@@ -239,7 +251,7 @@ class TestSampling:
         ).standard_normal((200, n))
         factor = np.linalg.cholesky(covariance_matrix(kernel, grid))
         np.testing.assert_allclose(
-            sampler.sample_block(31, 2, 200), normals @ factor.T, rtol=0, atol=1e-9
+            _block(sampler, 31, 2, 200), normals @ factor.T, rtol=0, atol=1e-9
         )
 
     @pytest.mark.parametrize("n", [2, 3, 41, 1001])
@@ -260,7 +272,7 @@ class TestSampling:
             expected[:, i] = (
                 sampler.rho * expected[:, i - 1] + sampler.innovation * xi[:, i]
             )
-        got = sampler.sample_block(5, 1, 50)
+        got = _block(sampler, 5, 1, 50)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - expected)) <= 1e-13 * math.sqrt(amp)
 
@@ -272,7 +284,7 @@ class TestSampling:
         xi = np.random.default_rng(
             np.random.SeedSequence(5, spawn_key=(1,))
         ).standard_normal((50, n))
-        assert np.array_equal(sampler.sample_block(5, 1, 50), math.sqrt(amp) * xi)
+        assert np.array_equal(_block(sampler, 5, 1, 50), math.sqrt(amp) * xi)
 
     @pytest.mark.parametrize("steps", [40.0, 100.0, 700.0])
     def test_ar1_keeps_the_memory_term_at_tiny_rho(self, steps):
@@ -310,7 +322,12 @@ class TestSampling:
         assert sum(heights) == count
         assert max(heights) <= sampler.tile_rows
         assert max(heights) - min(heights) <= 1
-        block = sampler.sample_block(8, 3, count)
+        # the whole block as one draw from its keyed stream, one transform
+        block = sampler._transform(
+            np.random.default_rng(
+                np.random.SeedSequence(8, spawn_key=(3,))
+            ).standard_normal((count, n))
+        )
         if kappa == 1.0:
             # the scan acts row by row, so the cut does not move a bit
             assert np.array_equal(np.concatenate(tiles), block)
@@ -330,7 +347,7 @@ class TestSampling:
         sq_sum = np.zeros(41)
         lag_sum = np.zeros(40)
         for chunk, start in enumerate(range(0, n, 8192)):
-            block = sampler.sample_block(606, chunk, min(8192, n - start))
+            block = _block(sampler, 606, chunk, min(8192, n - start))
             sq_sum += (block**2).sum(axis=0)
             lag_sum += (block[:, 1:] * block[:, :-1]).sum(axis=0)
         # Var(x^2) = 2 C^2 and Var(x_i x_{i+1}) = C^2 (1 + rho^2) for Gaussians
@@ -352,7 +369,7 @@ class TestSampling:
         n = 40_000
         sq_sum = np.zeros(21)
         for chunk, start in enumerate(range(0, n, 8192)):
-            block = sampler.sample_block(2024, chunk, min(8192, n - start))
+            block = _block(sampler, 2024, chunk, min(8192, n - start))
             sq_sum += (block**2).sum(axis=0)
         variance = sq_sum / n
         three_se = 3.0 * amp * math.sqrt(2.0 / n)
@@ -432,7 +449,7 @@ class TestIntegralStatistics:
         out = np.empty(n)
         for chunk, start in enumerate(range(0, n, 8192)):
             count = min(8192, n - start)
-            block = sampler.sample_block(seed, chunk, count)
+            block = _block(sampler, seed, chunk, count)
             segs = 0.5 * grid.spacing * (block[:, 1:] + block[:, :-1])
             out[start : start + count] = segs.sum(axis=1)
         return out

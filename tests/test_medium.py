@@ -26,6 +26,11 @@ from slabatten import (
 )
 
 
+def _block(sampler, seed, chunk, count):
+    """Ensemble block ``chunk`` of master seed ``seed``: its tiles' rows."""
+    return np.concatenate(list(sampler.tiles(seed, chunk, count)))
+
+
 class TestMediumSpec:
     @pytest.mark.parametrize(
         "kwargs",
@@ -109,7 +114,7 @@ class TestAbsorptionAt:
         sampler = FieldSampler(sm.kernel, grid)
         null = FieldPath.from_values(grid, np.zeros(21))
         for seed in (1, 2, 3):
-            path = FieldPath.from_values(grid, sampler.sample_block(seed, 0, 1))
+            path = FieldPath.from_values(grid, _block(sampler, seed, 0, 1))
             for z in (0.0, 0.5, 1.234, 2.0):
                 assert path_intensity_em(sm.medium, path, z) == path_intensity_em(
                     sm.medium, null, z
@@ -129,7 +134,7 @@ class TestAbsorptionAt:
         a2 = np.empty(n)
         for chunk, start in enumerate(range(0, n, 8192)):
             count = min(8192, n - start)
-            block = sampler.sample_block(77, chunk, count)
+            block = _block(sampler, 77, chunk, count)
             a1[start : start + count] = m.sigma_a * (1.0 + m.alpha * block[:, z1_idx])
             a2[start : start + count] = m.sigma_a * (1.0 + m.alpha * block[:, z2_idx])
 
@@ -189,14 +194,14 @@ class TestMfpSeries:
 
     def test_matches_direct_partial_sum_to_14_digits(self):
         sm = _medium(alpha=0.1, amplitude=1.0)
-        result = mfp_series(sm, max_order=20)
+        result = mfp_series(sm)
         oracle = _direct_series_oracle(0.1, 1.0, 20)
         assert result.shift == pytest.approx(oracle, rel=1e-14)
         assert result.mean_free_path == pytest.approx(1.0 + oracle, rel=1e-14)
 
     def test_terms_structure(self):
-        result = mfp_series(_medium(alpha=0.2, amplitude=1.0), max_order=10)
-        assert len(result.terms) == 10
+        result = mfp_series(_medium(alpha=0.2, amplitude=1.0))
+        assert len(result.terms) == 20
         assert all(t == 0.0 for t in result.terms[::2])  # odd orders Q=1,3,...
         assert all(t > 0.0 for t in result.terms[1::2])  # even orders
 
@@ -213,6 +218,7 @@ class TestMfpSeries:
             mfp_series(sm)
 
     def test_converged_flag(self):
-        assert mfp_series(_medium(alpha=0.1), max_order=20).converged
-        assert not mfp_series(_medium(alpha=0.9), max_order=4).converged
+        assert mfp_series(_medium(alpha=0.1)).converged
+        # the 20th term at alpha = 0.9 is 0.9**20 = 0.12
+        assert not mfp_series(_medium(alpha=0.9)).converged
 

@@ -40,10 +40,15 @@ def _sm(alpha=0.1, sigma_a=1.0, i0=10.0, amplitude=1.0, zeta=1.0):
     )
 
 
+def _block(sampler, seed, chunk, count):
+    """Ensemble block ``chunk`` of master seed ``seed``: its tiles' rows."""
+    return np.concatenate(list(sampler.tiles(seed, chunk, count)))
+
+
 def _path(kernel, grid, seed, rows=1):
     """Ensemble paths [0, rows) of master seed ``seed`` as a block."""
     sampler = FieldSampler(kernel, grid)
-    return FieldPath.from_values(grid, sampler.sample_block(seed, 0, rows))
+    return FieldPath.from_values(grid, _block(sampler, seed, 0, rows))
 
 
 class TestPathIntensity:
@@ -176,7 +181,7 @@ class TestRunEnsemble:
         sampler = FieldSampler(sm.kernel, grid)
         f_sum = f_sq = 0.0
         for chunk, count in enumerate(counts):
-            block = FieldPath.from_values(grid, sampler.sample_block(41, chunk, count))
+            block = FieldPath.from_values(grid, _block(sampler, 41, chunk, count))
             # the pathwise factor path_intensity / beer, one row per path
             f = np.exp(-medium.alpha * medium.sigma_a * block.integral_at(one.depths))
             f_sum = f_sum + f.sum(axis=0)
@@ -268,6 +273,13 @@ class TestRunEnsemble:
             noisy = run_ensemble(_sm(alpha=0.8), grid, 2000, master_seed=6)
         # P(G < -1/0.8) for unit variance is about 0.106
         assert 0.08 < noisy.negative_coefficient_fraction < 0.13
+
+    def test_no_negative_coefficient_without_absorption(self):
+        # sigma_a (1 + alpha G) is identically 0, however negative G gets
+        stats = run_ensemble(
+            _sm(alpha=0.8, sigma_a=0.0), Grid(5.0, 101), 2000, master_seed=6
+        )
+        assert stats.negative_coefficient_fraction == 0.0
 
     def test_heavy_tail_warning_threshold(self):
         grid = Grid(5.0, 51)
