@@ -11,9 +11,9 @@ Modules
 grf
     Correlation kernels, grid covariances, row-tile sampling
     (the exact AR(1) recursion as a prefix-sum scan for kappa = 1, dense
-    Cholesky for other kernels) and
-    FieldPath, the one path-or-block representation (running integral,
-    interpolation, nested restriction).
+    Cholesky for other kernels) and integral_at, the trapezoid integral
+    of a path or block of paths, plain arrays of grid values, up to
+    given depths.
 medium
     The purely absorbing slab: MediumSpec, Beer's decay (beer), the
     fluctuating absorption coefficient, its moments and the
@@ -51,7 +51,7 @@ from .errors import (
     SlabModelError,
     UnsupportedKernel,
 )
-from .grf import CorrelationKernel, FieldPath, FieldSampler, Grid, covariance_matrix
+from .grf import CorrelationKernel, FieldSampler, Grid, covariance_matrix, integral_at
 from .medium import MediumSpec, MfpSeries, StochasticMedium, abs_moment, beer, mfp_series
 from .montecarlo import (
     EnsembleStats,
@@ -75,7 +75,6 @@ __all__ = [
     "EnsembleStats",
     "ExponentConvention",
     "FactorizationFailure",
-    "FieldPath",
     "FieldSampler",
     "FluctuationWarning",
     "Grid",
@@ -96,6 +95,7 @@ __all__ = [
     "cumulant_series_exponent",
     "default_depths",
     "inner_w",
+    "integral_at",
     "lognormal_oracle",
     "mfp_series",
     "ode_residual",

@@ -67,7 +67,7 @@ def inner_w(zeta: float, z1):
     z1 >> zeta.  Units cm.  A scalar depth gives a float.
     """
     z1 = np.asarray(z1, dtype=float)
-    if np.any(z1 < 0):
+    if not np.all(z1 >= 0):
         raise NegativeDepth("z1 must be >= 0")
     return 0.5 * _SQRT_PI * zeta * _erf(z1 / zeta)
 
@@ -81,7 +81,7 @@ def outer_y(zeta: float, z):
     depth gives a float.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
+    if not np.all(z >= 0):
         raise NegativeDepth("z must be >= 0")
     u = z / zeta
     return 0.5 * zeta * (_SQRT_PI * z * _erf(u) + zeta * (np.exp(-(u**2)) - 1.0))
@@ -175,7 +175,7 @@ def cumulant_series_exponent(
     computed by the panelized lag-form rule (``int_0^z (z - u) phi(u)
     du``) so it can cross-check the erf closed form.
     """
-    if z < 0:
+    if not z >= 0:
         raise NegativeDepth("z must be >= 0")
     ordered = ordered_double_integral(kernel, z)
     return convention.gain * alpha**2 * sigma_a**2 * ordered

@@ -20,9 +20,10 @@ blocked, rescaled prefix sum (Blelloch, CMU-CS-90-190, 1990) in O(n)
 time and no n x n storage.  Every other kernel is drawn by dense
 Cholesky factorization of the grid covariance (exact for any kernel and
 grid at the sizes used here), the normals times the transposed factor
-in one matrix product.  The running integral of each path is
-accumulated with the composite trapezoid rule, matching the Riemann-sum
-definition of the stochastic integral.
+in one matrix product.  A path is a plain array of grid values, ``(n,)``
+for one path or ``(rows, n)`` for a block, and ``integral_at``
+accumulates its integral with the composite trapezoid rule, matching the
+Riemann-sum definition of the stochastic integral.
 """
 
 from __future__ import annotations
@@ -172,71 +173,42 @@ class Grid:
         return cls(length, max(2, math.ceil(cells) + 1))
 
 
-@dataclass(frozen=True)
-class FieldPath:
-    """Field realizations on a grid together with their running integrals.
+def integral_at(grid: Grid, values, depths):
+    """Trapezoid integral of the field from 0 to each depth, linear between nodes.
 
     ``values`` holds one path, shape ``(n,)``, or a block of paths, shape
-    ``(rows, n)``, with ``values[..., q]`` the field at Z_q.
-    ``cumulative_integral`` has the same shape and holds the trapezoid
-    accumulation of the values from 0 to Z_q (units cm, the field itself
-    being dimensionless); its first entry along the grid axis is exactly
-    0.  Every operation acts on each row independently, so a block gives
-    bit-identical results to its rows taken one at a time.
+    ``(rows, n)``, with ``values[..., q]`` the field at Z_q (dimensionless;
+    the integral is in cm).  The result has shape
+    ``values.shape[:-1] + np.shape(depths)`` and is exactly 0 at depth 0.
+    Each row is integrated on its own, so a block gives bit-identical
+    results to its rows taken one at a time.  Raises ValueError for values
+    that do not match the grid and OutOfDomain for depths outside [0, L]
+    (NaN included).
     """
-
-    grid: Grid
-    values: np.ndarray
-    cumulative_integral: np.ndarray
-
-    @classmethod
-    def from_values(cls, grid: Grid, values) -> "FieldPath":
-        """Build a path or block from raw grid values (synthetic or sampled)."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[-1] != grid.n_points:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid "
-                f"({grid.n_points},) or (rows, {grid.n_points})"
-            )
-        # The trapezoid segments are built and summed inside the result, so
-        # a block costs one array beyond its values.
-        cumulative = np.empty(values.shape)
-        cumulative[..., 0] = 0.0
-        segments = cumulative[..., 1:]
-        np.add(values[..., 1:], values[..., :-1], out=segments)
-        segments *= 0.5 * grid.spacing
-        np.cumsum(segments, axis=-1, out=segments)
-        return cls(grid, values, cumulative)
-
-    def integral_at(self, depths):
-        """Integral of the field from 0 to each depth, linear between nodes.
-
-        The result has shape ``values.shape[:-1] + np.shape(depths)`` and
-        is exactly 0 at depth 0.  Raises OutOfDomain for depths outside
-        [0, L].
-        """
-        grid = self.grid
-        depths = np.asarray(depths, dtype=float)
-        if np.any(depths < 0) or np.any(depths > grid.length):
-            raise OutOfDomain(f"depths must lie within [0, {grid.length}]")
-        points = grid.points
-        # A depth on a node gets frac = 0 and the node's value exactly; the
-        # last node is its own upper neighbour.
-        idx = np.searchsorted(points, depths, side="right") - 1
-        upper = np.minimum(idx + 1, grid.n_points - 1)
-        frac = (depths - points[idx]) / grid.spacing
-        cumulative = self.cumulative_integral
-        return cumulative[..., idx] * (1.0 - frac) + cumulative[..., upper] * frac
-
-    def restrict(self, stride: int) -> "FieldPath":
-        """The same realizations on the nested grid of every stride-th node."""
-        n = self.grid.n_points
-        if stride < 1 or (n - 1) % stride:
-            raise ValueError(
-                f"stride {stride} does not nest in a grid of {n} points"
-            )
-        coarse = Grid(self.grid.length, (n - 1) // stride + 1)
-        return FieldPath.from_values(coarse, self.values[..., ::stride])
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != grid.n_points:
+        raise ValueError(
+            f"values shape {values.shape} does not match grid "
+            f"({grid.n_points},) or (rows, {grid.n_points})"
+        )
+    depths = np.asarray(depths, dtype=float)
+    if not np.all((depths >= 0) & (depths <= grid.length)):
+        raise OutOfDomain(f"depths must lie within [0, {grid.length}]")
+    # The trapezoid segments are built and summed inside the running
+    # integral, so a block costs one array beyond its values.
+    cumulative = np.empty(values.shape)
+    cumulative[..., 0] = 0.0
+    segments = cumulative[..., 1:]
+    np.add(values[..., 1:], values[..., :-1], out=segments)
+    segments *= 0.5 * grid.spacing
+    np.cumsum(segments, axis=-1, out=segments)
+    points = grid.points
+    # A depth on a node gets frac = 0 and the node's value exactly; the
+    # last node is its own upper neighbour.
+    idx = np.searchsorted(points, depths, side="right") - 1
+    upper = np.minimum(idx + 1, grid.n_points - 1)
+    frac = (depths - points[idx]) / grid.spacing
+    return cumulative[..., idx] * (1.0 - frac) + cumulative[..., upper] * frac
 
 
 def covariance_matrix(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
@@ -351,8 +323,8 @@ class FieldSampler:
         (master_seed, chunk, count) always gives the same bits, also from
         concurrent threads.  The AR(1) recursion is the dense factor in
         closed form, so both routes give the same paths for the same key
-        up to the dense route's jitter (about 1e-11).  Wrap a tile in
-        ``FieldPath.from_values`` for its running integrals.
+        up to the dense route's jitter (about 1e-11).  Pass a tile to
+        ``integral_at`` for its integrals up to given depths.
         """
         n = self.grid.n_points
         n_tiles = max(1, -(-count // self.tile_rows))

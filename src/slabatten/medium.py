@@ -57,7 +57,7 @@ class MediumSpec:
 def beer(medium: MediumSpec, z):
     """Pure-absorption exponential decay I0 * exp(-sigma_a * z)."""
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
+    if not np.all(z >= 0):
         raise NegativeDepth("depth z must be >= 0")
     return medium.i0 * np.exp(-medium.sigma_a * z)
 

@@ -18,15 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeDepth, OutOfDomain, ReliabilityWarning
-from .grf import CHUNK_PATHS, FieldPath, FieldSampler, Grid, check_budget
+from .grf import CHUNK_PATHS, FieldSampler, Grid, check_budget, integral_at
 from .medium import MediumSpec, StochasticMedium, beer
 from .quadrature import square_double_integral
 
 _MAX_DEFAULT_ROWS = 256
 # Arrays of (tile rows, n + depths) one worker holds at once: a tile's
-# values and running integral, the interpolated integrals at the depths
-# and their squares, with the temporaries (tracemalloc peaks of a
-# whole run: 2.0 to 2.6 of them for n from 51 to 2001, on both routes).
+# values and the running integral integral_at builds, the interpolated
+# integrals at the depths and their squares, with the temporaries
+# (tracemalloc peaks of a whole run: 2.0 to 2.6 of them for n from 51 to
+# 2001, on both routes).
 _STREAM_ARRAYS = 4
 # Exponent standard deviations above this make the lognormal sample mean
 # heavy-tailed enough that the SEM stops being trustworthy.
@@ -57,33 +58,45 @@ class EnsembleStats:
     jitter: float
 
 
-def path_intensity(medium: MediumSpec, path: FieldPath, depths):
+def path_intensity(medium: MediumSpec, grid: Grid, values, depths):
     """Exact pathwise intensity I0*exp(-sigma_a*z - alpha*sigma_a*int_0^z G).
 
+    ``values`` is one path ``(n,)`` or a block ``(rows, n)`` on ``grid``.
     One value per path row and depth: the result has shape
-    ``path.values.shape[:-1] + np.shape(depths)``.
+    ``values.shape[:-1] + np.shape(depths)``.
     """
-    integral = path.integral_at(depths)
+    integral = integral_at(grid, values, depths)
     return beer(medium, depths) * np.exp(-medium.alpha * medium.sigma_a * integral)
 
 
-def path_intensity_em(medium: MediumSpec, path: FieldPath, z: float):
+def path_intensity_em(medium: MediumSpec, grid: Grid, values, z: float):
     """Explicit Euler stepping of the pathwise decay ODE on the path grid.
 
-    One value per path row.  First-order accurate in the grid spacing;
+    ``values`` is one path ``(n,)`` or a block ``(rows, n)`` on ``grid``;
+    one value per path row.  First-order accurate in the grid spacing;
     converges to path_intensity under grid refinement and exists only as
-    an independent integrator cross-check.
+    an independent integrator cross-check.  Raises ValueError for values
+    that do not match the grid and OutOfDomain for z outside [0, L] (NaN
+    included).
     """
-    grid = path.grid
-    if z < 0 or z > grid.length:
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1:] != (grid.n_points,):
+        raise ValueError(f"values shape {values.shape} does not match {grid}")
+    if not 0 <= z <= grid.length:
         raise OutOfDomain(f"z = {z} outside the slab [0, {grid.length}]")
     points = grid.points
-    coeff = medium.sigma_a * (1.0 + medium.alpha * path.values)
     last = min(int(np.searchsorted(points, z, side="right")) - 1, grid.n_points - 1)
-    intensity = medium.i0 * np.prod(1.0 - coeff[..., :last] * grid.spacing, axis=-1)
+    # The step factors 1 - sigma_a (1 + alpha G) h, built in one buffer.
+    steps = np.multiply(medium.alpha, values[..., :last])
+    steps += 1.0
+    steps *= medium.sigma_a
+    steps *= grid.spacing
+    np.subtract(1.0, steps, out=steps)
+    intensity = medium.i0 * np.prod(steps, axis=-1)
     partial = z - points[last]
     if partial > 0:
-        intensity = intensity * (1.0 - coeff[..., last] * partial)
+        coeff = medium.sigma_a * (1.0 + medium.alpha * values[..., last])
+        intensity = intensity * (1.0 - coeff * partial)
     return intensity
 
 
@@ -138,7 +151,7 @@ def run_ensemble(
     depths = (
         default_depths(grid) if depths is None else np.asarray(depths, dtype=float)
     )
-    if np.any(depths < 0) or np.any(depths > grid.length):
+    if not np.all((depths >= 0) & (depths <= grid.length)):
         raise OutOfDomain(f"depths must lie within [0, {grid.length}]")
 
     sampler = FieldSampler(sm.kernel, grid)
@@ -160,6 +173,11 @@ def run_ensemble(
     # sigma_a (1 + alpha G) is never negative without alpha or sigma_a
     neg_cut = -1.0 / medium.alpha if min(medium.alpha, medium.sigma_a) > 0 else -np.inf
 
+    # The slab integral is read from one more depth column, at L: there
+    # the interpolation weight of the upper node is 0, so the column is the
+    # running integral's last entry exactly.
+    tile_depths = np.append(depths, grid.length)
+
     def chunk_partials(chunk: int):
         count = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS)
         factor_sum = factor_sq_sum = 0.0
@@ -168,14 +186,14 @@ def run_ensemble(
         start = 0
         for values in sampler.tiles(master_seed, chunk, count):
             rows = len(values)
-            tile = FieldPath.from_values(grid, values)
-            factors = np.exp(-scale * tile.integral_at(depths))
+            integrals = integral_at(grid, values, tile_depths)
+            factors = np.exp(-scale * integrals[:, :-1])
             factor_sum = factor_sum + factors.sum(axis=0)
             factor_sq_sum = factor_sq_sum + (factors**2).sum(axis=0)
-            slab_integral[start : start + rows] = tile.cumulative_integral[:, -1]
+            slab_integral[start : start + rows] = integrals[:, -1]
             negatives += int(np.count_nonzero(values < neg_cut))
             start += rows
-            del values, tile  # free this tile before the next one is drawn
+            del values, integrals  # free this tile before the next one is drawn
         raw = np.array(
             [
                 slab_integral.sum(),
@@ -195,11 +213,8 @@ def run_ensemble(
         f"{streams} worker(s) streaming tiles of {tile_rows} paths "
         f"on {grid.n_points} grid points",
     )
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk_partials, chunks))
-    else:
-        partials = [chunk_partials(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=streams) as pool:
+        partials = list(pool.map(chunk_partials, chunks))
 
     factor_sum = np.zeros(beer_depths.shape)
     factor_sq_sum = np.zeros(beer_depths.shape)
@@ -248,7 +263,7 @@ def lognormal_oracle(sm: StochasticMedium, z: float) -> float:
     no code with either the erf closed form or the path sampler, so it
     can referee both.
     """
-    if z < 0:
+    if not z >= 0:
         raise NegativeDepth("z must be >= 0")
     medium = sm.medium
     variance = (

@@ -99,7 +99,7 @@ def ordered_double_integral(kernel: CorrelationKernel, z: float) -> float:
     length, the first panel graded toward the lag-0 endpoint where
     ``u**kappa`` is singular for non-integer kappa.
     """
-    if z < 0:
+    if not z >= 0:
         raise ValueError(f"z must be >= 0, got {z}")
     if z == 0:
         return 0.0
@@ -125,7 +125,7 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     ``D_0 = sum_a w_a [int_0^{s_a} phi(h v) dv + int_0^{1 - s_a} phi(h v) dv]``,
     each part by the 16-point rule scaled to its length.
     """
-    if z < 0:
+    if not z >= 0:
         raise ValueError(f"z must be >= 0, got {z}")
     if z == 0:
         return 0.0

@@ -142,8 +142,9 @@ class TestScipyParity:
 
     @pytest.mark.parametrize("f", [inner_w, outer_y])
     def test_negative_depth_in_an_array_rejected(self, f):
-        with pytest.raises(NegativeDepth):
-            f(1.0, np.array([[0.5, 1.0], [-1e-300, 2.0]]))
+        for bad in (-1e-300, math.nan):
+            with pytest.raises(NegativeDepth):
+                f(1.0, np.array([[0.5, 1.0], [bad, 2.0]]))
 
 
 class TestTheta:
@@ -264,6 +265,11 @@ class TestOdeResidual:
 
 
 class TestCumulantSeriesExponent:
+    @pytest.mark.parametrize("z", [-0.5, math.nan])
+    def test_negative_depth_rejected(self, z):
+        with pytest.raises(NegativeDepth):
+            cumulant_series_exponent(_kernel(), 1.0, 1.0, z)
+
     def test_second_order_against_trapezoid_oracle(self):
         got = cumulant_series_exponent(_kernel(), 1.0, 1.0, 1.0)
         assert got == pytest.approx(_ordered_trapezoid(1.0, 1.0), abs=1e-6)

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from slabatten import (
     CorrelationKernel,
     FactorizationFailure,
-    FieldPath,
     FieldSampler,
     Grid,
     MemoryBudgetExceeded,
     OutOfDomain,
     covariance_matrix,
     grf,
+    integral_at,
     square_double_integral,
 )
 
@@ -160,23 +160,22 @@ def _block(sampler, seed, chunk, count):
 
 def _path(kernel, grid, seed):
     """Ensemble path 0 of master seed ``seed`` as a one-row block."""
-    sampler = FieldSampler(kernel, grid)
-    return FieldPath.from_values(grid, _block(sampler, seed, 0, 1))
+    return _block(FieldSampler(kernel, grid), seed, 0, 1)
 
 
 class TestSampling:
     def test_vanishing_amplitude_gives_null_paths(self):
         k = CorrelationKernel(1e-30, 1.0, 2.0)
         p = _path(k, Grid(2.0, 21), seed=1)
-        assert np.max(np.abs(p.values)) < 1e-13
+        assert np.max(np.abs(p)) < 1e-13
 
     def test_fixed_seed_is_deterministic(self):
         k = CorrelationKernel(1.0, 1.0, 2.0)
         g = Grid(2.0, 21)
         a = _path(k, g, seed=42)
         b = _path(k, g, seed=42)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.cumulative_integral, b.cumulative_integral)
+        assert np.array_equal(a, b)
+        assert np.array_equal(integral_at(g, a, g.points), integral_at(g, b, g.points))
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
     def test_stream_is_keyed_by_seed_chunk_and_count(self, kappa):
@@ -376,68 +375,59 @@ class TestSampling:
         assert np.max(np.abs(variance - amp)) < three_se
 
 
-class TestFieldPath:
-    def test_cumulative_integral_is_trapezoid_accumulation(self):
+class TestStochasticIntegral:
+    """``integral_at``, the running integral of the field."""
+
+    def test_trapezoid_accumulation(self):
         g = Grid(1.0, 5)
-        p = FieldPath.from_values(g, [0.0, 1.0, 2.0, 3.0, 4.0])
+        got = integral_at(g, [0.0, 1.0, 2.0, 3.0, 4.0], g.points)
         h = g.spacing
         expected = np.concatenate(
             ([0.0], np.cumsum(h * 0.5 * (np.arange(4) + np.arange(1, 5))))
         )
-        assert p.cumulative_integral[0] == 0.0
-        np.testing.assert_allclose(p.cumulative_integral, expected, rtol=1e-15)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
 
     def test_shape_mismatch_rejected(self):
+        g = Grid(1.0, 5)
         with pytest.raises(ValueError):
-            FieldPath.from_values(Grid(1.0, 5), [1.0, 2.0])
+            integral_at(g, [1.0, 2.0], 0.5)
         with pytest.raises(ValueError):
-            FieldPath.from_values(Grid(1.0, 5), np.zeros((2, 3, 5)))
-
-    def test_restrict_keeps_the_realizations_on_a_nested_grid(self):
-        g = Grid(2.0, 21)
-        block = FieldPath.from_values(g, np.arange(42.0).reshape(2, 21) ** 2)
-        coarse = block.restrict(4)
-        assert coarse.grid == Grid(2.0, 6)
-        assert np.array_equal(coarse.values, block.values[:, ::4])
-        # the coarse running integral is the trapezoid rule on the coarse grid
-        expected = FieldPath.from_values(coarse.grid, block.values[:, ::4])
-        assert np.array_equal(coarse.cumulative_integral, expected.cumulative_integral)
-        assert block.restrict(1).grid == g
-        for stride in (0, 3):
-            with pytest.raises(ValueError):
-                block.restrict(stride)
-
-
-class TestStochasticIntegral:
-    """``FieldPath.integral_at``, the running integral of the field."""
+            integral_at(g, np.zeros((2, 3, 5)), 0.5)
 
     def test_zero_at_origin(self):
-        p = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), seed=3)
-        assert p.integral_at(0.0) == 0.0
+        g = Grid(2.0, 21)
+        p = _path(CorrelationKernel(1.0, 1.0, 2.0), g, seed=3)
+        assert integral_at(g, p, 0.0) == 0.0
 
     def test_constant_path_integrates_exactly(self):
         g = Grid(2.0, 21)
-        p = FieldPath.from_values(g, np.full(21, 1.7))
+        p = np.full(21, 1.7)
         for z in (0.05, 0.5, 1.0, 1.33, 2.0):
-            assert p.integral_at(z) == pytest.approx(1.7 * z, rel=1e-13)
+            assert integral_at(g, p, z) == pytest.approx(1.7 * z, rel=1e-13)
         depths = [0.05, 0.5, 1.0, 1.33, 2.0]
-        np.testing.assert_allclose(p.integral_at(depths), 1.7 * np.array(depths),
+        np.testing.assert_allclose(integral_at(g, p, depths), 1.7 * np.array(depths),
                                    rtol=1e-13)
 
     @pytest.mark.parametrize("n", [51, 1001])
     def test_exact_at_grid_nodes(self, n):
+        # at a node the interpolation weight of the upper node is 0, so the
+        # result is the trapezoid accumulation itself, bit for bit
         grid = Grid(5.0, n)
         values = np.random.default_rng(n).standard_normal((8, n))
-        block = FieldPath.from_values(grid, values)
-        assert np.array_equal(block.integral_at(grid.points), block.cumulative_integral)
+        cumulative = np.zeros((8, n))
+        segments = (values[:, 1:] + values[:, :-1]) * (0.5 * grid.spacing)
+        cumulative[:, 1:] = np.cumsum(segments, axis=1)
+        assert np.array_equal(integral_at(grid, values, grid.points), cumulative)
 
-    @pytest.mark.parametrize("z", [-0.1, 2.0001, 50.0])
+    @pytest.mark.parametrize("z", [-0.1, 2.0001, 50.0, math.nan])
     def test_out_of_domain_rejected(self, z):
-        p = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), seed=3)
+        g = Grid(2.0, 21)
+        p = _path(CorrelationKernel(1.0, 1.0, 2.0), g, seed=3)
         with pytest.raises(OutOfDomain):
-            p.integral_at(z)
+            integral_at(g, p, z)
         with pytest.raises(OutOfDomain):
-            p.integral_at([1.0, z])
+            integral_at(g, p, [1.0, z])
 
 
 class TestIntegralStatistics:

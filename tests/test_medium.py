@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from slabatten import (
     CorrelationKernel,
     DivergentSeries,
-    FieldPath,
     FieldSampler,
     FluctuationWarning,
     Grid,
@@ -87,8 +86,9 @@ class TestBeer:
         assert np.all(np.diff(vals) < 0)
 
     def test_negative_depth_rejected(self):
-        with pytest.raises(NegativeDepth):
-            beer(MediumSpec(sigma_a=1.0), -0.5)
+        for z in (-0.5, math.nan, [1.0, math.nan]):
+            with pytest.raises(NegativeDepth):
+                beer(MediumSpec(sigma_a=1.0), z)
 
     def test_scalar_depth_gives_a_float_and_arrays_keep_their_shape(self):
         m = MediumSpec(sigma_a=0.7, i0=2.0)
@@ -112,12 +112,12 @@ class TestAbsorptionAt:
         sm = _medium(alpha=0.0)
         grid = Grid(2.0, 21)
         sampler = FieldSampler(sm.kernel, grid)
-        null = FieldPath.from_values(grid, np.zeros(21))
+        null = np.zeros(21)
         for seed in (1, 2, 3):
-            path = FieldPath.from_values(grid, _block(sampler, seed, 0, 1))
+            path = _block(sampler, seed, 0, 1)
             for z in (0.0, 0.5, 1.234, 2.0):
-                assert path_intensity_em(sm.medium, path, z) == path_intensity_em(
-                    sm.medium, null, z
+                assert path_intensity_em(sm.medium, grid, path, z) == path_intensity_em(
+                    sm.medium, grid, null, z
                 )
 
     def test_ensemble_mean_and_two_point_moment(self):

@@ -11,10 +11,10 @@ from slabatten import (
     CorrelationKernel,
     MemoryBudgetExceeded,
     ExponentConvention,
-    FieldPath,
     FieldSampler,
     Grid,
     MediumSpec,
+    NegativeDepth,
     OutOfDomain,
     ReliabilityWarning,
     StochasticMedium,
@@ -26,6 +26,7 @@ from slabatten import (
     path_intensity,
     path_intensity_em,
     grf,
+    integral_at,
     run_ensemble,
 )
 from slabatten.grf import CHUNK_PATHS
@@ -47,84 +48,115 @@ def _block(sampler, seed, chunk, count):
 
 def _path(kernel, grid, seed, rows=1):
     """Ensemble paths [0, rows) of master seed ``seed`` as a block."""
-    sampler = FieldSampler(kernel, grid)
-    return FieldPath.from_values(grid, _block(sampler, seed, 0, rows))
+    return _block(FieldSampler(kernel, grid), seed, 0, rows)
 
 
 class TestPathIntensity:
     def test_deterministic_limit_equals_beer(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.0, i0=10.0)
-        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(3.0, 31), 5)
+        grid = Grid(3.0, 31)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), grid, 5)
         for z in (0.0, 1.0, 2.5, 3.0):
-            assert path_intensity(medium, path, z) == beer(medium, z)
+            assert path_intensity(medium, grid, path, z) == beer(medium, z)
 
     def test_constant_path_shifts_the_coefficient(self):
         medium = MediumSpec(sigma_a=0.8, alpha=0.5, i0=2.0)
         grid = Grid(3.0, 31)
         c = -0.6
-        path = FieldPath.from_values(grid, np.full(31, c))
+        path = np.full(31, c)
         for z in (0.5, 1.7, 3.0):
             expected = 2.0 * math.exp(-0.8 * (1.0 + 0.5 * c) * z)
-            assert path_intensity(medium, path, z) == pytest.approx(expected, rel=1e-13)
+            got = path_intensity(medium, grid, path, z)
+            assert got == pytest.approx(expected, rel=1e-13)
 
     def test_boundary_value(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.4, i0=7.0)
-        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), 8)
-        assert path_intensity(medium, path, 0.0) == 7.0
+        grid = Grid(2.0, 21)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), grid, 8)
+        assert path_intensity(medium, grid, path, 0.0) == 7.0
 
     def test_out_of_domain(self):
         medium = MediumSpec(sigma_a=1.0)
-        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), 8)
+        grid = Grid(2.0, 21)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), grid, 8)
         with pytest.raises(OutOfDomain):
-            path_intensity(medium, path, 2.1)
+            path_intensity(medium, grid, path, 2.1)
 
     def test_block_matches_rows_one_at_a_time(self):
         sm = _sm(alpha=0.3)
-        block = _path(sm.kernel, Grid(2.0, 41), 21, rows=6)
+        grid = Grid(2.0, 41)
+        block = _path(sm.kernel, grid, 21, rows=6)
         depths = np.array([0.0, 0.33, 1.0, 1.77, 2.0])
-        integral = block.integral_at(depths)
-        exact = path_intensity(sm.medium, block, depths)
-        euler = path_intensity_em(sm.medium, block, 1.23)
+        integral = integral_at(grid, block, depths)
+        nodes = integral_at(grid, block, grid.points)
+        exact = path_intensity(sm.medium, grid, block, depths)
+        euler = path_intensity_em(sm.medium, grid, block, 1.23)
         assert integral.shape == exact.shape == (6, 5) and euler.shape == (6,)
         for r in range(6):
-            row = FieldPath.from_values(block.grid, block.values[r])
-            assert np.array_equal(row.cumulative_integral, block.cumulative_integral[r])
-            assert np.array_equal(row.integral_at(depths), integral[r])
-            assert np.array_equal(path_intensity(sm.medium, row, depths), exact[r])
-            assert path_intensity_em(sm.medium, row, 1.23) == euler[r]
+            row = block[r]
+            assert np.array_equal(integral_at(grid, row, grid.points), nodes[r])
+            assert np.array_equal(integral_at(grid, row, depths), integral[r])
+            assert np.array_equal(path_intensity(sm.medium, grid, row, depths), exact[r])
+            assert path_intensity_em(sm.medium, grid, row, 1.23) == euler[r]
 
 
 class TestPathIntensityEuler:
     def test_boundary_value(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.4, i0=7.0)
-        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), 8)
-        assert path_intensity_em(medium, path, 0.0) == 7.0
+        grid = Grid(2.0, 21)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), grid, 8)
+        assert path_intensity_em(medium, grid, path, 0.0) == 7.0
 
     def test_out_of_domain(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.3)
-        path = _path(CorrelationKernel(1.0, 1.0, 2.0), Grid(2.0, 21), 1)
-        for z in (-0.1, 2.5):
+        grid = Grid(2.0, 21)
+        path = _path(CorrelationKernel(1.0, 1.0, 2.0), grid, 1)
+        for z in (-0.1, 2.5, math.nan):
             with pytest.raises(OutOfDomain):
-                path_intensity_em(medium, path, z)
+                path_intensity_em(medium, grid, path, z)
+
+    def test_step_buffer_keeps_the_bits_of_the_direct_product(self):
+        # the in-place step factors follow the direct formula's operation
+        # order, so the result is bit-equal to it
+        sm = _sm(alpha=0.3)
+        medium, grid = sm.medium, Grid(2.0, 41)
+        block = _path(sm.kernel, grid, 21, rows=6)
+        coeff = medium.sigma_a * (1.0 + medium.alpha * block)
+        for z, last in ((2.0, 40), (1.23, 24)):
+            direct = medium.i0 * np.prod(1.0 - coeff[:, :last] * grid.spacing, axis=-1)
+            partial = z - grid.points[last]
+            if partial > 0:
+                direct = direct * (1.0 - coeff[:, last] * partial)
+            assert np.array_equal(path_intensity_em(medium, grid, block, z), direct)
+
+    def test_shape_mismatch_rejected(self):
+        medium = MediumSpec(sigma_a=1.0, alpha=0.3)
+        grid = Grid(2.0, 21)
+        for values in (np.zeros(20), np.zeros((3, 20)), 0.0):
+            with pytest.raises(ValueError):
+                path_intensity_em(medium, grid, values, 1.0)
 
     def test_first_order_error_against_beer(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.0, i0=1.0)
         errors = []
         for n in (26, 51, 101, 201):
             grid = Grid(2.0, n)
-            path = FieldPath.from_values(grid, np.zeros(n))
-            errors.append(abs(path_intensity_em(medium, path, 2.0) - beer(medium, 2.0)))
+            euler = path_intensity_em(medium, grid, np.zeros(n), 2.0)
+            errors.append(abs(euler - beer(medium, 2.0)))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(2.0, rel=0.15)
 
     def test_step_halving_richardson_extrapolation(self):
-        # on nested restrictions of one sampled path, 2*I(h/2) - I(h)
+        # on nested subgrids of one sampled path, 2*I(h/2) - I(h)
         # converges an order faster than either Euler value
         sm = _sm(alpha=0.3)
-        fine = _path(sm.kernel, Grid(2.0, 161), 12)
-        exact = path_intensity(sm.medium, fine, 2.0)
-        values = {s: path_intensity_em(sm.medium, fine.restrict(s), 2.0)
-                  for s in (8, 4, 2, 1)}
+        grid = Grid(2.0, 161)
+        fine = _path(sm.kernel, grid, 12)
+        exact = path_intensity(sm.medium, grid, fine, 2.0)
+        values = {
+            s: path_intensity_em(sm.medium, Grid(2.0, 160 // s + 1), fine[:, ::s], 2.0)
+            for s in (8, 4, 2, 1)
+        }
         rich_err_coarse = abs(2.0 * values[4] - values[8] - exact)
         rich_err_fine = abs(2.0 * values[1] - values[2] - exact)
         euler_err_fine = abs(values[1] - exact)
@@ -134,10 +166,10 @@ class TestPathIntensityEuler:
     def test_interior_depth_partial_step(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.0, i0=1.0)
         grid = Grid(1.0, 11)
-        path = FieldPath.from_values(grid, np.zeros(11))
         z = 0.55  # lands mid-cell: five full steps plus half a step
         expected = (1.0 - 0.1) ** 5 * (1.0 - 0.05)
-        assert path_intensity_em(medium, path, z) == pytest.approx(expected, rel=1e-14)
+        got = path_intensity_em(medium, grid, np.zeros(11), z)
+        assert got == pytest.approx(expected, rel=1e-14)
 
 
 class TestRunEnsemble:
@@ -181,9 +213,10 @@ class TestRunEnsemble:
         sampler = FieldSampler(sm.kernel, grid)
         f_sum = f_sq = 0.0
         for chunk, count in enumerate(counts):
-            block = FieldPath.from_values(grid, _block(sampler, 41, chunk, count))
+            block = _block(sampler, 41, chunk, count)
             # the pathwise factor path_intensity / beer, one row per path
-            f = np.exp(-medium.alpha * medium.sigma_a * block.integral_at(one.depths))
+            integral = integral_at(grid, block, one.depths)
+            f = np.exp(-medium.alpha * medium.sigma_a * integral)
             f_sum = f_sum + f.sum(axis=0)
             f_sq = f_sq + (f**2).sum(axis=0)
         beer_depths = beer(medium, one.depths)
@@ -318,6 +351,8 @@ class TestRunEnsemble:
             run_ensemble(sm, grid, 1, master_seed=9)
         with pytest.raises(OutOfDomain):
             run_ensemble(sm, grid, 10, master_seed=9, depths=[1.0, 2.5])
+        with pytest.raises(OutOfDomain):
+            run_ensemble(sm, grid, 10, master_seed=9, depths=[1.0, math.nan])
 
     @pytest.mark.parametrize("n_points", [257, 1001, 4001, 10001, 40001])
     def test_default_depths_subsampling(self, n_points):
@@ -333,6 +368,11 @@ class TestLognormalOracle:
         sm = _sm(alpha=0.0)
         for z in (0.0, 1.0, 4.0):
             assert lognormal_oracle(sm, z) == beer(sm.medium, z)
+
+    @pytest.mark.parametrize("z", [-0.5, math.nan])
+    def test_negative_depth_rejected(self, z):
+        with pytest.raises(NegativeDepth):
+            lognormal_oracle(_sm(alpha=0.8), z)
 
     def test_example_value(self):
         sm = _sm(alpha=0.8)

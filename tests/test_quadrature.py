@@ -103,8 +103,9 @@ class TestOrderedDoubleIntegral:
         )
 
     def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError):
-            ordered_double_integral(CorrelationKernel(1.0, 1.0, 2.0), -1.0)
+        for z in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                ordered_double_integral(CorrelationKernel(1.0, 1.0, 2.0), z)
 
     def test_repeat_evaluation_is_bitwise_stable(self):
         k = CorrelationKernel(1.0, 0.3, 2.0)
@@ -119,6 +120,11 @@ class TestSquareDoubleIntegral:
             assert square_double_integral(k, z) == pytest.approx(
                 2.0 * ordered_double_integral(k, z), rel=1e-10
             )
+
+    @pytest.mark.parametrize("z", [-1.0, math.nan])
+    def test_negative_limit_rejected(self, z):
+        with pytest.raises(ValueError):
+            square_double_integral(CorrelationKernel(1.0, 1.0, 2.0), z)
 
     def test_zero_upper_limit(self):
         assert square_double_integral(CorrelationKernel(1.0, 1.0, 2.0), 0.0) == 0.0
