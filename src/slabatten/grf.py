@@ -119,11 +119,12 @@ class CorrelationKernel:
         common shifts of both arguments; coincident points return exactly
         the amplitude.
         """
-        z1 = np.asarray(z1, dtype=float)
-        z2 = np.asarray(z2, dtype=float)
-        # One buffer for the whole formula: a grid covariance is n x n.
-        out = np.empty(np.broadcast_shapes(z1.shape, z2.shape))
-        np.subtract(z1, z2, out=out)
+        # One buffer for the whole formula: a grid covariance is n x n.  The
+        # subtraction allocates it; two scalars give a numpy scalar, which
+        # the in-place chain needs as a 0-d array.
+        out = np.subtract(z1, z2, dtype=float)
+        if out.ndim == 0:
+            out = np.asarray(out)
         np.abs(out, out=out)
         out **= self.exponent
         np.negative(out, out=out)

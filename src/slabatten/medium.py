@@ -39,9 +39,9 @@ class MediumSpec:
     i0: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma_a < 0:
+        if not self.sigma_a >= 0:
             raise ValueError(f"sigma_a must be >= 0, got {self.sigma_a}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.i0 > 0:
             raise ValueError(f"i0 must be > 0, got {self.i0}")
@@ -56,8 +56,14 @@ class MediumSpec:
 
 def beer(medium: MediumSpec, z):
     """Pure-absorption exponential decay I0 * exp(-sigma_a * z)."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(z >= 0):
+    # A scalar depth skips the array round trip, which costs more than the
+    # exp; np.exp, not math.exp, keeps its bits equal to an array's.
+    if isinstance(z, (int, float)):
+        valid = z >= 0
+    else:
+        z = np.asarray(z, dtype=float)
+        valid = np.all(z >= 0)
+    if not valid:
         raise NegativeDepth("depth z must be >= 0")
     return medium.i0 * np.exp(-medium.sigma_a * z)
 

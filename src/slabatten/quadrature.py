@@ -20,6 +20,15 @@ The square route deliberately does not use the lag identity: it stays a
 second, independent discretization of the same variance, so agreement
 between ``square = 2 * ordered`` checks both.  Memory is O(256 P), about
 1 MB at the 512-panel cap.
+
+Everything that does not depend on the depth is cached with the 16-point
+rule and frozen read-only: the graded nodes with their lag weights
+``w (1 - t)`` (``_ordered_rule``), and the diagonal split's nodes and
+weights, the 256 lag offsets ``t_a - t_b`` of a block and their weights
+``w_a w_b`` (``_square_rule``).  The square route sums all ``P - 1``
+offset blocks as one ``(P - 1, 256) @ (256,)`` product.  One depth then
+costs one kernel evaluation and one product on the ordered route, and two
+evaluations and four small products on the square route.
 """
 
 from __future__ import annotations
@@ -85,6 +94,33 @@ def graded_unit_rule(n_panels: int):
     )
 
 
+@lru_cache(maxsize=64)
+def _ordered_rule(n_panels: int):
+    """``graded_unit_rule(n_panels)`` nodes with the lag-form weights
+    ``w * (1 - t)`` of ``ordered_double_integral``."""
+    t, w = graded_unit_rule(n_panels)
+    return _read_only(t, w * (1.0 - t))
+
+
+@lru_cache(maxsize=None)
+def _square_rule():
+    """Depth-independent pieces of ``square_double_integral``.
+
+    The diagonal split's nodes ``s_a * t`` and weights ``w_a * s_a`` over
+    both part lengths ``s`` in ``(t, 1 - t)`` of each outer node, then the
+    lag offsets ``t_a - t_b`` of an offset block and their weights
+    ``w_a w_b``, both flattened to 256.
+    """
+    t, w = _unit_panel_rule()
+    parts = np.concatenate([t, 1.0 - t])
+    return _read_only(
+        parts[:, None] * t,
+        np.tile(w, 2) * parts,
+        (t[:, None] - t).ravel(),
+        np.outer(w, w).ravel(),
+    )
+
+
 def _panel_count(span: float, scale: float) -> int:
     wanted = math.ceil(span / scale)
     return int(min(max(wanted, _MIN_PANELS), _MAX_PANELS))
@@ -103,9 +139,8 @@ def ordered_double_integral(kernel: CorrelationKernel, z: float) -> float:
         raise ValueError(f"z must be >= 0, got {z}")
     if z == 0:
         return 0.0
-    t, wt = graded_unit_rule(_panel_count(z, kernel.correlation_length))
-    phi = kernel.evaluate(z * t, 0.0)
-    return float(z * z * ((wt * (1.0 - t)) @ phi))
+    t, lag_weights = _ordered_rule(_panel_count(z, kernel.correlation_length))
+    return float(z * z * (lag_weights @ kernel.evaluate(z * t, 0.0)))
 
 
 def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
@@ -131,11 +166,10 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
         return 0.0
     panels = _panel_count(z, kernel.correlation_length)
     h = z / panels
-    t, w = _unit_panel_rule()
-    parts = np.concatenate([t, 1.0 - t])
-    inner = kernel.evaluate(h * parts[:, None] * t, 0.0) @ w
-    diagonal = float(np.tile(w, 2) @ (parts * inner))
+    _, w = _unit_panel_rule()
+    split_nodes, split_weights, lags, pair_weights = _square_rule()
+    inner = kernel.evaluate(h * split_nodes, 0.0) @ w
+    diagonal = float(split_weights @ inner)
     d = np.arange(1.0, panels)
-    blocks = kernel.evaluate(h * (d[:, None, None] + (t[:, None] - t)), 0.0)
-    offsets = (blocks @ w) @ w
+    offsets = kernel.evaluate(h * (d[:, None] + lags), 0.0) @ pair_weights
     return h * h * (panels * diagonal + 2.0 * float((panels - d) @ offsets))

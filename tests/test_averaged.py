@@ -141,10 +141,42 @@ class TestScipyParity:
             np.testing.assert_allclose(got, ref(0.25, z), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("f", [inner_w, outer_y])
-    def test_negative_depth_in_an_array_rejected(self, f):
+    def test_negative_depth_rejected(self, f):
         for bad in (-1e-300, math.nan):
             with pytest.raises(NegativeDepth):
                 f(1.0, np.array([[0.5, 1.0], [bad, 2.0]]))
+            with pytest.raises(NegativeDepth):
+                f(1.0, bad)
+
+
+class TestScalarArrayParity:
+    """A depth passed alone gives the same bits as inside an array: the
+    scalar fast paths run the same arithmetic on the same libm calls."""
+
+    _rng = np.random.default_rng(20261018)
+    DEPTHS = np.concatenate(
+        [_rng.uniform(0.0, 10.0, 500), 10.0 ** _rng.uniform(-6.0, 1.5, 500)]
+    )
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda z: beer(MediumSpec(sigma_a=0.7, i0=2.0), z),
+            lambda z: inner_w(0.3, z),
+            lambda z: outer_y(0.3, z),
+            lambda z: averaged_intensity(_law(zeta=0.3), z),
+            lambda z: averaged_intensity(
+                _law(zeta=2.0, convention=ExponentConvention.PAPER_HALF), z
+            ),
+        ],
+        ids=["beer", "inner_w", "outer_y", "averaged_exact", "averaged_paper"],
+    )
+    def test_scalar_depth_matches_its_array_entry(self, f):
+        together = f(self.DEPTHS)
+        alone = np.array([f(float(z)) for z in self.DEPTHS])
+        np.testing.assert_array_equal(alone, together)
+        # numpy scalars take the same path as Python floats
+        assert f(self.DEPTHS[7]) == together[7]
 
 
 class TestTheta:

@@ -48,6 +48,24 @@ class TestCorrelationKernel:
         assert type(scalar) is float
         assert scalar == 1.3 * np.exp(-(0.4**kappa) / 0.7**kappa)
 
+    @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0, 3.0])
+    def test_scalar_separation_matches_its_array_entry(self, kappa):
+        k = CorrelationKernel(1.3, 0.4, kappa)
+        rng = np.random.default_rng(20261018)
+        z = np.concatenate([rng.uniform(0.0, 10.0, 500), 10.0 ** rng.uniform(-6.0, 1.5, 500)])
+        together = k.evaluate(z, 0.3)
+        alone = np.array([k.evaluate(float(zi), 0.3) for zi in z])
+        np.testing.assert_array_equal(alone, together)
+
+    def test_integer_and_list_input_give_float64(self):
+        k = CorrelationKernel(1.0, 1.0, 2.0)
+        for z1, z2 in ((np.arange(3), 0), ([0, 1, 2], 0), (np.arange(3, dtype=np.float32), 0.0)):
+            out = k.evaluate(z1, z2)
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, k.evaluate(np.arange(3.0), 0.0))
+        for z1, z2 in ((1, 0), (1.0, 0), (np.float64(1.0), np.array(0.0))):
+            assert type(k.evaluate(z1, z2)) is float
+
     @settings(max_examples=200, deadline=None)
     @given(z1=finite, z2=finite)
     def test_symmetry(self, z1, z2):

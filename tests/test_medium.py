@@ -38,6 +38,8 @@ class TestMediumSpec:
             dict(sigma_a=1.0, alpha=-0.5),
             dict(sigma_a=1.0, i0=0.0),
             dict(sigma_a=1.0, i0=-3.0),
+            dict(sigma_a=math.nan),
+            dict(sigma_a=1.0, alpha=math.nan),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -7,7 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 from slabatten import CorrelationKernel, ordered_double_integral, square_double_integral
-from slabatten.quadrature import _unit_panel_rule, composite_unit_rule, graded_unit_rule
+from slabatten.quadrature import (
+    _ordered_rule,
+    _square_rule,
+    _unit_panel_rule,
+    composite_unit_rule,
+    graded_unit_rule,
+)
 
 
 def _lag_form(kernel, z):
@@ -56,8 +62,14 @@ class TestCompositeRule:
 
     @pytest.mark.parametrize(
         "rule",
-        [_unit_panel_rule, lambda: composite_unit_rule(3), lambda: graded_unit_rule(3)],
-        ids=["unit", "composite", "graded"],
+        [
+            _unit_panel_rule,
+            lambda: composite_unit_rule(3),
+            lambda: graded_unit_rule(3),
+            lambda: _ordered_rule(3),
+            _square_rule,
+        ],
+        ids=["unit", "composite", "graded", "ordered", "square"],
     )
     def test_cached_rules_are_read_only(self, rule):
         # every later integral shares the cached arrays
