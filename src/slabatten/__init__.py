@@ -15,9 +15,8 @@ grf
     of a path or block of paths, plain arrays of grid values, up to
     given depths.
 medium
-    The purely absorbing slab: MediumSpec, Beer's decay (beer), the
-    fluctuating absorption coefficient, its moments and the
-    mean-free-path series.
+    The purely absorbing slab: MediumSpec, Beer's decay (beer) and the
+    fluctuating absorption coefficient (StochasticMedium).
 averaged
     Error-function closed forms for the averaged intensity, the drift
     ODE residual and the quadrature cumulant exponent.
@@ -41,7 +40,6 @@ from .averaged import (
 )
 from .errors import (
     DegenerateStep,
-    DivergentSeries,
     FactorizationFailure,
     FluctuationWarning,
     MemoryBudgetExceeded,
@@ -52,7 +50,7 @@ from .errors import (
     UnsupportedKernel,
 )
 from .grf import CorrelationKernel, FieldSampler, Grid, covariance_matrix, integral_at
-from .medium import MediumSpec, MfpSeries, StochasticMedium, abs_moment, beer, mfp_series
+from .medium import MediumSpec, StochasticMedium, beer
 from .montecarlo import (
     EnsembleStats,
     default_depths,
@@ -65,13 +63,12 @@ from .quadrature import ordered_double_integral, square_double_integral
 
 __version__ = "0.1.0"
 
-# EnsembleStats and MfpSeries are the return types of run_ensemble and
-# mfp_series; SlabModelError is the base class callers catch.
+# EnsembleStats is the return type of run_ensemble; SlabModelError is the
+# base class callers catch.
 __all__ = [
     "AveragedLaw",
     "CorrelationKernel",
     "DegenerateStep",
-    "DivergentSeries",
     "EnsembleStats",
     "ExponentConvention",
     "FactorizationFailure",
@@ -80,14 +77,12 @@ __all__ = [
     "Grid",
     "MediumSpec",
     "MemoryBudgetExceeded",
-    "MfpSeries",
     "NegativeDepth",
     "OutOfDomain",
     "ReliabilityWarning",
     "SlabModelError",
     "StochasticMedium",
     "UnsupportedKernel",
-    "abs_moment",
     "averaged_intensity",
     "beer",
     "boost_factor",
@@ -97,7 +92,6 @@ __all__ = [
     "inner_w",
     "integral_at",
     "lognormal_oracle",
-    "mfp_series",
     "ode_residual",
     "ordered_double_integral",
     "outer_y",

@@ -6,7 +6,7 @@ ensemble, Euler integrator cross-check), writes the curve data as CSV
 and prints a text report with the convention adjudication.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
-(covariance factorization or divergent mean-free-path series).
+(covariance factorization).
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaged import AveragedLaw, ExponentConvention, averaged_intensity
-from .errors import (
-    DivergentSeries,
-    FactorizationFailure,
-    ReliabilityWarning,
-    UnsupportedKernel,
-)
+from .errors import FactorizationFailure, ReliabilityWarning, UnsupportedKernel
 from .grf import (
     AR1_ROUTE,
     CHUNK_PATHS,
@@ -34,7 +29,7 @@ from .grf import (
     FieldSampler,
     Grid,
 )
-from .medium import MediumSpec, StochasticMedium, beer, mfp_series
+from .medium import MediumSpec, StochasticMedium, beer
 from .montecarlo import (
     EnsembleStats,
     default_depths,
@@ -341,6 +336,21 @@ def _negative_fraction_expectation(
     return 0.5 * math.erfc(1.0 / (alpha * math.sqrt(2.0 * amplitude)))
 
 
+def _decay_rate_limit(medium: MediumSpec, kernel: CorrelationKernel) -> float:
+    """Decay rate of the mean intensity for z >> zeta, exact gain.
+
+    -d ln<I>/dz is sigma_a - alpha^2 sigma_a^2 int_0^z phi(u) du for the
+    kernel phi, and int_0^inf C exp(-(u/zeta)^kappa) du = C zeta
+    Gamma(1 + 1/kappa), so for every kappa the rate tends to a constant
+    below sigma_a whenever alpha > 0: the mean does not return to Beer's
+    law deep in the slab.
+    """
+    tail = kernel.amplitude * kernel.correlation_length * math.gamma(
+        1.0 + 1.0 / kernel.exponent
+    )
+    return medium.sigma_a - medium.alpha**2 * medium.sigma_a**2 * tail
+
+
 def _sampler_line(stats: EnsembleStats, grid: Grid) -> str:
     if stats.sampler_route == AR1_ROUTE:
         return "sampler: AR(1) recursion (exact for kappa = 1)"
@@ -357,13 +367,14 @@ def run(config: ExperimentConfig) -> int:
     columns: dict = {name: None for name in COLUMNS[1:]}
     report: list = ["slabatten report", _config_echo(config)[2:]]
 
-    stochastic = StochasticMedium(medium, kernel)
-    if medium.alpha > 0 and medium.sigma_a > 0:
-        series = mfp_series(stochastic)
-        report.append(
-            f"mean free path: series (1+S)/sigma_a = {series.mean_free_path:.6g} cm "
-            f"(S = {series.shift:.6g}, converged = {series.converged})"
-        )
+    rate = _decay_rate_limit(medium, kernel)
+    rate_line = (
+        f"decay rate of the mean for z >> zeta: sigma_inf = {rate:.6g} /cm "
+        f"(Beer: sigma_a = {medium.sigma_a:.6g} /cm)"
+    )
+    if rate <= 0:
+        rate_line += "; the mean intensity does not decay with depth"
+    report.append(rate_line)
 
     if "beer" in config.modes:
         columns["beer"] = np.atleast_1d(beer(medium, depths))
@@ -380,7 +391,7 @@ def run(config: ExperimentConfig) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ReliabilityWarning)
             stats = run_ensemble(
-                stochastic,
+                StochasticMedium(medium, kernel),
                 grid,
                 config.n_paths,
                 config.master_seed,
@@ -430,7 +441,7 @@ def main(argv=None) -> int:
     except (UnsupportedKernel, ValueError) as err:
         print(f"slabatten: error: {err}", file=sys.stderr)
         return 1
-    except (FactorizationFailure, DivergentSeries) as err:
+    except FactorizationFailure as err:
         print(f"slabatten: numerical failure: {err}", file=sys.stderr)
         return 2
 

@@ -22,10 +22,6 @@ class FactorizationFailure(SlabModelError):
     """
 
 
-class DivergentSeries(SlabModelError):
-    """Mean-free-path binomial series does not converge (R >= 1)."""
-
-
 class UnsupportedKernel(SlabModelError):
     """Closed-form evaluation requires the squared-exponential kernel."""
 

@@ -7,14 +7,12 @@ pytest's default capture.
 import math
 import sys
 import time
-import warnings
 
 import numpy as np
 
 from slabatten import (
     AveragedLaw,
     CorrelationKernel,
-    DivergentSeries,
     ExponentConvention,
     FieldSampler,
     Grid,
@@ -22,8 +20,8 @@ from slabatten import (
     StochasticMedium,
     averaged_intensity,
     beer,
+    cumulant_series_exponent,
     lognormal_oracle,
-    mfp_series,
     ordered_double_integral,
     outer_y,
     ode_residual,
@@ -31,7 +29,7 @@ from slabatten import (
     path_intensity_em,
     run_ensemble,
 )
-from slabatten.cli import COLUMNS, main
+from slabatten.cli import COLUMNS, _decay_rate_limit, main
 
 SWEEP_ZETAS = (0.1, 1.0, 5.0)
 SWEEP_DEPTHS = np.linspace(0.0, 10.0, 64)
@@ -241,44 +239,24 @@ def test_criterion_07_ode_form_check():
     assert 3.0 < ratio < 5.0
 
 
-def test_criterion_08_mfp_series_oracle():
-    def direct(alpha, amplitude, q_max):
-        total = 0.0
-        for q in range(1, q_max + 1):
-            bracket = 0.5 * (amplitude ** (q / 2) + (-1) ** q * amplitude ** (q / 2))
-            total += (-1) ** q * abs(alpha * bracket ** (1.0 / q)) ** q
-        return total
-
+def test_criterion_08_asymptotic_decay_rate():
+    # The reported rate against the quadrature exponent's slope deep in the
+    # slab, where the kernel's tail beyond z - h is below rounding.
+    medium = MediumSpec(sigma_a=1.0, alpha=0.8)
     worst = 0.0
-    for alpha in (0.05, 0.1, 0.2):
-        for amplitude in (0.5, 1.0, 2.0):
-            sm = StochasticMedium(
-                MediumSpec(sigma_a=1.0, alpha=alpha),
-                CorrelationKernel(amplitude, 1.0, 2.0),
-            )
-            got = mfp_series(sm).shift
-            want = direct(alpha, amplitude, 20)
-            worst = max(worst, _rel_gap(got, want))
-
-    raised = 0
-    for alpha, amplitude in ((1.5, 1.0), (1.0, 1.0), (0.9, 1.3)):
-        with warnings.catch_warnings():
-            # alpha >= 1 also trips the fluctuation-magnitude warning,
-            # which is not under test here
-            warnings.simplefilter("ignore")
-            sm = StochasticMedium(
-                MediumSpec(sigma_a=1.0, alpha=alpha),
-                CorrelationKernel(amplitude, 1.0, 2.0),
-            )
-        try:
-            mfp_series(sm)
-        except DivergentSeries:
-            raised += 1
-    ok = worst <= 1e-14 and raised == 3
-    _verdict(8, "MFP series matches direct sum to 14 digits; divergence raised",
-             ok, f"worst rel {worst:.1e}, {raised}/3 divergent raised")
-    assert worst <= 1e-14
-    assert raised == 3
+    for kappa in (1.0, 1.5, 2.0):
+        for zeta in (1.0, 0.25):
+            kernel = CorrelationKernel(1.0, zeta, kappa)
+            z, h = 40.0 * zeta, zeta
+            slope = (
+                cumulant_series_exponent(kernel, 0.8, 1.0, z + h)
+                - cumulant_series_exponent(kernel, 0.8, 1.0, z - h)
+            ) / (2.0 * h)
+            worst = max(worst, _rel_gap(_decay_rate_limit(medium, kernel), 1.0 - slope))
+    ok = worst <= 1e-12
+    _verdict(8, "decay rate for z >> zeta matches the quadrature slope at kappa 1-2",
+             ok, f"worst rel {worst:.1e}")
+    assert worst <= 1e-12
 
 
 def test_criterion_09_euler_cross_check_order():

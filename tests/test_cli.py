@@ -6,12 +6,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slabatten import ReliabilityWarning, grf
+from slabatten import (
+    CorrelationKernel,
+    FluctuationWarning,
+    MediumSpec,
+    ReliabilityWarning,
+    grf,
+)
 from slabatten.cli import (
     COLUMNS,
     UsageError,
     _DEFAULTS,
+    _decay_rate_limit,
     _negative_fraction_expectation,
     main,
     parse_args,
@@ -134,12 +143,44 @@ class TestMainExitCodes:
         assert code == 1
         assert "kappa" in capsys.readouterr().err
 
-    def test_divergent_series_exits_2(self, tmp_path, capsys):
+    def test_large_alpha_warns_and_exits_0(self, tmp_path):
         out = tmp_path / "x.csv"
-        with pytest.warns(Warning):
+        with pytest.warns(FluctuationWarning):
             code = main(["--alpha", "1.5", "--modes", "beer", "--out", str(out)])
-        assert code == 2
-        assert "diverges" in capsys.readouterr().err
+        assert code == 0
+        assert out.exists()
+
+    def test_mean_that_does_not_decay_is_reported_and_exits_0(self, tmp_path, capsys):
+        # sigma_inf = 1 - 0.64 * 3 * sqrt(pi)/2 < 0
+        out = tmp_path / "x.csv"
+        code = main(["--zeta", "3", "--modes", "beer,exact", "--out", str(out)])
+        assert code == 0
+        report = capsys.readouterr().out
+        assert "sigma_inf = -0.701556 /cm" in report
+        assert "the mean intensity does not decay with depth" in report
+
+    def test_rate_exactly_zero_is_reported_as_not_decaying(self, tmp_path, capsys):
+        # sigma_inf = 2 - 0.25 * 4 * 1 * 2 * Gamma(2) = 0
+        out = tmp_path / "x.csv"
+        code = main([
+            "--sigma-a", "2", "--alpha", "0.5", "--amplitude", "1", "--zeta", "2",
+            "--kappa", "1", "--modes", "beer", "--out", str(out),
+        ])
+        assert code == 0
+        report = capsys.readouterr().out
+        assert (
+            "sigma_inf = 0 /cm (Beer: sigma_a = 2 /cm); "
+            "the mean intensity does not decay with depth\n"
+        ) in report
+
+    def test_rate_is_reported_without_closed_form_modes(self, tmp_path, capsys):
+        # kappa 1.5 has no closed form; the rate needs none
+        out = tmp_path / "x.csv"
+        code = main(["--kappa", "1.5", "--modes", "beer", "--out", str(out)])
+        assert code == 0
+        rate = 1.0 - 0.64 * math.gamma(1.0 + 1.0 / 1.5)
+        assert f"sigma_inf = {rate:.6g} /cm (Beer: sigma_a = 1 /cm)\n" in capsys.readouterr().out
+        assert "sigma_inf" not in out.read_text(encoding="utf-8")
 
     def test_factorization_failure_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -212,6 +253,58 @@ class TestNegativeFractionExpectation:
         assert _negative_fraction_expectation(0.0, 0.8, 1.0) == 0.0
 
 
+class TestDecayRateLimit:
+    def test_exponential_kernel(self):
+        # Gamma(2) = 1: the kernel integrates to C zeta
+        medium = MediumSpec(sigma_a=2.0, alpha=0.3)
+        kernel = CorrelationKernel(1.5, 0.7, 1.0)
+        expected = 2.0 - 0.09 * 4.0 * 1.5 * 0.7
+        assert _decay_rate_limit(medium, kernel) == pytest.approx(expected, rel=1e-15)
+
+    def test_squared_exponential_kernel(self):
+        # the slope TestAsymptotics reads off the closed form
+        medium = MediumSpec(sigma_a=1.0, alpha=0.5)
+        kernel = CorrelationKernel(1.0, 2.0, 2.0)
+        expected = 1.0 - 0.25 * (math.sqrt(math.pi) / 2.0) * 2.0
+        assert _decay_rate_limit(medium, kernel) == pytest.approx(expected, rel=1e-15)
+
+    def test_beer_rate_without_fluctuations(self):
+        medium = MediumSpec(sigma_a=1.3, alpha=0.0)
+        assert _decay_rate_limit(medium, CorrelationKernel(1.0, 1.0, 1.5)) == 1.3
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.25, 1.5, 1.75, 2.0])
+    def test_matches_the_quadrature_of_the_kernel(self, kappa):
+        from scipy.integrate import quad
+
+        medium = MediumSpec(sigma_a=1.2, alpha=0.4)
+        kernel = CorrelationKernel(0.8, 0.6, kappa)
+        tail, _ = quad(lambda u: kernel.evaluate(0.0, u), 0.0, math.inf, epsabs=0.0, epsrel=1e-13)
+        expected = 1.2 - 0.16 * 1.44 * tail
+        assert _decay_rate_limit(medium, kernel) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sigma_a=st.floats(min_value=0.0, max_value=10.0),
+        alpha=st.floats(min_value=0.0, max_value=0.99),
+        amplitude=st.floats(min_value=0.01, max_value=10.0),
+        zeta=st.floats(min_value=0.01, max_value=10.0),
+        kappa=st.floats(min_value=1.0, max_value=2.0),
+    )
+    def test_between_the_exponential_and_gaussian_kernel_rates(
+        self, sigma_a, alpha, amplitude, zeta, kappa
+    ):
+        # Gamma(1 + 1/kappa) falls from 1 at kappa 1 to sqrt(pi)/2 at kappa 2
+        rate = _decay_rate_limit(
+            MediumSpec(sigma_a=sigma_a, alpha=alpha),
+            CorrelationKernel(amplitude, zeta, kappa),
+        )
+        drop = alpha**2 * sigma_a**2 * amplitude * zeta
+        slack = 1e-12 * (sigma_a + drop)
+        assert rate <= sigma_a
+        assert sigma_a - drop - slack <= rate
+        assert rate <= sigma_a - drop * math.sqrt(math.pi) / 2.0 + slack
+
+
 class TestCsvContract:
     def test_analytic_modes_only(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -261,7 +354,12 @@ class TestCsvContract:
         assert np.all(_column(rows, "mc_mean") > 0)
         assert "adjudication" in report
         assert "negative-coefficient fraction" in report
-        assert "mean free path" in report
+        rate = 1.0 - 0.01 * math.sqrt(math.pi) / 2.0
+        assert (
+            f"decay rate of the mean for z >> zeta: sigma_inf = {rate:.6g} /cm "
+            "(Beer: sigma_a = 1 /cm)\n"
+        ) in report
+        assert "free path" not in report
         assert "skewness" in report
 
     def test_reliability_warning_goes_to_the_report(self, tmp_path, capsys):

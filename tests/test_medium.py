@@ -1,26 +1,21 @@
-"""The slab medium: its parameters, Beer's decay, the fluctuating
-coefficient, its moments and the MFP series."""
+"""The slab medium: its parameters, Beer's decay and the fluctuating
+coefficient."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slabatten import (
     CorrelationKernel,
-    DivergentSeries,
     FieldSampler,
     FluctuationWarning,
     Grid,
     MediumSpec,
     NegativeDepth,
     StochasticMedium,
-    abs_moment,
     beer,
-    mfp_series,
     path_intensity_em,
 )
 
@@ -147,80 +142,4 @@ class TestAbsorptionAt:
         expected = m.sigma_a**2 + m.alpha**2 * m.sigma_a**2 * kernel.evaluate(z1, z2)
         sem_prod = product.std(ddof=1) / math.sqrt(n)
         assert abs(product.mean() - expected) < 3.0 * sem_prod
-
-
-class TestAbsMoment:
-    def test_odd_order_vanishes(self):
-        assert abs_moment(1.0, 3) == 0.0
-
-    def test_even_order(self):
-        assert abs_moment(4.0, 2) == 4.0
-
-    def test_zeroth_order_is_one(self):
-        assert abs_moment(1.0, 0) == 1.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        amplitude=st.floats(min_value=0.01, max_value=100.0),
-        order=st.integers(min_value=0, max_value=30),
-    )
-    def test_parity_property(self, amplitude, order):
-        value = abs_moment(amplitude, order)
-        if order % 2:
-            assert value == 0.0
-        else:
-            assert value == pytest.approx(amplitude ** (order / 2), rel=1e-12)
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            abs_moment(1.0, -1)
-
-
-def _direct_series_oracle(alpha, amplitude, max_order):
-    """Hand-rolled partial sum straight from the printed series: kept
-    deliberately separate from the library implementation."""
-    shift = 0.0
-    for q in range(1, max_order + 1):
-        bracket = 0.5 * (amplitude ** (q / 2) + (-1) ** q * amplitude ** (q / 2))
-        r = alpha * bracket ** (1.0 / q)
-        shift += (-1) ** q * abs(r) ** q
-    return shift
-
-
-class TestMfpSeries:
-    def test_no_fluctuations(self):
-        result = mfp_series(_medium(alpha=0.0, sigma_a=2.0))
-        assert result.shift == 0.0
-        assert result.mean_free_path == 0.5
-        assert result.converged
-
-    def test_matches_direct_partial_sum_to_14_digits(self):
-        sm = _medium(alpha=0.1, amplitude=1.0)
-        result = mfp_series(sm)
-        oracle = _direct_series_oracle(0.1, 1.0, 20)
-        assert result.shift == pytest.approx(oracle, rel=1e-14)
-        assert result.mean_free_path == pytest.approx(1.0 + oracle, rel=1e-14)
-
-    def test_terms_structure(self):
-        result = mfp_series(_medium(alpha=0.2, amplitude=1.0))
-        assert len(result.terms) == 20
-        assert all(t == 0.0 for t in result.terms[::2])  # odd orders Q=1,3,...
-        assert all(t > 0.0 for t in result.terms[1::2])  # even orders
-
-    def test_divergence_raised(self):
-        with pytest.warns(Warning):
-            sm = _medium(alpha=1.5, amplitude=1.0)
-        with pytest.raises(DivergentSeries):
-            mfp_series(sm)
-
-    def test_divergence_at_unit_ratio(self):
-        with pytest.warns(Warning):
-            sm = _medium(alpha=1.0, amplitude=1.0)
-        with pytest.raises(DivergentSeries):
-            mfp_series(sm)
-
-    def test_converged_flag(self):
-        assert mfp_series(_medium(alpha=0.1)).converged
-        # the 20th term at alpha = 0.9 is 0.9**20 = 0.12
-        assert not mfp_series(_medium(alpha=0.9)).converged
 
