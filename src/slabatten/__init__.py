@@ -43,7 +43,6 @@ from .errors import (
     FactorizationFailure,
     FluctuationWarning,
     MemoryBudgetExceeded,
-    NegativeDepth,
     OutOfDomain,
     ReliabilityWarning,
     SlabModelError,
@@ -77,7 +76,6 @@ __all__ = [
     "Grid",
     "MediumSpec",
     "MemoryBudgetExceeded",
-    "NegativeDepth",
     "OutOfDomain",
     "ReliabilityWarning",
     "SlabModelError",

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep, NegativeDepth, UnsupportedKernel
-from .grf import CorrelationKernel
+from .errors import DegenerateStep, UnsupportedKernel
+from .grf import CorrelationKernel, checked_depths
 from .medium import MediumSpec, beer
 from .quadrature import ordered_double_integral
 
@@ -39,23 +39,6 @@ def _erf(x):
     if isinstance(x, float):
         return math.erf(x)
     return np.fromiter(map(math.erf, x.ravel()), float, x.size).reshape(x.shape)
-
-
-def _depths(z, name: str):
-    """``z`` checked to be >= 0 (NaN is rejected): a Python int or float
-    (numpy float64 included) as is, anything else as a float array.
-
-    A scalar depth skips the array round trip, which costs more than the
-    closed form itself.
-    """
-    if isinstance(z, (int, float)):
-        valid = z >= 0
-    else:
-        z = np.asarray(z, dtype=float)
-        valid = np.all(z >= 0)
-    if not valid:
-        raise NegativeDepth(f"{name} must be >= 0")
-    return z
 
 
 class ExponentConvention(enum.Enum):
@@ -83,7 +66,7 @@ def inner_w(zeta: float, z1):
     elementwise: zero at z1 = 0 and saturating at (sqrt(pi)/2) * zeta once
     z1 >> zeta.  Units cm.  A scalar depth gives a float.
     """
-    z1 = _depths(z1, "z1")
+    z1 = checked_depths(z1)
     return 0.5 * _SQRT_PI * zeta * _erf(z1 / zeta)
 
 
@@ -95,7 +78,7 @@ def outer_y(zeta: float, z):
     large-z asymptote (zeta/2)*(sqrt(pi)*z - zeta).  Units cm^2.  A scalar
     depth gives a float.
     """
-    z = _depths(z, "z")
+    z = checked_depths(z)
     u = z / zeta
     # u * u, not u**2: a scalar's ** is libm pow, which differs from the
     # array square in the last bit for about 1 in 1 300 depths.
@@ -157,7 +140,7 @@ def ode_residual(law: AveragedLaw, z: float, h_fd: float) -> float:
     central differences, so the residual decays as h_fd^2 while h_fd
     stays above the floating-point floor.
     """
-    if h_fd <= 0 or z < h_fd:
+    if not 0 < h_fd <= checked_depths(z):
         raise ValueError(f"need z >= h_fd > 0, got z = {z}, h_fd = {h_fd}")
     if h_fd < 1e-12 * z:
         raise DegenerateStep(
@@ -190,7 +173,5 @@ def cumulant_series_exponent(
     computed by the panelized lag-form rule (``int_0^z (z - u) phi(u)
     du``) so it can cross-check the erf closed form.
     """
-    if not z >= 0:
-        raise NegativeDepth("z must be >= 0")
     ordered = ordered_double_integral(kernel, z)
     return convention.gain * alpha**2 * sigma_a**2 * ordered

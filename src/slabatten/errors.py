@@ -5,12 +5,12 @@ class SlabModelError(Exception):
     """Base class for model-specific failures."""
 
 
-class NegativeDepth(SlabModelError):
-    """Depth argument lies in front of the slab entry plane z = 0."""
+class OutOfDomain(SlabModelError, ValueError):
+    """Depth outside its domain: [0, L] for calls bound to a grid of
+    length L, [0, inf) for the rest (NaN included).
 
-
-class OutOfDomain(SlabModelError):
-    """Position outside the sampled slab interval [0, L]."""
+    Raised by grf.checked_depths, which every call taking a depth uses.
+    """
 
 
 class FactorizationFailure(SlabModelError):

@@ -100,15 +100,16 @@ class CorrelationKernel:
     exponent: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
-        if not self.correlation_length > 0:
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and > 0, got {self.amplitude}")
+        if not 0 < self.correlation_length < math.inf:
             raise ValueError(
-                f"correlation_length must be > 0, got {self.correlation_length}"
+                "correlation_length must be finite and > 0, "
+                f"got {self.correlation_length}"
             )
-        if not self.exponent >= 1:
+        if not 1 <= self.exponent < math.inf:
             raise ValueError(
-                f"exponent must be >= 1, got {self.exponent} "
+                f"exponent must be finite and >= 1, got {self.exponent} "
                 "(kernels below 1 are not positive definite on fine grids)"
             )
 
@@ -142,9 +143,9 @@ class Grid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not self.length > 0:
-            raise ValueError(f"length must be > 0, got {self.length}")
-        if self.n_points < 2:
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be finite and > 0, got {self.length}")
+        if not self.n_points >= 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         check_budget(
             8 * self.n_points, f"the node array of a grid of {self.n_points:.6g} points"
@@ -174,6 +175,37 @@ class Grid:
         return cls(length, max(2, math.ceil(cells) + 1))
 
 
+def checked_depths(z, length: float = math.inf):
+    """``z`` checked to lie in ``[0, length]`` (NaN is rejected): a Python
+    int or float (numpy float64 included) as is, anything else as a float
+    array.
+
+    Every call that takes a depth checks it here, so a bad depth raises
+    OutOfDomain, a ValueError, whichever route it is given to.  A scalar
+    depth skips the array round trip, which costs more than a closed form.
+    """
+    if isinstance(z, (int, float)):
+        valid = 0 <= z <= length
+    else:
+        z = np.asarray(z, dtype=float)
+        valid = np.all((z >= 0) & (z <= length))
+    if not valid:
+        raise OutOfDomain(f"depths must lie within [0, {length}]")
+    return z
+
+
+def checked_values(grid: Grid, values) -> np.ndarray:
+    """``values`` as a float array, checked to be one path ``(n,)`` or a
+    block ``(rows, n)`` on ``grid``; ValueError otherwise."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != grid.n_points:
+        raise ValueError(
+            f"values shape {values.shape} does not match grid "
+            f"({grid.n_points},) or (rows, {grid.n_points})"
+        )
+    return values
+
+
 def integral_at(grid: Grid, values, depths):
     """Trapezoid integral of the field from 0 to each depth, linear between nodes.
 
@@ -182,19 +214,13 @@ def integral_at(grid: Grid, values, depths):
     the integral is in cm).  The result has shape
     ``values.shape[:-1] + np.shape(depths)`` and is exactly 0 at depth 0.
     Each row is integrated on its own, so a block gives bit-identical
-    results to its rows taken one at a time.  Raises ValueError for values
-    that do not match the grid and OutOfDomain for depths outside [0, L]
-    (NaN included).
+    results to its rows taken one at a time.  ``depths`` is a scalar or an
+    array.  Raises ValueError for values of any other shape
+    (``checked_values``) and OutOfDomain for depths outside [0, L], NaN
+    included (``checked_depths``).
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[-1] != grid.n_points:
-        raise ValueError(
-            f"values shape {values.shape} does not match grid "
-            f"({grid.n_points},) or (rows, {grid.n_points})"
-        )
-    depths = np.asarray(depths, dtype=float)
-    if not np.all((depths >= 0) & (depths <= grid.length)):
-        raise OutOfDomain(f"depths must lie within [0, {grid.length}]")
+    values = checked_values(grid, values)
+    depths = np.asarray(checked_depths(depths, grid.length), dtype=float)
     # The trapezoid segments are built and summed inside the running
     # integral, so a block costs one array beyond its values.
     cumulative = np.empty(values.shape)

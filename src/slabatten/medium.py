@@ -3,13 +3,14 @@ fluctuating absorption coefficient."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .errors import FluctuationWarning, NegativeDepth
-from .grf import CorrelationKernel
+from .errors import FluctuationWarning
+from .grf import CorrelationKernel, checked_depths
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,12 @@ class MediumSpec:
     i0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.sigma_a >= 0:
-            raise ValueError(f"sigma_a must be >= 0, got {self.sigma_a}")
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.i0 > 0:
-            raise ValueError(f"i0 must be > 0, got {self.i0}")
+        if not 0 <= self.sigma_a < math.inf:
+            raise ValueError(f"sigma_a must be finite and >= 0, got {self.sigma_a}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.i0 < math.inf:
+            raise ValueError(f"i0 must be finite and > 0, got {self.i0}")
         if self.alpha >= 1:
             # Skip this frame and the generated __init__: report the caller.
             warnings.warn(
@@ -47,17 +48,9 @@ class MediumSpec:
 
 
 def beer(medium: MediumSpec, z):
-    """Pure-absorption exponential decay I0 * exp(-sigma_a * z)."""
-    # A scalar depth skips the array round trip, which costs more than the
-    # exp; np.exp, not math.exp, keeps its bits equal to an array's.
-    if isinstance(z, (int, float)):
-        valid = z >= 0
-    else:
-        z = np.asarray(z, dtype=float)
-        valid = np.all(z >= 0)
-    if not valid:
-        raise NegativeDepth("depth z must be >= 0")
-    return medium.i0 * np.exp(-medium.sigma_a * z)
+    """Pure-absorption exponential decay I0 * exp(-sigma_a * z), z >= 0."""
+    # np.exp, not math.exp, keeps a scalar's bits equal to an array's.
+    return medium.i0 * np.exp(-medium.sigma_a * checked_depths(z))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeDepth, OutOfDomain, ReliabilityWarning
+from .errors import ReliabilityWarning
 from .grf import CHUNK_PATHS, FieldSampler, Grid, check_budget, integral_at
+from .grf import checked_depths, checked_values
 from .medium import MediumSpec, StochasticMedium, beer
 from .quadrature import square_double_integral
 
@@ -73,17 +74,15 @@ def path_intensity_em(medium: MediumSpec, grid: Grid, values, z: float):
     """Explicit Euler stepping of the pathwise decay ODE on the path grid.
 
     ``values`` is one path ``(n,)`` or a block ``(rows, n)`` on ``grid``;
-    one value per path row.  First-order accurate in the grid spacing;
-    converges to path_intensity under grid refinement and exists only as
-    an independent integrator cross-check.  Raises ValueError for values
-    that do not match the grid and OutOfDomain for z outside [0, L] (NaN
-    included).
+    one value per path row at the one depth ``z``.  First-order accurate
+    in the grid spacing; converges to path_intensity under grid
+    refinement and exists only as an independent integrator cross-check.
+    Raises ValueError for values of any other shape (``checked_values``,
+    as in integral_at) and OutOfDomain for z outside [0, L], NaN included
+    (``checked_depths``).
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1:] != (grid.n_points,):
-        raise ValueError(f"values shape {values.shape} does not match {grid}")
-    if not 0 <= z <= grid.length:
-        raise OutOfDomain(f"z = {z} outside the slab [0, {grid.length}]")
+    values = checked_values(grid, values)
+    z = checked_depths(z, grid.length)
     points = grid.points
     last = min(int(np.searchsorted(points, z, side="right")) - 1, grid.n_points - 1)
     # The step factors 1 - sigma_a (1 + alpha G) h, built in one buffer.
@@ -148,11 +147,14 @@ def run_ensemble(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     medium = sm.medium
-    depths = (
-        default_depths(grid) if depths is None else np.asarray(depths, dtype=float)
+    depths = checked_depths(
+        default_depths(grid) if depths is None else np.asarray(depths, dtype=float),
+        grid.length,
     )
-    if not np.all((depths >= 0) & (depths <= grid.length)):
-        raise OutOfDomain(f"depths must lie within [0, {grid.length}]")
+    if depths.ndim > 1 or depths.size == 0:
+        raise ValueError(
+            f"depths must be a scalar or a non-empty 1-D array, got {depths.shape}"
+        )
 
     sampler = FieldSampler(sm.kernel, grid)
     beer_depths = np.atleast_1d(np.asarray(beer(medium, depths), dtype=float))
@@ -263,8 +265,6 @@ def lognormal_oracle(sm: StochasticMedium, z: float) -> float:
     no code with either the erf closed form or the path sampler, so it
     can referee both.
     """
-    if not z >= 0:
-        raise NegativeDepth("z must be >= 0")
     medium = sm.medium
     variance = (
         medium.alpha**2

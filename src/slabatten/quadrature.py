@@ -41,7 +41,7 @@ import numpy as np
 # integral does not pay for loading numpy.polynomial.
 from numpy.polynomial.legendre import leggauss
 
-from .grf import CorrelationKernel
+from .grf import CorrelationKernel, checked_depths
 
 _PANEL_ORDER = 16
 _MIN_PANELS = 8
@@ -135,8 +135,7 @@ def ordered_double_integral(kernel: CorrelationKernel, z: float) -> float:
     length, the first panel graded toward the lag-0 endpoint where
     ``u**kappa`` is singular for non-integer kappa.
     """
-    if not z >= 0:
-        raise ValueError(f"z must be >= 0, got {z}")
+    z = checked_depths(z)
     if z == 0:
         return 0.0
     t, lag_weights = _ordered_rule(_panel_count(z, kernel.correlation_length))
@@ -160,8 +159,7 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     ``D_0 = sum_a w_a [int_0^{s_a} phi(h v) dv + int_0^{1 - s_a} phi(h v) dv]``,
     each part by the 16-point rule scaled to its length.
     """
-    if not z >= 0:
-        raise ValueError(f"z must be >= 0, got {z}")
+    z = checked_depths(z)
     if z == 0:
         return 0.0
     panels = _panel_count(z, kernel.correlation_length)

@@ -12,7 +12,7 @@ from slabatten import (
     DegenerateStep,
     ExponentConvention,
     MediumSpec,
-    NegativeDepth,
+    OutOfDomain,
     UnsupportedKernel,
     averaged_intensity,
     beer,
@@ -74,7 +74,7 @@ class TestInnerW:
         assert inner_w(1.0, 1.0) == pytest.approx(W_1_1, rel=1e-12)
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(NegativeDepth):
+        with pytest.raises(OutOfDomain):
             inner_w(1.0, -0.1)
 
 
@@ -143,9 +143,9 @@ class TestScipyParity:
     @pytest.mark.parametrize("f", [inner_w, outer_y])
     def test_negative_depth_rejected(self, f):
         for bad in (-1e-300, math.nan):
-            with pytest.raises(NegativeDepth):
+            with pytest.raises(OutOfDomain):
                 f(1.0, np.array([[0.5, 1.0], [bad, 2.0]]))
-            with pytest.raises(NegativeDepth):
+            with pytest.raises(OutOfDomain):
                 f(1.0, bad)
 
 
@@ -260,7 +260,7 @@ class TestAveragedIntensity:
             AveragedLaw(MediumSpec(sigma_a=1.0), CorrelationKernel(1.0, 1.0, 1.0))
 
     def test_negative_depth_rejected(self):
-        with pytest.raises(NegativeDepth):
+        with pytest.raises(OutOfDomain):
             averaged_intensity(_law(), -0.5)
 
     def test_scalar_depth_gives_a_float(self):
@@ -299,7 +299,7 @@ class TestOdeResidual:
 class TestCumulantSeriesExponent:
     @pytest.mark.parametrize("z", [-0.5, math.nan])
     def test_negative_depth_rejected(self, z):
-        with pytest.raises(NegativeDepth):
+        with pytest.raises(OutOfDomain):
             cumulant_series_exponent(_kernel(), 1.0, 1.0, z)
 
     def test_second_order_against_trapezoid_oracle(self):

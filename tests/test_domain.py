@@ -1,0 +1,83 @@
+"""One depth rule for every route: each public call that takes a depth
+rejects one outside its domain with OutOfDomain, a ValueError."""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+import slabatten
+from slabatten import (
+    AveragedLaw,
+    CorrelationKernel,
+    Grid,
+    MediumSpec,
+    OutOfDomain,
+    StochasticMedium,
+    averaged_intensity,
+    beer,
+    boost_factor,
+    cumulant_series_exponent,
+    inner_w,
+    integral_at,
+    lognormal_oracle,
+    ode_residual,
+    ordered_double_integral,
+    outer_y,
+    path_intensity,
+    path_intensity_em,
+    run_ensemble,
+    square_double_integral,
+    theta,
+)
+
+SM = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.3), CorrelationKernel(1.0, 1.0))
+LAW = AveragedLaw(SM.medium, SM.kernel)
+GRID = Grid(2.0, 21)
+PATH = np.zeros(GRID.n_points)
+
+# Calls whose depth domain is [0, inf).
+UNBOUNDED = {
+    "averaged_intensity": lambda z: averaged_intensity(LAW, z),
+    "beer": lambda z: beer(SM.medium, z),
+    "boost_factor": lambda z: boost_factor(LAW, z),
+    "cumulant_series_exponent": lambda z: cumulant_series_exponent(SM.kernel, 0.3, 1.0, z),
+    "inner_w": lambda z: inner_w(1.0, z),
+    "lognormal_oracle": lambda z: lognormal_oracle(SM, z),
+    "ode_residual": lambda z: ode_residual(LAW, z, 1e-4),
+    "ordered_double_integral": lambda z: ordered_double_integral(SM.kernel, z),
+    "outer_y": lambda z: outer_y(1.0, z),
+    "square_double_integral": lambda z: square_double_integral(SM.kernel, z),
+    "theta": lambda z: theta(SM.kernel, z),
+}
+# Calls bound to GRID, whose depth domain is [0, L].
+GRID_BOUND = {
+    "integral_at": lambda z: integral_at(GRID, PATH, z),
+    "path_intensity": lambda z: path_intensity(SM.medium, GRID, PATH, z),
+    "path_intensity_em": lambda z: path_intensity_em(SM.medium, GRID, PATH, z),
+    "run_ensemble": lambda z: run_ensemble(SM, GRID, 2, master_seed=1, depths=z),
+}
+CALLS = {**UNBOUNDED, **GRID_BOUND}
+BAD = [-0.5, -1e-300, math.nan]
+CASES = [(name, z) for name in UNBOUNDED for z in BAD] + [
+    (name, z) for name in GRID_BOUND for z in BAD + [GRID.length + 1e-9]
+]
+
+
+def test_the_tables_name_every_public_call_that_takes_a_depth():
+    takes_a_depth = {
+        name
+        for name in slabatten.__all__
+        if inspect.isfunction(obj := getattr(slabatten, name))
+        and {"z", "z1", "depths"} & set(inspect.signature(obj).parameters)
+    }
+    assert takes_a_depth == set(CALLS)
+
+
+@pytest.mark.parametrize("name,z", CASES)
+def test_a_depth_outside_the_domain_raises_out_of_domain(name, z):
+    with pytest.raises(OutOfDomain) as err:
+        CALLS[name](z)
+    # callers that catch ValueError keep working
+    assert isinstance(err.value, ValueError)

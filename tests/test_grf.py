@@ -102,6 +102,10 @@ class TestCorrelationKernel:
             dict(amplitude=1.0, correlation_length=0.0),
             dict(amplitude=1.0, correlation_length=-2.0),
             dict(amplitude=1.0, correlation_length=1.0, exponent=0.5),
+            dict(amplitude=math.inf, correlation_length=1.0),
+            dict(amplitude=1.0, correlation_length=math.inf),
+            dict(amplitude=1.0, correlation_length=1.0, exponent=math.inf),
+            dict(amplitude=math.nan, correlation_length=1.0),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -121,7 +125,11 @@ class TestGrid:
         g = Grid.for_kernel(5.0, k)
         assert g.spacing <= k.correlation_length / 10
 
-    @pytest.mark.parametrize("length,n", [(0.0, 5), (-1.0, 5), (1.0, 1), (1.0, 0)])
+    @pytest.mark.parametrize(
+        "length,n",
+        [(0.0, 5), (-1.0, 5), (1.0, 1), (1.0, 0), (math.inf, 5), (math.nan, 5),
+         (1.0, math.nan)],
+    )
     def test_invalid_grid_rejected(self, length, n):
         with pytest.raises(ValueError):
             Grid(length, n)

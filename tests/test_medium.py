@@ -13,7 +13,7 @@ from slabatten import (
     FluctuationWarning,
     Grid,
     MediumSpec,
-    NegativeDepth,
+    OutOfDomain,
     StochasticMedium,
     beer,
     path_intensity_em,
@@ -35,6 +35,9 @@ class TestMediumSpec:
             dict(sigma_a=1.0, i0=-3.0),
             dict(sigma_a=math.nan),
             dict(sigma_a=1.0, alpha=math.nan),
+            dict(sigma_a=math.inf),
+            dict(sigma_a=1.0, alpha=math.inf),
+            dict(sigma_a=1.0, i0=math.inf),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -84,7 +87,7 @@ class TestBeer:
 
     def test_negative_depth_rejected(self):
         for z in (-0.5, math.nan, [1.0, math.nan]):
-            with pytest.raises(NegativeDepth):
+            with pytest.raises(OutOfDomain):
                 beer(MediumSpec(sigma_a=1.0), z)
 
     def test_scalar_depth_gives_a_float_and_arrays_keep_their_shape(self):

@@ -14,7 +14,6 @@ from slabatten import (
     FieldSampler,
     Grid,
     MediumSpec,
-    NegativeDepth,
     OutOfDomain,
     ReliabilityWarning,
     StochasticMedium,
@@ -27,6 +26,7 @@ from slabatten import (
     path_intensity_em,
     grf,
     integral_at,
+    montecarlo,
     run_ensemble,
 )
 from slabatten.grf import CHUNK_PATHS
@@ -132,8 +132,8 @@ class TestPathIntensityEuler:
     def test_shape_mismatch_rejected(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.3)
         grid = Grid(2.0, 21)
-        for values in (np.zeros(20), np.zeros((3, 20)), 0.0):
-            with pytest.raises(ValueError):
+        for values in (np.zeros(20), np.zeros((3, 20)), 0.0, np.zeros((2, 3, 21))):
+            with pytest.raises(ValueError, match=r"\(21,\) or \(rows, 21\)"):
                 path_intensity_em(medium, grid, values, 1.0)
 
     def test_first_order_error_against_beer(self):
@@ -354,6 +354,19 @@ class TestRunEnsemble:
         with pytest.raises(OutOfDomain):
             run_ensemble(sm, grid, 10, master_seed=9, depths=[1.0, math.nan])
 
+    @pytest.mark.parametrize("depths", [[], np.ones((2, 2))])
+    def test_empty_or_two_d_depths_rejected_before_drawing(self, depths, monkeypatch):
+        def no_sampler(*args):
+            raise AssertionError("a sampler was built")
+
+        monkeypatch.setattr(montecarlo, "FieldSampler", no_sampler)
+        with pytest.raises(ValueError, match="depths must be a scalar or a non-empty 1-D"):
+            run_ensemble(_sm(), Grid(2.0, 21), 10, master_seed=9, depths=depths)
+
+    def test_scalar_depth_gives_one_row(self):
+        stats = run_ensemble(_sm(alpha=0.3), Grid(2.0, 21), 10, master_seed=9, depths=1.0)
+        assert stats.depths.shape == stats.mean.shape == (1,)
+
     @pytest.mark.parametrize("n_points", [257, 1001, 4001, 10001, 40001])
     def test_default_depths_subsampling(self, n_points):
         # Exactly 256 distinct depths: the rounded indices need no dedup.
@@ -371,7 +384,7 @@ class TestLognormalOracle:
 
     @pytest.mark.parametrize("z", [-0.5, math.nan])
     def test_negative_depth_rejected(self, z):
-        with pytest.raises(NegativeDepth):
+        with pytest.raises(OutOfDomain):
             lognormal_oracle(_sm(alpha=0.8), z)
 
     def test_example_value(self):

@@ -76,3 +76,31 @@ def test_cli_runs_without_scipy_and_imports_nothing_inside_main(tmp_path):
         local = tmp_path / f"local{i}.csv"
         assert main(cmd + ["--out", str(local)]) == 0
         assert (tmp_path / f"sub{i}.csv").read_bytes() == local.read_bytes()
+
+
+def _raised_or_warned_names():
+    """Names of the classes some ``raise`` or ``warnings.warn`` in the
+    package uses: ``raise X``, ``raise X(...)``, ``warn(msg, X)`` and
+    ``warn(msg, category=X)``."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(getattr(exc, "id", None))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn":
+                args = node.args[1:2] + [k.value for k in node.keywords if k.arg == "category"]
+                names.update(getattr(arg, "id", None) for arg in args)
+    return names
+
+
+def test_every_public_error_and_warning_is_raised_somewhere():
+    public = {
+        name
+        for name in slabatten.__all__
+        if isinstance(obj := getattr(slabatten, name), type)
+        and issubclass(obj, BaseException)
+    }
+    # SlabModelError is the base class callers catch; only subclasses are raised.
+    unused = public - {"SlabModelError"} - _raised_or_warned_names()
+    assert unused == set()
