@@ -215,26 +215,41 @@ def integral_at(grid: Grid, values, depths):
     ``values.shape[:-1] + np.shape(depths)`` and is exactly 0 at depth 0.
     Each row is integrated on its own, so a block gives bit-identical
     results to its rows taken one at a time.  ``depths`` is a scalar or an
-    array.  Raises ValueError for values of any other shape
-    (``checked_values``) and OutOfDomain for depths outside [0, L], NaN
-    included (``checked_depths``).
+    array.  A depth between nodes interpolates linearly between its two
+    nodes' running integrals; when every depth is a node, the nodes'
+    running integrals are read directly, the same bits the interpolation
+    gives them (weights 1 and 0) for finite values.  Raises ValueError
+    for values of any other shape (``checked_values``) and OutOfDomain for
+    depths outside [0, L], NaN included (``checked_depths``).
     """
     values = checked_values(grid, values)
     depths = np.asarray(checked_depths(depths, grid.length), dtype=float)
     # The trapezoid segments are built and summed inside the running
-    # integral, so a block costs one array beyond its values.
+    # integral, so a block costs one array beyond its values (two for a
+    # strided view, copied contiguous first).  They are formed in one pass
+    # over the flattened block: entry j > 0 of a row is
+    # values[j] + values[j - 1], and entry 0, which pairs a row's first
+    # value with the previous row's last, is reset to 0.
     cumulative = np.empty(values.shape)
-    cumulative[..., 0] = 0.0
-    segments = cumulative[..., 1:]
-    np.add(values[..., 1:], values[..., :-1], out=segments)
+    flat = np.ascontiguousarray(values).reshape(-1)
+    segments = cumulative.reshape(-1)[1:]
+    np.add(flat[1:], flat[:-1], out=segments)
     segments *= 0.5 * grid.spacing
-    np.cumsum(segments, axis=-1, out=segments)
+    cumulative[..., 0] = 0.0
+    running = cumulative[..., 1:]
+    np.cumsum(running, axis=-1, out=running)
     points = grid.points
     # A depth on a node gets frac = 0 and the node's value exactly; the
     # last node is its own upper neighbour.
     idx = np.searchsorted(points, depths, side="right") - 1
-    upper = np.minimum(idx + 1, grid.n_points - 1)
     frac = (depths - points[idx]) / grid.spacing
+    if not frac.any():
+        # Every depth is a node, where the interpolation would weight the
+        # node by 1 and its upper neighbour by 0: read the node directly
+        # ([()] gives a numpy scalar for one path and one depth, as the
+        # interpolation does).
+        return cumulative[..., idx][()]
+    upper = np.minimum(idx + 1, grid.n_points - 1)
     return cumulative[..., idx] * (1.0 - frac) + cumulative[..., upper] * frac
 
 

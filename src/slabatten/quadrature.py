@@ -121,6 +121,18 @@ def _square_rule():
     )
 
 
+def _one_depth(z):
+    """``z`` checked by ``checked_depths``, and to be one depth: these
+    routes take a depth at a time, so an array of them is a ValueError."""
+    z = checked_depths(z)
+    if not isinstance(z, (int, float)) and z.ndim:
+        raise ValueError(
+            f"z must be one depth, got an array of shape {z.shape}; "
+            "pass one depth at a time"
+        )
+    return z
+
+
 def _panel_count(span: float, scale: float) -> int:
     wanted = math.ceil(span / scale)
     return int(min(max(wanted, _MIN_PANELS), _MAX_PANELS))
@@ -133,9 +145,10 @@ def ordered_double_integral(kernel: CorrelationKernel, z: float) -> float:
     exact lag identity ``int_0^z (z - u) phi(u) du``: one kernel value per
     node of a panelized rule on [0, z], panels sized to one correlation
     length, the first panel graded toward the lag-0 endpoint where
-    ``u**kappa`` is singular for non-integer kappa.
+    ``u**kappa`` is singular for non-integer kappa.  ``z`` is one depth;
+    an array of depths raises ValueError.
     """
-    z = checked_depths(z)
+    z = _one_depth(z)
     if z == 0:
         return 0.0
     t, lag_weights = _ordered_rule(_panel_count(z, kernel.correlation_length))
@@ -157,9 +170,10 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     ``|u|`` kink of kappa < 2 kernels inside it, so each outer node
     ``s_a`` splits its inner interval at the diagonal:
     ``D_0 = sum_a w_a [int_0^{s_a} phi(h v) dv + int_0^{1 - s_a} phi(h v) dv]``,
-    each part by the 16-point rule scaled to its length.
+    each part by the 16-point rule scaled to its length.  ``z`` is one
+    depth; an array of depths raises ValueError.
     """
-    z = checked_depths(z)
+    z = _one_depth(z)
     if z == 0:
         return 0.0
     panels = _panel_count(z, kernel.correlation_length)

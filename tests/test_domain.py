@@ -81,3 +81,22 @@ def test_a_depth_outside_the_domain_raises_out_of_domain(name, z):
         CALLS[name](z)
     # callers that catch ValueError keep working
     assert isinstance(err.value, ValueError)
+
+
+# Calls that take one depth at a time; the message names their argument z.
+ONE_DEPTH = [
+    "cumulant_series_exponent",
+    "lognormal_oracle",
+    "ordered_double_integral",
+    "path_intensity_em",
+    "square_double_integral",
+]
+
+
+@pytest.mark.parametrize("name", ONE_DEPTH)
+def test_an_array_given_to_a_one_depth_call_is_rejected_by_name(name):
+    for z in ([0.5, 1.0], [0.5], np.array([[0.5]])):
+        with pytest.raises(ValueError, match="z must be one depth.*one depth at a time"):
+            CALLS[name](z)
+    # a 0-d array is one depth
+    assert CALLS[name](np.array(0.5)) == CALLS[name](0.5)

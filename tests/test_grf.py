@@ -401,6 +401,25 @@ class TestSampling:
         assert np.max(np.abs(variance - amp)) < three_se
 
 
+def _interpolated_trapezoid(grid, values, depths):
+    """Running trapezoid integral at ``depths`` by the row-wise formula:
+    per-row segment sums, scaled, summed, then both neighbouring nodes
+    weighted linearly, also at a node."""
+    values = np.asarray(values, dtype=float)
+    depths = np.asarray(depths, dtype=float)
+    cumulative = np.empty(values.shape)
+    cumulative[..., 0] = 0.0
+    segments = cumulative[..., 1:]
+    np.add(values[..., 1:], values[..., :-1], out=segments)
+    segments *= 0.5 * grid.spacing
+    np.cumsum(segments, axis=-1, out=segments)
+    points = grid.points
+    idx = np.searchsorted(points, depths, side="right") - 1
+    upper = np.minimum(idx + 1, grid.n_points - 1)
+    frac = (depths - points[idx]) / grid.spacing
+    return cumulative[..., idx] * (1.0 - frac) + cumulative[..., upper] * frac
+
+
 class TestStochasticIntegral:
     """``integral_at``, the running integral of the field."""
 
@@ -445,6 +464,43 @@ class TestStochasticIntegral:
         segments = (values[:, 1:] + values[:, :-1]) * (0.5 * grid.spacing)
         cumulative[:, 1:] = np.cumsum(segments, axis=1)
         assert np.array_equal(integral_at(grid, values, grid.points), cumulative)
+
+    @pytest.mark.parametrize("n", [51, 1001])
+    @pytest.mark.parametrize("where", ["nodes", "mixed"])
+    def test_bit_identical_to_the_interpolated_row_formula(self, n, where):
+        # The one-pass segments and the direct read at nodes must give the
+        # bits of the row-wise formula, on which the byte-identical CSV rests.
+        grid = Grid(5.0, n)
+        depths = grid.points
+        if where == "mixed":
+            depths = np.concatenate([depths[::7], [0.33, 1.0 + 1e-9, 2.71, 4.999]])
+        values = np.random.default_rng(n).standard_normal((9, n))
+        expected = _interpolated_trapezoid(grid, values, depths)
+        assert np.array_equal(integral_at(grid, values, depths), expected)
+        for row in (0, 8):  # one path, shape (n,)
+            assert np.array_equal(integral_at(grid, values[row], depths), expected[row])
+
+    @pytest.mark.parametrize("depth", [2.0, 2.71])
+    def test_one_path_at_one_depth_is_a_numpy_scalar(self, depth):
+        grid = Grid(5.0, 51)
+        path = np.random.default_rng(4).standard_normal(51)
+        got = integral_at(grid, path, depth)
+        expected = _interpolated_trapezoid(grid, path, depth)
+        assert type(got) is type(expected) is np.float64
+        assert got == expected
+
+    @pytest.mark.parametrize("depths", ["nodes", [0.33, 2.71, 5.0]])
+    def test_strided_view_is_bit_identical(self, depths):
+        # The Euler check passes its coarser grids as strided views of a tile.
+        fine = Grid(5.0, 201)
+        coarse = Grid(5.0, 101)
+        values = np.random.default_rng(5).standard_normal((7, fine.n_points))
+        view = values[:, ::2]
+        if depths == "nodes":
+            depths = coarse.points
+        expected = _interpolated_trapezoid(coarse, view, depths)
+        assert np.array_equal(integral_at(coarse, view, depths), expected)
+        assert np.array_equal(integral_at(coarse, view[3], depths), expected[3])
 
     @pytest.mark.parametrize("z", [-0.1, 2.0001, 50.0, math.nan])
     def test_out_of_domain_rejected(self, z):

@@ -229,6 +229,53 @@ class TestRunEnsemble:
         np.testing.assert_allclose(one.mean, mean, rtol=1e-13)
         np.testing.assert_allclose(one.sem, sem, rtol=1e-9)
 
+    @pytest.mark.parametrize(
+        "depths", [None, [0.33, 1.0, 2.71], 2.0], ids=["nodes", "mixed", "one"]
+    )
+    @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
+    def test_bit_identical_to_the_tile_formula(self, kappa, depths):
+        # The reduction taken tile by tile and chunk by chunk, each factor
+        # exp(-scale I) and its square a fresh array: run_ensemble must give
+        # its bits exactly, as the byte-identical CSV needs (test_grf pins
+        # integral_at's bits the same way).
+        medium = MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0)
+        sm = StochasticMedium(medium, CorrelationKernel(1.0, 0.5, kappa))
+        grid = Grid(5.0, 101)
+        counts = (CHUNK_PATHS, 300)
+        n = sum(counts)
+        got = run_ensemble(sm, grid, n, 43, depths=depths)
+        sampler = FieldSampler(sm.kernel, grid)
+        tile_depths = np.append(got.depths, grid.length)
+        scale = medium.alpha * medium.sigma_a
+        f_sum = np.zeros(got.depths.shape)
+        f_sq = np.zeros(got.depths.shape)
+        for chunk, count in enumerate(counts):
+            chunk_sum = chunk_sq = 0.0
+            tiles = list(sampler.tiles(43, chunk, count))
+            assert len(tiles) > 1 or chunk == 1
+            for values in tiles:
+                f = np.exp(-scale * integral_at(grid, values, tile_depths)[:, :-1])
+                chunk_sum = chunk_sum + f.sum(axis=0)
+                chunk_sq = chunk_sq + (f**2).sum(axis=0)
+            f_sum += chunk_sum
+            f_sq += chunk_sq
+        beer_depths = beer(medium, got.depths)
+        var = np.maximum((f_sq - f_sum**2 / n) / (n - 1), 0.0)
+        assert np.array_equal(got.mean, beer_depths * (f_sum / n))
+        assert np.array_equal(got.sem, beer_depths * np.sqrt(var / n))
+
+    def test_slab_integral_beyond_the_depths_does_not_overflow(self):
+        # A nearly constant field (zeta 100 >> L) and scale 140: the slab
+        # integral is about 5 G, and exp(-scale * 5 G) overflows on the paths
+        # with G < -1.01, while the exponent std at the depth 0.005 is 0.7.
+        # Only the requested depths may be exponentiated.
+        medium = MediumSpec(sigma_a=1400.0, alpha=0.1)
+        sm = StochasticMedium(medium, CorrelationKernel(1.0, 100.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = run_ensemble(sm, Grid(5.0, 1001), 200, 5, depths=[0.0, 0.005])
+        assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.sem))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_peak_is_a_few_tiles(self, workers):
         # A whole 4096 x 2001 block is 62.5 MiB; one tile is 1 MiB.  Two
