@@ -2,14 +2,15 @@
 
 Averaging the exact pathwise solution over field realizations multiplies
 Beer's decay by a boost factor ``exp(gain * alpha^2 * sigma_a^2 * C * Y(z))``
-built from the ordered covariance double integral Y(z), which has an
-error-function closed form when kappa = 2, evaluated with ``math.erf``
-so the package needs no scipy.  Two gains are implemented
-behind ExponentConvention: 1 (EXACT, the lognormal identity
-E<e^X> = e^{Var(X)/2} applied to the ordered integral, which counts each
-unordered pair once) and 1/2 (PAPER_HALF, the halved-exponent variant
-kept selectable for comparison).  EXACT is the default; the Monte Carlo
-engine adjudicates between them.
+built from the ordered covariance double integral C * Y(z) (``outer_y``),
+whose derivative C * W(z) (``theta``) is the drift.  Both take
+``(kernel, z)``, as their quadrature twins do, and have error-function
+closed forms when kappa = 2, evaluated with ``math.erf`` so the package
+needs no scipy.  Two gains are implemented behind ExponentConvention: 1
+(EXACT, the lognormal identity E<e^X> = e^{Var(X)/2} applied to the
+ordered integral, which counts each unordered pair once) and 1/2
+(PAPER_HALF, the halved-exponent variant kept selectable for comparison).
+EXACT is the default; the Monte Carlo engine adjudicates between them.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep, UnsupportedKernel
-from .grf import CorrelationKernel, checked_depths
-from .medium import MediumSpec, beer
+from .errors import UnsupportedKernel
+from .grf import CorrelationKernel, checked_depths, one_depth
+from .medium import MediumSpec
 from .quadrature import ordered_double_integral
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -59,39 +60,37 @@ def _require_squared_exponential(kernel: CorrelationKernel) -> None:
         )
 
 
-def inner_w(zeta: float, z1):
-    """Incomplete Gaussian integral W(z1) = int_0^{z1} exp(-(z1-u)^2/zeta^2) du.
+def theta(kernel: CorrelationKernel, z):
+    """Drift integral theta(z) = C * W(z), W(z) = int_0^z exp(-u^2/zeta^2) du.
 
-    Closed form (sqrt(pi)/2) * zeta * erf(z1/zeta), erf from ``math.erf``
-    elementwise: zero at z1 = 0 and saturating at (sqrt(pi)/2) * zeta once
-    z1 >> zeta.  Units cm.  A scalar depth gives a float.
+    Closed form C * (sqrt(pi)/2) * zeta * erf(z/zeta), erf from
+    ``math.erf`` elementwise: zero at z = 0 and saturating at
+    C * (sqrt(pi)/2) * zeta once z >> zeta.  A scalar depth gives a float.
     """
-    z1 = checked_depths(z1)
-    return 0.5 * _SQRT_PI * zeta * _erf(z1 / zeta)
+    _require_squared_exponential(kernel)
+    zeta = kernel.correlation_length
+    z = checked_depths(z)
+    return kernel.amplitude * (0.5 * _SQRT_PI * zeta * _erf(z / zeta))
 
 
-def outer_y(zeta: float, z):
-    """Ordered double integral Y(z) = int_0^z W(z1) dz1 in closed form.
+def outer_y(kernel: CorrelationKernel, z):
+    """Ordered covariance integral C * Y(z), Y(z) = int_0^z W(z1) dz1, in
+    closed form: the erf twin of ``ordered_double_integral(kernel, z)``.
 
     Y(z) = (zeta/2) * [sqrt(pi)*z*erf(z/zeta) + zeta*(exp(-z^2/zeta^2) - 1)],
     erf from ``math.erf`` elementwise, nondecreasing with Y(0) = 0 and the
     large-z asymptote (zeta/2)*(sqrt(pi)*z - zeta).  Units cm^2.  A scalar
     depth gives a float.
     """
+    _require_squared_exponential(kernel)
+    zeta = kernel.correlation_length
     z = checked_depths(z)
     u = z / zeta
     # u * u, not u**2: a scalar's ** is libm pow, which differs from the
-    # array square in the last bit for about 1 in 1 300 depths.
-    return 0.5 * zeta * (_SQRT_PI * z * _erf(u) + zeta * (np.exp(-(u * u)) - 1.0))
-
-
-def theta(kernel: CorrelationKernel, z):
-    """Drift integral theta(z) = C * W(z) entering the averaged-law ODE.
-
-    Saturates at C * (sqrt(pi)/2) * zeta for z >> zeta.
-    """
-    _require_squared_exponential(kernel)
-    return kernel.amplitude * inner_w(kernel.correlation_length, z)
+    # array square in the last bit for about 1 in 1 300 depths.  expm1, not
+    # exp - 1, which cancels for z << zeta.
+    y = 0.5 * zeta * (_SQRT_PI * z * _erf(u) + zeta * np.expm1(-(u * u)))
+    return kernel.amplitude * y
 
 
 @dataclass(frozen=True)
@@ -106,29 +105,18 @@ class AveragedLaw:
         _require_squared_exponential(self.kernel)
 
 
-def boost_factor(law: AveragedLaw, z):
-    """Attenuation relief exp(gain * alpha^2 * sigma_a^2 * C * Y(z)) >= 1.
+def averaged_intensity(law: AveragedLaw, z):
+    """Mean intensity I0 * exp(gain alpha^2 sigma_a^2 C Y(z) - sigma_a z).
 
-    Equals 1 at z = 0 and is nondecreasing in z.
+    Beer's decay times a boost that is 1 at z = 0 and grows with z,
+    formed in one exp: deep in the slab Beer's factor underflows and the
+    boost overflows where the mean itself is finite.  Reduces exactly to
+    Beer's law at alpha = 0 and at z = 0 returns the incident intensity.
     """
     m = law.medium
-    exponent = (
-        law.convention.gain
-        * m.alpha**2
-        * m.sigma_a**2
-        * law.kernel.amplitude
-        * outer_y(law.kernel.correlation_length, z)
-    )
-    return np.exp(exponent)
-
-
-def averaged_intensity(law: AveragedLaw, z):
-    """Mean intensity: Beer decay times the boost factor.
-
-    Reduces exactly to Beer's law at alpha = 0 and at z = 0 returns the
-    incident intensity.
-    """
-    return beer(law.medium, z) * boost_factor(law, z)
+    z = checked_depths(z)
+    gain = law.convention.gain * m.alpha**2 * m.sigma_a**2
+    return m.i0 * np.exp(gain * outer_y(law.kernel, z) - m.sigma_a * z)
 
 
 def ode_residual(law: AveragedLaw, z: float, h_fd: float) -> float:
@@ -138,13 +126,13 @@ def ode_residual(law: AveragedLaw, z: float, h_fd: float) -> float:
     ``I'(z) = sigma_a * (gain * alpha^2 * sigma_a * theta(z) - 1) * I(z)``
     with the gain of the active convention.  The derivative is taken by
     central differences, so the residual decays as h_fd^2 while h_fd
-    stays above the floating-point floor.
+    stays above the floating-point floor, 1e-12 * z; a step outside
+    [1e-12 * z, z] or not > 0 raises ValueError.
     """
-    if not 0 < h_fd <= checked_depths(z):
-        raise ValueError(f"need z >= h_fd > 0, got z = {z}, h_fd = {h_fd}")
-    if h_fd < 1e-12 * z:
-        raise DegenerateStep(
-            f"relative step {h_fd / z:.2e} is below the floating-point budget"
+    z = one_depth(z)
+    if not 0 < h_fd <= z or h_fd < 1e-12 * z:
+        raise ValueError(
+            f"need z >= h_fd >= 1e-12 z and h_fd > 0, got z = {z}, h_fd = {h_fd}"
         )
     m = law.medium
     mid = averaged_intensity(law, z)

@@ -26,10 +26,6 @@ class UnsupportedKernel(SlabModelError):
     """Closed-form evaluation requires the squared-exponential kernel."""
 
 
-class DegenerateStep(SlabModelError):
-    """Finite-difference step too small for the floating-point budget."""
-
-
 class MemoryBudgetExceeded(SlabModelError, ValueError):
     """Grid too fine for the dense covariance factor within the memory budget."""
 

@@ -112,6 +112,13 @@ class CorrelationKernel:
                 f"exponent must be finite and >= 1, got {self.exponent} "
                 "(kernels below 1 are not positive definite on fine grids)"
             )
+        try:
+            self.correlation_length**self.exponent
+        except OverflowError:
+            raise ValueError(
+                f"correlation_length**exponent overflows: "
+                f"{self.correlation_length}**{self.exponent}"
+            ) from None
 
     def evaluate(self, z1, z2):
         """Covariance between planes z1 and z2 (vectorized, total function).
@@ -176,21 +183,33 @@ class Grid:
 
 
 def checked_depths(z, length: float = math.inf):
-    """``z`` checked to lie in ``[0, length]`` (NaN is rejected): a Python
-    int or float (numpy float64 included) as is, anything else as a float
-    array.
+    """``z`` checked to be finite and lie in ``[0, length]`` (NaN and inf
+    are rejected): a Python int or float (numpy float64 included) as is,
+    anything else as a float array.
 
     Every call that takes a depth checks it here, so a bad depth raises
     OutOfDomain, a ValueError, whichever route it is given to.  A scalar
     depth skips the array round trip, which costs more than a closed form.
     """
     if isinstance(z, (int, float)):
-        valid = 0 <= z <= length
+        valid = 0 <= z < math.inf and z <= length
     else:
         z = np.asarray(z, dtype=float)
-        valid = np.all((z >= 0) & (z <= length))
+        valid = np.all((z >= 0) & (z < math.inf) & (z <= length))
     if not valid:
-        raise OutOfDomain(f"depths must lie within [0, {length}]")
+        raise OutOfDomain(f"depths must be finite and lie within [0, {length}]")
+    return z
+
+
+def one_depth(z, length: float = math.inf):
+    """``z`` checked by ``checked_depths``, and to be one depth: calls that
+    take a depth at a time raise ValueError for an array of them."""
+    z = checked_depths(z, length)
+    if not isinstance(z, (int, float)) and z.ndim:
+        raise ValueError(
+            f"z must be one depth, got an array of shape {z.shape}; "
+            "pass one depth at a time"
+        )
     return z
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ReliabilityWarning
 from .grf import CHUNK_PATHS, FieldSampler, Grid, check_budget, integral_at
-from .grf import checked_depths, checked_values
+from .grf import checked_depths, checked_values, one_depth
 from .medium import MediumSpec, StochasticMedium, beer
 from .quadrature import square_double_integral
 
@@ -80,15 +80,10 @@ def path_intensity_em(medium: MediumSpec, grid: Grid, values, z: float):
     refinement and exists only as an independent integrator cross-check.
     Raises ValueError for values of any other shape (``checked_values``,
     as in integral_at) or an array of depths, and OutOfDomain for z
-    outside [0, L], NaN included (``checked_depths``).
+    outside [0, L], NaN included (``one_depth``).
     """
     values = checked_values(grid, values)
-    z = checked_depths(z, grid.length)
-    if not isinstance(z, (int, float)) and z.ndim:
-        raise ValueError(
-            f"z must be one depth, got an array of shape {z.shape}; "
-            "pass one depth at a time"
-        )
+    z = one_depth(z, grid.length)
     points = grid.points
     last = min(int(np.searchsorted(points, z, side="right")) - 1, grid.n_points - 1)
     # The step factors 1 - sigma_a (1 + alpha G) h, built in one buffer.
@@ -291,4 +286,6 @@ def lognormal_oracle(sm: StochasticMedium, z: float) -> float:
         * medium.sigma_a**2
         * square_double_integral(sm.kernel, z)
     )
-    return float(beer(medium, z) * np.exp(0.5 * variance))
+    # One exp, not beer(z) * exp(variance / 2): deep in the slab the first
+    # underflows and the second overflows where their product is finite.
+    return float(medium.i0 * np.exp(0.5 * variance - medium.sigma_a * z))

@@ -41,7 +41,7 @@ import numpy as np
 # integral does not pay for loading numpy.polynomial.
 from numpy.polynomial.legendre import leggauss
 
-from .grf import CorrelationKernel, checked_depths
+from .grf import CorrelationKernel, one_depth
 
 _PANEL_ORDER = 16
 _MIN_PANELS = 8
@@ -121,18 +121,6 @@ def _square_rule():
     )
 
 
-def _one_depth(z):
-    """``z`` checked by ``checked_depths``, and to be one depth: these
-    routes take a depth at a time, so an array of them is a ValueError."""
-    z = checked_depths(z)
-    if not isinstance(z, (int, float)) and z.ndim:
-        raise ValueError(
-            f"z must be one depth, got an array of shape {z.shape}; "
-            "pass one depth at a time"
-        )
-    return z
-
-
 def _panel_count(span: float, scale: float) -> int:
     wanted = math.ceil(span / scale)
     return int(min(max(wanted, _MIN_PANELS), _MAX_PANELS))
@@ -148,7 +136,7 @@ def ordered_double_integral(kernel: CorrelationKernel, z: float) -> float:
     ``u**kappa`` is singular for non-integer kappa.  ``z`` is one depth;
     an array of depths raises ValueError.
     """
-    z = _one_depth(z)
+    z = one_depth(z)
     if z == 0:
         return 0.0
     t, lag_weights = _ordered_rule(_panel_count(z, kernel.correlation_length))
@@ -173,7 +161,7 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     each part by the 16-point rule scaled to its length.  ``z`` is one
     depth; an array of depths raises ValueError.
     """
-    z = _one_depth(z)
+    z = one_depth(z)
     if z == 0:
         return 0.0
     panels = _panel_count(z, kernel.correlation_length)

@@ -31,7 +31,7 @@ from slabatten import (
 )
 from slabatten.cli import COLUMNS, _decay_rate_limit, main
 
-SWEEP_ZETAS = (0.1, 1.0, 5.0)
+SWEEP_ZETAS = (0.1, 1.0, 5.0, 1e4)
 SWEEP_DEPTHS = np.linspace(0.0, 10.0, 64)
 
 
@@ -66,7 +66,7 @@ def test_criterion_01_closed_form_self_consistency():
         kernel = CorrelationKernel(1.0, zeta, 2.0)
         for z in SWEEP_DEPTHS:
             quad = ordered_double_integral(kernel, float(z))
-            closed = outer_y(zeta, float(z))
+            closed = outer_y(kernel, float(z))
             worst = max(worst, _rel_gap(quad, closed))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 5.0

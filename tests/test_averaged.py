@@ -1,6 +1,7 @@
-"""Closed-form averaged law: erf pieces, boost factor, ODE residual."""
+"""Closed-form averaged law: erf pieces, the averaged intensity, ODE residual."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,16 +10,15 @@ from scipy import integrate, special
 from slabatten import (
     AveragedLaw,
     CorrelationKernel,
-    DegenerateStep,
     ExponentConvention,
     MediumSpec,
     OutOfDomain,
+    StochasticMedium,
     UnsupportedKernel,
     averaged_intensity,
     beer,
-    boost_factor,
     cumulant_series_exponent,
-    inner_w,
+    lognormal_oracle,
     ode_residual,
     outer_y,
     theta,
@@ -58,42 +58,55 @@ def _ordered_trapezoid(zeta, z, n=4001):
 
 
 class TestInnerW:
+    """The inner integral W(z) = int_0^z exp(-u^2/zeta^2) du, read as
+    theta / C away from unit amplitude."""
+
+    C = 2.5
+
+    def _w(self, zeta, z):
+        return theta(_kernel(self.C, zeta), z) / self.C
+
     def test_zero_at_origin(self):
-        assert inner_w(1.0, 0.0) == 0.0
+        assert self._w(1.0, 0.0) == 0.0
 
     def test_saturates_far_from_the_boundary(self):
         zeta = 0.7
-        assert inner_w(zeta, 100.0 * zeta) == pytest.approx(
+        assert self._w(zeta, 100.0 * zeta) == pytest.approx(
             0.5 * SQRT_PI * zeta, abs=1e-12
         )
 
     def test_against_adaptive_quadrature(self):
         oracle, err = integrate.quad(lambda u: math.exp(-((1.0 - u) ** 2)), 0.0, 1.0)
         assert err < 1e-10
-        assert inner_w(1.0, 1.0) == pytest.approx(oracle, abs=1e-6)
-        assert inner_w(1.0, 1.0) == pytest.approx(W_1_1, rel=1e-12)
+        assert self._w(1.0, 1.0) == pytest.approx(oracle, abs=1e-6)
+        assert self._w(1.0, 1.0) == pytest.approx(W_1_1, rel=1e-12)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(OutOfDomain):
-            inner_w(1.0, -0.1)
+            self._w(1.0, -0.1)
 
 
 class TestOuterY:
     def test_zero_at_origin(self):
-        assert outer_y(1.0, 0.0) == 0.0
+        assert outer_y(_kernel(), 0.0) == 0.0
 
     def test_against_nested_trapezoid(self):
-        assert outer_y(1.0, 1.0) == pytest.approx(_ordered_trapezoid(1.0, 1.0), abs=1e-6)
-        assert outer_y(1.0, 1.0) == pytest.approx(Y_1_1, rel=1e-12)
+        got = outer_y(_kernel(), 1.0)
+        assert got == pytest.approx(_ordered_trapezoid(1.0, 1.0), abs=1e-6)
+        assert got == pytest.approx(Y_1_1, rel=1e-12)
+
+    def test_scales_with_the_amplitude(self):
+        got = outer_y(_kernel(amplitude=2.5), 1.0)
+        assert got == pytest.approx(2.5 * Y_1_1, rel=1e-12)
 
     def test_large_depth_asymptote(self):
         zeta, z = 1.0, 50.0
         asymptote = 0.5 * zeta * (SQRT_PI * z - zeta)
-        assert outer_y(zeta, z) == pytest.approx(asymptote, rel=1e-9)
+        assert outer_y(_kernel(zeta=zeta), z) == pytest.approx(asymptote, rel=1e-9)
 
     def test_nondecreasing(self):
         z = np.linspace(0.0, 8.0, 300)
-        vals = outer_y(0.6, z)
+        vals = outer_y(_kernel(zeta=0.6), z)
         assert np.all(np.diff(vals) >= 0)
 
 
@@ -107,46 +120,56 @@ class TestScipyParity:
                        2.0, 5.0, 10.0, 60.0])
 
     @staticmethod
-    def _scipy_inner_w(zeta, z):
+    def _scipy_theta(zeta, z):
         return 0.5 * SQRT_PI * zeta * special.erf(z / zeta)
 
     @staticmethod
     def _scipy_outer_y(zeta, z):
         u = z / zeta
-        return 0.5 * zeta * (SQRT_PI * z * special.erf(u) + zeta * (np.exp(-(u**2)) - 1.0))
+        expm1 = special.expm1(-(u**2))
+        return 0.5 * zeta * (SQRT_PI * z * special.erf(u) + zeta * expm1)
+
+    PAIRS = ((theta, _scipy_theta), (outer_y, _scipy_outer_y))
 
     @pytest.mark.parametrize("zeta", ZETAS)
     def test_grid(self, zeta):
-        np.testing.assert_allclose(
-            inner_w(zeta, self.DEPTHS), self._scipy_inner_w(zeta, self.DEPTHS),
-            rtol=1e-13, atol=0.0,
-        )
-        np.testing.assert_allclose(
-            outer_y(zeta, self.DEPTHS), self._scipy_outer_y(zeta, self.DEPTHS),
-            rtol=1e-13, atol=0.0,
-        )
+        for f, ref in self.PAIRS:
+            np.testing.assert_allclose(
+                f(_kernel(zeta=zeta), self.DEPTHS), ref(zeta, self.DEPTHS),
+                rtol=1e-13, atol=0.0,
+            )
+
+    @pytest.mark.parametrize("zeta", ZETAS)
+    def test_small_u_against_the_taylor_series(self, zeta):
+        # Y = z^2 (1/2 - u^2/12 + u^4/60 - ...): exp(-u^2) - 1 would cancel
+        # here, off by 2e-5 at u = 1e-6 and by a factor 2 below u = 1e-8.
+        u = np.array([1e-3, 1e-4, 1e-6, 1e-9, 1e-12])
+        z = zeta * u
+        series = z * z * (0.5 - u * u / 12.0 + u**4 / 60.0)
+        np.testing.assert_allclose(outer_y(_kernel(zeta=zeta), z), series, rtol=1e-13)
 
     def test_zero_d_input_gives_a_float(self):
         z = np.array(0.7)
-        for f, ref in ((inner_w, self._scipy_inner_w), (outer_y, self._scipy_outer_y)):
-            assert isinstance(f(0.3, z), float) and np.ndim(f(0.3, z)) == 0
-            assert isinstance(f(0.3, 0.7), float)
-            assert f(0.3, z) == pytest.approx(ref(0.3, z), rel=1e-13, abs=0.0)
+        k = _kernel(zeta=0.3)
+        for f, ref in self.PAIRS:
+            assert isinstance(f(k, z), float) and np.ndim(f(k, z)) == 0
+            assert isinstance(f(k, 0.7), float)
+            assert f(k, z) == pytest.approx(ref(0.3, z), rel=1e-13, abs=0.0)
 
     def test_two_d_input_keeps_its_shape(self):
         z = self.DEPTHS[1:].reshape(3, 4)
-        for f, ref in ((inner_w, self._scipy_inner_w), (outer_y, self._scipy_outer_y)):
-            got = f(0.25, z)
+        for f, ref in self.PAIRS:
+            got = f(_kernel(zeta=0.25), z)
             assert got.shape == (3, 4)
             np.testing.assert_allclose(got, ref(0.25, z), rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("f", [inner_w, outer_y])
+    @pytest.mark.parametrize("f", [theta, outer_y])
     def test_negative_depth_rejected(self, f):
         for bad in (-1e-300, math.nan):
             with pytest.raises(OutOfDomain):
-                f(1.0, np.array([[0.5, 1.0], [bad, 2.0]]))
+                f(_kernel(), np.array([[0.5, 1.0], [bad, 2.0]]))
             with pytest.raises(OutOfDomain):
-                f(1.0, bad)
+                f(_kernel(), bad)
 
 
 class TestScalarArrayParity:
@@ -162,14 +185,14 @@ class TestScalarArrayParity:
         "f",
         [
             lambda z: beer(MediumSpec(sigma_a=0.7, i0=2.0), z),
-            lambda z: inner_w(0.3, z),
-            lambda z: outer_y(0.3, z),
+            lambda z: theta(_kernel(2.5, 0.3), z),
+            lambda z: outer_y(_kernel(2.5, 0.3), z),
             lambda z: averaged_intensity(_law(zeta=0.3), z),
             lambda z: averaged_intensity(
                 _law(zeta=2.0, convention=ExponentConvention.PAPER_HALF), z
             ),
         ],
-        ids=["beer", "inner_w", "outer_y", "averaged_exact", "averaged_paper"],
+        ids=["beer", "theta", "outer_y", "averaged_exact", "averaged_paper"],
     )
     def test_scalar_depth_matches_its_array_entry(self, f):
         together = f(self.DEPTHS)
@@ -235,10 +258,10 @@ class TestAveragedIntensity:
         assert np.all(exact > half)
         assert np.all(half > base)
 
-    def test_boost_factor_bounds(self):
+    def test_boost_bounds(self):
         law = _law()
         z = np.linspace(0.0, 10.0, 200)
-        boost = boost_factor(law, z)
+        boost = averaged_intensity(law, z) / beer(law.medium, z)
         assert boost[0] == 1.0
         assert np.all(boost >= 1.0)
         assert np.all(np.diff(boost) >= 0)
@@ -265,10 +288,22 @@ class TestAveragedIntensity:
 
     def test_scalar_depth_gives_a_float(self):
         # numpy reduces 0-d input to a scalar, so no wrapper is needed
-        for fn in (averaged_intensity, boost_factor):
-            value = fn(_law(), 1.0)
-            assert isinstance(value, float)
-            assert value == fn(_law(), np.array([1.0]))[0]
+        value = averaged_intensity(_law(), 1.0)
+        assert isinstance(value, float)
+        assert value == averaged_intensity(_law(), np.array([1.0]))[0]
+
+    @pytest.mark.parametrize("z", [700.0, 750.0, 800.0])
+    def test_deep_in_the_slab_the_mean_stays_finite(self, z):
+        # Beer's factor underflows near z = 745 and the boost overflows
+        # near z = 710; their product is a finite mean, formed in one exp.
+        medium = MediumSpec(sigma_a=1.0, alpha=0.8, i0=10.0)
+        kernel = _kernel(zeta=1.7625)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = averaged_intensity(AveragedLaw(medium, kernel), z)
+            oracle = lognormal_oracle(StochasticMedium(medium, kernel), z)
+        assert math.isfinite(closed) and math.isfinite(oracle)
+        assert closed == pytest.approx(oracle, rel=1e-9)
 
 
 class TestOdeResidual:
@@ -288,7 +323,7 @@ class TestOdeResidual:
         assert coarse / fine == pytest.approx(4.0, rel=0.2)
 
     def test_degenerate_step_rejected(self):
-        with pytest.raises(DegenerateStep):
+        with pytest.raises(ValueError, match="1e-12 z"):
             ode_residual(_law(), 1.0, 1e-13)
 
     def test_step_larger_than_depth_rejected(self):

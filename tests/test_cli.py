@@ -126,6 +126,8 @@ class TestMainExitCodes:
             # numpy's SeedSequence would reject it without naming the flag,
             # and a run without a sampler would not notice it at all
             (["--seed", "-1", "--modes", "beer"], "--seed: must be >= 0"),
+            # zeta**kappa overflows inside the kernel
+            (["--zeta", "1e300"], "overflows"),
         ],
     )
     def test_bad_numbers_exit_1_without_a_traceback(self, tmp_path, capsys, argv, needle):

@@ -17,9 +17,7 @@ from slabatten import (
     StochasticMedium,
     averaged_intensity,
     beer,
-    boost_factor,
     cumulant_series_exponent,
-    inner_w,
     integral_at,
     lognormal_oracle,
     ode_residual,
@@ -41,13 +39,11 @@ PATH = np.zeros(GRID.n_points)
 UNBOUNDED = {
     "averaged_intensity": lambda z: averaged_intensity(LAW, z),
     "beer": lambda z: beer(SM.medium, z),
-    "boost_factor": lambda z: boost_factor(LAW, z),
     "cumulant_series_exponent": lambda z: cumulant_series_exponent(SM.kernel, 0.3, 1.0, z),
-    "inner_w": lambda z: inner_w(1.0, z),
     "lognormal_oracle": lambda z: lognormal_oracle(SM, z),
     "ode_residual": lambda z: ode_residual(LAW, z, 1e-4),
     "ordered_double_integral": lambda z: ordered_double_integral(SM.kernel, z),
-    "outer_y": lambda z: outer_y(1.0, z),
+    "outer_y": lambda z: outer_y(SM.kernel, z),
     "square_double_integral": lambda z: square_double_integral(SM.kernel, z),
     "theta": lambda z: theta(SM.kernel, z),
 }
@@ -60,7 +56,7 @@ GRID_BOUND = {
 }
 CALLS = {**UNBOUNDED, **GRID_BOUND}
 BAD = [-0.5, -1e-300, math.nan]
-CASES = [(name, z) for name in UNBOUNDED for z in BAD] + [
+CASES = [(name, z) for name in UNBOUNDED for z in BAD + [math.inf]] + [
     (name, z) for name in GRID_BOUND for z in BAD + [GRID.length + 1e-9]
 ]
 
@@ -87,6 +83,7 @@ def test_a_depth_outside_the_domain_raises_out_of_domain(name, z):
 ONE_DEPTH = [
     "cumulant_series_exponent",
     "lognormal_oracle",
+    "ode_residual",
     "ordered_double_integral",
     "path_intensity_em",
     "square_double_integral",

@@ -106,6 +106,8 @@ class TestCorrelationKernel:
             dict(amplitude=1.0, correlation_length=math.inf),
             dict(amplitude=1.0, correlation_length=1.0, exponent=math.inf),
             dict(amplitude=math.nan, correlation_length=1.0),
+            # zeta**kappa overflows
+            dict(amplitude=1.0, correlation_length=1e300, exponent=2.0),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -1,8 +1,10 @@
 """Package hygiene: module boundaries, the public name list, import discipline."""
 
 import ast
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,48 @@ def test_no_module_imports_another_modules_private_name():
                     if alias.name.startswith("_")
                 ]
     assert offences == []
+
+
+def _used_outside_own_definition():
+    """Names the package's modules (``__init__`` aside, which only
+    re-exports) load as ``X`` or ``module.X``, not counting uses inside
+    the definition of ``X`` itself."""
+    used = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name is not None and name not in enclosing:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return used
+
+
+def _documented_public_names():
+    """Names of ``__all__`` the comment right above it gives a reason for."""
+    lines = (PACKAGE / "__init__.py").read_text(encoding="utf-8").splitlines()
+    end = next(i for i, line in enumerate(lines) if line.startswith("__all__"))
+    start = end
+    while start > 0 and lines[start - 1].startswith("#"):
+        start -= 1
+    words = set(re.findall(r"\w+", " ".join(lines[start:end])))
+    return words & set(slabatten.__all__)
+
+
+def test_every_public_function_and_class_has_a_caller_or_a_reason():
+    public = {
+        name
+        for name in slabatten.__all__
+        if inspect.isfunction(obj := getattr(slabatten, name)) or isinstance(obj, type)
+    }
+    orphans = public - _used_outside_own_definition() - _documented_public_names()
+    assert orphans == set()
 
 
 def test_every_public_name_resolves():
