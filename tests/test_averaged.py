@@ -305,6 +305,15 @@ class TestAveragedIntensity:
         assert math.isfinite(closed) and math.isfinite(oracle)
         assert closed == pytest.approx(oracle, rel=1e-9)
 
+    def test_oracle_agrees_a_hundred_thousand_correlation_lengths_deep(self):
+        # z / zeta = 1e5: the boost is exp(0.0142) on Beer's exp(-50), so a
+        # square-route error of 1e-10 would show as 1.4e-12
+        medium = MediumSpec(sigma_a=0.5, alpha=0.8, i0=10.0)
+        kernel = _kernel(zeta=1e-3)
+        closed = averaged_intensity(AveragedLaw(medium, kernel), 100.0)
+        oracle = lognormal_oracle(StochasticMedium(medium, kernel), 100.0)
+        assert oracle == pytest.approx(closed, rel=1e-12, abs=0.0)
+
 
 class TestOdeResidual:
     def test_pure_beer_decay(self):

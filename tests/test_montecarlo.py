@@ -370,8 +370,9 @@ class TestRunEnsemble:
             run_ensemble(_sm(alpha=0.1), grid, 100, master_seed=1)
 
     def test_heavy_tail_check_evaluates_few_kernel_values(self, monkeypatch):
-        # zeta 0.01 over L = 10 needs the 512-panel cap: (16*512)^2 = 6.7e7
-        # kernel values on a grid of node pairs, 1.3e5 on lags
+        # zeta 0.01 over L = 10 takes 1000 panels: (16*1000)^2 = 2.6e8 kernel
+        # values on a grid of node pairs, 1.1e4 on the lags within the
+        # kernel's support
         kernel = CorrelationKernel(20.0, 0.01, 1.0)
         sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.8, i0=10.0), kernel)
         evaluate = CorrelationKernel.evaluate

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from slabatten import CorrelationKernel, ordered_double_integral, square_double_integral
@@ -23,6 +24,19 @@ def _lag_form(kernel, z):
         epsabs=0.0, epsrel=1e-13, limit=500,
     )
     return value
+
+
+def _incomplete_gamma_form(kernel, z):
+    """The ordered integral in closed form (DLMF 8.2):
+    ``C [(z zeta / kappa) g(1/kappa, x) - (zeta^2 / kappa) g(2/kappa, x)]``
+    with ``g`` the lower incomplete gamma function and ``x = (z/zeta)^kappa``."""
+    c, zeta, kappa = kernel.amplitude, kernel.correlation_length, kernel.exponent
+    x = (z / zeta) ** kappa
+
+    def lower(a):
+        return special.gamma(a) * special.gammainc(a, x)
+
+    return c * (z * zeta / kappa * lower(1.0 / kappa) - zeta**2 / kappa * lower(2.0 / kappa))
 
 
 def _dense_square(kernel, z, panels):
@@ -166,3 +180,56 @@ class TestSquareDoubleIntegral:
         assert square_double_integral(k, z) == pytest.approx(
             2.0 * _lag_form(k, z), rel=1e-7
         )
+
+
+class TestAtAnyDepth:
+    """Both routes up to z = 1e8 zeta, where every panel is still at most
+    one correlation length wide and only the kernel's support is summed."""
+
+    ZETA = 0.3
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.25, 1.5, 1.75, 2.0])
+    @pytest.mark.parametrize("depth_ratio", [1e2, 1e4, 1e6, 1e8])
+    def test_ordered_route_against_the_incomplete_gamma_form(self, depth_ratio, kappa):
+        kernel = CorrelationKernel(1.7, self.ZETA, kappa)
+        z = depth_ratio * self.ZETA
+        assert ordered_double_integral(kernel, z) == pytest.approx(
+            _incomplete_gamma_form(kernel, z), rel=1e-13, abs=0.0
+        )
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.25, 1.5, 1.75, 2.0])
+    @pytest.mark.parametrize("depth_ratio", [1e2, 1e4, 1e6, 1e8])
+    def test_square_route_against_the_incomplete_gamma_form(self, depth_ratio, kappa):
+        # exact to rounding for kappa 1 and 2; for other kappa u**kappa is
+        # not resolved at the lag-0 corners of the diagonal and adjacent
+        # blocks, which holds the rule near 7e-8 at every depth
+        kernel = CorrelationKernel(1.7, self.ZETA, kappa)
+        z = depth_ratio * self.ZETA
+        rel = 1e-13 if kappa in (1.0, 2.0) else 1e-7
+        assert square_double_integral(kernel, z) == pytest.approx(
+            2.0 * _incomplete_gamma_form(kernel, z), rel=rel, abs=0.0
+        )
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
+    def test_one_kernel_evaluation_per_call_of_bounded_size(self, kappa, monkeypatch):
+        # the square route sums at most 47 offset blocks of 256 lags after
+        # the diagonal's 512; the ordered route at most 47 panels plus 14
+        # graded ones of 16 nodes
+        evaluate = CorrelationKernel.evaluate
+        sizes = []
+
+        def counting(self, z1, z2):
+            out = evaluate(self, z1, z2)
+            sizes.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(CorrelationKernel, "evaluate", counting)
+        kernel = CorrelationKernel(1.0, self.ZETA, kappa)
+        for route, bound in (
+            (square_double_integral, 512 + 256 * 47),
+            (ordered_double_integral, 16 * (47 + 14)),
+        ):
+            for depth_ratio in (10.0, 1e4, 1e8):
+                sizes.clear()
+                route(kernel, depth_ratio * self.ZETA)
+                assert len(sizes) == 1 and sizes[0] <= bound, (route.__name__, sizes)
