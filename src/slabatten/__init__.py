@@ -49,7 +49,6 @@ from .errors import (
     OutOfDomain,
     ReliabilityWarning,
     SlabModelError,
-    UnsupportedKernel,
 )
 from .grf import CorrelationKernel, FieldSampler, Grid, covariance_matrix, integral_at
 from .medium import MediumSpec, StochasticMedium, beer
@@ -84,7 +83,6 @@ __all__ = [
     "ReliabilityWarning",
     "SlabModelError",
     "StochasticMedium",
-    "UnsupportedKernel",
     "averaged_intensity",
     "beer",
     "covariance_matrix",

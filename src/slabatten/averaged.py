@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedKernel
 from .grf import CorrelationKernel, checked_depths, one_depth
 from .medium import MediumSpec
 from .quadrature import ordered_double_integral
@@ -55,7 +54,7 @@ class ExponentConvention(enum.Enum):
 
 def _require_squared_exponential(kernel: CorrelationKernel) -> None:
     if kernel.exponent != 2:
-        raise UnsupportedKernel(
+        raise ValueError(
             f"closed form requires kappa = 2, got kappa = {kernel.exponent}"
         )
 
@@ -95,7 +94,8 @@ def outer_y(kernel: CorrelationKernel, z):
 
 @dataclass(frozen=True)
 class AveragedLaw:
-    """Closed-form averaged intensity evaluator (kappa = 2 only)."""
+    """Closed-form averaged intensity evaluator (kappa = 2 only; any other
+    kernel raises ValueError)."""
 
     medium: MediumSpec
     kernel: CorrelationKernel

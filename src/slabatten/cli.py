@@ -5,8 +5,9 @@ Parses medium/kernel/grid parameters, evaluates the selected pipelines
 ensemble, Euler integrator cross-check), writes the curve data as CSV
 and prints a text report with the convention adjudication.
 
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
-(covariance factorization).
+Exit codes: 0 success, 1 invalid configuration (any ValueError, the
+flag checks' UsageError included), 2 numerical failure (covariance
+factorization).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaged import AveragedLaw, ExponentConvention, averaged_intensity
-from .errors import FactorizationFailure, ReliabilityWarning, UnsupportedKernel
+from .errors import FactorizationFailure, ReliabilityWarning
 from .grf import (
     AR1_ROUTE,
     CHUNK_PATHS,
@@ -58,8 +59,8 @@ _DEFAULTS = {
 }
 
 
-class UsageError(Exception):
-    """Bad flag or flag value; maps to exit code 1."""
+class UsageError(ValueError):
+    """Bad flag or flag value; a ValueError, so it maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=_DEFAULTS["amplitude"],
                    help="correlation amplitude C")
     p.add_argument("--kappa", type=float, default=_DEFAULTS["kappa"],
-                   help="correlation shape exponent (2 for the closed forms)")
+                   help="correlation shape exponent, 1 to 2; 2 for the closed forms")
     p.add_argument("--length", type=float, default=_DEFAULTS["length"],
                    help="slab thickness L, cm")
     p.add_argument("--grid-points", type=int, default=None,
@@ -181,8 +182,8 @@ def parse_args(argv=None) -> ExperimentConfig:
         raise UsageError(f"--zeta: must be > 0, got {args.zeta}")
     if args.amplitude <= 0:
         raise UsageError(f"--amplitude: must be > 0, got {args.amplitude}")
-    if args.kappa < 1:
-        raise UsageError(f"--kappa: must be >= 1, got {args.kappa}")
+    if not 1 <= args.kappa <= 2:
+        raise UsageError(f"--kappa: must lie in [1, 2], got {args.kappa}")
     if args.length <= 0:
         raise UsageError(f"--length: must be > 0, got {args.length}")
     if args.grid_points is not None and args.grid_points < 2:
@@ -432,13 +433,8 @@ def run(config: ExperimentConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
-    except (UsageError, ValueError) as err:
-        print(f"slabatten: error: {err}", file=sys.stderr)
-        return 1
-    try:
-        return run(config)
-    except (UnsupportedKernel, ValueError) as err:
+        return run(parse_args(argv))
+    except ValueError as err:
         print(f"slabatten: error: {err}", file=sys.stderr)
         return 1
     except FactorizationFailure as err:

@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Every error is a ValueError (bad input; CLI exit code 1) except the
+numerical FactorizationFailure (exit code 2).
+"""
 
 
 class SlabModelError(Exception):
@@ -14,16 +18,12 @@ class OutOfDomain(SlabModelError, ValueError):
 
 
 class FactorizationFailure(SlabModelError):
-    """Covariance Cholesky failed even at maximum diagonal jitter.
+    """Covariance Cholesky failed even at the largest diagonal jitter.
 
-    Signals an invalid or severely ill-conditioned kernel/grid pair
-    (in practice: shape exponents above 2, where the correlation family
-    is no longer positive semidefinite).
+    A guard on the dense route: every kernel CorrelationKernel accepts is
+    positive definite, so only rounding in a nearly singular grid
+    covariance can bring the factor here.
     """
-
-
-class UnsupportedKernel(SlabModelError):
-    """Closed-form evaluation requires the squared-exponential kernel."""
 
 
 class MemoryBudgetExceeded(SlabModelError, ValueError):

@@ -1,7 +1,9 @@
 """Stationary Gaussian random fields on a uniform 1-D slab grid.
 
 The field G(z) is zero-mean with two-point covariance
-``C * exp(-|z1 - z2|**kappa / zeta**kappa)``.  Ensembles are cut into
+``C * exp(-|z1 - z2|**kappa / zeta**kappa)``, 1 <= kappa <= 2: the family
+is positive definite, so it defines a field, only for kappa <= 2
+(Schoenberg, Trans. AMS 44, 522, 1938).  Ensembles are cut into
 fixed blocks of ``CHUNK_PATHS`` paths, and block ``c`` of master seed
 ``s`` is always one stream, ``SeedSequence(s, spawn_key=(c,))``, of
 standard normals, one grid row per path.  A block is always drawn as
@@ -40,7 +42,9 @@ from .errors import FactorizationFailure, MemoryBudgetExceeded, OutOfDomain
 
 # Diagonal jitter ladder for the Cholesky factorization, relative to the
 # kernel amplitude: start at 1e-12*C, multiply by 10 on failure, stop at
-# 1e-6*C.
+# 1e-6*C.  Rounding can leave a nearly singular covariance indefinite at
+# the first rung: kappa 2, zeta 1e6 and L 5 on 9 400 points needs 1e-11*C
+# (on 8 500 points 1e-12*C suffices).
 _JITTER_EXPONENTS = range(-12, -5)
 # Grid.for_kernel resolves the correlation length with this many nodes.
 _POINTS_PER_LENGTH = 10
@@ -87,11 +91,12 @@ class CorrelationKernel:
         Decay scale zeta in cm, > 0.  As zeta -> 0 the off-diagonal
         covariance vanishes and the field degenerates toward white noise.
     exponent : float
-        Shape exponent kappa.  1 gives colored (Ornstein-Uhlenbeck-like)
-        noise, 2 the squared-exponential (Bargmann-Fock) field, values
-        above 2 a super-Gaussian correlation.  Exponents below 1 are
-        rejected because they break positive-definiteness on fine grids.
-        Note the kappa=1 kernel is not mean-square differentiable at
+        Shape exponent kappa in [1, 2].  1 gives colored
+        (Ornstein-Uhlenbeck-like) noise, 2 the squared-exponential
+        (Bargmann-Fock) field.  Above 2 the kernel is not positive
+        definite, so no field has it as covariance; below 1 it breaks
+        positive-definiteness on fine grids.  Both are rejected.  Note
+        the kappa=1 kernel is not mean-square differentiable at
         coincident points; only kappa=2 is genuinely smooth there.
     """
 
@@ -107,10 +112,10 @@ class CorrelationKernel:
                 "correlation_length must be finite and > 0, "
                 f"got {self.correlation_length}"
             )
-        if not 1 <= self.exponent < math.inf:
+        if not 1 <= self.exponent <= 2:
             raise ValueError(
-                f"exponent must be finite and >= 1, got {self.exponent} "
-                "(kernels below 1 are not positive definite on fine grids)"
+                f"exponent must lie in [1, 2], got {self.exponent} "
+                "(above 2 the kernel is not positive definite)"
             )
         try:
             self.correlation_length**self.exponent
@@ -276,7 +281,7 @@ def covariance_matrix(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
     """Grid covariance M[i, j] = kernel.evaluate(Z_i, Z_j).
 
     Symmetric with diagonal equal to the amplitude; positive semidefinite
-    up to rounding for exponents in [1, 2].
+    up to rounding.
     """
     z = grid.points
     return kernel.evaluate(z[:, None], z[None, :])
@@ -301,8 +306,7 @@ def _cholesky_with_jitter(matrix: np.ndarray, amplitude: float):
     raise FactorizationFailure(
         "covariance is not positive definite even at maximum jitter "
         f"({amplitude * 10.0 ** _JITTER_EXPONENTS[-1]:.1e}); "
-        "the kernel/grid pair is invalid (shape exponents above 2 are not "
-        "positive semidefinite)"
+        "the grid covariance is too nearly singular to factor"
     )
 
 

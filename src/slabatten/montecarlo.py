@@ -12,6 +12,7 @@ the erf closed form.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -120,6 +121,18 @@ def _central_moments(raw: np.ndarray, n: int):
     return m2, m3, m4
 
 
+def _in_order(pool, fn, items, window: int):
+    """Yield ``fn(item)`` for each item, in order, computed on ``pool``
+    with at most ``window`` items submitted and not yet yielded."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def run_ensemble(
     sm: StochasticMedium,
     grid: Grid,
@@ -135,8 +148,9 @@ def run_ensemble(
     row tiles (FieldSampler.tiles): each tile is drawn, transformed,
     integrated and added to the block's partial sums, so no
     (CHUNK_PATHS, n) array is held unless a dense tile is a whole block.
-    Partial sums are reduced in block order, so the result is
-    bit-identical for any worker count.  One FieldSampler (for a dense
+    At most two blocks per worker are in flight, and their partial sums
+    are added in block order, so memory does not grow with n_paths and
+    the result is bit-identical for any worker count.  One FieldSampler (for a dense
     route, one covariance factor) is built and shared read-only by the
     workers.  The concurrent tile streams and the factor are charged to
     the memory budget before anything is drawn (MemoryBudgetExceeded).
@@ -230,18 +244,18 @@ def run_ensemble(
         f"{streams} worker(s) streaming tiles of {tile_rows} paths "
         f"on {grid.n_points} grid points",
     )
-    with ThreadPoolExecutor(max_workers=streams) as pool:
-        partials = list(pool.map(chunk_partials, chunks))
-
     factor_sum = np.zeros(beer_depths.shape)
     factor_sq_sum = np.zeros(beer_depths.shape)
     raw_moments = np.zeros(4)
     negative_count = 0
-    for f_sum, f_sq, raw, negatives in partials:
-        factor_sum += f_sum
-        factor_sq_sum += f_sq
-        raw_moments += raw
-        negative_count += negatives
+    with ThreadPoolExecutor(max_workers=streams) as pool:
+        for f_sum, f_sq, raw, negatives in _in_order(
+            pool, chunk_partials, chunks, 2 * streams
+        ):
+            factor_sum += f_sum
+            factor_sq_sum += f_sq
+            raw_moments += raw
+            negative_count += negatives
 
     mean_factor = factor_sum / n_paths
     factor_var = np.maximum(

@@ -14,7 +14,6 @@ from slabatten import (
     MediumSpec,
     OutOfDomain,
     StochasticMedium,
-    UnsupportedKernel,
     averaged_intensity,
     beer,
     cumulant_series_exponent,
@@ -218,7 +217,7 @@ class TestTheta:
         assert np.all(np.diff(vals) >= 0)
 
     def test_requires_squared_exponential(self):
-        with pytest.raises(UnsupportedKernel):
+        with pytest.raises(ValueError, match="closed form requires kappa = 2"):
             theta(CorrelationKernel(1.0, 1.0, 1.0), 1.0)
 
 
@@ -279,7 +278,7 @@ class TestAveragedIntensity:
         assert gaps[2] < 1e-3
 
     def test_requires_squared_exponential(self):
-        with pytest.raises(UnsupportedKernel):
+        with pytest.raises(ValueError, match="closed form requires kappa = 2"):
             AveragedLaw(MediumSpec(sigma_a=1.0), CorrelationKernel(1.0, 1.0, 1.0))
 
     def test_negative_depth_rejected(self):

@@ -67,6 +67,8 @@ class TestParseArgs:
             (["--zeta", "0"], "--zeta"),
             (["--amplitude", "-2"], "--amplitude"),
             (["--kappa", "0.5"], "--kappa"),
+            (["--kappa", "2.5"], "--kappa"),
+            (["--kappa", "3", "--modes", "beer"], "--kappa"),
             (["--length", "0"], "--length"),
             (["--grid-points", "1"], "--grid-points"),
             (["--paths", "1"], "--paths"),
@@ -113,6 +115,9 @@ class TestMainExitCodes:
             (["--length", "nan"], "--length"),
             (["--amplitude", "nan"], "--amplitude"),
             (["--kappa", "nan"], "--kappa"),
+            # no field has a kernel with kappa > 2
+            (["--kappa", "2.5", "--modes", "mc"], "--kappa: must lie in [1, 2]"),
+            (["--kappa", "3", "--modes", "beer"], "--kappa: must lie in [1, 2]"),
             (["--grid-points", "10000000000", "--modes", "beer"], "budget"),
             (["--zeta", "1e-9", "--modes", "beer"], "budget"),
             (["--zeta", "1e-300"], "budget"),
@@ -184,14 +189,40 @@ class TestMainExitCodes:
         assert f"sigma_inf = {rate:.6g} /cm (Beer: sigma_a = 1 /cm)\n" in capsys.readouterr().out
         assert "sigma_inf" not in out.read_text(encoding="utf-8")
 
-    def test_factorization_failure_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("failures", [1, 3, 7])
+    def test_jitter_ladder_is_reported_or_exits_2(
+        self, tmp_path, capsys, monkeypatch, failures
+    ):
+        # No accepted kernel fails at the first rung on a small grid, so the
+        # first `failures` factorizations are made to fail; all 7 rungs
+        # failing is a numerical failure.
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def failing(matrix):
+            calls.append(None)
+            if len(calls) <= failures:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
         out = tmp_path / "x.csv"
         code = main([
-            "--kappa", "5", "--alpha", "0", "--modes", "mc",
-            "--paths", "10", "--grid-points", "120", "--out", str(out),
+            "--alpha", "0.2", "--modes", "mc", "--paths", "10",
+            "--grid-points", "21", "--length", "2", "--out", str(out),
         ])
-        assert code == 2
-        assert "positive definite" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        if failures == 7:
+            assert code == 2
+            assert captured.err.startswith("slabatten: numerical failure:")
+            assert "positive definite" in captured.err
+            assert "Traceback" not in captured.err
+            assert not out.exists()
+        else:
+            assert code == 0
+            jitter = 10.0 ** (failures - 12)
+            line = f"sampler: dense Cholesky, n = 21, jitter = {jitter:.3g}"
+            assert line in captured.out.splitlines()
 
     def test_grid_beyond_the_memory_budget_exits_1(self, tmp_path, capsys, monkeypatch):
         def build(kernel, grid):

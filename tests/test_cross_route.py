@@ -21,6 +21,7 @@ from slabatten import (
     outer_y,
     square_double_integral,
 )
+from slabatten.cli import _decay_rate_limit
 
 N_DRAWS = 450
 
@@ -33,6 +34,9 @@ CLOSED_REL = 1e-13
 # oracle / closed - 1 at kappa 2: the exponent reaches a few hundred, and
 # exp turns its rounding into a relative error that large (1.4e-14 seen).
 ORACLE_REL = 1e-12
+# slope / (C zeta Gamma(1 + 1/kappa)) - 1 past the support (3.1e-15 seen),
+# and the decay rate against the slope, relative to sigma_a + the drop.
+SLOPE_REL = 1e-12
 
 
 def _draws():
@@ -68,3 +72,21 @@ def test_the_routes_agree_over_the_valid_domain():
             oracle = lognormal_oracle(StochasticMedium(medium, kernel), z)
             assert math.isfinite(closed) and closed > 0, draw
             assert abs(oracle / closed - 1.0) <= ORACLE_REL, draw
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_decay_rate_is_the_ordered_slope_past_the_support():
+    # Past the support U = zeta 40^(1/kappa) the ordered integral grows
+    # linearly, at the kernel's whole integral C zeta Gamma(1 + 1/kappa).
+    for draw in _draws():
+        kappa, zeta, amplitude, _, alpha, sigma_a = draw
+        kernel = CorrelationKernel(amplitude, zeta, kappa)
+        z1 = 2.0 * zeta * 40.0 ** (1.0 / kappa)
+        z2 = 2.0 * z1
+        rise = ordered_double_integral(kernel, z2) - ordered_double_integral(kernel, z1)
+        slope = rise / (z2 - z1)
+        tail = amplitude * zeta * math.gamma(1.0 + 1.0 / kappa)
+        assert abs(slope / tail - 1.0) <= SLOPE_REL, draw
+        rate = _decay_rate_limit(MediumSpec(sigma_a, alpha=alpha), kernel)
+        drop = alpha**2 * sigma_a**2 * slope
+        assert abs(rate - (sigma_a - drop)) <= SLOPE_REL * (sigma_a + drop), draw

@@ -48,7 +48,7 @@ class TestCorrelationKernel:
         assert type(scalar) is float
         assert scalar == 1.3 * np.exp(-(0.4**kappa) / 0.7**kappa)
 
-    @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
     def test_scalar_separation_matches_its_array_entry(self, kappa):
         k = CorrelationKernel(1.3, 0.4, kappa)
         rng = np.random.default_rng(20261018)
@@ -105,6 +105,11 @@ class TestCorrelationKernel:
             dict(amplitude=math.inf, correlation_length=1.0),
             dict(amplitude=1.0, correlation_length=math.inf),
             dict(amplitude=1.0, correlation_length=1.0, exponent=math.inf),
+            # above 2 the kernel is not positive definite (Schoenberg 1938)
+            dict(amplitude=1.0, correlation_length=1.0, exponent=2.0000001),
+            dict(amplitude=1.0, correlation_length=1.0, exponent=2.5),
+            dict(amplitude=1.0, correlation_length=1.0, exponent=5.0),
+            dict(amplitude=1.0, correlation_length=1.0, exponent=math.nan),
             dict(amplitude=math.nan, correlation_length=1.0),
             # zeta**kappa overflows
             dict(amplitude=1.0, correlation_length=1e300, exponent=2.0),
@@ -383,12 +388,34 @@ class TestSampling:
         assert np.max(np.abs(sq_sum / n - amp)) < 3.0 * var_se
         assert np.max(np.abs(lag_sum / n - amp * rho)) < 3.0 * lag_se
 
-    def test_super_gaussian_kernel_fails_factorization(self):
-        # exponents above 2 are not positive semidefinite; the jitter
-        # ladder cannot rescue them
-        k = CorrelationKernel(1.0, 1.0, 5.0)
-        with pytest.raises(FactorizationFailure):
-            FieldSampler(k, Grid(5.0, 200))
+    @pytest.mark.parametrize("failures", range(8))
+    def test_jitter_ladder_climbs_one_rung_per_failure(self, monkeypatch, failures):
+        # No accepted kernel fails at the first rung on a small grid, so the
+        # first `failures` factorizations are made to fail.
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def failing(matrix):
+            calls.append(matrix[0, 0])
+            if len(calls) <= failures:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        amp = 2.5
+        kernel, grid = CorrelationKernel(amp, 1.0, 2.0), Grid(1.0, 11)
+        if failures == 7:
+            with pytest.raises(FactorizationFailure, match="positive definite"):
+                FieldSampler(kernel, grid)
+            assert len(calls) == 7
+            return
+        sampler = FieldSampler(kernel, grid)
+        jitter = 1e-12 * 10**failures * amp
+        assert sampler.jitter == pytest.approx(jitter, rel=1e-15)
+        # each rung adds its jitter to the original diagonal
+        assert calls == pytest.approx(
+            [amp + 1e-12 * 10**k * amp for k in range(failures + 1)], rel=1e-15
+        )
 
     def test_sample_variance_matches_amplitude(self):
         amp = 1.0

@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import slabatten
+from slabatten import cli
 from slabatten.cli import main
 
 PACKAGE = Path(slabatten.__file__).resolve().parent
@@ -148,3 +151,41 @@ def test_every_public_error_and_warning_is_raised_somewhere():
     # SlabModelError is the base class callers catch; only subclasses are raised.
     unused = public - {"SlabModelError"} - _raised_or_warned_names()
     assert unused == set()
+
+
+def _public_errors():
+    return {
+        name: obj
+        for name in slabatten.__all__
+        if isinstance(obj := getattr(slabatten, name), type)
+        and issubclass(obj, Exception)
+        and not issubclass(obj, Warning)
+        and name != "SlabModelError"
+    }
+
+
+def test_every_public_error_is_a_value_error_or_a_factorization_failure():
+    # The CLI catches exactly these two: a third kind would end in a traceback.
+    other = [
+        name
+        for name, error in _public_errors().items()
+        if not issubclass(error, (ValueError, slabatten.FactorizationFailure))
+    ]
+    assert other == []
+
+
+@pytest.mark.parametrize("name", sorted(_public_errors()))
+def test_main_maps_every_public_error_to_its_exit_code(
+    tmp_path, capsys, monkeypatch, name
+):
+    error = getattr(slabatten, name)
+
+    def fail(config):
+        raise error("probe message")
+
+    monkeypatch.setattr(cli, "run", fail)
+    numerical = issubclass(error, slabatten.FactorizationFailure)
+    assert cli.main(["--out", str(tmp_path / "x.csv")]) == (2 if numerical else 1)
+    err = capsys.readouterr().err
+    prefix = "slabatten: numerical failure:" if numerical else "slabatten: error:"
+    assert err == f"{prefix} probe message\n"
