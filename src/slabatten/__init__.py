@@ -11,10 +11,11 @@ Modules
 -------
 grf
     Correlation kernels, grid covariances, row-tile sampling
-    (the exact AR(1) recursion as a prefix-sum scan for kappa = 1, dense
-    Cholesky for other kernels) and integral_at, the trapezoid integral
-    of a path or block of paths, plain arrays of grid values, up to
-    given depths.
+    (the exact AR(1) recursion as a prefix-sum scan for kappa = 1, at the
+    grid's points or any increasing nodes, dense Cholesky for other
+    kernels), ou_bridge, the exact kappa-1 integral between two nodes,
+    and integral_at, the trapezoid integral of a path or block of paths,
+    plain arrays of grid values, up to given depths.
 medium
     The purely absorbing slab: MediumSpec, Beer's decay (beer) and the
     fluctuating absorption coefficient (StochasticMedium).

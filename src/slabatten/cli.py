@@ -38,6 +38,7 @@ from .montecarlo import (
     path_intensity_em,
     run_ensemble,
 )
+from .quadrature import ordered_double_integral
 
 MODES = ("beer", "paper", "exact", "mc", "euler-check")
 COLUMNS = ("z", "beer", "averaged_paper", "averaged_exact", "mc_mean", "mc_sem")
@@ -352,9 +353,15 @@ def _decay_rate_limit(medium: MediumSpec, kernel: CorrelationKernel) -> float:
     return medium.sigma_a - medium.alpha**2 * medium.sigma_a**2 * tail
 
 
-def _sampler_line(stats: EnsembleStats, grid: Grid) -> str:
+def _sampler_line(stats: EnsembleStats, kernel: CorrelationKernel, grid: Grid) -> str:
     if stats.sampler_route == AR1_ROUTE:
-        return "sampler: AR(1) recursion (exact for kappa = 1)"
+        # Var int_0^L G = 2 Y(L); the bridges integrate V(L) of it exactly.
+        total = 2.0 * ordered_double_integral(kernel, grid.length)
+        return (
+            "sampler: AR(1) recursion at the output depths, exact OU bridge "
+            "between them (kappa = 1), sampled share of the slab-integral "
+            f"variance = {1.0 - stats.bridge_variance / total:.6g}"
+        )
     return (
         f"sampler: dense Cholesky, n = {grid.n_points}, "
         f"jitter = {stats.jitter:.3g}"
@@ -409,7 +416,7 @@ def run(config: ExperimentConfig) -> int:
             f"{stats.negative_coefficient_fraction:.6g} "
             f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected:.6g})"
         )
-        report.append(_sampler_line(stats, grid))
+        report.append(_sampler_line(stats, kernel, grid))
         report.append(
             "slab integral of G: skewness = "
             f"{stats.integral_skewness:.4f}, excess kurtosis = "

@@ -1,25 +1,28 @@
-"""Stationary Gaussian random fields on a uniform 1-D slab grid.
+"""Stationary Gaussian random fields on a 1-D slab.
 
 The field G(z) is zero-mean with two-point covariance
-``C * exp(-|z1 - z2|**kappa / zeta**kappa)``, 1 <= kappa <= 2: the family
+``C * exp(-(|z1 - z2| / zeta)**kappa)``, 1 <= kappa <= 2: the family
 is positive definite, so it defines a field, only for kappa <= 2
 (Schoenberg, Trans. AMS 44, 522, 1938).  Ensembles are cut into
 fixed blocks of ``CHUNK_PATHS`` paths, and block ``c`` of master seed
 ``s`` is always one stream, ``SeedSequence(s, spawn_key=(c,))``, of
-standard normals, one grid row per path.  A block is always drawn as
-consecutive row tiles (``FieldSampler.tiles``), so a caller holds a few
-tiles instead of whole blocks.  Tiles are a few hundred kilobytes on fine
-AR(1) grids and grow, up to a whole block, where each tile repeats costly
-work: the scan's per-column-block calls on coarse AR(1) grids, the pass
-over the n x n factor on the dense route.  Each tile of normals becomes
-field values by one transform that acts row by row.
-For ``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov on a uniform
-grid) that is the exact AR(1) recursion
-``x_i = rho*x_{i-1} + sqrt(C*(1 - rho**2))*xi_i`` with
-``rho = exp(-h/zeta)`` (Gillespie, Phys. Rev. E 54, 2084, 1996), the
-closed-form Cholesky factor of the grid covariance, evaluated as a
-blocked, rescaled prefix sum (Blelloch, CMU-CS-90-190, 1990) in O(n)
-time and no n x n storage.  Every other kernel is drawn by dense
+standard normals, one row of node values per path.  A block is always
+drawn as consecutive row tiles (``FieldSampler.tiles``), so a caller
+holds a few tiles instead of whole blocks.  Tiles are a few hundred
+kilobytes on fine AR(1) grids and grow, up to a whole block, where each
+tile repeats costly work: the scan's per-column-block calls on coarse
+AR(1) nodes, the pass over the n x n factor on the dense route.  Each
+tile of normals becomes field values by one transform that acts row by
+row.  For ``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov) that is
+the exact AR(1) recursion
+``x_i = rho_i*x_{i-1} + sqrt(C*(1 - rho_i**2))*xi_i`` with
+``rho_i = exp(-h_i/zeta)`` for the step h_i into node i (Gillespie,
+Phys. Rev. E 54, 2084, 1996), at the grid's points or at any increasing
+nodes, the closed-form Cholesky factor of their covariance, evaluated as
+a blocked, rescaled prefix sum (Blelloch, CMU-CS-90-190, 1990) in O(n)
+time and no n x n storage; ``ou_bridge`` gives each step's integral
+given its two ends, so a kappa-1 path integrates exactly between any
+nodes.  Every other kernel is drawn by dense
 Cholesky factorization of the grid covariance (exact for any kernel and
 grid at the sizes used here), the normals times the transposed factor
 in one matrix product.  A path is a plain array of grid values, ``(n,)``
@@ -64,16 +67,27 @@ _MEMORY_BUDGET = 2 * 2**30
 # FieldSampler.__init__).
 _TILE_BYTES = 512 * 2**10
 _MIN_TILE_ROWS = 64
-# The AR(1) scan rescales a block of columns by rho**-m, m < K, with K the
-# largest width keeping rho**-(K - 1) <= e**40, far inside the float range.
-# Once h/zeta passes 40, K is 1: no power of 1/rho is formed and the scan
-# is the plain recursion, finite down to rho = 0.
+# The AR(1) scan rescales a block of columns by the inverse running product
+# of rho from its first column, and a block's steps after that column sum
+# to at most this many zeta, so the scale stays <= e**40, far inside the
+# float range.  A step past 40 zeta is a block of its own: no inverse is
+# formed and the scan is the plain recursion, finite down to rho = 0.
 _SCAN_EXPONENT = 40.0
-# Each K-column block of the scan costs a few numpy calls per tile, so an
-# AR(1) tile has at least this many values per block: on coarse grids,
-# with few columns per block, tiles grow (to a whole chunk once h/zeta
-# passes 20) instead of paying those calls once per few dozen rows.
+# Each block of the scan costs a few numpy calls per tile, so an AR(1)
+# tile has at least this many values per block: on coarse nodes, with few
+# columns per block, tiles grow (to a whole chunk once h/zeta passes 20)
+# instead of paying those calls once per few dozen rows.
 _SCAN_BLOCK_VALUES = 8192
+# Terms of ou_bridge's series for x - 2 tanh(x/2), x < 2: the last one
+# kept is below 1e-16 of the sum there.
+_BRIDGE_TERMS = 10
+# Below this correlation length a scaled lag |dz|/zeta of slab size can
+# pass the float range, or its power can, so CorrelationKernel.evaluate
+# ignores overflow there.  Above it overflow needs lags past 1e54 cm, and
+# the guard is not free: np.errstate costs 1-3 us per entry, and the
+# quadrature evaluates the kernel once per call, 2 040 times in a 256-depth
+# sweep of four kernels, which ran 8-12 % slower with the guard always on.
+_GUARDED_ZETA = 1e-100
 # FieldSampler.route values.
 AR1_ROUTE = "ar1"
 CHOLESKY_ROUTE = "cholesky"
@@ -81,7 +95,7 @@ CHOLESKY_ROUTE = "cholesky"
 
 @dataclass(frozen=True)
 class CorrelationKernel:
-    """Two-point covariance ``C * exp(-|dz|^kappa / zeta^kappa)``.
+    """Two-point covariance ``C * exp(-(|dz| / zeta)^kappa)``.
 
     Parameters
     ----------
@@ -117,12 +131,16 @@ class CorrelationKernel:
                 f"exponent must lie in [1, 2], got {self.exponent} "
                 "(above 2 the kernel is not positive definite)"
             )
+        # Past this the scaled depths (z/zeta)**exponent of a slab fall below
+        # the normal float range, and the kappa = 2 closed form outer_y
+        # loses its zeta * expm1(-(z/zeta)**2) term: a factor 2 off.
         try:
             self.correlation_length**self.exponent
         except OverflowError:
             raise ValueError(
                 f"correlation_length**exponent overflows: "
-                f"{self.correlation_length}**{self.exponent}"
+                f"{self.correlation_length}**{self.exponent}, so the scaled "
+                "depths (z/zeta)**exponent underflow"
             ) from None
 
     def evaluate(self, z1, z2):
@@ -134,14 +152,22 @@ class CorrelationKernel:
         """
         # One buffer for the whole formula: a grid covariance is n x n.  The
         # subtraction allocates it; two scalars give a numpy scalar, which
-        # the in-place chain needs as a 0-d array.
+        # the in-place chain needs as a 0-d array.  The lag is scaled before
+        # it is raised to kappa, so no power of zeta can underflow to 0.
         out = np.subtract(z1, z2, dtype=float)
         if out.ndim == 0:
             out = np.asarray(out)
         np.abs(out, out=out)
-        out **= self.exponent
+        if self.correlation_length < _GUARDED_ZETA:
+            # The kernel value where the scaled lag or its power overflows
+            # is exp(-inf) = 0, the exact limit.
+            with np.errstate(over="ignore"):
+                out /= self.correlation_length
+                out **= self.exponent
+        else:
+            out /= self.correlation_length
+            out **= self.exponent
         np.negative(out, out=out)
-        out /= self.correlation_length**self.exponent
         np.exp(out, out=out)
         out *= self.amplitude
         return float(out) if out.ndim == 0 else out
@@ -277,6 +303,45 @@ def integral_at(grid: Grid, values, depths):
     return cumulative[..., idx] * (1.0 - frac) + cumulative[..., upper] * frac
 
 
+def ou_bridge(kernel: CorrelationKernel, steps):
+    """Exact integral of the kappa = 1 field over each step, given its ends.
+
+    The field is then an Ornstein-Uhlenbeck process, Markov, so given its
+    values X_0 and X_1 at the two ends of a step of length h the integral
+    over the step is Gaussian, independent of every other step's, with mean
+    ``w (X_0 + X_1)`` and variance ``v``, where, with x = h/zeta,
+    ``w = zeta tanh(x/2)`` and ``v = 2 C zeta^2 (x - 2 tanh(x/2))``
+    (Gillespie, Phys. Rev. E 54, 2084, 1996): ``w`` is Cov(integral, X_0)
+    = C zeta (1 - e^-x) over Var(X_0 + X_1) / 2 = C (1 + e^-x), and ``v``
+    is the step's variance 2 C zeta^2 (x - 1 + e^-x) less the part the
+    ends explain.  Returns ``(w, v)`` for an array of step lengths (cm).
+    """
+    zeta = kernel.correlation_length
+    h = np.asarray(steps, dtype=float)
+    with np.errstate(over="ignore"):
+        half = 0.5 * (h / zeta)  # inf for a subnormal zeta: w = zeta, v = 2 C zeta h
+    tanh = np.tanh(half)
+    # 2 C zeta (h - 2 zeta tanh(x/2)) cancels for small x, so there it is
+    # 4 C zeta (u cosh u - sinh u) / cosh u with u = x/2, whose series
+    # u^3 S(u), S(u) = sum_k 2k u^(2k-2) / (2k+1)!, has only positive terms.
+    # With zeta u = h/2 that is C h^2 u S(u) / cosh u, with no 2 zeta to
+    # overflow near the float maximum.  Where x >= 2, 2 zeta <= h.
+    variance = np.empty(h.shape)
+    small = half < 1.0
+    large = ~small
+    variance[large] = (
+        2.0 * kernel.amplitude * zeta * (h[large] - 2.0 * zeta * tanh[large])
+    )
+    u = half[small]
+    square = u * u
+    series = np.zeros(u.shape)
+    for k in range(_BRIDGE_TERMS, 0, -1):
+        series = series * square + 2 * k / math.factorial(2 * k + 1)
+    step = h[small]
+    variance[small] = kernel.amplitude * (step * step) * (u * series) / np.cosh(u)
+    return zeta * tanh, variance
+
+
 def covariance_matrix(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
     """Grid covariance M[i, j] = kernel.evaluate(Z_i, Z_j).
 
@@ -323,48 +388,75 @@ def check_budget(needed: int, what: str) -> None:
 class FieldSampler:
     """Draws field paths for one (kernel, grid) pair.
 
-    The kernel alone picks the route.  ``kappa = 1`` uses the exact AR(1)
-    recursion (``route == AR1_ROUTE``, with ``rho`` and the innovation
-    scale ``innovation``, ``factor`` None and ``jitter`` 0);
-    any other kernel the dense Cholesky factor of the grid covariance,
-    computed once at construction (``route == CHOLESKY_ROUTE``, with the
-    diagonal ``jitter`` that made it succeed).  Sampling is then pure in
-    (seed, chunk, count), so a single sampler can be shared read-only
-    across concurrent workers.  ``tiles`` is the one draw method: it reads
-    block ``chunk`` from its keyed stream and sends every tile of normals
-    through the same row-by-row transform, so on the AR(1) route a row is
-    bit-identical however its block was cut into tiles; a dense-route row
-    may differ in the last bits, since a matrix product of another height
-    can take another BLAS kernel.  Requests above the memory budget raise
+    Paths are drawn at ``nodes``, strictly increasing abscissae in
+    ``[0, L]``: the grid's points unless given, and only on the AR(1)
+    route (ValueError otherwise).  The kernel alone picks the route.
+    ``kappa = 1`` uses the exact AR(1) recursion over the steps between
+    the nodes (``route == AR1_ROUTE``, with ``rho``, the per-step ratios
+    ``exp(-h_k/zeta)``, and ``innovation``, the per-step innovation
+    scales, ``factor`` None and ``jitter`` 0); any other kernel the dense
+    Cholesky factor of the grid covariance, computed once at construction
+    (``route == CHOLESKY_ROUTE``, with the diagonal ``jitter`` that made
+    it succeed).  Sampling is then pure in (seed, chunk, count), so a
+    single sampler can be shared read-only across concurrent workers.
+    ``tiles`` is the one draw method: it reads block ``chunk`` from its
+    keyed stream and sends every tile of normals through the same
+    row-by-row transform, so on the AR(1) route a row is bit-identical
+    however its block was cut into tiles; a dense-route row may differ in
+    the last bits, since a matrix product of another height can take
+    another BLAS kernel.  Requests above the memory budget raise
     MemoryBudgetExceeded before anything is allocated: a dense grid at
     construction, a tile before the first one is drawn.  ``tile_rows`` is
     the height of the tiles ``tiles`` yields, at most.
     """
 
-    def __init__(self, kernel: CorrelationKernel, grid: Grid):
+    def __init__(self, kernel: CorrelationKernel, grid: Grid, nodes=None):
         self.kernel = kernel
         self.grid = grid
-        n = grid.n_points
+        if nodes is None:
+            self.nodes = grid.points
+        elif kernel.exponent != 1:
+            raise ValueError("nodes other than the grid's need kappa = 1")
+        else:
+            self.nodes = checked_depths(nodes, grid.length)
+            if self.nodes.ndim != 1 or not np.all(self.nodes[1:] > self.nodes[:-1]):
+                raise ValueError("nodes must be a strictly increasing 1-D array")
+        n = self.nodes.size
         self.tile_rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n))
         if kernel.exponent == 1:
-            steps = grid.spacing / kernel.correlation_length
             self.route = AR1_ROUTE
-            self.rho = math.exp(-steps)
-            # sqrt(C (1 - rho^2)), accurate also when rho is close to 1
-            self.innovation = math.sqrt(kernel.amplitude * -math.expm1(-2.0 * steps))
             self.factor, self.jitter = None, 0.0
-            if steps * (n - 1) <= _SCAN_EXPONENT:
-                width = n
-            else:
-                width = 1 + int(_SCAN_EXPONENT / steps)
-            # Per-column factors of the scan in _transform: block powers
-            # rho**m, m = column mod K, and the input scales.
-            self._growth = np.resize(self.rho ** np.arange(width), n)
-            self._shrink = self.innovation / self._growth
+            # h/zeta per step; inf (rho = 0) for a subnormal zeta
+            with np.errstate(over="ignore"):
+                steps = np.diff(self.nodes) / kernel.correlation_length
+            self.rho = np.exp(-steps)
+            # sqrt(C (1 - rho^2)), accurate also when rho is close to 1
+            self.innovation = np.sqrt(kernel.amplitude * -np.expm1(-2.0 * steps))
+            # The scan's blocks: each extends while the steps inside it sum
+            # to at most _SCAN_EXPONENT, so 1/rho products stay below e**40
+            # (a longer step is a block of its own, so steps are capped
+            # before they are summed).  Per column: the block's running
+            # product of rho from its first column and the input scale; per
+            # block the carry that brings the block before in.
+            reach = np.concatenate(
+                ([0.0], np.cumsum(np.minimum(steps, 2 * _SCAN_EXPONENT)))
+            )
+            self._growth = np.ones(n)
+            self._blocks = []
+            a = 0
+            while a < n:
+                b = int(np.searchsorted(reach, reach[a] + _SCAN_EXPONENT, "right"))
+                np.cumprod(self.rho[a : b - 1], out=self._growth[a + 1 : b])
+                carry = self.rho[a - 1] * self._growth[a - 1] if a else 0.0
+                self._blocks.append((a, b, carry))
+                a = b
+            self._shrink = np.empty(n)
             self._shrink[0] = math.sqrt(kernel.amplitude)
-            self._carry = self.rho**width
-            self._width = width
-            self.tile_rows = max(self.tile_rows, -(-_SCAN_BLOCK_VALUES // width))
+            np.divide(self.innovation, self._growth[1:], out=self._shrink[1:])
+            values_per_block = -(-n // len(self._blocks))
+            self.tile_rows = max(
+                self.tile_rows, -(-_SCAN_BLOCK_VALUES // values_per_block)
+            )
             return
         check_budget(
             8 * 3 * n * n, f"the dense covariance factor of a grid of {n} points"
@@ -381,21 +473,23 @@ class FieldSampler:
     def tiles(self, master_seed: int, chunk: int, count: int):
         """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
 
-        Each tile has shape ``(rows, n)`` with ``rows`` at most
-        ``tile_rows`` (and balanced, so no tile is a sliver).  The tiles
+        Each tile has shape ``(rows, n)``, one column per node, with
+        ``rows`` at most ``tile_rows`` (and balanced, so no tile is a
+        sliver).  The tiles
         are consecutive draws from the block's one stream,
         ``SeedSequence(master_seed, spawn_key=(chunk,))``, so the same
         (master_seed, chunk, count) always gives the same bits, also from
         concurrent threads.  The AR(1) recursion is the dense factor in
         closed form, so both routes give the same paths for the same key
-        up to the dense route's jitter (about 1e-11).  Pass a tile to
-        ``integral_at`` for its integrals up to given depths.
+        up to the dense route's jitter (about 1e-11).  Pass a tile drawn
+        at the grid's points to ``integral_at`` for its integrals up to
+        given depths.
         """
-        n = self.grid.n_points
+        n = self.nodes.size
         n_tiles = max(1, -(-count // self.tile_rows))
         base, extra = divmod(count, n_tiles)
         rows = base + (extra > 0)
-        check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} grid points")
+        check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} nodes")
         stream = default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))
         for t in range(n_tiles):
             yield self._transform(stream.standard_normal((base + (t < extra), n)))
@@ -404,22 +498,22 @@ class FieldSampler:
         """Field values from a ``(rows, n)`` tile of normals, row by row."""
         if self.route == CHOLESKY_ROUTE:
             return normals @ self.factor.T
-        # x_0 = sqrt(C) xi_0, x_i = rho x_{i-1} + sqrt(C (1 - rho^2)) xi_i, in
-        # place.  With b = innovation xi, a block of K columns after the
-        # carry c = x_{a-1} is x_{a+m} = rho^m y_m with
-        # y_m = rho c + sum_{j <= m} rho^-j b_{a+j}.  So scale every column,
-        # per block add rho c = rho^K y_{K-1} of the block before and take
-        # one prefix sum along each row (nothing to sum for K = 1), then
-        # scale every column back.
+        # x_0 = sqrt(C) xi_0, x_i = rho_i x_{i-1} + s_i xi_i, in place, with
+        # rho_i and s_i the ratio and innovation scale of the step into
+        # node i.  With b_i = s_i xi_i, a block of columns a, a+1, ... after
+        # the carry c = x_{a-1} is x_{a+m} = P_m y_m, where P_m is the
+        # product of rho_{a+1} ... rho_{a+m} and
+        # y_m = rho_a c + sum_{j <= m} b_{a+j} / P_j.  So scale every column,
+        # per block add rho_a c = rho_a P y of the block before and take one
+        # prefix sum along each row (nothing to sum for a one-column block),
+        # then scale every column back.
         x = normals
         x *= self._shrink
-        width = self._width
-        for start in range(0, x.shape[1], width):
-            block = x[:, start : start + width]
+        for start, stop, carry in self._blocks:
+            block = x[:, start:stop]
             if start:
-                block[:, 0] += self._carry * x[:, start - 1]
-            if width > 1:
+                block[:, 0] += carry * x[:, start - 1]
+            if stop - start > 1:
                 np.cumsum(block, axis=1, out=block)
         x *= self._growth
         return x
-

@@ -1,12 +1,15 @@
 """Monte Carlo ensemble of exact pathwise attenuation solutions.
 
 Each sampled path has the closed pathwise solution
-``I0 * exp(-sigma_a*z - alpha*sigma_a*int_0^z G)``, so the only
-discretization in the headline estimate is the trapezoid quadrature of
-the path integral.  An explicit Euler integrator is kept alongside as an
-independent cross-check, and an analytic lognormal oracle (Gaussian
-moment identity plus tensor-product quadrature) bypasses both the sampler and
-the erf closed form.
+``I0 * exp(-sigma_a*z - alpha*sigma_a*int_0^z G)``.  For kappa = 1 the
+ensemble draws the field only at the output depths and integrates each
+step between them by its exact Ornstein-Uhlenbeck bridge, so its mean
+has no discretization error at all; for other kernels the only
+discretization is the trapezoid quadrature of the path integral on the
+grid.  An explicit Euler integrator is kept alongside as an independent
+cross-check, and an analytic lognormal oracle (Gaussian moment identity
+plus tensor-product quadrature) bypasses both the sampler and the erf
+closed form.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ import numpy as np
 
 from .errors import ReliabilityWarning
 from .grf import CHUNK_PATHS, FieldSampler, Grid, check_budget, integral_at
-from .grf import checked_depths, checked_values, one_depth
+from .grf import checked_depths, checked_values, one_depth, ou_bridge
 from .medium import MediumSpec, StochasticMedium, beer
 from .quadrature import square_double_integral
 
 _MAX_DEFAULT_ROWS = 256
-# Arrays of (tile rows, n + depths) one worker holds at once: a tile's
-# values, the running integral integral_at builds and the integrals at
-# the depths, which the reduction turns into factors and their squares in
+# Arrays of (tile rows, nodes + gathered depths) one worker holds at once:
+# a tile's values, its running integral and the integrals gathered at the
+# depths, which the reduction turns into factors and their squares in
 # place (tracemalloc peaks while two chunks stream, with any factor
 # already built: 1.3 to 2.0 of them for n from 51 to 2001, on both
 # routes), with a margin.
@@ -45,9 +48,12 @@ class EnsembleStats:
     pairs where the sampled absorption coefficient went negative, a
     model-validity diagnostic.  The integral skewness/kurtosis describe
     the path integral of the field over the whole slab, which should be
-    Gaussian.  sampler_route is the FieldSampler route that drew the
-    paths (grf.AR1_ROUTE or grf.CHOLESKY_ROUTE) and jitter the diagonal
-    jitter its factor actually used (0 for the AR(1) recursion).
+    Gaussian; for kappa = 1 that integral is its exact conditional mean
+    given the stepping nodes, and bridge_variance is the variance the
+    bridges leave out of it, V(L) (0 on the dense route).  sampler_route
+    is the FieldSampler route that drew the paths (grf.AR1_ROUTE or
+    grf.CHOLESKY_ROUTE) and jitter the diagonal jitter its factor
+    actually used (0 for the AR(1) recursion).
     """
 
     depths: np.ndarray
@@ -59,6 +65,7 @@ class EnsembleStats:
     integral_excess_kurtosis: float
     sampler_route: str
     jitter: float
+    bridge_variance: float
 
 
 def path_intensity(medium: MediumSpec, grid: Grid, values, depths):
@@ -133,6 +140,18 @@ def _in_order(pool, fn, items, window: int):
         yield pending.popleft().result()
 
 
+def _stepping_nodes(grid: Grid, depths: np.ndarray):
+    """The kappa-1 ensemble's nodes ``{0} U depths U {L}``, sorted and
+    distinct, and each depth's column among them."""
+    ends = np.sort(np.concatenate(([0.0], depths, [grid.length])))
+    # np.unique would import numpy.ma on its first call
+    keep = np.empty(ends.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ends[1:], ends[:-1], out=keep[1:])
+    nodes = ends[keep]
+    return nodes, np.searchsorted(nodes, depths)
+
+
 def run_ensemble(
     sm: StochasticMedium,
     grid: Grid,
@@ -155,6 +174,15 @@ def run_ensemble(
     workers.  The concurrent tile streams and the factor are charged to
     the memory budget before anything is drawn (MemoryBudgetExceeded).
 
+    For ``kappa = 1`` the field is drawn only at the stepping nodes
+    ``{0} U depths U {L}`` (the grid's points when the depths are), one
+    normal per node and path, and each step's integral is its exact
+    conditional mean given its two ends (``grf.ou_bridge``); the bridges'
+    summed variance V(z) enters each depth's mean as the exact factor
+    ``exp((alpha sigma_a)^2 V(z) / 2)``, so the estimate is unbiased for
+    the continuum law on any grid.  Every other kernel is drawn on the
+    grid and integrated by the trapezoid rule (``integral_at``).
+
     Emits a ReliabilityWarning when the exponent standard deviation
     alpha*sigma_a*sqrt(Var int G) at the deepest requested depth exceeds
     1.5: sample means of such heavy-tailed lognormals converge poorly.
@@ -171,9 +199,6 @@ def run_ensemble(
             f"depths must be a scalar or a non-empty 1-D array, got {depths.shape}"
         )
 
-    sampler = FieldSampler(sm.kernel, grid)
-    beer_depths = np.atleast_1d(np.asarray(beer(medium, depths), dtype=float))
-
     scale = medium.alpha * medium.sigma_a
     deepest = float(depths.max())
     if deepest > 0 and scale > 0:
@@ -189,11 +214,57 @@ def run_ensemble(
 
     # sigma_a (1 + alpha G) is never negative without alpha or sigma_a
     neg_cut = -1.0 / medium.alpha if min(medium.alpha, medium.sigma_a) > 0 else -np.inf
+    n_depths = depths.size
 
-    # The slab integral is read from one more depth column, at L: there
-    # the interpolation weight of the upper node is 0, so the column is the
-    # running integral's last entry exactly.
-    tile_depths = np.append(depths, grid.length)
+    if sm.kernel.exponent == 1:
+        nodes, columns = _stepping_nodes(grid, np.atleast_1d(depths))
+        sampler = FieldSampler(sm.kernel, grid, nodes)
+        weights, variances = ou_bridge(sm.kernel, np.diff(nodes))
+        # Column k of a tile's sums pairs node k with node k - 1 and is
+        # weighted by the step between them; column 0 is reset to 0.
+        weights = np.concatenate(([0.0], weights))
+        bridged = np.concatenate(([0.0], np.cumsum(variances)))
+        bridge_variance = float(bridged[-1])
+        bridged = bridged[columns]
+        # On the depths' own columns, in order, the sums are reduced in place.
+        gathered = not np.array_equal(columns, np.arange(nodes.size))
+
+        def integrate(values, slab):
+            # One pass over the flattened tile, as integral_at does: entry
+            # j > 0 of a row is values[j] + values[j - 1], entry 0 pairs a
+            # row's first value with the previous row's last.
+            sums = np.empty(values.shape)
+            flat = values.reshape(-1)
+            np.add(flat[1:], flat[:-1], out=sums.reshape(-1)[1:])
+            sums[:, 0] = 0.0
+            sums *= weights
+            np.cumsum(sums, axis=1, out=sums)
+            slab[:] = sums[:, -1]
+            # np.take keeps the rows contiguous, so the sums over paths below
+            # add the same way whether the columns are gathered or not
+            return np.take(sums, columns, axis=1) if gathered else sums
+
+    else:
+        sampler = FieldSampler(sm.kernel, grid)
+        bridged = bridge_variance = 0.0
+        gathered = True  # integral_at gathers the depth columns
+        # The slab integral is read from one more depth column, at L: there
+        # the interpolation weight of the upper node is 0, so the column is
+        # the running integral's last entry exactly.
+        tile_depths = np.append(depths, grid.length)
+
+        def integrate(values, slab):
+            integrals = integral_at(grid, values, tile_depths)
+            slab[:] = integrals[:, -1]
+            # zeroed, so the unused factor it becomes below stays finite
+            integrals[:, -1] = 0.0
+            return integrals
+
+    # The depth's Beer exponent and the bridges' exact variance factor in
+    # one exp (0 on the dense route, whose sums carry all the variance).
+    prefactor = np.atleast_1d(
+        medium.i0 * np.exp(0.5 * scale**2 * bridged - medium.sigma_a * depths)
+    )
 
     def chunk_partials(chunk: int):
         count = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS)
@@ -203,17 +274,14 @@ def run_ensemble(
         start = 0
         for values in sampler.tiles(master_seed, chunk, count):
             rows = len(values)
-            integrals = integral_at(grid, values, tile_depths)
-            slab_integral[start : start + rows] = integrals[:, -1]
+            integrals = integrate(values, slab_integral[start : start + rows])
             # The depth columns become the factors exp(-scale I), then their
             # squares, in place: no (rows, depths) temporaries.  The ufuncs
             # run over the whole contiguous block, several times faster than
-            # over the strided depth columns, so the slab column, read
-            # above, is zeroed to keep its unused factor finite.
-            integrals[:, -1] = 0.0
+            # over the strided depth columns.
             integrals *= -scale
             np.exp(integrals, out=integrals)
-            factors = integrals[:, :-1]
+            factors = integrals[:, :n_depths]
             factor_sum = factor_sum + factors.sum(axis=0)
             np.square(integrals, out=integrals)
             factor_sq_sum = factor_sq_sum + factors.sum(axis=0)
@@ -221,7 +289,7 @@ def run_ensemble(
             start += rows
             # The integrals go now and the values when the next tile
             # replaces them, which leaves the peak, reached inside
-            # integral_at, where it was: the allocator then reuses their
+            # integrate, where it was: the allocator then reuses their
             # blocks from tile to tile instead of returning them to the
             # system and faulting them in again.
             del integrals, factors
@@ -238,14 +306,15 @@ def run_ensemble(
     chunks = range((n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS)
     streams = max(1, min(workers, len(chunks)))
     tile_rows = min(sampler.tile_rows, CHUNK_PATHS, n_paths)
+    width = sampler.nodes.size
     check_budget(
         (0 if sampler.factor is None else sampler.factor.nbytes)
-        + 8 * _STREAM_ARRAYS * streams * tile_rows * (grid.n_points + depths.size),
+        + 8 * _STREAM_ARRAYS * streams * tile_rows * (width + gathered * n_depths),
         f"{streams} worker(s) streaming tiles of {tile_rows} paths "
-        f"on {grid.n_points} grid points",
+        f"on {width} nodes",
     )
-    factor_sum = np.zeros(beer_depths.shape)
-    factor_sq_sum = np.zeros(beer_depths.shape)
+    factor_sum = np.zeros(prefactor.shape)
+    factor_sq_sum = np.zeros(prefactor.shape)
     raw_moments = np.zeros(4)
     negative_count = 0
     with ThreadPoolExecutor(max_workers=streams) as pool:
@@ -261,8 +330,8 @@ def run_ensemble(
     factor_var = np.maximum(
         (factor_sq_sum - factor_sum**2 / n_paths) / (n_paths - 1), 0.0
     )
-    mean = beer_depths * mean_factor
-    sem = beer_depths * np.sqrt(factor_var / n_paths)
+    mean = prefactor * mean_factor
+    sem = prefactor * np.sqrt(factor_var / n_paths)
 
     m2, m3, m4 = _central_moments(raw_moments, n_paths)
     if m2 > 0:
@@ -277,11 +346,12 @@ def run_ensemble(
         mean=mean,
         sem=sem,
         n_paths=n_paths,
-        negative_coefficient_fraction=negative_count / (n_paths * grid.n_points),
+        negative_coefficient_fraction=negative_count / (n_paths * width),
         integral_skewness=skewness,
         integral_excess_kurtosis=excess_kurtosis,
         sampler_route=sampler.route,
         jitter=sampler.jitter,
+        bridge_variance=bridge_variance,
     )
 
 

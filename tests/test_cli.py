@@ -254,6 +254,20 @@ class TestMainExitCodes:
         assert "grid_points=10001" in report
         assert "euler check" in report
 
+    @pytest.mark.parametrize("kappa", ["1", "1.5", "2"])
+    def test_correlation_length_whose_power_underflows_runs(self, tmp_path, kappa):
+        # zeta ** kappa underflows to 0; the kernel scales the lag first, so
+        # the field is white noise on these nodes instead of NaN
+        out = tmp_path / "x.csv"
+        code = main([
+            "--kappa", kappa, "--zeta", "1e-170", "--grid-points", "11",
+            "--modes", "beer,mc", "--paths", "200", "--out", str(out),
+        ])
+        assert code == 0
+        _, rows = _read_csv(out)
+        cells = [float(cell) for row in rows for cell in row if cell]
+        assert len(cells) == 11 * 4 and all(math.isfinite(c) for c in cells)
+
     def test_colored_noise_sampling_without_closed_forms_is_fine(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main([
@@ -413,7 +427,13 @@ class TestCsvContract:
     @pytest.mark.parametrize(
         "kappa,line",
         [
-            ("1", "sampler: AR(1) recursion (exact for kappa = 1)"),
+            (
+                "1",
+                # 1 - 20 * 2 (0.1 - 2 tanh(0.05)) / (2 (2 + expm1(-2)))
+                "sampler: AR(1) recursion at the output depths, exact OU bridge "
+                "between them (kappa = 1), sampled share of the slab-integral "
+                "variance = 0.998533",
+            ),
             ("2", "sampler: dense Cholesky, n = 21, jitter = 1e-12"),
         ],
         ids=["kappa1", "kappa2"],

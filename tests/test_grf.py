@@ -1,7 +1,9 @@
 """Kernel, grid, covariance and path-sampling behavior."""
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -42,11 +44,22 @@ class TestCorrelationKernel:
         k = CorrelationKernel(1.3, 0.7, kappa)
         z = Grid(5.0, 301).points
         sep = np.abs(z[:, None] - z[None, :])
-        expected = 1.3 * np.exp(-(sep**kappa) / 0.7**kappa)
+        expected = 1.3 * np.exp(-((sep / 0.7) ** kappa))
         assert np.array_equal(k.evaluate(z[:, None], z[None, :]), expected)
         scalar = k.evaluate(0.1, 0.5)
         assert type(scalar) is float
-        assert scalar == 1.3 * np.exp(-(0.4**kappa) / 0.7**kappa)
+        assert scalar == 1.3 * np.exp(-((0.4 / 0.7) ** kappa))
+
+    @pytest.mark.parametrize("zeta", [1e-170, 5e-324])
+    def test_lags_past_the_float_range_give_exact_zero(self, zeta):
+        # |dz|/zeta (5e-324) or its square (1e-170) overflows; 0 is the
+        # exact limit, and no warning is raised
+        k = CorrelationKernel(1.3, zeta, 2.0)
+        z = Grid(5.0, 11).points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = k.evaluate(z[:, None], z[None, :])
+        np.testing.assert_array_equal(m, np.diag(np.full(11, 1.3)))
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
     def test_scalar_separation_matches_its_array_entry(self, kappa):
@@ -302,7 +315,8 @@ class TestSampling:
         expected[:, 0] *= math.sqrt(amp)
         for i in range(1, n):
             expected[:, i] = (
-                sampler.rho * expected[:, i - 1] + sampler.innovation * xi[:, i]
+                sampler.rho[i - 1] * expected[:, i - 1]
+                + sampler.innovation[i - 1] * xi[:, i]
             )
         got = _block(sampler, 5, 1, 50)
         assert np.all(np.isfinite(got))
@@ -312,7 +326,7 @@ class TestSampling:
         amp, n = 2.5, 41
         grid = Grid(800.0 * (n - 1), n)
         sampler = FieldSampler(CorrelationKernel(amp, 1.0, 1.0), grid)
-        assert sampler.rho == 0.0
+        assert np.all(sampler.rho == 0.0)
         xi = np.random.default_rng(
             np.random.SeedSequence(5, spawn_key=(1,))
         ).standard_normal((50, n))
@@ -324,9 +338,9 @@ class TestSampling:
         # innovation it is all of x_i
         amp = 2.5
         sampler = FieldSampler(CorrelationKernel(amp, 1.0, 1.0), Grid(2 * steps, 3))
-        assert 0.0 < sampler.rho < 2.0**-53
+        assert np.all((0.0 < sampler.rho) & (sampler.rho < 2.0**-53))
         x = sampler._transform(np.array([[1.0, 0.0, 1.0]]))
-        assert x[0, 1] == sampler.rho * math.sqrt(amp)
+        assert x[0, 1] == sampler.rho[0] * math.sqrt(amp)
 
     @pytest.mark.parametrize(
         "kappa, zeta, least, most",
@@ -373,8 +387,8 @@ class TestSampling:
         amp, zeta = 1.7, 0.3
         grid = Grid(2.0, 41)
         sampler = FieldSampler(CorrelationKernel(amp, zeta, 1.0), grid)
+        assert np.array_equal(sampler.rho, np.exp(-np.diff(grid.points) / zeta))
         rho = math.exp(-grid.spacing / zeta)
-        assert sampler.rho == rho
         n = 100_000
         sq_sum = np.zeros(41)
         lag_sum = np.zeros(40)
@@ -417,6 +431,37 @@ class TestSampling:
             [amp + 1e-12 * 10**k * amp for k in range(failures + 1)], rel=1e-15
         )
 
+    @pytest.mark.parametrize("zeta", [1.0, 0.05])
+    def test_ar1_at_uneven_nodes_is_the_cholesky_factor_of_their_covariance(
+        self, zeta
+    ):
+        # Steps from 1e-4 zeta to 40 zeta, so at zeta 0.05 the scan cuts the
+        # row into blocks of uneven widths and one step is a block of its own.
+        kernel = CorrelationKernel(2.5, zeta, 1.0)
+        rng = np.random.default_rng(20261019)
+        nodes = np.sort(np.concatenate(([0.0, 5.0], rng.uniform(0.0, 5.0, 150))))
+        nodes = np.concatenate((nodes[nodes < 2.0], [2.0 + 1e-4 * zeta, 4.0]))
+        sampler = FieldSampler(kernel, Grid(5.0, 11), nodes)
+        assert sampler.route == grf.AR1_ROUTE and sampler.rho.shape == (nodes.size - 1,)
+        normals = np.random.default_rng(
+            np.random.SeedSequence(31, spawn_key=(2,))
+        ).standard_normal((200, nodes.size))
+        factor = np.linalg.cholesky(kernel.evaluate(nodes[:, None], nodes[None, :]))
+        np.testing.assert_allclose(
+            _block(sampler, 31, 2, 200), normals @ factor.T, rtol=0, atol=1e-9
+        )
+
+    def test_nodes_are_checked(self):
+        grid = Grid(5.0, 11)
+        with pytest.raises(ValueError, match="kappa = 1"):
+            FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), grid, [0.0, 1.0])
+        kernel = CorrelationKernel(1.0, 1.0, 1.0)
+        for nodes in ([0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="strictly increasing 1-D"):
+                FieldSampler(kernel, grid, nodes)
+        with pytest.raises(OutOfDomain):
+            FieldSampler(kernel, grid, [0.0, 5.5])
+
     def test_sample_variance_matches_amplitude(self):
         amp = 1.0
         sampler = FieldSampler(CorrelationKernel(amp, 1.0, 2.0), Grid(2.0, 21))
@@ -428,6 +473,83 @@ class TestSampling:
         variance = sq_sum / n
         three_se = 3.0 * amp * math.sqrt(2.0 / n)
         assert np.max(np.abs(variance - amp)) < three_se
+
+
+def _tanh(u):
+    """tanh of a Decimal in the context's precision."""
+    e = (-2 * u).exp()
+    return (1 - e) / (1 + e)
+
+
+class TestOUBridge:
+    """``ou_bridge``: each step's integral given its two ends."""
+
+    # x = h/zeta from 1e-8 to 1e3, with both sides of the series' switch
+    X = np.concatenate((np.logspace(-8.0, 3.0, 221), [1e-2, 2.0 - 2**-52, 2.0]))
+
+    def test_coefficients_match_forty_digit_arithmetic(self):
+        amp, zeta = 1.7, 0.3
+        steps = self.X * zeta
+        weights, variances = grf.ou_bridge(CorrelationKernel(amp, zeta, 1.0), steps)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for h, w, v in zip(steps, weights, variances):
+                z = Decimal(zeta)
+                x = Decimal(h) / z
+                w_exact = z * _tanh(x / 2)
+                v_exact = 2 * Decimal(amp) * z * z * (x - 2 * _tanh(x / 2))
+                assert abs(Decimal(w) - w_exact) <= Decimal("1e-14") * w_exact
+                assert abs(Decimal(v) - v_exact) <= Decimal("1e-14") * v_exact
+
+    def test_ends_and_bridge_make_up_the_step_variance(self):
+        # w^2 Var(X_0 + X_1) + v = Var int over the step = 2 C zeta^2 (x - 1 + e^-x)
+        amp, zeta = 1.7, 0.3
+        weights, variances = grf.ou_bridge(
+            CorrelationKernel(amp, zeta, 1.0), self.X * zeta
+        )
+        with localcontext() as ctx:
+            ctx.prec = 40
+            c, z = Decimal(amp), Decimal(zeta)
+            for h, w, v in zip(self.X * zeta, weights, variances):
+                x = Decimal(h) / z
+                r = Decimal(math.exp(-h / zeta))
+                total = 2 * c * z * z * (x - 1 + (-x).exp())
+                parts = Decimal(w) ** 2 * 2 * c * (1 + r) + Decimal(v)
+                assert abs(parts - total) <= Decimal("1e-14") * total
+
+    @pytest.mark.parametrize("zeta", [1e-3, 1e-300, 5e-324])
+    def test_no_warning_where_rho_underflows(self, zeta):
+        # h/zeta from 746 up to inf: rho = 0, tanh(x/2) = 1, so w = zeta and
+        # v = 2 C zeta (h - 2 zeta)
+        kernel = CorrelationKernel(2.0, zeta, 1.0)
+        nodes = np.array([0.0, 0.746, 1.746, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights, variances = grf.ou_bridge(kernel, np.diff(nodes))
+            sampler = FieldSampler(kernel, Grid(5.0, 11), nodes)
+            values = _block(sampler, 3, 0, 50)
+        assert np.all(sampler.rho == 0.0)
+        assert np.all(weights == zeta)
+        np.testing.assert_allclose(
+            variances, 4.0 * zeta * (np.diff(nodes) - 2 * zeta), rtol=1e-15
+        )
+        assert np.all(np.isfinite(values))
+
+    def test_no_overflow_near_the_float_maximum(self):
+        # 2 zeta overflows here, and x/2 is subnormal: tanh(x/2) = x/2 and
+        # the series is its leading term, so w = h/2 and v = C h^3 / (6 zeta)
+        # to the subnormal's precision
+        amp, zeta = 1.5, 1.7e308
+        steps = np.array([0.5, 1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights, variances = grf.ou_bridge(
+                CorrelationKernel(amp, zeta, 1.0), steps
+            )
+        np.testing.assert_allclose(weights, steps / 2, rtol=1e-12)
+        np.testing.assert_allclose(
+            variances, amp * steps**3 / 6 / zeta, rtol=1e-12
+        )
 
 
 def _interpolated_trapezoid(grid, values, depths):

@@ -51,6 +51,44 @@ def _path(kernel, grid, seed, rows=1):
     return _block(FieldSampler(kernel, grid), seed, 0, rows)
 
 
+def _route(sm, grid, depths):
+    """The ensemble route's own formula, for the tests that pin its bits.
+
+    Returns the sampler it draws with, a function taking a tile (or a
+    whole block) of its draws to the integrals of G up to ``depths``, and
+    the per-depth prefactor of the mean factor exp(-alpha sigma_a I).  For
+    kappa 1 the field is drawn at the stepping nodes {0} U depths U {L},
+    each step is integrated by its OU-bridge mean w_k (X_k + X_(k+1)) and
+    the prefactor carries the bridges' variance V(z) as
+    exp((alpha sigma_a)^2 V(z) / 2); every other kernel is drawn on the
+    grid and integrated by the trapezoid rule, with Beer's law as the
+    prefactor.
+    """
+    medium, depths = sm.medium, np.atleast_1d(depths)
+    scale = medium.alpha * medium.sigma_a
+    if sm.kernel.exponent != 1:
+        tile_depths = np.append(depths, grid.length)
+        return (
+            FieldSampler(sm.kernel, grid),
+            lambda values: integral_at(grid, values, tile_depths)[:, :-1],
+            beer(medium, depths),
+        )
+    nodes = np.unique(np.concatenate(([0.0], depths, [grid.length])))
+    columns = np.searchsorted(nodes, depths)
+    weights, variances = grf.ou_bridge(sm.kernel, np.diff(nodes))
+
+    def integrate(values):
+        integral = np.zeros(values.shape)
+        integral[:, 1:] = np.cumsum(weights * (values[:, 1:] + values[:, :-1]), axis=1)
+        # row-major, as the route keeps it: a sum over paths then adds in
+        # the same order
+        return np.take(integral, columns, axis=1)
+
+    bridged = np.concatenate(([0.0], np.cumsum(variances)))[columns]
+    prefactor = medium.i0 * np.exp(0.5 * scale**2 * bridged - medium.sigma_a * depths)
+    return FieldSampler(sm.kernel, grid, nodes), integrate, prefactor
+
+
 class TestPathIntensity:
     def test_deterministic_limit_equals_beer(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.0, i0=10.0)
@@ -210,19 +248,17 @@ class TestRunEnsemble:
         one, three = (run_ensemble(sm, grid, n, 41, workers=w) for w in (1, 3))
         assert np.array_equal(one.mean, three.mean)
         assert np.array_equal(one.sem, three.sem)
-        sampler = FieldSampler(sm.kernel, grid)
+        sampler, integrate, prefactor = _route(sm, grid, one.depths)
         f_sum = f_sq = 0.0
         for chunk, count in enumerate(counts):
             block = _block(sampler, 41, chunk, count)
-            # the pathwise factor path_intensity / beer, one row per path
-            integral = integral_at(grid, block, one.depths)
-            f = np.exp(-medium.alpha * medium.sigma_a * integral)
+            # the pathwise factor exp(-alpha sigma_a I), one row per path
+            f = np.exp(-medium.alpha * medium.sigma_a * integrate(block))
             f_sum = f_sum + f.sum(axis=0)
             f_sq = f_sq + (f**2).sum(axis=0)
-        beer_depths = beer(medium, one.depths)
-        mean = beer_depths * (f_sum / n)
+        mean = prefactor * (f_sum / n)
         var = np.maximum((f_sq - f_sum**2 / n) / (n - 1), 0.0)
-        sem = beer_depths * np.sqrt(var / n)
+        sem = prefactor * np.sqrt(var / n)
         # Sums taken tile by tile round differently from whole-block sums,
         # and the SEM's f_sq - f_sum**2/n cancellation near the surface
         # magnifies that; a dropped or repeated row moves both by about 1e-4.
@@ -233,19 +269,20 @@ class TestRunEnsemble:
         "depths", [None, [0.33, 1.0, 2.71], 2.0], ids=["nodes", "mixed", "one"]
     )
     @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
-    def test_bit_identical_to_the_tile_formula(self, kappa, depths):
+    def test_bit_identical_to_the_tile_formula(self, kappa, depths, monkeypatch):
         # The reduction taken tile by tile and chunk by chunk, each factor
         # exp(-scale I) and its square a fresh array: run_ensemble must give
         # its bits exactly, as the byte-identical CSV needs (test_grf pins
-        # integral_at's bits the same way).
+        # integral_at's bits the same way).  Smaller tiles cut a chunk
+        # into several also at the few stepping nodes of the kappa-1 route.
+        monkeypatch.setattr(grf, "_TILE_BYTES", 64 * 2**10)
         medium = MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0)
         sm = StochasticMedium(medium, CorrelationKernel(1.0, 0.5, kappa))
         grid = Grid(5.0, 101)
         counts = (CHUNK_PATHS, 300)
         n = sum(counts)
         got = run_ensemble(sm, grid, n, 43, depths=depths)
-        sampler = FieldSampler(sm.kernel, grid)
-        tile_depths = np.append(got.depths, grid.length)
+        sampler, integrate, prefactor = _route(sm, grid, got.depths)
         scale = medium.alpha * medium.sigma_a
         f_sum = np.zeros(got.depths.shape)
         f_sq = np.zeros(got.depths.shape)
@@ -254,15 +291,98 @@ class TestRunEnsemble:
             tiles = list(sampler.tiles(43, chunk, count))
             assert len(tiles) > 1 or chunk == 1
             for values in tiles:
-                f = np.exp(-scale * integral_at(grid, values, tile_depths)[:, :-1])
+                f = np.exp(-scale * integrate(values))
                 chunk_sum = chunk_sum + f.sum(axis=0)
                 chunk_sq = chunk_sq + (f**2).sum(axis=0)
             f_sum += chunk_sum
             f_sq += chunk_sq
-        beer_depths = beer(medium, got.depths)
         var = np.maximum((f_sq - f_sum**2 / n) / (n - 1), 0.0)
-        assert np.array_equal(got.mean, beer_depths * (f_sum / n))
-        assert np.array_equal(got.sem, beer_depths * np.sqrt(var / n))
+        assert np.array_equal(got.mean, prefactor * (f_sum / n))
+        assert np.array_equal(got.sem, prefactor * np.sqrt(var / n))
+
+    def test_kappa1_depths_map_back_to_their_places(self):
+        # Unsorted, repeated and off-node depths step through the same nodes
+        # as their sorted distinct set, so each keeps its value bit for bit.
+        sm = StochasticMedium(
+            MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0), CorrelationKernel(1.0, 0.5, 1.0)
+        )
+        grid = Grid(5.0, 101)
+        depths = np.array([2.71, 0.33, 5.0, 2.71, 1.0, 0.0, 0.33])
+        ordered = np.array([0.0, 0.33, 1.0, 2.71, 5.0])
+        got = run_ensemble(sm, grid, 5000, 47, depths=depths)
+        want = run_ensemble(sm, grid, 5000, 47, depths=ordered)
+        place = np.searchsorted(ordered, depths)
+        assert np.array_equal(got.depths, depths)
+        assert np.array_equal(got.mean, want.mean[place])
+        assert np.array_equal(got.sem, want.sem[place])
+        assert got.bridge_variance == want.bridge_variance > 0.0
+
+    @pytest.mark.parametrize("n_points,drawn", [(11, 11), (256, 256), (1001, 256)])
+    def test_kappa1_ensemble_draws_one_normal_per_stepping_node(
+        self, monkeypatch, n_points, drawn
+    ):
+        # At the default depths the stepping nodes are the grid's own points
+        # up to 256 of them, and the field drawn there is the grid field;
+        # a finer grid is stepped at its 256 output depths alone.
+        kernel = CorrelationKernel(1.3, 0.5, 1.0)
+        grid = Grid(5.0, n_points)
+        tiles = []
+
+        class Recording(FieldSampler):
+            def tiles(self, *key):
+                for values in super().tiles(*key):
+                    tiles.append(values.copy())
+                    yield values
+
+        monkeypatch.setattr(montecarlo, "FieldSampler", Recording)
+        sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.3), kernel)
+        run_ensemble(sm, grid, 300, 7)
+        field = np.concatenate(tiles)
+        assert field.shape == (300, drawn)
+        if drawn == n_points:
+            expected = _block(FieldSampler(kernel, grid), 7, 0, 300)
+            np.testing.assert_allclose(field, expected, rtol=1e-13, atol=1e-13)
+
+    def test_kappa1_mean_is_the_continuum_law_on_a_coarse_grid(self):
+        # Grid(5, 11) steps 0.5 zeta at a time.  The continuum law is
+        # beer * exp((alpha sigma_a)^2 C zeta^2 (z/zeta + expm1(-z/zeta))); the
+        # bridged ensemble is unbiased for it on any grid, while the
+        # trapezoid integral of the same paths' grid field is biased by the
+        # step, which a million paths resolve.  The seed was chosen once.
+        medium = MediumSpec(sigma_a=1.0, alpha=0.8, i0=10.0)
+        sm = StochasticMedium(medium, CorrelationKernel(1.0, 1.0, 1.0))
+        grid = Grid(5.0, 11)
+        n, seed = 1_000_000, 20261019
+        with pytest.warns(ReliabilityWarning):
+            stats = run_ensemble(sm, grid, n, seed, workers=2)
+        z = stats.depths
+        law = beer(medium, z) * np.exp(0.64 * (z + np.expm1(-z)))
+        assert np.all(np.abs(stats.mean - law) <= 3.0 * stats.sem)
+        # the trapezoid route, from the grid field of the same chunk streams
+        sampler = FieldSampler(sm.kernel, grid)
+        f_sum = f_sq = 0.0
+        for chunk, start in enumerate(range(0, n, CHUNK_PATHS)):
+            for values in sampler.tiles(seed, chunk, min(CHUNK_PATHS, n - start)):
+                f = np.exp(-0.8 * integral_at(grid, values, z))
+                f_sum = f_sum + f.sum(axis=0)
+                f_sq = f_sq + (f**2).sum(axis=0)
+        mean = beer(medium, z) * f_sum / n
+        sem = beer(medium, z) * np.sqrt((f_sq - f_sum**2 / n) / (n - 1) / n)
+        assert np.max(np.abs(mean - law)[1:] / sem[1:]) >= 6.0
+
+    def test_kappa1_ensemble_with_rho_underflowing_to_zero_is_quiet(self):
+        # h/zeta from 1e3 to 4e3: rho = exp(-h/zeta) underflows to 0, where
+        # the field at the nodes is white noise and each bridge is nearly
+        # the whole step.  No RuntimeWarning may be raised on the way.
+        medium = MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0)
+        sm = StochasticMedium(medium, CorrelationKernel(1.0, 1e-3, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = run_ensemble(sm, Grid(5.0, 11), 500, 3, depths=[0.0, 1.0, 5.0])
+        assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.sem))
+        # each bridge leaves 2 C zeta (h - 2 zeta tanh(h / (2 zeta))) out, with
+        # tanh(500) = 1: nearly all of Var int_0^L G = 2 C zeta (L - zeta)
+        assert stats.bridge_variance == pytest.approx(2e-3 * (5.0 - 4e-3), rel=1e-12)
 
     def test_slab_integral_beyond_the_depths_does_not_overflow(self):
         # A nearly constant field (zeta 100 >> L) and scale 140: the slab
@@ -304,16 +424,18 @@ class TestRunEnsemble:
             MediumSpec(sigma_a=1.0, alpha=0.1, i0=10.0),
             CorrelationKernel(1.0, 1.0, 1.0),
         )
-        # Tiles of 64 rows on 700 001 points: one worker's stream is charged
-        # about 1.4 GB, two are past the 2 GiB budget.
+        # Tiles of 64 rows on 700 001 points, all of them output depths (so
+        # all of them stepping nodes): one worker's stream is charged about
+        # 1.4 GB, two are past the 2 GiB budget.
         grid = Grid(5.0, 700_001)
+        depths = grid.points
         with pytest.raises(Drawn):
-            run_ensemble(sm, grid, 2 * CHUNK_PATHS, 0, workers=1)
+            run_ensemble(sm, grid, 2 * CHUNK_PATHS, 0, depths=depths, workers=1)
         with pytest.raises(MemoryBudgetExceeded, match="2 worker"):
-            run_ensemble(sm, grid, 2 * CHUNK_PATHS, 0, workers=2)
+            run_ensemble(sm, grid, 2 * CHUNK_PATHS, 0, depths=depths, workers=2)
         # a single chunk runs on one worker whatever the pool size
         with pytest.raises(Drawn):
-            run_ensemble(sm, grid, CHUNK_PATHS, 0, workers=2)
+            run_ensemble(sm, grid, CHUNK_PATHS, 0, depths=depths, workers=2)
 
     def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
         # Two-path chunks, so a run spans thousands of them.  Submitting
