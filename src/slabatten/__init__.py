@@ -22,8 +22,8 @@ medium
 averaged
     Error-function closed forms (kappa = 2) of the two covariance
     integrals, theta = C * W and outer_y = C * Y, each taking
-    ``(kernel, z)``; the averaged intensity built on them, its drift ODE
-    residual and the quadrature cumulant exponent.
+    ``(kernel, z)``; the averaged intensity built on them and the
+    quadrature cumulant exponent.
 quadrature
     Gauss-Legendre evaluation of the ordered and square covariance
     integrals for any kernel, taking ``(kernel, z)``.
@@ -39,7 +39,6 @@ from .averaged import (
     ExponentConvention,
     averaged_intensity,
     cumulant_series_exponent,
-    ode_residual,
     outer_y,
     theta,
 )
@@ -66,9 +65,12 @@ from .quadrature import ordered_double_integral, square_double_integral
 __version__ = "0.1.0"
 
 # EnsembleStats is the return type of run_ensemble; SlabModelError is the
-# base class callers catch.  cumulant_series_exponent, lognormal_oracle and
-# ode_residual are referees: the acceptance suite and the benchmark check
-# the closed form and the ensemble against them.
+# base class callers catch.  cumulant_series_exponent and lognormal_oracle
+# are referees: the acceptance suite and the benchmark check the closed
+# form and the ensemble against them.  path_intensity referees the Euler
+# integrator in acceptance criterion 9 and the block/row tests.  theta is
+# the paper's drift C W(z), the derivative of outer_y; the closed form's
+# drift-ODE check in the tests is built on it.
 __all__ = [
     "AveragedLaw",
     "CorrelationKernel",
@@ -91,7 +93,6 @@ __all__ = [
     "default_depths",
     "integral_at",
     "lognormal_oracle",
-    "ode_residual",
     "ordered_double_integral",
     "outer_y",
     "path_intensity",

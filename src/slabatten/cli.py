@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .errors import FactorizationFailure, ReliabilityWarning
 from .grf import (
     AR1_ROUTE,
     CHUNK_PATHS,
+    MEMORY_BUDGET,
     CorrelationKernel,
     FieldSampler,
     Grid,
@@ -34,7 +36,7 @@ from .medium import MediumSpec, StochasticMedium, beer
 from .montecarlo import (
     EnsembleStats,
     default_depths,
-    path_intensity,
+    ensemble_bytes,
     path_intensity_em,
     run_ensemble,
 )
@@ -42,8 +44,10 @@ from .quadrature import ordered_double_integral
 
 MODES = ("beer", "paper", "exact", "mc", "euler-check")
 COLUMNS = ("z", "beer", "averaged_paper", "averaged_exact", "mc_mean", "mc_sem")
-# Paths averaged by the euler-check mode.
+# Paths averaged by the euler-check mode, and its grids' refinements of
+# the run's grid: every stride-th node of the finest.
 _EULER_CHECK_PATHS = 100
+_EULER_CHECK_STRIDES = (4, 2, 1)
 
 _DEFAULTS = {
     "sigma_a": 1.0,
@@ -164,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=_DEFAULTS["out"],
                    help="CSV output path")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for the ensemble (does not affect results)")
+                   help="ensemble and Euler-check threads, results unchanged")
     return p
 
 
@@ -291,6 +295,20 @@ def _adjudicate(rows: list) -> list:
     return lines
 
 
+class _NumpyErrors:
+    """Collects numpy's floating-point error messages, written to it in
+    ``np.errstate``'s "log" mode, as report lines, each once, in the order
+    first seen."""
+
+    def __init__(self):
+        self.lines = {}
+
+    def write(self, message: str) -> None:
+        # numpy writes "Warning: overflow encountered in exp\n"
+        text = message.strip().removeprefix("Warning: ")
+        self.lines.setdefault(f"warning: RuntimeWarning: {text}", None)
+
+
 def _euler_check_lines(config: ExperimentConfig) -> list:
     """Mean |Euler - exact| at the slab exit across grid refinements.
 
@@ -298,33 +316,69 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     through every stride-th node (a view, no copy), so every refinement
     integrates the same realizations and the observed order is not
     washed out by path-to-path variation.  The paths arrive in row tiles;
-    only the per-path errors are kept.
+    only the per-path errors are kept.  The exact value at L needs the
+    trapezoid integral up to the last node only, one sum per refinement:
+    ``h (sum v - (v_0 + v_last) / 2)``.
+
+    numpy's overflow, divide and invalid errors are collected under
+    ``np.errstate``, which holds per thread, and end the section as
+    ``warning: RuntimeWarning: ...`` lines, so the section reads the same
+    whether the check runs beside the ensemble or after it.
     """
     medium, base = config.medium, config.grid
-    cells = (base.n_points - 1) * 4
-    strides = (4, 2, 1)
-    grids = [Grid(base.length, cells // stride + 1) for stride in strides]
-    sampler = FieldSampler(config.kernel, grids[-1])
-    per_path = np.empty((len(strides), _EULER_CHECK_PATHS))
-    start = 0
-    for values in sampler.tiles(config.master_seed, 0, _EULER_CHECK_PATHS):
-        stop = start + len(values)
-        for i, (stride, grid) in enumerate(zip(strides, grids)):
-            path = values[:, ::stride]
-            euler = path_intensity_em(medium, grid, path, base.length)
-            exact = path_intensity(medium, grid, path, base.length)
-            per_path[i, start:stop] = np.abs(euler - exact)
-        start = stop
-        del values, path  # free this tile before the next one is drawn
-    lines = ["euler check (mean |Euler - exact| at z = L, nested refinements):"]
-    errors = [float(np.mean(row)) for row in per_path]
-    for grid, err in zip(grids, errors):
-        lines.append(f"  h = {grid.spacing:.6g}: {err:.6g}")
-    for i in range(1, len(errors)):
-        if errors[i] > 0:
-            order = np.log2(errors[i - 1] / errors[i])
-            lines.append(f"  observed order (refinement {i}): {order:.2f}")
-    return lines
+    cells = (base.n_points - 1) * _EULER_CHECK_STRIDES[0]
+    grids = [Grid(base.length, cells // s + 1) for s in _EULER_CHECK_STRIDES]
+    caught = _NumpyErrors()
+    with np.errstate(divide="log", over="log", invalid="log", call=caught):
+        sampler = FieldSampler(config.kernel, grids[-1])
+        beer_at_exit = beer(medium, base.length)
+        scale = medium.alpha * medium.sigma_a
+        per_path = np.empty((len(grids), _EULER_CHECK_PATHS))
+        start = 0
+        for values in sampler.tiles(config.master_seed, 0, _EULER_CHECK_PATHS):
+            stop = start + len(values)
+            for i, (stride, grid) in enumerate(zip(_EULER_CHECK_STRIDES, grids)):
+                path = values[:, ::stride]
+                euler = path_intensity_em(medium, grid, path, base.length)
+                ends = path[:, 0] + path[:, -1]
+                integral = grid.spacing * (path.sum(axis=1) - 0.5 * ends)
+                exact = beer_at_exit * np.exp(-scale * integral)
+                per_path[i, start:stop] = np.abs(euler - exact)
+            start = stop
+            del values, path  # free this tile before the next one is drawn
+        lines = ["euler check (mean |Euler - exact| at z = L, nested refinements):"]
+        errors = [float(np.mean(row)) for row in per_path]
+        for grid, err in zip(grids, errors):
+            lines.append(f"  h = {grid.spacing:.6g}: {err:.6g}")
+        for i in range(1, len(errors)):
+            if errors[i] > 0:
+                order = np.log2(errors[i - 1] / errors[i])
+                lines.append(f"  observed order (refinement {i}): {order:.2f}")
+    return lines + list(caught.lines)
+
+
+def _euler_check_bytes(config: ExperimentConfig) -> int:
+    """Most bytes the Euler check charges to the memory budget at once: the
+    dense factor's build on its finest grid, or the factor it keeps with
+    its tallest tile and one tile of transform temporaries
+    (``FieldSampler``)."""
+    n = (config.grid.n_points - 1) * _EULER_CHECK_STRIDES[0] + 1
+    tiles = 8 * 2 * _EULER_CHECK_PATHS * n
+    if config.kernel.exponent == 1:
+        return tiles
+    return max(8 * 3 * n * n, 8 * n * n + tiles)
+
+
+def _euler_check_beside(config: ExperimentConfig, depths) -> bool:
+    """Whether the Euler check runs on its own thread beside the ensemble:
+    with a second worker, and only when the two, charged together, fit
+    the memory budget; otherwise it runs after the ensemble."""
+    if config.workers == 1 or not {"mc", "euler-check"} <= set(config.modes):
+        return False
+    ensemble = ensemble_bytes(
+        config.kernel, config.grid, config.n_paths, depths.size, config.workers
+    )
+    return ensemble + _euler_check_bytes(config) <= MEMORY_BUDGET
 
 
 def _negative_fraction_expectation(
@@ -362,10 +416,48 @@ def _sampler_line(stats: EnsembleStats, kernel: CorrelationKernel, grid: Grid) -
             "between them (kappa = 1), sampled share of the slab-integral "
             f"variance = {1.0 - stats.bridge_variance / total:.6g}"
         )
-    return (
-        f"sampler: dense Cholesky, n = {grid.n_points}, "
-        f"jitter = {stats.jitter:.3g}"
+    line = f"sampler: dense Cholesky, n = {grid.n_points}, jitter = {stats.jitter:.3g}"
+    if grid.spacing > kernel.correlation_length:
+        # The grid field's trapezoid integral then has a variance of its
+        # own, not that of int G: the mean is the grid's, not the law's.
+        line += (
+            f"; grid step {grid.spacing:.6g} > zeta = "
+            f"{kernel.correlation_length:.6g}, so the ensemble estimates the "
+            "mean over the trapezoid integral of the grid field, not the "
+            "continuum law"
+        )
+    return line
+
+
+def _ensemble_lines(config: ExperimentConfig, depths, columns: dict) -> list:
+    """Run the ensemble, fill its CSV columns and return its report lines."""
+    medium, kernel, grid = config.medium, config.kernel, config.grid
+    # The ensemble's warnings belong to this run's report, not stderr.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ReliabilityWarning)
+        stats = run_ensemble(
+            StochasticMedium(medium, kernel),
+            grid,
+            config.n_paths,
+            config.master_seed,
+            depths=depths,
+            workers=config.workers,
+        )
+    columns["mc_mean"] = stats.mean
+    columns["mc_sem"] = stats.sem
+    expected = _negative_fraction_expectation(
+        medium.sigma_a, medium.alpha, kernel.amplitude
     )
+    return [
+        f"ensemble: {stats.n_paths} paths, negative-coefficient fraction = "
+        f"{stats.negative_coefficient_fraction:.6g} "
+        f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected:.6g})",
+        _sampler_line(stats, kernel, grid),
+        "slab integral of G: skewness = "
+        f"{stats.integral_skewness:.4f}, excess kurtosis = "
+        f"{stats.integral_excess_kurtosis:.4f}",
+        *(f"warning: {w.category.__name__}: {w.message}" for w in caught),
+    ]
 
 
 def run(config: ExperimentConfig) -> int:
@@ -393,46 +485,23 @@ def run(config: ExperimentConfig) -> int:
         law = AveragedLaw(medium, kernel, ExponentConvention.EXACT)
         columns["averaged_exact"] = np.atleast_1d(averaged_intensity(law, depths))
 
-    stats: EnsembleStats | None = None
-    if "mc" in config.modes:
-        # The ensemble's warnings belong to this run's report, not stderr.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ReliabilityWarning)
-            stats = run_ensemble(
-                StochasticMedium(medium, kernel),
-                grid,
-                config.n_paths,
-                config.master_seed,
-                depths=depths,
-                workers=config.workers,
-            )
-        columns["mc_mean"] = stats.mean
-        columns["mc_sem"] = stats.sem
-        expected = _negative_fraction_expectation(
-            medium.sigma_a, medium.alpha, kernel.amplitude
-        )
-        report.append(
-            f"ensemble: {stats.n_paths} paths, negative-coefficient fraction = "
-            f"{stats.negative_coefficient_fraction:.6g} "
-            f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected:.6g})"
-        )
-        report.append(_sampler_line(stats, kernel, grid))
-        report.append(
-            "slab integral of G: skewness = "
-            f"{stats.integral_skewness:.4f}, excess kurtosis = "
-            f"{stats.integral_excess_kurtosis:.4f}"
-        )
-        report.extend(
-            f"warning: {w.category.__name__}: {w.message}" for w in caught
-        )
+    # Leaving the block joins the Euler check's thread, whatever raised.
+    with ThreadPoolExecutor(max_workers=1) as beside:
+        euler = None
+        if _euler_check_beside(config, depths):
+            euler = beside.submit(_euler_check_lines, config)
+        if "mc" in config.modes:
+            report.extend(_ensemble_lines(config, depths, columns))
 
-    rows = _csv_rows(depths, columns)
-    text = "\n".join([_config_echo(config), ",".join(COLUMNS), *rows]) + "\n"
-    Path(config.out).write_text(text, encoding="utf-8")
+        rows = _csv_rows(depths, columns)
+        text = "\n".join([_config_echo(config), ",".join(COLUMNS), *rows]) + "\n"
+        Path(config.out).write_text(text, encoding="utf-8")
 
-    report.extend(_adjudicate(rows))
-    if "euler-check" in config.modes:
-        report.extend(_euler_check_lines(config))
+        report.extend(_adjudicate(rows))
+        if "euler-check" in config.modes:
+            # An error of the check's thread is raised here, as it would be
+            # from the call.
+            report.extend(_euler_check_lines(config) if euler is None else euler.result())
     report.append(f"wrote {config.out} ({len(rows)} rows)")
     print("\n".join(report))
     return 0

@@ -58,8 +58,9 @@ CHUNK_PATHS = 4096
 # covariance, the copy and the factor np.linalg.cholesky holds at once;
 # tiles its tallest tile and one tile of transform temporaries; an
 # ensemble (montecarlo.run_ensemble) its concurrent tile streams and the
-# dense factor.  2 GiB leaves room on an 8 GB machine.
-_MEMORY_BUDGET = 2 * 2**30
+# dense factor; a run with the Euler check beside its ensemble both
+# together (cli).  2 GiB leaves room on an 8 GB machine.
+MEMORY_BUDGET = 2 * 2**30
 # FieldSampler.tiles yields tiles of about this many bytes, so a tile and
 # its running integral stay in cache, but never fewer than _MIN_TILE_ROWS
 # rows: on long grids fewer rows leave too little work per numpy call
@@ -377,10 +378,10 @@ def _cholesky_with_jitter(matrix: np.ndarray, amplitude: float):
 
 def check_budget(needed: int, what: str) -> None:
     """Raise MemoryBudgetExceeded when ``needed`` bytes pass the budget."""
-    if needed > _MEMORY_BUDGET:
+    if needed > MEMORY_BUDGET:
         raise MemoryBudgetExceeded(
             f"{what} needs about {needed / 2**30:.3g} GiB, above the "
-            f"{_MEMORY_BUDGET / 2**30:.0f} GiB budget; use fewer grid points "
+            f"{MEMORY_BUDGET / 2**30:.0f} GiB budget; use fewer grid points "
             "or a longer correlation length"
         )
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReliabilityWarning
-from .grf import CHUNK_PATHS, FieldSampler, Grid, check_budget, integral_at
-from .grf import checked_depths, checked_values, one_depth, ou_bridge
+from .grf import CHUNK_PATHS, CorrelationKernel, FieldSampler, Grid, check_budget
+from .grf import checked_depths, checked_values, integral_at, one_depth, ou_bridge
 from .medium import MediumSpec, StochasticMedium, beer
 from .quadrature import square_double_integral
 
@@ -118,6 +118,26 @@ def default_depths(grid: Grid) -> np.ndarray:
         return grid.points
     idx = np.linspace(0, grid.n_points - 1, _MAX_DEFAULT_ROWS).round().astype(int)
     return grid.points[idx]
+
+
+def ensemble_bytes(
+    kernel: CorrelationKernel, grid: Grid, n_paths: int, n_depths: int, workers: int
+) -> int:
+    """A bound on the bytes ``run_ensemble`` charges to the memory budget at
+    once, found without factoring or drawing anything, for a caller that
+    runs other work beside it: the dense factor's build (``FieldSampler``),
+    or the factor it keeps with the concurrent tile streams, each tile
+    counted as tall as a chunk, with every depth as a gathered column and,
+    for kappa = 1, every depth as a stepping node."""
+    n = grid.n_points
+    if kernel.exponent == 1:
+        build = factor = 0
+        width = n_depths + 2
+    else:
+        build, factor, width = 8 * 3 * n * n, 8 * n * n, n
+    streams = max(1, min(workers, -(-n_paths // CHUNK_PATHS)))
+    rows = min(CHUNK_PATHS, n_paths)
+    return max(build, factor + 8 * _STREAM_ARRAYS * streams * rows * (width + n_depths))
 
 
 def _central_moments(raw: np.ndarray, n: int):

@@ -141,7 +141,12 @@ def _support(kernel: CorrelationKernel) -> float:
 
 
 def _panel_count(span: float, scale: float) -> int:
-    return max(math.ceil(span / scale), _MIN_PANELS)
+    """Panels of at most ``scale`` over ``span``, at least ``_MIN_PANELS``;
+    ValueError once ``span / scale`` passes the float range."""
+    panels = span / scale
+    if panels == math.inf:
+        raise ValueError(f"z/zeta overflows at depth z = {span:g} cm, zeta = {scale:g} cm")
+    return max(math.ceil(panels), _MIN_PANELS)
 
 
 def ordered_double_integral(kernel: CorrelationKernel, z: float) -> float:

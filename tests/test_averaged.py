@@ -18,10 +18,11 @@ from slabatten import (
     beer,
     cumulant_series_exponent,
     lognormal_oracle,
-    ode_residual,
     outer_y,
     theta,
 )
+
+from ode_check import ode_residual
 
 SQRT_PI = math.sqrt(math.pi)
 

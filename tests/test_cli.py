@@ -1,19 +1,26 @@
 """Experiment runner: flags, CSV contract, report, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slabatten
 from slabatten import (
     CorrelationKernel,
+    FactorizationFailure,
     FluctuationWarning,
     MediumSpec,
     ReliabilityWarning,
+    cli,
     grf,
 )
 from slabatten.cli import (
@@ -21,10 +28,13 @@ from slabatten.cli import (
     UsageError,
     _DEFAULTS,
     _decay_rate_limit,
+    _euler_check_beside,
+    _euler_check_bytes,
     _negative_fraction_expectation,
     main,
     parse_args,
 )
+from slabatten.montecarlo import default_depths, ensemble_bytes
 
 
 def _read_csv(path):
@@ -133,6 +143,13 @@ class TestMainExitCodes:
             (["--seed", "-1", "--modes", "beer"], "--seed: must be >= 0"),
             # zeta**kappa overflows inside the kernel
             (["--zeta", "1e300"], "overflows"),
+            # z/zeta = 1e600: the heavy-tail check's square quadrature cannot
+            # count its panels
+            (
+                ["--kappa", "1", "--zeta", "1e-300", "--length", "1e300",
+                 "--grid-points", "3", "--modes", "beer,mc", "--paths", "10"],
+                "z/zeta overflows at depth z = 1e+300 cm, zeta = 1e-300 cm",
+            ),
         ],
     )
     def test_bad_numbers_exit_1_without_a_traceback(self, tmp_path, capsys, argv, needle):
@@ -425,24 +442,33 @@ class TestCsvContract:
         assert "sigma_s=0" in echo.split()
 
     @pytest.mark.parametrize(
-        "kappa,line",
+        "kappa,zeta,line",
         [
             (
+                "1",
                 "1",
                 # 1 - 20 * 2 (0.1 - 2 tanh(0.05)) / (2 (2 + expm1(-2)))
                 "sampler: AR(1) recursion at the output depths, exact OU bridge "
                 "between them (kappa = 1), sampled share of the slab-integral "
                 "variance = 0.998533",
             ),
-            ("2", "sampler: dense Cholesky, n = 21, jitter = 1e-12"),
+            ("2", "1", "sampler: dense Cholesky, n = 21, jitter = 1e-12"),
+            (
+                "2",
+                "1e-170",
+                # a grid step past zeta gives the trapezoid its own variance
+                "sampler: dense Cholesky, n = 21, jitter = 1e-12; grid step 0.1 "
+                "> zeta = 1e-170, so the ensemble estimates the mean over the "
+                "trapezoid integral of the grid field, not the continuum law",
+            ),
         ],
-        ids=["kappa1", "kappa2"],
+        ids=["kappa1", "kappa2", "kappa2-coarse-grid"],
     )
-    def test_report_names_the_sampling_route(self, tmp_path, capsys, kappa, line):
+    def test_report_names_the_sampling_route(self, tmp_path, capsys, kappa, zeta, line):
         out = tmp_path / "curves.csv"
         code = main([
-            "--kappa", kappa, "--alpha", "0.2", "--modes", "mc", "--paths", "50",
-            "--grid-points", "21", "--length", "2", "--out", str(out),
+            "--kappa", kappa, "--zeta", zeta, "--alpha", "0.2", "--modes", "mc",
+            "--paths", "50", "--grid-points", "21", "--length", "2", "--out", str(out),
         ])
         assert code == 0
         report = capsys.readouterr().out.splitlines()
@@ -529,3 +555,77 @@ class TestDeterminism:
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(args + ["--workers", "4", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_euler_check_error_is_raised_after_the_csv_is_written(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        def fail(config):
+            raise FactorizationFailure("probe message")
+
+        monkeypatch.setattr(cli, "_euler_check_lines", fail)
+        out = tmp_path / "x.csv"
+        code = main([
+            "--modes", "beer,mc,euler-check", "--paths", "50", "--grid-points", "21",
+            "--workers", workers, "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "slabatten: numerical failure: probe message\n"
+        assert captured.out == ""
+        _, rows = _read_csv(out)
+        assert len(rows) == 21
+
+    def test_euler_check_runs_beside_the_ensemble_only_within_the_budget(self):
+        def beside(*flags):
+            config = parse_args(["--modes", "mc,euler-check", *flags])
+            return _euler_check_beside(config, default_depths(config.grid))
+
+        assert beside("--workers", "2")
+        assert not beside("--workers", "1")
+        # Each fits the budget alone, the two together do not: the Euler
+        # check's dense build on 9 437 points takes 2.14e9 bytes.
+        config = parse_args(["--modes", "mc,euler-check", "--grid-points", "2360"])
+        depths = default_depths(config.grid)
+        euler = _euler_check_bytes(config)
+        ensemble = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths.size, 2)
+        assert max(euler, ensemble) <= grf.MEMORY_BUDGET < euler + ensemble
+        assert not beside("--grid-points", "2360", "--workers", "2")
+
+
+# Runs the CLI in a fresh interpreter, where numpy's RuntimeWarnings reach
+# stderr as in any run (the suite turns them into errors).
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--length", "1e160", "--grid-points", "11", "--paths", "200"],
+        ["--kappa", "1", "--zeta", "0.05", "--paths", "2000"],
+    ],
+    ids=["overflowing", "fine-grid"],
+)
+def test_output_is_the_same_with_the_euler_check_beside_the_ensemble(tmp_path, flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(slabatten.__file__).parents[1]), env.get("PYTHONPATH", "")) if p
+    )
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "slabatten.cli", *flags,
+             "--modes", "beer,mc,euler-check", "--workers", workers, "--out", str(out)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout.replace(str(out), "OUT"), proc.stderr, out.read_bytes()))
+    assert runs[0] == runs[1]
+    report = runs[0][0].splitlines()
+    section = report[report.index(
+        "euler check (mean |Euler - exact| at z = L, nested refinements):"
+    ):]
+    if flags[0] == "--length":
+        # The check's own numpy warnings end its section, not stderr.
+        assert "warning: RuntimeWarning: overflow encountered in exp" in section
+        assert runs[0][1] == ""
+    else:
+        assert not [line for line in section if line.startswith("warning:")]

@@ -20,7 +20,6 @@ from slabatten import (
     cumulant_series_exponent,
     integral_at,
     lognormal_oracle,
-    ode_residual,
     ordered_double_integral,
     outer_y,
     path_intensity,
@@ -41,7 +40,6 @@ UNBOUNDED = {
     "beer": lambda z: beer(SM.medium, z),
     "cumulant_series_exponent": lambda z: cumulant_series_exponent(SM.kernel, 0.3, 1.0, z),
     "lognormal_oracle": lambda z: lognormal_oracle(SM, z),
-    "ode_residual": lambda z: ode_residual(LAW, z, 1e-4),
     "ordered_double_integral": lambda z: ordered_double_integral(SM.kernel, z),
     "outer_y": lambda z: outer_y(SM.kernel, z),
     "square_double_integral": lambda z: square_double_integral(SM.kernel, z),
@@ -83,7 +81,6 @@ def test_a_depth_outside_the_domain_raises_out_of_domain(name, z):
 ONE_DEPTH = [
     "cumulant_series_exponent",
     "lognormal_oracle",
-    "ode_residual",
     "ordered_double_integral",
     "path_intensity_em",
     "square_double_integral",

@@ -155,6 +155,13 @@ class TestSquareDoubleIntegral:
     def test_zero_upper_limit(self):
         assert square_double_integral(CorrelationKernel(1.0, 1.0, 2.0), 0.0) == 0.0
 
+    def test_depth_past_the_float_range_in_correlation_lengths_rejected(self):
+        kernel = CorrelationKernel(1.0, 1e-300, 1.0)
+        with pytest.raises(ValueError, match=r"z/zeta overflows at depth z = 1e\+300 cm"):
+            square_double_integral(kernel, 1e300)
+        # the ordered route counts panels over the support only
+        assert math.isfinite(ordered_double_integral(kernel, 1e300))
+
     def test_colored_noise_kernel_against_analytic(self):
         # kappa=1: integral of C*exp(-|u|/zeta) over [0,z]^2 is
         # 2*C*zeta*(z - zeta*(1 - exp(-z/zeta))).  The kink along the
