@@ -6,8 +6,8 @@ ensemble, Euler integrator cross-check), writes the curve data as CSV
 and prints a text report with the convention adjudication.
 
 Exit codes: 0 success, 1 invalid configuration (any ValueError, the
-flag checks' UsageError included), 2 numerical failure (covariance
-factorization).
+flag checks' UsageError included, and an ``--out`` that cannot be
+written), 2 numerical failure (covariance factorization).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .grf import (
     CorrelationKernel,
     FieldSampler,
     Grid,
+    sampler_bytes,
 )
 from .medium import MediumSpec, StochasticMedium, beer
 from .montecarlo import (
@@ -358,15 +359,11 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
 
 
 def _euler_check_bytes(config: ExperimentConfig) -> int:
-    """Most bytes the Euler check charges to the memory budget at once: the
-    dense factor's build on its finest grid, or the factor it keeps with
-    its tallest tile and one tile of transform temporaries
-    (``FieldSampler``)."""
+    """Most bytes the Euler check charges to the memory budget at once: its
+    sampler on the finest grid (``grf.sampler_bytes``) with its tallest
+    tile and one tile of transform temporaries (``FieldSampler.tiles``)."""
     n = (config.grid.n_points - 1) * _EULER_CHECK_STRIDES[0] + 1
-    tiles = 8 * 2 * _EULER_CHECK_PATHS * n
-    if config.kernel.exponent == 1:
-        return tiles
-    return max(8 * 3 * n * n, 8 * n * n + tiles)
+    return sampler_bytes(config.kernel, n, 8 * 2 * _EULER_CHECK_PATHS * n)
 
 
 def _euler_check_beside(config: ExperimentConfig, depths) -> bool:
@@ -376,7 +373,7 @@ def _euler_check_beside(config: ExperimentConfig, depths) -> bool:
     if config.workers == 1 or not {"mc", "euler-check"} <= set(config.modes):
         return False
     ensemble = ensemble_bytes(
-        config.kernel, config.grid, config.n_paths, depths.size, config.workers
+        config.kernel, config.grid, config.n_paths, depths, config.workers
     )
     return ensemble + _euler_check_bytes(config) <= MEMORY_BUDGET
 
@@ -495,7 +492,10 @@ def run(config: ExperimentConfig) -> int:
 
         rows = _csv_rows(depths, columns)
         text = "\n".join([_config_echo(config), ",".join(COLUMNS), *rows]) + "\n"
-        Path(config.out).write_text(text, encoding="utf-8")
+        try:
+            Path(config.out).write_text(text, encoding="utf-8")
+        except OSError as err:
+            raise UsageError(f"--out: {err.strerror}: {config.out}") from None
 
         report.extend(_adjudicate(rows))
         if "euler-check" in config.modes:

@@ -20,15 +20,15 @@ the exact AR(1) recursion
 Phys. Rev. E 54, 2084, 1996), at the grid's points or at any increasing
 nodes, the closed-form Cholesky factor of their covariance, evaluated as
 a blocked, rescaled prefix sum (Blelloch, CMU-CS-90-190, 1990) in O(n)
-time and no n x n storage; ``ou_bridge`` gives each step's integral
-given its two ends, so a kappa-1 path integrates exactly between any
-nodes.  Every other kernel is drawn by dense
+time and no n x n storage.  Every other kernel is drawn by dense
 Cholesky factorization of the grid covariance (exact for any kernel and
 grid at the sizes used here), the normals times the transposed factor
-in one matrix product.  A path is a plain array of grid values, ``(n,)``
-for one path or ``(rows, n)`` for a block, and ``integral_at``
-accumulates its integral with the composite trapezoid rule, matching the
-Riemann-sum definition of the stochastic integral.
+in one matrix product.  A path is a plain array of node values, ``(n,)``
+for one path or ``(rows, n)`` for a block, and ``running_integral``
+integrates it as one weighted running sum over neighbouring nodes: the
+trapezoid rule on the grid (``integral_at``), matching the Riemann-sum
+definition of the stochastic integral, or on the AR(1) route each step's
+exact OU-bridge mean given its two ends (``ou_bridge``).
 """
 
 from __future__ import annotations
@@ -54,12 +54,10 @@ _POINTS_PER_LENGTH = 10
 # Paths per keyed stream: an ensemble draws block c of its paths as
 # tiles(master_seed, c, CHUNK_PATHS), the last block shorter.
 CHUNK_PATHS = 4096
-# Bytes FieldSampler may need at once.  The dense route is charged the
-# covariance, the copy and the factor np.linalg.cholesky holds at once;
-# tiles its tallest tile and one tile of transform temporaries; an
-# ensemble (montecarlo.run_ensemble) its concurrent tile streams and the
-# dense factor; a run with the Euler check beside its ensemble both
-# together (cli).  2 GiB leaves room on an 8 GB machine.
+# Bytes a sampler and its tiles may need at once (sampler_bytes), charged
+# before anything is allocated: by FieldSampler, its tiles, an ensemble's
+# tile streams (montecarlo) and a run with the Euler check beside its
+# ensemble (cli).  2 GiB leaves room on an 8 GB machine.
 MEMORY_BUDGET = 2 * 2**30
 # FieldSampler.tiles yields tiles of about this many bytes, so a tile and
 # its running integral stay in cache, but never fewer than _MIN_TILE_ROWS
@@ -257,51 +255,63 @@ def checked_values(grid: Grid, values) -> np.ndarray:
     return values
 
 
+def running_integral(values, weights) -> np.ndarray:
+    """Running sum ``S_k = sum_(j <= k) w_j (X_(j-1) + X_j)``, ``S_0 = 0``,
+    along each row of one path ``(n,)`` or a block ``(rows, n)`` of field
+    values at increasing nodes, for ``weights`` a scalar or one per node
+    (entry 0, before the first node, 0): the trapezoid integral up to each
+    node with ``h/2``, the exact conditional mean of the kappa = 1
+    integral with ``FieldSampler.step_weights``.  Rows are summed on their
+    own, so a block gives its rows' bits taken one at a time.
+    """
+    # One array beyond the values (two for a strided view, copied
+    # contiguous first), filled in one pass over the flattened block:
+    # entry j > 0 of a row is values[j] + values[j - 1], and entry 0, which
+    # pairs a row's first value with the previous row's last, is reset.
+    sums = np.empty(values.shape)
+    flat = np.ascontiguousarray(values).reshape(-1)
+    np.add(flat[1:], flat[:-1], out=sums.reshape(-1)[1:])
+    sums[..., 0] = 0.0
+    sums *= weights
+    np.cumsum(sums, axis=-1, out=sums)
+    return sums
+
+
+def depth_reader(nodes: np.ndarray, depths: np.ndarray, spacing: float):
+    """A function reading running sums over ``nodes`` at ``depths``, linear
+    between nodes ``spacing`` apart: the sums themselves when the depths
+    are the nodes in order, else each depth's node column (row-major, by
+    ``np.take``), blended with the next node's where a depth lies between
+    them (weights 1 and 0 at a node give its bits, for finite sums)."""
+    if np.array_equal(depths, nodes):
+        return lambda sums: sums
+    # a depth on a node gets frac = 0; the last node is its own upper one
+    idx = np.searchsorted(nodes, depths, side="right") - 1
+    frac = (depths - nodes[idx]) / spacing
+    if not frac.any():
+        return lambda sums: np.take(sums, idx, axis=-1)
+    upper, below = np.minimum(idx + 1, nodes.size - 1), 1.0 - frac
+    return lambda sums: np.take(sums, idx, -1) * below + np.take(sums, upper, -1) * frac
+
+
 def integral_at(grid: Grid, values, depths):
     """Trapezoid integral of the field from 0 to each depth, linear between nodes.
 
     ``values`` holds one path, shape ``(n,)``, or a block of paths, shape
     ``(rows, n)``, with ``values[..., q]`` the field at Z_q (dimensionless;
-    the integral is in cm).  The result has shape
+    the integral is in cm), and ``depths`` is a scalar or an array.  The
+    result, ``running_integral`` with weights ``h/2`` read by
+    ``depth_reader`` as the ensemble reads it, has shape
     ``values.shape[:-1] + np.shape(depths)`` and is exactly 0 at depth 0.
-    Each row is integrated on its own, so a block gives bit-identical
-    results to its rows taken one at a time.  ``depths`` is a scalar or an
-    array.  A depth between nodes interpolates linearly between its two
-    nodes' running integrals; when every depth is a node, the nodes'
-    running integrals are read directly, the same bits the interpolation
-    gives them (weights 1 and 0) for finite values.  Raises ValueError
-    for values of any other shape (``checked_values``) and OutOfDomain for
-    depths outside [0, L], NaN included (``checked_depths``).
+    Raises ValueError for values of any other shape (``checked_values``)
+    and OutOfDomain for depths outside [0, L], NaN included
+    (``checked_depths``).
     """
     values = checked_values(grid, values)
     depths = np.asarray(checked_depths(depths, grid.length), dtype=float)
-    # The trapezoid segments are built and summed inside the running
-    # integral, so a block costs one array beyond its values (two for a
-    # strided view, copied contiguous first).  They are formed in one pass
-    # over the flattened block: entry j > 0 of a row is
-    # values[j] + values[j - 1], and entry 0, which pairs a row's first
-    # value with the previous row's last, is reset to 0.
-    cumulative = np.empty(values.shape)
-    flat = np.ascontiguousarray(values).reshape(-1)
-    segments = cumulative.reshape(-1)[1:]
-    np.add(flat[1:], flat[:-1], out=segments)
-    segments *= 0.5 * grid.spacing
-    cumulative[..., 0] = 0.0
-    running = cumulative[..., 1:]
-    np.cumsum(running, axis=-1, out=running)
-    points = grid.points
-    # A depth on a node gets frac = 0 and the node's value exactly; the
-    # last node is its own upper neighbour.
-    idx = np.searchsorted(points, depths, side="right") - 1
-    frac = (depths - points[idx]) / grid.spacing
-    if not frac.any():
-        # Every depth is a node, where the interpolation would weight the
-        # node by 1 and its upper neighbour by 0: read the node directly
-        # ([()] gives a numpy scalar for one path and one depth, as the
-        # interpolation does).
-        return cumulative[..., idx][()]
-    upper = np.minimum(idx + 1, grid.n_points - 1)
-    return cumulative[..., idx] * (1.0 - frac) + cumulative[..., upper] * frac
+    read = depth_reader(grid.points, depths, grid.spacing)
+    # [()] gives a numpy scalar for one path and one depth
+    return read(running_integral(values, 0.5 * grid.spacing))[()]
 
 
 def ou_bridge(kernel: CorrelationKernel, steps):
@@ -376,6 +386,30 @@ def _cholesky_with_jitter(matrix: np.ndarray, amplitude: float):
     )
 
 
+def stepping_nodes(kernel: CorrelationKernel, grid: Grid, depths) -> np.ndarray:
+    """The nodes an ensemble read at ``depths`` draws: the grid's points, or
+    for kappa = 1, whose steps ``ou_bridge`` integrates exactly, only
+    ``{0} U depths U {L}``, sorted and distinct."""
+    if kernel.exponent != 1:
+        return grid.points
+    ends = np.sort(np.concatenate(([0.0], np.atleast_1d(depths), [grid.length])))
+    # np.unique would import numpy.ma on its first call
+    keep = np.empty(ends.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ends[1:], ends[:-1], out=keep[1:])
+    return ends[keep]
+
+
+def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
+    """Most bytes a FieldSampler on ``n`` nodes holds at once with
+    ``streamed`` bytes of tiles beside it: the dense route's build (the
+    covariance, its copy and np.linalg.cholesky's factor) or its factor
+    with the tiles, whichever is more; the AR(1) route's tiles alone."""
+    if kernel.exponent == 1:
+        return streamed
+    return max(8 * 3 * n * n, 8 * n * n + streamed)
+
+
 def check_budget(needed: int, what: str) -> None:
     """Raise MemoryBudgetExceeded when ``needed`` bytes pass the budget."""
     if needed > MEMORY_BUDGET:
@@ -390,8 +424,9 @@ class FieldSampler:
     """Draws field paths for one (kernel, grid) pair.
 
     Paths are drawn at ``nodes``, strictly increasing abscissae in
-    ``[0, L]``: the grid's points unless given, and only on the AR(1)
-    route (ValueError otherwise).  The kernel alone picks the route.
+    ``[0, L]``: the grid's points unless given, and other nodes only on
+    the AR(1) route (ValueError otherwise; ``stepping_nodes`` gives an
+    ensemble's).  The kernel alone picks the route.
     ``kappa = 1`` uses the exact AR(1) recursion over the steps between
     the nodes (``route == AR1_ROUTE``, with ``rho``, the per-step ratios
     ``exp(-h_k/zeta)``, and ``innovation``, the per-step innovation
@@ -416,12 +451,12 @@ class FieldSampler:
         self.grid = grid
         if nodes is None:
             self.nodes = grid.points
-        elif kernel.exponent != 1:
-            raise ValueError("nodes other than the grid's need kappa = 1")
         else:
             self.nodes = checked_depths(nodes, grid.length)
             if self.nodes.ndim != 1 or not np.all(self.nodes[1:] > self.nodes[:-1]):
                 raise ValueError("nodes must be a strictly increasing 1-D array")
+            if kernel.exponent != 1 and not np.array_equal(self.nodes, grid.points):
+                raise ValueError("nodes other than the grid's need kappa = 1")
         n = self.nodes.size
         self.tile_rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n))
         if kernel.exponent == 1:
@@ -460,7 +495,8 @@ class FieldSampler:
             )
             return
         check_budget(
-            8 * 3 * n * n, f"the dense covariance factor of a grid of {n} points"
+            sampler_bytes(kernel, n),
+            f"the dense covariance factor of a grid of {n} points",
         )
         self.route = CHOLESKY_ROUTE
         self.factor, self.jitter = _cholesky_with_jitter(
@@ -470,6 +506,18 @@ class FieldSampler:
         # has at least n rows: it then holds no more than the factor does,
         # and the product runs at the speed of a whole block.
         self.tile_rows = max(self.tile_rows, n)
+
+    def step_weights(self):
+        """``(w, v)`` per node: the ``running_integral`` weight and the
+        left-out variance of the step into it (0 at node 0).  The AR(1)
+        route's steps are exact OU bridges (``ou_bridge``), the dense
+        route's trapezoid panels, ``w = h/2`` and ``v = 0``."""
+        if self.route == CHOLESKY_ROUTE:
+            steps = self.nodes.size - 1
+            w, v = np.full(steps, 0.5 * self.grid.spacing), np.zeros(steps)
+        else:
+            w, v = ou_bridge(self.kernel, np.diff(self.nodes))
+        return np.concatenate(([0.0], w)), np.concatenate(([0.0], v))
 
     def tiles(self, master_seed: int, chunk: int, count: int):
         """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
@@ -482,9 +530,8 @@ class FieldSampler:
         (master_seed, chunk, count) always gives the same bits, also from
         concurrent threads.  The AR(1) recursion is the dense factor in
         closed form, so both routes give the same paths for the same key
-        up to the dense route's jitter (about 1e-11).  Pass a tile drawn
-        at the grid's points to ``integral_at`` for its integrals up to
-        given depths.
+        up to the dense route's jitter (about 1e-11).  A tile's running
+        integrals are ``running_integral(values, step_weights()[0])``.
         """
         n = self.nodes.size
         n_tiles = max(1, -(-count // self.tile_rows))

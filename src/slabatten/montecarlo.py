@@ -1,15 +1,15 @@
 """Monte Carlo ensemble of exact pathwise attenuation solutions.
 
 Each sampled path has the closed pathwise solution
-``I0 * exp(-sigma_a*z - alpha*sigma_a*int_0^z G)``.  For kappa = 1 the
-ensemble draws the field only at the output depths and integrates each
-step between them by its exact Ornstein-Uhlenbeck bridge, so its mean
-has no discretization error at all; for other kernels the only
-discretization is the trapezoid quadrature of the path integral on the
-grid.  An explicit Euler integrator is kept alongside as an independent
-cross-check, and an analytic lognormal oracle (Gaussian moment identity
-plus tensor-product quadrature) bypasses both the sampler and the erf
-closed form.
+``I0 * exp(-sigma_a*z - alpha*sigma_a*int_0^z G)``, its integral one
+weighted running sum over the nodes it is drawn at.  For kappa = 1 the
+ensemble draws the field only at the output depths and weights each
+step by its exact Ornstein-Uhlenbeck bridge, so its mean has no
+discretization error at all; for other kernels the weights are the
+trapezoid rule's on the grid.  An explicit Euler integrator is kept
+alongside as an independent cross-check, and an analytic lognormal
+oracle (Gaussian moment identity plus tensor-product quadrature)
+bypasses both the sampler and the erf closed form.
 """
 
 from __future__ import annotations
@@ -23,16 +23,17 @@ import numpy as np
 
 from .errors import ReliabilityWarning
 from .grf import CHUNK_PATHS, CorrelationKernel, FieldSampler, Grid, check_budget
-from .grf import checked_depths, checked_values, integral_at, one_depth, ou_bridge
+from .grf import checked_depths, checked_values, depth_reader, integral_at, one_depth
+from .grf import running_integral, sampler_bytes, stepping_nodes
 from .medium import MediumSpec, StochasticMedium, beer
 from .quadrature import square_double_integral
 
 _MAX_DEFAULT_ROWS = 256
 # Arrays of (tile rows, nodes + gathered depths) one worker holds at once:
-# a tile's values, its running integral and the integrals gathered at the
-# depths, which the reduction turns into factors and their squares in
-# place (tracemalloc peaks while two chunks stream, with any factor
-# already built: 1.3 to 2.0 of them for n from 51 to 2001, on both
+# a tile's values, its running integral and the integrals gathered (or
+# blended) at the depths, which the reduction turns into factors and their
+# squares in place (tracemalloc peaks while two chunks stream, with any
+# factor already built: 1.3 to 2.0 of them for n from 51 to 2001, on both
 # routes), with a margin.
 _STREAM_ARRAYS = 4
 # Exponent standard deviations above this make the lognormal sample mean
@@ -44,13 +45,14 @@ _HEAVY_TAIL_STD = 1.5
 class EnsembleStats:
     """Per-depth summary of an ensemble run.
 
-    negative_coefficient_fraction is the fraction of (path, grid point)
-    pairs where the sampled absorption coefficient went negative, a
+    negative_coefficient_fraction is the fraction of (path, node) pairs
+    where the sampled absorption coefficient went negative, a
     model-validity diagnostic.  The integral skewness/kurtosis describe
     the path integral of the field over the whole slab, which should be
-    Gaussian; for kappa = 1 that integral is its exact conditional mean
-    given the stepping nodes, and bridge_variance is the variance the
-    bridges leave out of it, V(L) (0 on the dense route).  sampler_route
+    Gaussian: the last running sum of the path's nodes, the trapezoid
+    integral on the dense route and, for kappa = 1, the exact conditional
+    mean given the stepping nodes, of which bridge_variance is the
+    variance the bridges leave out, V(L) (0 on the dense route).  sampler_route
     is the FieldSampler route that drew the paths (grf.AR1_ROUTE or
     grf.CHOLESKY_ROUTE) and jitter the diagonal jitter its factor
     actually used (0 for the AR(1) recursion).
@@ -120,24 +122,25 @@ def default_depths(grid: Grid) -> np.ndarray:
     return grid.points[idx]
 
 
+def _charge(kernel: CorrelationKernel, nodes, depths, streams: int, rows: int) -> int:
+    """Bytes an ensemble holds at once (``grf.sampler_bytes``) with
+    ``streams`` streams of tiles of ``rows`` paths, one column per node
+    and per depth unless the depths are the nodes in order."""
+    gathered = 0 if np.array_equal(depths, nodes) else depths.size
+    streamed = 8 * _STREAM_ARRAYS * streams * rows * (nodes.size + gathered)
+    return sampler_bytes(kernel, nodes.size, streamed)
+
+
 def ensemble_bytes(
-    kernel: CorrelationKernel, grid: Grid, n_paths: int, n_depths: int, workers: int
+    kernel: CorrelationKernel, grid: Grid, n_paths: int, depths, workers: int
 ) -> int:
-    """A bound on the bytes ``run_ensemble`` charges to the memory budget at
-    once, found without factoring or drawing anything, for a caller that
-    runs other work beside it: the dense factor's build (``FieldSampler``),
-    or the factor it keeps with the concurrent tile streams, each tile
-    counted as tall as a chunk, with every depth as a gathered column and,
-    for kappa = 1, every depth as a stepping node."""
-    n = grid.n_points
-    if kernel.exponent == 1:
-        build = factor = 0
-        width = n_depths + 2
-    else:
-        build, factor, width = 8 * 3 * n * n, 8 * n * n, n
+    """A bound on the bytes ``run_ensemble`` charges to the memory budget,
+    found without factoring or drawing anything, for a caller that runs
+    other work beside it: its charge, with tiles as tall as a chunk."""
+    depths = np.atleast_1d(depths)
+    nodes = stepping_nodes(kernel, grid, depths)
     streams = max(1, min(workers, -(-n_paths // CHUNK_PATHS)))
-    rows = min(CHUNK_PATHS, n_paths)
-    return max(build, factor + 8 * _STREAM_ARRAYS * streams * rows * (width + n_depths))
+    return _charge(kernel, nodes, depths, streams, min(CHUNK_PATHS, n_paths))
 
 
 def _central_moments(raw: np.ndarray, n: int):
@@ -160,18 +163,6 @@ def _in_order(pool, fn, items, window: int):
         yield pending.popleft().result()
 
 
-def _stepping_nodes(grid: Grid, depths: np.ndarray):
-    """The kappa-1 ensemble's nodes ``{0} U depths U {L}``, sorted and
-    distinct, and each depth's column among them."""
-    ends = np.sort(np.concatenate(([0.0], depths, [grid.length])))
-    # np.unique would import numpy.ma on its first call
-    keep = np.empty(ends.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ends[1:], ends[:-1], out=keep[1:])
-    nodes = ends[keep]
-    return nodes, np.searchsorted(nodes, depths)
-
-
 def run_ensemble(
     sm: StochasticMedium,
     grid: Grid,
@@ -189,19 +180,21 @@ def run_ensemble(
     (CHUNK_PATHS, n) array is held unless a dense tile is a whole block.
     At most two blocks per worker are in flight, and their partial sums
     are added in block order, so memory does not grow with n_paths and
-    the result is bit-identical for any worker count.  One FieldSampler (for a dense
-    route, one covariance factor) is built and shared read-only by the
-    workers.  The concurrent tile streams and the factor are charged to
-    the memory budget before anything is drawn (MemoryBudgetExceeded).
+    the result is bit-identical for any worker count.  One FieldSampler
+    (for a dense route, one covariance factor) is built and shared
+    read-only by the workers.  The concurrent tile streams and the factor
+    are charged to the memory budget before anything is drawn
+    (MemoryBudgetExceeded).
 
-    For ``kappa = 1`` the field is drawn only at the stepping nodes
-    ``{0} U depths U {L}`` (the grid's points when the depths are), one
-    normal per node and path, and each step's integral is its exact
-    conditional mean given its two ends (``grf.ou_bridge``); the bridges'
-    summed variance V(z) enters each depth's mean as the exact factor
-    ``exp((alpha sigma_a)^2 V(z) / 2)``, so the estimate is unbiased for
-    the continuum law on any grid.  Every other kernel is drawn on the
-    grid and integrated by the trapezoid rule (``integral_at``).
+    Every route integrates a tile as the running sum of
+    ``w_k (X_(k-1) + X_k)`` over its nodes (``grf.running_integral``),
+    read at the depths as ``integral_at`` reads it.  Dense kernels draw
+    the grid's points with the trapezoid's ``w = h/2``.  ``kappa = 1``
+    draws only ``{0} U depths U {L}`` (``grf.stepping_nodes``) with the
+    weights of each step's exact conditional mean given its ends
+    (``grf.ou_bridge``), and the bridges' summed variance V(z) enters each
+    depth's mean as the exact factor ``exp((alpha sigma_a)^2 V(z) / 2)``,
+    so the estimate is unbiased for the continuum law on any grid.
 
     Emits a ReliabilityWarning when the exponent standard deviation
     alpha*sigma_a*sqrt(Var int G) at the deepest requested depth exceeds
@@ -218,6 +211,7 @@ def run_ensemble(
         raise ValueError(
             f"depths must be a scalar or a non-empty 1-D array, got {depths.shape}"
         )
+    depths = np.atleast_1d(depths)
 
     scale = medium.alpha * medium.sigma_a
     deepest = float(depths.max())
@@ -234,57 +228,17 @@ def run_ensemble(
 
     # sigma_a (1 + alpha G) is never negative without alpha or sigma_a
     neg_cut = -1.0 / medium.alpha if min(medium.alpha, medium.sigma_a) > 0 else -np.inf
-    n_depths = depths.size
 
-    if sm.kernel.exponent == 1:
-        nodes, columns = _stepping_nodes(grid, np.atleast_1d(depths))
-        sampler = FieldSampler(sm.kernel, grid, nodes)
-        weights, variances = ou_bridge(sm.kernel, np.diff(nodes))
-        # Column k of a tile's sums pairs node k with node k - 1 and is
-        # weighted by the step between them; column 0 is reset to 0.
-        weights = np.concatenate(([0.0], weights))
-        bridged = np.concatenate(([0.0], np.cumsum(variances)))
-        bridge_variance = float(bridged[-1])
-        bridged = bridged[columns]
-        # On the depths' own columns, in order, the sums are reduced in place.
-        gathered = not np.array_equal(columns, np.arange(nodes.size))
-
-        def integrate(values, slab):
-            # One pass over the flattened tile, as integral_at does: entry
-            # j > 0 of a row is values[j] + values[j - 1], entry 0 pairs a
-            # row's first value with the previous row's last.
-            sums = np.empty(values.shape)
-            flat = values.reshape(-1)
-            np.add(flat[1:], flat[:-1], out=sums.reshape(-1)[1:])
-            sums[:, 0] = 0.0
-            sums *= weights
-            np.cumsum(sums, axis=1, out=sums)
-            slab[:] = sums[:, -1]
-            # np.take keeps the rows contiguous, so the sums over paths below
-            # add the same way whether the columns are gathered or not
-            return np.take(sums, columns, axis=1) if gathered else sums
-
-    else:
-        sampler = FieldSampler(sm.kernel, grid)
-        bridged = bridge_variance = 0.0
-        gathered = True  # integral_at gathers the depth columns
-        # The slab integral is read from one more depth column, at L: there
-        # the interpolation weight of the upper node is 0, so the column is
-        # the running integral's last entry exactly.
-        tile_depths = np.append(depths, grid.length)
-
-        def integrate(values, slab):
-            integrals = integral_at(grid, values, tile_depths)
-            slab[:] = integrals[:, -1]
-            # zeroed, so the unused factor it becomes below stays finite
-            integrals[:, -1] = 0.0
-            return integrals
-
+    nodes = stepping_nodes(sm.kernel, grid, depths)
+    sampler = FieldSampler(sm.kernel, grid, nodes)
+    weights, variances = sampler.step_weights()
+    read = depth_reader(nodes, depths, grid.spacing)
+    bridged = np.cumsum(variances)
+    bridge_variance = float(bridged[-1])
     # The depth's Beer exponent and the bridges' exact variance factor in
-    # one exp (0 on the dense route, whose sums carry all the variance).
-    prefactor = np.atleast_1d(
-        medium.i0 * np.exp(0.5 * scale**2 * bridged - medium.sigma_a * depths)
-    )
+    # one exp (V = 0 on the dense route, whose sums carry all the variance).
+    exponent = 0.5 * scale**2 * read(bridged) - medium.sigma_a * depths
+    prefactor = medium.i0 * np.exp(exponent)
 
     def chunk_partials(chunk: int):
         count = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS)
@@ -294,25 +248,25 @@ def run_ensemble(
         start = 0
         for values in sampler.tiles(master_seed, chunk, count):
             rows = len(values)
-            integrals = integrate(values, slab_integral[start : start + rows])
-            # The depth columns become the factors exp(-scale I), then their
-            # squares, in place: no (rows, depths) temporaries.  The ufuncs
-            # run over the whole contiguous block, several times faster than
-            # over the strided depth columns.
-            integrals *= -scale
-            np.exp(integrals, out=integrals)
-            factors = integrals[:, :n_depths]
+            sums = running_integral(values, weights)
+            slab_integral[start : start + rows] = sums[:, -1]
+            # The integrals at the depths become the factors exp(-scale I),
+            # then their squares, in place.
+            factors = read(sums)
+            del sums
+            factors *= -scale
+            np.exp(factors, out=factors)
             factor_sum = factor_sum + factors.sum(axis=0)
-            np.square(integrals, out=integrals)
+            np.square(factors, out=factors)
             factor_sq_sum = factor_sq_sum + factors.sum(axis=0)
             negatives += int(np.count_nonzero(values < neg_cut))
             start += rows
-            # The integrals go now and the values when the next tile
-            # replaces them, which leaves the peak, reached inside
-            # integrate, where it was: the allocator then reuses their
-            # blocks from tile to tile instead of returning them to the
-            # system and faulting them in again.
-            del integrals, factors
+            # The factors go now and the values when the next tile
+            # replaces them, which leaves the peak, reached in read, where
+            # it was: the allocator then reuses their blocks from tile to
+            # tile instead of returning them to the system and faulting
+            # them in again.
+            del factors
         raw = np.array(
             [
                 slab_integral.sum(),
@@ -326,12 +280,10 @@ def run_ensemble(
     chunks = range((n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS)
     streams = max(1, min(workers, len(chunks)))
     tile_rows = min(sampler.tile_rows, CHUNK_PATHS, n_paths)
-    width = sampler.nodes.size
     check_budget(
-        (0 if sampler.factor is None else sampler.factor.nbytes)
-        + 8 * _STREAM_ARRAYS * streams * tile_rows * (width + gathered * n_depths),
+        _charge(sm.kernel, nodes, depths, streams, tile_rows),
         f"{streams} worker(s) streaming tiles of {tile_rows} paths "
-        f"on {width} nodes",
+        f"on {nodes.size} nodes",
     )
     factor_sum = np.zeros(prefactor.shape)
     factor_sq_sum = np.zeros(prefactor.shape)
@@ -362,11 +314,11 @@ def run_ensemble(
         excess_kurtosis = 0.0
 
     return EnsembleStats(
-        depths=np.atleast_1d(depths),
+        depths=depths,
         mean=mean,
         sem=sem,
         n_paths=n_paths,
-        negative_coefficient_fraction=negative_count / (n_paths * width),
+        negative_coefficient_fraction=negative_count / (n_paths * nodes.size),
         integral_skewness=skewness,
         integral_excess_kurtosis=excess_kurtosis,
         sampler_route=sampler.route,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -22,6 +23,7 @@ from slabatten import (
     ReliabilityWarning,
     cli,
     grf,
+    montecarlo,
 )
 from slabatten.cli import (
     COLUMNS,
@@ -150,11 +152,16 @@ class TestMainExitCodes:
                  "--grid-points", "3", "--modes", "beer,mc", "--paths", "10"],
                 "z/zeta overflows at depth z = 1e+300 cm, zeta = 1e-300 cm",
             ),
+            # an --out the CSV cannot be written to; the last --out wins
+            (["--modes", "beer", "--out", "/nonexistent/dir/x.csv"],
+             "--out: No such file or directory: /nonexistent/dir/x.csv"),
+            (["--modes", "beer,mc", "--paths", "10", "--out", "."],
+             "--out: Is a directory: ."),
         ],
     )
     def test_bad_numbers_exit_1_without_a_traceback(self, tmp_path, capsys, argv, needle):
         out = tmp_path / "x.csv"
-        assert main(argv + ["--out", str(out)]) == 1
+        assert main(["--out", str(out)] + argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("slabatten: error:")
         assert needle in err
@@ -588,9 +595,47 @@ class TestDeterminism:
         config = parse_args(["--modes", "mc,euler-check", "--grid-points", "2360"])
         depths = default_depths(config.grid)
         euler = _euler_check_bytes(config)
-        ensemble = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths.size, 2)
+        ensemble = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths, 2)
         assert max(euler, ensemble) <= grf.MEMORY_BUDGET < euler + ensemble
         assert not beside("--grid-points", "2360", "--workers", "2")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "kappa,points",
+    [("1", "21"), ("1", "301"), ("2", "21"), ("2", "301")],
+    ids=["kappa1-nodes", "kappa1-subsampled", "kappa2-nodes", "kappa2-subsampled"],
+)
+def test_memory_bounds_never_undercount_the_charges(
+    tmp_path, monkeypatch, kappa, points, workers
+):
+    # Every budget charge of a run, by what made it: the ensemble (its
+    # sampler, its tile streams, its workers' tiles) or the Euler check.
+    # The bounds the run plans with, before anything is built, must cover
+    # each of them, on both routes, with the depths the grid's own nodes
+    # (21 points) and 256 of 301 points.
+    charges = {"ensemble": [], "euler": []}
+    check_budget = grf.check_budget
+
+    def recording(needed, what):
+        stack = {frame.name for frame in traceback.extract_stack()}
+        if "_euler_check_lines" in stack:
+            charges["euler"].append(needed)
+        elif "run_ensemble" in stack or "chunk_partials" in stack:
+            charges["ensemble"].append(needed)
+        check_budget(needed, what)
+
+    monkeypatch.setattr(grf, "check_budget", recording)
+    monkeypatch.setattr(montecarlo, "check_budget", recording)
+    argv = ["--kappa", kappa, "--zeta", "0.5", "--grid-points", points,
+            "--paths", "5000", "--modes", "beer,mc,euler-check",
+            "--workers", workers, "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
+    config = parse_args(argv)
+    depths = default_depths(config.grid)
+    bound = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths, config.workers)
+    assert charges["ensemble"] and max(charges["ensemble"]) <= bound
+    assert charges["euler"] and max(charges["euler"]) <= _euler_check_bytes(config)
 
 
 # Runs the CLI in a fresh interpreter, where numpy's RuntimeWarnings reach

@@ -455,6 +455,11 @@ class TestSampling:
         grid = Grid(5.0, 11)
         with pytest.raises(ValueError, match="kappa = 1"):
             FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), grid, [0.0, 1.0])
+        # the grid's own points, as grf.stepping_nodes gives them, are no
+        # other nodes
+        dense = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), grid, grid.points)
+        assert dense.route == grf.CHOLESKY_ROUTE
+        assert np.array_equal(dense.nodes, grid.points)
         kernel = CorrelationKernel(1.0, 1.0, 1.0)
         for nodes in ([0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [[0.0, 1.0]]):
             with pytest.raises(ValueError, match="strictly increasing 1-D"):
@@ -652,6 +657,29 @@ class TestStochasticIntegral:
         expected = _interpolated_trapezoid(coarse, view, depths)
         assert np.array_equal(integral_at(coarse, view, depths), expected)
         assert np.array_equal(integral_at(coarse, view[3], depths), expected[3])
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
+    def test_step_weights_give_each_route_its_integral(self, kappa):
+        # One running sum for both routes: with the dense route's weights
+        # it is the trapezoid integral on the grid; with the AR(1) route's
+        # at the stepping nodes, the sum of the steps' OU-bridge means.
+        grid = Grid(5.0, 51)
+        kernel = CorrelationKernel(1.0, 0.5, kappa)
+        nodes = grf.stepping_nodes(kernel, grid, [2.71, 0.33])
+        sampler = FieldSampler(kernel, grid, nodes)
+        weights, variances = sampler.step_weights()
+        values = _block(sampler, 5, 0, 9)
+        got = grf.running_integral(values, weights)
+        if kappa == 2.0:
+            assert np.array_equal(nodes, grid.points) and not variances.any()
+            assert np.array_equal(got, integral_at(grid, values, grid.points))
+            return
+        assert np.array_equal(nodes, [0.0, 0.33, 2.71, 5.0])
+        w, v = grf.ou_bridge(kernel, np.diff(nodes))
+        expected = np.zeros(values.shape)
+        expected[:, 1:] = np.cumsum(w * (values[:, 1:] + values[:, :-1]), axis=1)
+        assert np.array_equal(got, expected)
+        assert variances[0] == 0.0 and np.array_equal(variances[1:], v)
 
     @pytest.mark.parametrize("z", [-0.1, 2.0001, 50.0, math.nan])
     def test_out_of_domain_rejected(self, z):

@@ -52,41 +52,53 @@ def _path(kernel, grid, seed, rows=1):
 
 
 def _route(sm, grid, depths):
-    """The ensemble route's own formula, for the tests that pin its bits.
+    """The ensemble's one formula, for the tests that pin its bits.
 
     Returns the sampler it draws with, a function taking a tile (or a
     whole block) of its draws to the integrals of G up to ``depths``, and
-    the per-depth prefactor of the mean factor exp(-alpha sigma_a I).  For
-    kappa 1 the field is drawn at the stepping nodes {0} U depths U {L},
-    each step is integrated by its OU-bridge mean w_k (X_k + X_(k+1)) and
-    the prefactor carries the bridges' variance V(z) as
-    exp((alpha sigma_a)^2 V(z) / 2); every other kernel is drawn on the
-    grid and integrated by the trapezoid rule, with Beer's law as the
-    prefactor.
+    the per-depth prefactor of the mean factor exp(-alpha sigma_a I).  The
+    kernel picks only the nodes and the step weights: kappa 1 draws the
+    stepping nodes {0} U depths U {L} and weights each step by its OU
+    bridge, whose variances V(z) the prefactor carries as
+    exp((alpha sigma_a)^2 V(z) / 2); every other kernel draws the grid's
+    points and weights each step by the trapezoid's h/2, with no
+    variance left out.  Either way each step adds w_k (X_(k-1) + X_k),
+    and a depth reads its node's running sum, or blends its two nodes'
+    linearly between them.
     """
     medium, depths = sm.medium, np.atleast_1d(depths)
     scale = medium.alpha * medium.sigma_a
-    if sm.kernel.exponent != 1:
-        tile_depths = np.append(depths, grid.length)
+    if sm.kernel.exponent == 1:
+        nodes = np.unique(np.concatenate(([0.0], depths, [grid.length])))
+        weights, variances = grf.ou_bridge(sm.kernel, np.diff(nodes))
+        sampler = FieldSampler(sm.kernel, grid, nodes)
+    else:
+        nodes = grid.points
+        weights = np.full(nodes.size - 1, 0.5 * grid.spacing)
+        variances = np.zeros(nodes.size - 1)
+        sampler = FieldSampler(sm.kernel, grid)
+    idx = np.searchsorted(nodes, depths, side="right") - 1
+    frac = (depths - nodes[idx]) / grid.spacing
+    upper = np.minimum(idx + 1, nodes.size - 1)
+
+    def at_depths(running):
+        # row-major, as the route keeps it: a sum over paths then adds in
+        # the same order
+        if not frac.any():
+            return np.take(running, idx, axis=-1)
         return (
-            FieldSampler(sm.kernel, grid),
-            lambda values: integral_at(grid, values, tile_depths)[:, :-1],
-            beer(medium, depths),
+            np.take(running, idx, axis=-1) * (1.0 - frac)
+            + np.take(running, upper, axis=-1) * frac
         )
-    nodes = np.unique(np.concatenate(([0.0], depths, [grid.length])))
-    columns = np.searchsorted(nodes, depths)
-    weights, variances = grf.ou_bridge(sm.kernel, np.diff(nodes))
 
     def integrate(values):
         integral = np.zeros(values.shape)
         integral[:, 1:] = np.cumsum(weights * (values[:, 1:] + values[:, :-1]), axis=1)
-        # row-major, as the route keeps it: a sum over paths then adds in
-        # the same order
-        return np.take(integral, columns, axis=1)
+        return at_depths(integral)
 
-    bridged = np.concatenate(([0.0], np.cumsum(variances)))[columns]
+    bridged = at_depths(np.concatenate(([0.0], np.cumsum(variances))))
     prefactor = medium.i0 * np.exp(0.5 * scale**2 * bridged - medium.sigma_a * depths)
-    return FieldSampler(sm.kernel, grid, nodes), integrate, prefactor
+    return sampler, integrate, prefactor
 
 
 class TestPathIntensity:
@@ -300,22 +312,27 @@ class TestRunEnsemble:
         assert np.array_equal(got.mean, prefactor * (f_sum / n))
         assert np.array_equal(got.sem, prefactor * np.sqrt(var / n))
 
-    def test_kappa1_depths_map_back_to_their_places(self):
-        # Unsorted, repeated and off-node depths step through the same nodes
-        # as their sorted distinct set, so each keeps its value bit for bit.
+    @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
+    def test_depths_map_back_to_their_places(self, kappa):
+        # Unsorted, repeated and off-node depths (0.33, 2.71 and, on the
+        # dense route, 1.0 + 1e-9 lie between grid points) are read from
+        # the same running sums as their sorted distinct set: kappa 1 steps
+        # through the same nodes, the dense route blends the same two grid
+        # columns.  So each depth keeps its value bit for bit.
         sm = StochasticMedium(
-            MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0), CorrelationKernel(1.0, 0.5, 1.0)
+            MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0), CorrelationKernel(1.0, 0.5, kappa)
         )
         grid = Grid(5.0, 101)
-        depths = np.array([2.71, 0.33, 5.0, 2.71, 1.0, 0.0, 0.33])
-        ordered = np.array([0.0, 0.33, 1.0, 2.71, 5.0])
+        depths = np.array([2.71, 0.33, 5.0, 2.71, 1.0 + 1e-9, 0.0, 0.33, 1.5])
+        ordered = np.array([0.0, 0.33, 1.0 + 1e-9, 1.5, 2.71, 5.0])
         got = run_ensemble(sm, grid, 5000, 47, depths=depths)
         want = run_ensemble(sm, grid, 5000, 47, depths=ordered)
         place = np.searchsorted(ordered, depths)
         assert np.array_equal(got.depths, depths)
         assert np.array_equal(got.mean, want.mean[place])
         assert np.array_equal(got.sem, want.sem[place])
-        assert got.bridge_variance == want.bridge_variance > 0.0
+        assert got.bridge_variance == want.bridge_variance
+        assert (got.bridge_variance > 0.0) == (kappa == 1.0)
 
     @pytest.mark.parametrize("n_points,drawn", [(11, 11), (256, 256), (1001, 256)])
     def test_kappa1_ensemble_draws_one_normal_per_stepping_node(
