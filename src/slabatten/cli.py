@@ -5,9 +5,9 @@ Parses medium/kernel/grid parameters, evaluates the selected pipelines
 ensemble, Euler integrator cross-check), writes the curve data as CSV
 and prints a text report with the convention adjudication.
 
-Exit codes: 0 success, 1 invalid configuration (any ValueError, the
-flag checks' UsageError included, and an ``--out`` that cannot be
-written), 2 numerical failure (covariance factorization).
+Exit codes: 0 success, 1 invalid configuration (any ValueError: a flag
+check's UsageError, an ``--out`` that cannot be written, a run past the
+memory budget), 2 numerical failure (covariance factorization).
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from .grf import (
     CorrelationKernel,
     FieldSampler,
     Grid,
+    check_budget,
     sampler_bytes,
+    tile_rows,
 )
 from .medium import MediumSpec, StochasticMedium, beer
 from .montecarlo import (
@@ -359,23 +361,39 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
 
 
 def _euler_check_bytes(config: ExperimentConfig) -> int:
-    """Most bytes the Euler check charges to the memory budget at once: its
-    sampler on the finest grid (``grf.sampler_bytes``) with its tallest
-    tile and one tile of transform temporaries (``FieldSampler.tiles``)."""
+    """The Euler check's charge: its sampler on the finest grid with its
+    tallest tile of paths and of temporaries (``FieldSampler.tiles``)."""
     n = (config.grid.n_points - 1) * _EULER_CHECK_STRIDES[0] + 1
-    return sampler_bytes(config.kernel, n, 8 * 2 * _EULER_CHECK_PATHS * n)
+    rows = tile_rows(config.kernel, n, _EULER_CHECK_PATHS)
+    return sampler_bytes(config.kernel, n, 8 * 2 * rows * n)
 
 
 def _euler_check_beside(config: ExperimentConfig, depths) -> bool:
-    """Whether the Euler check runs on its own thread beside the ensemble:
-    with a second worker, and only when the two, charged together, fit
-    the memory budget; otherwise it runs after the ensemble."""
-    if config.workers == 1 or not {"mc", "euler-check"} <= set(config.modes):
+    """Charge the Euler check to the memory budget, and say whether it runs
+    on its own thread beside the ensemble: with a second worker, when its
+    charge and ``ensemble_bytes`` fit the budget together."""
+    if "euler-check" not in config.modes:
+        return False
+    euler = _euler_check_bytes(config)
+    check_budget(euler, "the Euler check on its refined grid")
+    if config.workers == 1 or "mc" not in config.modes:
         return False
     ensemble = ensemble_bytes(
         config.kernel, config.grid, config.n_paths, depths, config.workers
     )
-    return ensemble + _euler_check_bytes(config) <= MEMORY_BUDGET
+    return ensemble + euler <= MEMORY_BUDGET
+
+
+def _check_out(path: str) -> None:
+    """UsageError unless ``path`` opens to append; leaves no new file."""
+    out = Path(path)
+    existed = out.exists()
+    try:
+        out.open("a").close()
+    except OSError as err:
+        raise UsageError(f"--out: {err.strerror}: {path}") from None
+    if not existed:
+        out.unlink()
 
 
 def _negative_fraction_expectation(
@@ -460,7 +478,9 @@ def _ensemble_lines(config: ExperimentConfig, depths, columns: dict) -> list:
 def run(config: ExperimentConfig) -> int:
     """Run the selected pipelines, write the CSV, print the report."""
     medium, kernel, grid = config.medium, config.kernel, config.grid
+    _check_out(config.out)
     depths = default_depths(grid)
+    beside = _euler_check_beside(config, depths)
     columns: dict = {name: None for name in COLUMNS[1:]}
     report: list = ["slabatten report", _config_echo(config)[2:]]
 
@@ -483,10 +503,8 @@ def run(config: ExperimentConfig) -> int:
         columns["averaged_exact"] = np.atleast_1d(averaged_intensity(law, depths))
 
     # Leaving the block joins the Euler check's thread, whatever raised.
-    with ThreadPoolExecutor(max_workers=1) as beside:
-        euler = None
-        if _euler_check_beside(config, depths):
-            euler = beside.submit(_euler_check_lines, config)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        euler = pool.submit(_euler_check_lines, config) if beside else None
         if "mc" in config.modes:
             report.extend(_ensemble_lines(config, depths, columns))
 

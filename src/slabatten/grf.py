@@ -7,14 +7,11 @@ is positive definite, so it defines a field, only for kappa <= 2
 fixed blocks of ``CHUNK_PATHS`` paths, and block ``c`` of master seed
 ``s`` is always one stream, ``SeedSequence(s, spawn_key=(c,))``, of
 standard normals, one row of node values per path.  A block is always
-drawn as consecutive row tiles (``FieldSampler.tiles``), so a caller
-holds a few tiles instead of whole blocks.  Tiles are a few hundred
-kilobytes on fine AR(1) grids and grow, up to a whole block, where each
-tile repeats costly work: the scan's per-column-block calls on coarse
-AR(1) nodes, the pass over the n x n factor on the dense route.  Each
-tile of normals becomes field values by one transform that acts row by
-row.  For ``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov) that is
-the exact AR(1) recursion
+drawn as consecutive row tiles (``FieldSampler.tiles``) of at most
+``tile_rows``, so a caller holds a few tiles instead of whole blocks.
+Each tile of normals becomes field values by one transform that acts row
+by row.  For ``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov) that
+is the exact AR(1) recursion
 ``x_i = rho_i*x_{i-1} + sqrt(C*(1 - rho_i**2))*xi_i`` with
 ``rho_i = exp(-h_i/zeta)`` for the step h_i into node i (Gillespie,
 Phys. Rev. E 54, 2084, 1996), at the grid's points or at any increasing
@@ -54,16 +51,15 @@ _POINTS_PER_LENGTH = 10
 # Paths per keyed stream: an ensemble draws block c of its paths as
 # tiles(master_seed, c, CHUNK_PATHS), the last block shorter.
 CHUNK_PATHS = 4096
-# Bytes a sampler and its tiles may need at once (sampler_bytes), charged
-# before anything is allocated: by FieldSampler, its tiles, an ensemble's
-# tile streams (montecarlo) and a run with the Euler check beside its
-# ensemble (cli).  2 GiB leaves room on an 8 GB machine.
+# Bytes one pipeline may hold at once, charged before it builds anything:
+# a sampler and each tile (sampler_bytes), an ensemble (montecarlo) and the
+# Euler check (cli).  2 GiB leaves room on an 8 GB machine.
 MEMORY_BUDGET = 2 * 2**30
-# FieldSampler.tiles yields tiles of about this many bytes, so a tile and
-# its running integral stay in cache, but never fewer than _MIN_TILE_ROWS
-# rows: on long grids fewer rows leave too little work per numpy call
-# for worker threads to overlap.  Dense-route tiles are taller (see
-# FieldSampler.__init__).
+# tile_rows: tiles of about this many bytes stay in cache with their running
+# integral.  The floor binds on the 16-row tiles the Euler check would draw
+# on 4001 points beside a 1001-point kappa-1 ensemble: without it, --kappa 1
+# --zeta 0.05 --modes beer,mc,euler-check --paths 2000 --workers 2 took
+# 35.1 ms against 32.8 ms (medians of 20 fresh processes, 2-vCPU VM).
 _TILE_BYTES = 512 * 2**10
 _MIN_TILE_ROWS = 64
 # The AR(1) scan rescales a block of columns by the inverse running product
@@ -72,11 +68,6 @@ _MIN_TILE_ROWS = 64
 # float range.  A step past 40 zeta is a block of its own: no inverse is
 # formed and the scan is the plain recursion, finite down to rho = 0.
 _SCAN_EXPONENT = 40.0
-# Each block of the scan costs a few numpy calls per tile, so an AR(1)
-# tile has at least this many values per block: on coarse nodes, with few
-# columns per block, tiles grow (to a whole chunk once h/zeta passes 20)
-# instead of paying those calls once per few dozen rows.
-_SCAN_BLOCK_VALUES = 8192
 # Terms of ou_bridge's series for x - 2 tanh(x/2), x < 2: the last one
 # kept is below 1e-16 of the sum there.
 _BRIDGE_TERMS = 10
@@ -402,12 +393,23 @@ def stepping_nodes(kernel: CorrelationKernel, grid: Grid, depths) -> np.ndarray:
 
 def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
     """Most bytes a FieldSampler on ``n`` nodes holds at once with
-    ``streamed`` bytes of tiles beside it: the dense route's build (the
-    covariance, its copy and np.linalg.cholesky's factor) or its factor
-    with the tiles, whichever is more; the AR(1) route's tiles alone."""
+    ``streamed`` bytes of tiles beside it: its build, or what it keeps with
+    the tiles.  The dense route builds the covariance, its copy and the
+    factor; the AR(1) route 7 arrays of ``n``, of which it keeps 5."""
     if kernel.exponent == 1:
-        return streamed
+        return max(8 * 7 * n, 8 * 5 * n + streamed)
     return max(8 * 3 * n * n, 8 * n * n + streamed)
+
+
+def tile_rows(kernel: CorrelationKernel, n: int, count: int | None = None) -> int:
+    """Rows of the tallest tile ``FieldSampler.tiles`` yields on ``n`` nodes,
+    or in a block of ``count`` paths cut into balanced tiles: about
+    ``_TILE_BYTES``, at least ``_MIN_TILE_ROWS``, and on the dense route at
+    least ``n``, as each tile's product reads the whole factor (on 2001
+    points, 512 KiB tiles took 1.7-2.0 s where n rows took 1.2 s)."""
+    dense = 0 if kernel.exponent == 1 else n
+    rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n), dense)
+    return rows if count is None else -(-count // max(1, -(-count // rows)))
 
 
 def check_budget(needed: int, what: str) -> None:
@@ -441,14 +443,17 @@ class FieldSampler:
     however its block was cut into tiles; a dense-route row may differ in
     the last bits, since a matrix product of another height can take
     another BLAS kernel.  Requests above the memory budget raise
-    MemoryBudgetExceeded before anything is allocated: a dense grid at
-    construction, a tile before the first one is drawn.  ``tile_rows`` is
-    the height of the tiles ``tiles`` yields, at most.
+    MemoryBudgetExceeded before anything is allocated: the sampler
+    (``sampler_bytes``) before any per-node array, a tile before the first
+    one is drawn.
     """
 
     def __init__(self, kernel: CorrelationKernel, grid: Grid, nodes=None):
         self.kernel = kernel
         self.grid = grid
+        self.route = AR1_ROUTE if kernel.exponent == 1 else CHOLESKY_ROUTE
+        n = grid.n_points if nodes is None else np.size(nodes)
+        check_budget(sampler_bytes(kernel, n), f"the {self.route} route on {n} points")
         if nodes is None:
             self.nodes = grid.points
         else:
@@ -457,10 +462,7 @@ class FieldSampler:
                 raise ValueError("nodes must be a strictly increasing 1-D array")
             if kernel.exponent != 1 and not np.array_equal(self.nodes, grid.points):
                 raise ValueError("nodes other than the grid's need kappa = 1")
-        n = self.nodes.size
-        self.tile_rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n))
         if kernel.exponent == 1:
-            self.route = AR1_ROUTE
             self.factor, self.jitter = None, 0.0
             # h/zeta per step; inf (rho = 0) for a subnormal zeta
             with np.errstate(over="ignore"):
@@ -489,23 +491,10 @@ class FieldSampler:
             self._shrink = np.empty(n)
             self._shrink[0] = math.sqrt(kernel.amplitude)
             np.divide(self.innovation, self._growth[1:], out=self._shrink[1:])
-            values_per_block = -(-n // len(self._blocks))
-            self.tile_rows = max(
-                self.tile_rows, -(-_SCAN_BLOCK_VALUES // values_per_block)
-            )
             return
-        check_budget(
-            sampler_bytes(kernel, n),
-            f"the dense covariance factor of a grid of {n} points",
-        )
-        self.route = CHOLESKY_ROUTE
         self.factor, self.jitter = _cholesky_with_jitter(
             covariance_matrix(kernel, grid), kernel.amplitude
         )
-        # Each tile's product reads the whole factor again, so a dense tile
-        # has at least n rows: it then holds no more than the factor does,
-        # and the product runs at the speed of a whole block.
-        self.tile_rows = max(self.tile_rows, n)
 
     def step_weights(self):
         """``(w, v)`` per node: the ``running_integral`` weight and the
@@ -523,9 +512,8 @@ class FieldSampler:
         """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
 
         Each tile has shape ``(rows, n)``, one column per node, with
-        ``rows`` at most ``tile_rows`` (and balanced, so no tile is a
-        sliver).  The tiles
-        are consecutive draws from the block's one stream,
+        ``rows`` balanced and at most ``tile_rows(kernel, n, count)``.  The
+        tiles are consecutive draws from the block's one stream,
         ``SeedSequence(master_seed, spawn_key=(chunk,))``, so the same
         (master_seed, chunk, count) always gives the same bits, also from
         concurrent threads.  The AR(1) recursion is the dense factor in
@@ -534,7 +522,7 @@ class FieldSampler:
         integrals are ``running_integral(values, step_weights()[0])``.
         """
         n = self.nodes.size
-        n_tiles = max(1, -(-count // self.tile_rows))
+        n_tiles = max(1, -(-count // tile_rows(self.kernel, n)))
         base, extra = divmod(count, n_tiles)
         rows = base + (extra > 0)
         check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} nodes")

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ReliabilityWarning
 from .grf import CHUNK_PATHS, CorrelationKernel, FieldSampler, Grid, check_budget
 from .grf import checked_depths, checked_values, depth_reader, integral_at, one_depth
-from .grf import running_integral, sampler_bytes, stepping_nodes
+from .grf import running_integral, sampler_bytes, stepping_nodes, tile_rows
 from .medium import MediumSpec, StochasticMedium, beer
 from .quadrature import square_double_integral
 
@@ -122,25 +122,20 @@ def default_depths(grid: Grid) -> np.ndarray:
     return grid.points[idx]
 
 
-def _charge(kernel: CorrelationKernel, nodes, depths, streams: int, rows: int) -> int:
-    """Bytes an ensemble holds at once (``grf.sampler_bytes``) with
-    ``streams`` streams of tiles of ``rows`` paths, one column per node
-    and per depth unless the depths are the nodes in order."""
-    gathered = 0 if np.array_equal(depths, nodes) else depths.size
-    streamed = 8 * _STREAM_ARRAYS * streams * rows * (nodes.size + gathered)
-    return sampler_bytes(kernel, nodes.size, streamed)
-
-
 def ensemble_bytes(
     kernel: CorrelationKernel, grid: Grid, n_paths: int, depths, workers: int
 ) -> int:
-    """A bound on the bytes ``run_ensemble`` charges to the memory budget,
-    found without factoring or drawing anything, for a caller that runs
-    other work beside it: its charge, with tiles as tall as a chunk."""
+    """The bytes ``run_ensemble`` charges before it builds anything: its
+    sampler (``grf.sampler_bytes``) with, per concurrent worker,
+    ``_STREAM_ARRAYS`` arrays of its tallest tile (``grf.tile_rows``) by
+    its nodes and, unless they are the nodes in order, its depths."""
     depths = np.atleast_1d(depths)
     nodes = stepping_nodes(kernel, grid, depths)
     streams = max(1, min(workers, -(-n_paths // CHUNK_PATHS)))
-    return _charge(kernel, nodes, depths, streams, min(CHUNK_PATHS, n_paths))
+    rows = min(tile_rows(kernel, nodes.size), CHUNK_PATHS, n_paths)
+    gathered = 0 if np.array_equal(depths, nodes) else depths.size
+    streamed = 8 * _STREAM_ARRAYS * streams * rows * (nodes.size + gathered)
+    return sampler_bytes(kernel, nodes.size, streamed)
 
 
 def _central_moments(raw: np.ndarray, n: int):
@@ -182,9 +177,9 @@ def run_ensemble(
     are added in block order, so memory does not grow with n_paths and
     the result is bit-identical for any worker count.  One FieldSampler
     (for a dense route, one covariance factor) is built and shared
-    read-only by the workers.  The concurrent tile streams and the factor
-    are charged to the memory budget before anything is drawn
-    (MemoryBudgetExceeded).
+    read-only by the workers.  The sampler and the concurrent tile
+    streams, ``ensemble_bytes``, are charged to the memory budget before
+    the sampler is built (MemoryBudgetExceeded).
 
     Every route integrates a tile as the running sum of
     ``w_k (X_(k-1) + X_k)`` over its nodes (``grf.running_integral``),
@@ -230,6 +225,12 @@ def run_ensemble(
     neg_cut = -1.0 / medium.alpha if min(medium.alpha, medium.sigma_a) > 0 else -np.inf
 
     nodes = stepping_nodes(sm.kernel, grid, depths)
+    chunks = range((n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS)
+    streams = max(1, min(workers, len(chunks)))
+    check_budget(
+        ensemble_bytes(sm.kernel, grid, n_paths, depths, workers),
+        f"an ensemble's sampler and {streams} worker(s)' tiles on {nodes.size} points",
+    )
     sampler = FieldSampler(sm.kernel, grid, nodes)
     weights, variances = sampler.step_weights()
     read = depth_reader(nodes, depths, grid.spacing)
@@ -277,14 +278,6 @@ def run_ensemble(
         )
         return factor_sum, factor_sq_sum, raw, negatives
 
-    chunks = range((n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS)
-    streams = max(1, min(workers, len(chunks)))
-    tile_rows = min(sampler.tile_rows, CHUNK_PATHS, n_paths)
-    check_budget(
-        _charge(sm.kernel, nodes, depths, streams, tile_rows),
-        f"{streams} worker(s) streaming tiles of {tile_rows} paths "
-        f"on {nodes.size} nodes",
-    )
     factor_sum = np.zeros(prefactor.shape)
     factor_sq_sum = np.zeros(prefactor.shape)
     raw_moments = np.zeros(4)

@@ -261,6 +261,65 @@ class TestMainExitCodes:
         assert code == 1
         assert "10001 points" in capsys.readouterr().err
 
+    def test_dense_ensemble_past_the_budget_exits_1_before_factoring(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The factor alone fits; with two workers' tile streams it does not,
+        # and the run says so before the 7000 x 7000 covariance is built.
+        def build(kernel, grid):
+            raise AssertionError("covariance built")
+
+        monkeypatch.setattr(grf, "covariance_matrix", build)
+        out = tmp_path / "x.csv"
+        code = main([
+            "--grid-points", "7000", "--paths", "8192", "--modes", "mc",
+            "--workers", "2", "--out", str(out),
+        ])
+        assert code == 1
+        assert "2 worker(s)' tiles on 7000 points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_euler_check_past_the_budget_exits_1_before_any_pipeline(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ensemble ran")
+
+        monkeypatch.setattr(cli, "run_ensemble", refuse)
+        out = tmp_path / "x.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        missing = tmp_path / "y.csv"
+        for path in (out, missing):
+            code = main([
+                "--kappa", "1.5", "--zeta", "0.5", "--grid-points", "3000",
+                "--modes", "beer,mc,euler-check", "--paths", "2000",
+                "--workers", workers, "--out", str(path),
+            ])
+            assert code == 1
+            assert "the Euler check on its refined grid" in capsys.readouterr().err
+        # the probe of --out neither truncates a file nor leaves one behind
+        assert out.read_text(encoding="utf-8") == "kept\n"
+        assert not missing.exists()
+
+    def test_unwritable_out_exits_1_before_the_ensemble(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ensemble ran")
+
+        monkeypatch.setattr(cli, "run_ensemble", refuse)
+        assert main(["--modes", "beer,mc", "--out", "."]) == 1
+        assert capsys.readouterr().err == "slabatten: error: --out: Is a directory: .\n"
+
+    def test_all_sem_zero_skips_the_adjudication(self, tmp_path, capsys):
+        # Without fluctuations every path gives Beer's law: the SEM is 0.
+        code = main([
+            "--alpha", "0", "--modes", "exact,mc", "--paths", "50",
+            "--grid-points", "21", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 0
+        report = capsys.readouterr().out.splitlines()
+        assert "adjudication: skipped (no analytic curve or all SEM zero)" in report
+
     def test_colored_noise_on_the_same_grid_needs_no_covariance(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -634,7 +693,7 @@ def test_memory_bounds_never_undercount_the_charges(
     config = parse_args(argv)
     depths = default_depths(config.grid)
     bound = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths, config.workers)
-    assert charges["ensemble"] and max(charges["ensemble"]) <= bound
+    assert charges["ensemble"] and max(charges["ensemble"]) == bound
     assert charges["euler"] and max(charges["euler"]) <= _euler_check_bytes(config)
 
 

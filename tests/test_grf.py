@@ -1,6 +1,7 @@
 """Kernel, grid, covariance and path-sampling behavior."""
 
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
@@ -259,6 +260,23 @@ class TestSampling:
             with pytest.raises(Built):
                 FieldSampler(kernel, Grid(5.0, n))
 
+    @pytest.mark.parametrize(
+        "kappa,n", [(1.0, 40_000_001), (2.0, 1_000_001)], ids=["ar1", "dense"]
+    )
+    def test_sampler_beyond_the_memory_budget_allocates_nothing(self, kappa, n):
+        # The AR(1) route builds 7 arrays of n (2.24 GiB here), the dense
+        # route 3 n x n; both are refused before any of them, the grid's
+        # points included, exists.
+        grid = Grid(10.0, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetExceeded, match=f"{n} points"):
+                FieldSampler(CorrelationKernel(1.0, 0.01, kappa), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_ar1_block_beyond_the_memory_budget_is_rejected_before_drawing(
         self, monkeypatch
     ):
@@ -274,7 +292,7 @@ class TestSampling:
         # A block is charged one tile at a time: 4096 paths on 100 001
         # points stream in 64-row tiles and reach the draw...
         wide = FieldSampler(kernel, Grid(10.0, 100_001))
-        assert wide.tile_rows == 64
+        assert grf.tile_rows(kernel, 100_001) == 64
         with pytest.raises(AssertionError, match="allocating call reached"):
             next(wide.tiles(0, 0, 4096))
         # ...while one 64-row tile on 2 200 001 points is past the budget.
@@ -346,7 +364,7 @@ class TestSampling:
         "kappa, zeta, least, most",
         [
             (1.0, 0.05, 65, 65),  # fine AR(1): 512 KiB tiles of 1001 points
-            (1.0, 1e-4, 4096, None),  # h/zeta 50: one-column scan blocks
+            (1.0, 1e-4, 65, 65),  # h/zeta 50, one-column scan blocks: the same
             (2.0, 0.5, 1001, None),  # dense: no fewer rows than the factor
         ],
     )
@@ -354,7 +372,7 @@ class TestSampling:
         self, kappa, zeta, least, most
     ):
         kernel = CorrelationKernel(1.0, zeta, kappa)
-        rows = FieldSampler(kernel, Grid(5.0, 1001)).tile_rows
+        rows = grf.tile_rows(kernel, 1001)
         assert rows >= least
         assert most is None or rows <= most
 
@@ -366,7 +384,8 @@ class TestSampling:
         tiles = list(sampler.tiles(8, 3, count))
         heights = [len(tile) for tile in tiles]
         assert sum(heights) == count
-        assert max(heights) <= sampler.tile_rows
+        assert max(heights) == grf.tile_rows(sampler.kernel, n, count)
+        assert max(heights) <= grf.tile_rows(sampler.kernel, n)
         assert max(heights) - min(heights) <= 1
         # the whole block as one draw from its keyed stream, one transform
         block = sampler._transform(
