@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -364,7 +365,7 @@ def _euler_check_bytes(config: ExperimentConfig) -> int:
     """The Euler check's charge: its sampler on the finest grid with its
     tallest tile of paths and of temporaries (``FieldSampler.tiles``)."""
     n = (config.grid.n_points - 1) * _EULER_CHECK_STRIDES[0] + 1
-    rows = tile_rows(config.kernel, n, _EULER_CHECK_PATHS)
+    rows = tile_rows(config.kernel, n, config.grid.length, _EULER_CHECK_PATHS)
     return sampler_bytes(config.kernel, n, 8 * 2 * rows * n)
 
 
@@ -385,15 +386,18 @@ def _euler_check_beside(config: ExperimentConfig, depths) -> bool:
 
 
 def _check_out(path: str) -> None:
-    """UsageError unless ``path`` opens to append; leaves no new file."""
-    out = Path(path)
-    existed = out.exists()
+    """UsageError unless ``path`` opens to append.  Only a missing path, a
+    file or a directory is opened, and a new file removed again; a link,
+    FIFO or device is left to the write."""
+    new = not os.path.lexists(path)
+    if os.path.islink(path) or not (new or os.path.isfile(path) or os.path.isdir(path)):
+        return
     try:
-        out.open("a").close()
+        open(path, "a").close()
     except OSError as err:
         raise UsageError(f"--out: {err.strerror}: {path}") from None
-    if not existed:
-        out.unlink()
+    if new:
+        os.unlink(path)
 
 
 def _negative_fraction_expectation(

@@ -68,6 +68,11 @@ _MIN_TILE_ROWS = 64
 # float range.  A step past 40 zeta is a block of its own: no inverse is
 # formed and the scan is the plain recursion, finite down to rho = 0.
 _SCAN_EXPONENT = 40.0
+# An AR(1) tile has at least this many values per scan block, as each
+# block costs a few numpy calls per tile: without it the Euler check of
+# --kappa 1 --zeta 1e-6 --grid-points 50001 drew its 100 paths in two
+# tiles, not one, and took 3.9 s against 3.2 s.
+_SCAN_BLOCK_VALUES = 8192
 # Terms of ou_bridge's series for x - 2 tanh(x/2), x < 2: the last one
 # kept is below 1e-16 of the sum there.
 _BRIDGE_TERMS = 10
@@ -401,14 +406,18 @@ def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
     return max(8 * 3 * n * n, 8 * n * n + streamed)
 
 
-def tile_rows(kernel: CorrelationKernel, n: int, count: int | None = None) -> int:
-    """Rows of the tallest tile ``FieldSampler.tiles`` yields on ``n`` nodes,
-    or in a block of ``count`` paths cut into balanced tiles: about
-    ``_TILE_BYTES``, at least ``_MIN_TILE_ROWS``, and on the dense route at
-    least ``n``, as each tile's product reads the whole factor (on 2001
-    points, 512 KiB tiles took 1.7-2.0 s where n rows took 1.2 s)."""
-    dense = 0 if kernel.exponent == 1 else n
-    rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n), dense)
+def tile_rows(kernel: CorrelationKernel, n: int, length: float, count=None) -> int:
+    """Rows of the tallest tile ``FieldSampler.tiles`` yields on ``n`` nodes
+    over ``length``, or in a block of ``count`` paths cut into balanced
+    tiles: about ``_TILE_BYTES``, at least ``_MIN_TILE_ROWS``, and at least
+    ``_SCAN_BLOCK_VALUES`` per scan block of evenly spaced AR(1) nodes or
+    ``n`` dense rows, as each tile's product reads the whole factor (on
+    2001 points, 512 KiB tiles took 1.7-2.0 s where n rows took 1.2 s)."""
+    least = n
+    if kernel.exponent == 1:
+        step = length / max(1, n - 1) / kernel.correlation_length
+        least = -(-_SCAN_BLOCK_VALUES // min(n, int(_SCAN_EXPONENT / step) + 1))
+    rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n), least)
     return rows if count is None else -(-count // max(1, -(-count // rows)))
 
 
@@ -512,7 +521,7 @@ class FieldSampler:
         """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
 
         Each tile has shape ``(rows, n)``, one column per node, with
-        ``rows`` balanced and at most ``tile_rows(kernel, n, count)``.  The
+        ``rows`` balanced and at most ``tile_rows(kernel, n, L, count)``.  The
         tiles are consecutive draws from the block's one stream,
         ``SeedSequence(master_seed, spawn_key=(chunk,))``, so the same
         (master_seed, chunk, count) always gives the same bits, also from
@@ -522,9 +531,9 @@ class FieldSampler:
         integrals are ``running_integral(values, step_weights()[0])``.
         """
         n = self.nodes.size
-        n_tiles = max(1, -(-count // tile_rows(self.kernel, n)))
+        rows = tile_rows(self.kernel, n, self.grid.length, count)
+        n_tiles = max(1, -(-count // max(1, rows)))
         base, extra = divmod(count, n_tiles)
-        rows = base + (extra > 0)
         check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} nodes")
         stream = default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))
         for t in range(n_tiles):

@@ -132,7 +132,8 @@ def ensemble_bytes(
     depths = np.atleast_1d(depths)
     nodes = stepping_nodes(kernel, grid, depths)
     streams = max(1, min(workers, -(-n_paths // CHUNK_PATHS)))
-    rows = min(tile_rows(kernel, nodes.size), CHUNK_PATHS, n_paths)
+    counts = (min(CHUNK_PATHS, n_paths), n_paths % CHUNK_PATHS)  # full, last block
+    rows = max(tile_rows(kernel, nodes.size, grid.length, c) for c in counts)
     gathered = 0 if np.array_equal(depths, nodes) else depths.size
     streamed = 8 * _STREAM_ARRAYS * streams * rows * (nodes.size + gathered)
     return sampler_bytes(kernel, nodes.size, streamed)

@@ -310,6 +310,19 @@ class TestMainExitCodes:
         assert main(["--modes", "beer,mc", "--out", "."]) == 1
         assert capsys.readouterr().err == "slabatten: error: --out: Is a directory: .\n"
 
+    def test_dangling_link_out_keeps_its_link(self, tmp_path, capsys):
+        # The probe leaves a link, FIFO or device to the write: a failed run
+        # neither creates the link's target nor removes the link, and a run
+        # writes the CSV through it.
+        out, target = tmp_path / "x.csv", tmp_path / "target.csv"
+        out.symlink_to(target)
+        euler = ["--kappa", "1.5", "--zeta", "0.5", "--modes", "beer,euler-check"]
+        assert main([*euler, "--grid-points", "3000", "--out", str(out)]) == 1
+        assert out.is_symlink() and not target.exists()
+        assert main(["--grid-points", "21", "--paths", "50", "--out", str(out)]) == 0
+        assert out.is_symlink()
+        assert len(_read_csv(target)[1]) == 21
+
     def test_all_sem_zero_skips_the_adjudication(self, tmp_path, capsys):
         # Without fluctuations every path gives Beer's law: the SEM is 0.
         code = main([
@@ -669,19 +682,22 @@ def test_memory_bounds_never_undercount_the_charges(
     tmp_path, monkeypatch, kappa, points, workers
 ):
     # Every budget charge of a run, by what made it: the ensemble (its
-    # sampler, its tile streams, its workers' tiles) or the Euler check.
-    # The bounds the run plans with, before anything is built, must cover
-    # each of them, on both routes, with the depths the grid's own nodes
-    # (21 points) and 256 of 301 points.
+    # sampler, its tile streams, its workers' tiles) or the Euler check,
+    # and the (rows, nodes) of the tiles FieldSampler.tiles charged.  The
+    # charges each pipeline plans with, before anything is built, must be
+    # its sampler with the tallest tile it really drew, on both routes,
+    # with the depths the grid's own nodes (21 points) and 256 of 301.
     charges = {"ensemble": [], "euler": []}
+    tiles = {"ensemble": [], "euler": []}
     check_budget = grf.check_budget
 
     def recording(needed, what):
         stack = {frame.name for frame in traceback.extract_stack()}
-        if "_euler_check_lines" in stack:
-            charges["euler"].append(needed)
-        elif "run_ensemble" in stack or "chunk_partials" in stack:
-            charges["ensemble"].append(needed)
+        run = "euler" if "_euler_check_lines" in stack else "ensemble"
+        if run == "euler" or "run_ensemble" in stack or "chunk_partials" in stack:
+            charges[run].append(needed)
+            if what.startswith("a tile of"):
+                tiles[run].append(tuple(int(w) for w in what.split() if w.isdigit()))
         check_budget(needed, what)
 
     monkeypatch.setattr(grf, "check_budget", recording)
@@ -692,9 +708,19 @@ def test_memory_bounds_never_undercount_the_charges(
     assert main(argv) == 0
     config = parse_args(argv)
     depths = default_depths(config.grid)
+    nodes = grf.stepping_nodes(config.kernel, config.grid, depths)
+    rows = max(r for r, n in tiles["ensemble"])
+    gathered = 0 if np.array_equal(depths, nodes) else depths.size
+    # 5000 paths are two blocks, streamed by as many workers
+    streamed = 8 * montecarlo._STREAM_ARRAYS * int(workers) * rows * (nodes.size + gathered)
     bound = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths, config.workers)
-    assert charges["ensemble"] and max(charges["ensemble"]) == bound
-    assert charges["euler"] and max(charges["euler"]) <= _euler_check_bytes(config)
+    assert bound == grf.sampler_bytes(config.kernel, nodes.size, streamed)
+    assert max(charges["ensemble"]) <= bound
+    # the Euler check's finest grid sets its charge
+    rows, n = max(tiles["euler"], key=lambda tile: tile[1])
+    bound = _euler_check_bytes(config)
+    assert bound == grf.sampler_bytes(config.kernel, n, 8 * 2 * rows * n)
+    assert max(charges["euler"]) <= bound
 
 
 # Runs the CLI in a fresh interpreter, where numpy's RuntimeWarnings reach

@@ -292,7 +292,7 @@ class TestSampling:
         # A block is charged one tile at a time: 4096 paths on 100 001
         # points stream in 64-row tiles and reach the draw...
         wide = FieldSampler(kernel, Grid(10.0, 100_001))
-        assert grf.tile_rows(kernel, 100_001) == 64
+        assert grf.tile_rows(kernel, 100_001, 10.0) == 64
         with pytest.raises(AssertionError, match="allocating call reached"):
             next(wide.tiles(0, 0, 4096))
         # ...while one 64-row tile on 2 200 001 points is past the budget.
@@ -364,7 +364,7 @@ class TestSampling:
         "kappa, zeta, least, most",
         [
             (1.0, 0.05, 65, 65),  # fine AR(1): 512 KiB tiles of 1001 points
-            (1.0, 1e-4, 65, 65),  # h/zeta 50, one-column scan blocks: the same
+            (1.0, 1e-4, 4096, None),  # h/zeta 50: one-column scan blocks
             (2.0, 0.5, 1001, None),  # dense: no fewer rows than the factor
         ],
     )
@@ -372,7 +372,7 @@ class TestSampling:
         self, kappa, zeta, least, most
     ):
         kernel = CorrelationKernel(1.0, zeta, kappa)
-        rows = grf.tile_rows(kernel, 1001)
+        rows = grf.tile_rows(kernel, 1001, 5.0)
         assert rows >= least
         assert most is None or rows <= most
 
@@ -384,8 +384,8 @@ class TestSampling:
         tiles = list(sampler.tiles(8, 3, count))
         heights = [len(tile) for tile in tiles]
         assert sum(heights) == count
-        assert max(heights) == grf.tile_rows(sampler.kernel, n, count)
-        assert max(heights) <= grf.tile_rows(sampler.kernel, n)
+        assert max(heights) == grf.tile_rows(sampler.kernel, n, 5.0, count)
+        assert max(heights) <= grf.tile_rows(sampler.kernel, n, 5.0)
         assert max(heights) - min(heights) <= 1
         # the whole block as one draw from its keyed stream, one transform
         block = sampler._transform(
