@@ -330,7 +330,7 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     whether the check runs beside the ensemble or after it.
     """
     medium, base = config.medium, config.grid
-    cells = (base.n_points - 1) * _EULER_CHECK_STRIDES[0]
+    cells = _euler_check_points(base) - 1
     grids = [Grid(base.length, cells // s + 1) for s in _EULER_CHECK_STRIDES]
     caught = _NumpyErrors()
     with np.errstate(divide="log", over="log", invalid="log", call=caught):
@@ -361,11 +361,16 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     return lines + list(caught.lines)
 
 
+def _euler_check_points(grid: Grid) -> int:
+    """Points of the Euler check's finest grid, ``grid`` refined."""
+    return (grid.n_points - 1) * _EULER_CHECK_STRIDES[0] + 1
+
+
 def _euler_check_bytes(config: ExperimentConfig) -> int:
     """The Euler check's charge: its sampler on the finest grid with its
     tallest tile of paths and of temporaries (``FieldSampler.tiles``)."""
-    n = (config.grid.n_points - 1) * _EULER_CHECK_STRIDES[0] + 1
-    rows = tile_rows(config.kernel, n, config.grid.length, _EULER_CHECK_PATHS)
+    n = _euler_check_points(config.grid)
+    rows = tile_rows(config.kernel, n, _EULER_CHECK_PATHS)
     return sampler_bytes(config.kernel, n, 8 * 2 * rows * n)
 
 

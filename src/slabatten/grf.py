@@ -15,9 +15,10 @@ is the exact AR(1) recursion
 ``x_i = rho_i*x_{i-1} + sqrt(C*(1 - rho_i**2))*xi_i`` with
 ``rho_i = exp(-h_i/zeta)`` for the step h_i into node i (Gillespie,
 Phys. Rev. E 54, 2084, 1996), at the grid's points or at any increasing
-nodes, the closed-form Cholesky factor of their covariance, evaluated as
-a blocked, rescaled prefix sum (Blelloch, CMU-CS-90-190, 1990) in O(n)
-time and no n x n storage.  Every other kernel is drawn by dense
+nodes, the closed-form Cholesky factor of their covariance, evaluated as a
+blocked, rescaled prefix sum (Blelloch, CMU-CS-90-190, 1990) that carries
+each run of nodes after far steps at once, in O(n) time and memory.
+Every other kernel is drawn by dense
 Cholesky factorization of the grid covariance (exact for any kernel and
 grid at the sizes used here), the normals times the transposed factor
 in one matrix product.  A path is a plain array of node values, ``(n,)``
@@ -56,23 +57,17 @@ CHUNK_PATHS = 4096
 # Euler check (cli).  2 GiB leaves room on an 8 GB machine.
 MEMORY_BUDGET = 2 * 2**30
 # tile_rows: tiles of about this many bytes stay in cache with their running
-# integral.  The floor binds on the 16-row tiles the Euler check would draw
-# on 4001 points beside a 1001-point kappa-1 ensemble: without it, --kappa 1
-# --zeta 0.05 --modes beer,mc,euler-check --paths 2000 --workers 2 took
-# 35.1 ms against 32.8 ms (medians of 20 fresh processes, 2-vCPU VM).
+# integral.  The floor keeps a few paths on a long grid out of one-row tiles
+# that each repeat the AR(1) scan's loop over its table: the Euler check of
+# --kappa 1 --zeta 1e-6 --grid-points 50001 (100 paths on 200 001 nodes)
+# took 1.24 s in two tiles and 10.3 s in 100 without it (medians of 3).
 _TILE_BYTES = 512 * 2**10
 _MIN_TILE_ROWS = 64
 # The AR(1) scan rescales a block of columns by the inverse running product
-# of rho from its first column, and a block's steps after that column sum
-# to at most this many zeta, so the scale stays <= e**40, far inside the
-# float range.  A step past 40 zeta is a block of its own: no inverse is
-# formed and the scan is the plain recursion, finite down to rho = 0.
-_SCAN_EXPONENT = 40.0
-# An AR(1) tile has at least this many values per scan block, as each
-# block costs a few numpy calls per tile: without it the Euler check of
-# --kappa 1 --zeta 1e-6 --grid-points 50001 drew its 100 paths in two
-# tiles, not one, and took 3.9 s against 3.2 s.
-_SCAN_BLOCK_VALUES = 8192
+# of rho from its first column.  A block's steps sum to at most this many
+# zeta, so its scaled values, below sqrt(C) |xi| e**300 n, stay in the float
+# range for any finite C and any grid the budget admits.
+_SCAN_EXPONENT = 300.0
 # Terms of ou_bridge's series for x - 2 tanh(x/2), x < 2: the last one
 # kept is below 1e-16 of the sum there.
 _BRIDGE_TERMS = 10
@@ -400,24 +395,19 @@ def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
     """Most bytes a FieldSampler on ``n`` nodes holds at once with
     ``streamed`` bytes of tiles beside it: its build, or what it keeps with
     the tiles.  The dense route builds the covariance, its copy and the
-    factor; the AR(1) route 7 arrays of ``n``, of which it keeps 5."""
+    factor; the AR(1) route 7 arrays of ``n``, of which it keeps at most 5."""
     if kernel.exponent == 1:
         return max(8 * 7 * n, 8 * 5 * n + streamed)
     return max(8 * 3 * n * n, 8 * n * n + streamed)
 
 
-def tile_rows(kernel: CorrelationKernel, n: int, length: float, count=None) -> int:
-    """Rows of the tallest tile ``FieldSampler.tiles`` yields on ``n`` nodes
-    over ``length``, or in a block of ``count`` paths cut into balanced
-    tiles: about ``_TILE_BYTES``, at least ``_MIN_TILE_ROWS``, and at least
-    ``_SCAN_BLOCK_VALUES`` per scan block of evenly spaced AR(1) nodes or
-    ``n`` dense rows, as each tile's product reads the whole factor (on
-    2001 points, 512 KiB tiles took 1.7-2.0 s where n rows took 1.2 s)."""
-    least = n
-    if kernel.exponent == 1:
-        step = length / max(1, n - 1) / kernel.correlation_length
-        least = -(-_SCAN_BLOCK_VALUES // min(n, int(_SCAN_EXPONENT / step) + 1))
-    rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n), least)
+def tile_rows(kernel: CorrelationKernel, n: int, count=None) -> int:
+    """Rows of the tallest tile ``FieldSampler.tiles`` yields on ``n`` nodes,
+    or in a block of ``count`` paths cut into balanced tiles: about
+    ``_TILE_BYTES``, at least ``_MIN_TILE_ROWS``, and on the dense route at
+    least ``n``, as each tile's product reads the whole factor (on 2001
+    points, 512 KiB tiles took 1.7-2.0 s where n rows took 1.2 s)."""
+    rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n), 0 if kernel.exponent == 1 else n)
     return rows if count is None else -(-count // max(1, -(-count // rows)))
 
 
@@ -479,27 +469,28 @@ class FieldSampler:
             self.rho = np.exp(-steps)
             # sqrt(C (1 - rho^2)), accurate also when rho is close to 1
             self.innovation = np.sqrt(kernel.amplitude * -np.expm1(-2.0 * steps))
-            # The scan's blocks: each extends while the steps inside it sum
-            # to at most _SCAN_EXPONENT, so 1/rho products stay below e**40
-            # (a longer step is a block of its own, so steps are capped
-            # before they are summed).  Per column: the block's running
-            # product of rho from its first column and the input scale; per
-            # block the carry that brings the block before in.
-            reach = np.concatenate(
-                ([0.0], np.cumsum(np.minimum(steps, 2 * _SCAN_EXPONENT)))
-            )
-            self._growth = np.ones(n)
-            self._blocks = []
-            a = 0
+            # The scan's table: entry k, nodes _cuts[k] to _cuts[k + 1], is a
+            # run where _runs[k], nodes each followed by a far step (past half
+            # of _SCAN_EXPONENT), else a block, with _growth its running product
+            # of rho (1 in runs).  An entry ends where its steps pass
+            # _SCAN_EXPONENT: a step out of or into a run counts twice that, one
+            # inside a run 0.  The budget keeps n below 2**28, so int32.
+            far = np.append(steps > 0.5 * _SCAN_EXPONENT, False)  # per node
+            steps[far[:-1] | far[1:]] = 2 * _SCAN_EXPONENT
+            steps[far[:-1] & far[1:]] = 0.0
+            reach = np.cumsum(steps, out=steps)  # reach[j - 1]: node 0 to j
+            growth = self._growth = np.ones(n)
+            cuts, runs = np.empty(n + 1, dtype=np.int32), np.empty(n, dtype=bool)
+            a = k = 0
             while a < n:
-                b = int(np.searchsorted(reach, reach[a] + _SCAN_EXPONENT, "right"))
-                np.cumprod(self.rho[a : b - 1], out=self._growth[a + 1 : b])
-                carry = self.rho[a - 1] * self._growth[a - 1] if a else 0.0
-                self._blocks.append((a, b, carry))
-                a = b
-            self._shrink = np.empty(n)
-            self._shrink[0] = math.sqrt(kernel.amplitude)
-            np.divide(self.innovation, self._growth[1:], out=self._shrink[1:])
+                base = reach[a - 1] if a else 0.0
+                b = 1 + int(reach.searchsorted(base + _SCAN_EXPONENT, "right"))
+                cuts[k], runs[k] = a, far[a]
+                if not far[a]:
+                    np.multiply.accumulate(self.rho[a : b - 1], out=growth[a + 1 : b])
+                a, k = b, k + 1
+            cuts[k] = n
+            self._cuts, self._runs = cuts[: k + 1].copy(), runs[:k].copy()
             return
         self.factor, self.jitter = _cholesky_with_jitter(
             covariance_matrix(kernel, grid), kernel.amplitude
@@ -521,7 +512,7 @@ class FieldSampler:
         """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
 
         Each tile has shape ``(rows, n)``, one column per node, with
-        ``rows`` balanced and at most ``tile_rows(kernel, n, L, count)``.  The
+        ``rows`` balanced and at most ``tile_rows(kernel, n, count)``.  The
         tiles are consecutive draws from the block's one stream,
         ``SeedSequence(master_seed, spawn_key=(chunk,))``, so the same
         (master_seed, chunk, count) always gives the same bits, also from
@@ -531,7 +522,7 @@ class FieldSampler:
         integrals are ``running_integral(values, step_weights()[0])``.
         """
         n = self.nodes.size
-        rows = tile_rows(self.kernel, n, self.grid.length, count)
+        rows = tile_rows(self.kernel, n, count)
         n_tiles = max(1, -(-count // max(1, rows)))
         base, extra = divmod(count, n_tiles)
         check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} nodes")
@@ -549,16 +540,21 @@ class FieldSampler:
         # the carry c = x_{a-1} is x_{a+m} = P_m y_m, where P_m is the
         # product of rho_{a+1} ... rho_{a+m} and
         # y_m = rho_a c + sum_{j <= m} b_{a+j} / P_j.  So scale every column,
-        # per block add rho_a c = rho_a P y of the block before and take one
-        # prefix sum along each row (nothing to sum for a one-column block),
-        # then scale every column back.
-        x = normals
-        x *= self._shrink
-        for start, stop, carry in self._blocks:
+        # per entry add rho_a c = rho_a P y of the entry before and take one
+        # prefix sum along each row of a block, then scale every column
+        # back.  A run (P = 1) takes the carry into its first node, then in one
+        # statement adds to each later node rho_i times the node before as it
+        # was before that statement: what is left out is below e**-300 of it.
+        x, rho, growth = normals, self.rho, self._growth
+        x[:, 0] *= math.sqrt(self.kernel.amplitude)
+        x[:, 1:] *= self.innovation / growth[1:]
+        for start, stop, run in zip(self._cuts[:-1], self._cuts[1:], self._runs):
             block = x[:, start:stop]
             if start:
-                block[:, 0] += carry * x[:, start - 1]
-            if stop - start > 1:
-                np.cumsum(block, axis=1, out=block)
-        x *= self._growth
+                block[:, 0] += rho[start - 1] * growth[start - 1] * x[:, start - 1]
+            if run:
+                block[:, 1:] += rho[start : stop - 1] * block[:, :-1]
+            elif stop - start > 1:
+                np.add.accumulate(block, axis=1, out=block)
+        x *= growth
         return x

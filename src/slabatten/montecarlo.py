@@ -119,7 +119,11 @@ def default_depths(grid: Grid) -> np.ndarray:
     if grid.n_points <= _MAX_DEFAULT_ROWS:
         return grid.points
     idx = np.linspace(0, grid.n_points - 1, _MAX_DEFAULT_ROWS).round().astype(int)
-    return grid.points[idx]
+    # grid.points[idx] by np.linspace's formulas, without the whole grid
+    step = grid.spacing
+    depths = idx * step if step else idx / (grid.n_points - 1) * grid.length
+    depths[-1] = grid.length
+    return depths
 
 
 def ensemble_bytes(
@@ -133,7 +137,7 @@ def ensemble_bytes(
     nodes = stepping_nodes(kernel, grid, depths)
     streams = max(1, min(workers, -(-n_paths // CHUNK_PATHS)))
     counts = (min(CHUNK_PATHS, n_paths), n_paths % CHUNK_PATHS)  # full, last block
-    rows = max(tile_rows(kernel, nodes.size, grid.length, c) for c in counts)
+    rows = max(tile_rows(kernel, nodes.size, c) for c in counts)
     gathered = 0 if np.array_equal(depths, nodes) else depths.size
     streamed = 8 * _STREAM_ARRAYS * streams * rows * (nodes.size + gathered)
     return sampler_bytes(kernel, nodes.size, streamed)

@@ -140,6 +140,8 @@ class TestMainExitCodes:
             (["--sigma-a", "-inf"], "--sigma-a: must be finite"),
             (["--zeta", "-1e-3"], "--zeta: must be > 0"),
             (["--alp", "-1e-3"], "--alpha: must be >= 0"),
+            # a flag in the value's place is not joined as a value
+            (["--alpha", "--modes", "beer"], "argument --alpha: expected one argument"),
             # numpy's SeedSequence would reject it without naming the flag,
             # and a run without a sampler would not notice it at all
             (["--seed", "-1", "--modes", "beer"], "--seed: must be >= 0"),
@@ -322,6 +324,14 @@ class TestMainExitCodes:
         assert main(["--grid-points", "21", "--paths", "50", "--out", str(out)]) == 0
         assert out.is_symlink()
         assert len(_read_csv(target)[1]) == 21
+
+    def test_link_into_a_missing_directory_exits_1_at_the_write(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        out.symlink_to(tmp_path / "missing" / "x.csv")
+        assert main(["--modes", "beer", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"slabatten: error: --out: No such file or directory: {out}\n"
+        assert out.is_symlink()
 
     def test_all_sem_zero_skips_the_adjudication(self, tmp_path, capsys):
         # Without fluctuations every path gives Beer's law: the SEM is 0.

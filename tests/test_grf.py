@@ -205,6 +205,23 @@ def _block(sampler, seed, chunk, count):
     return np.concatenate(list(sampler.tiles(seed, chunk, count)))
 
 
+def _assert_scan_is_the_recursion(sampler):
+    """The sampler's paths are the AR(1) recursion, taken node by node."""
+    n, amp = sampler.nodes.size, sampler.kernel.amplitude
+    xi = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(1,))).standard_normal(
+        (50, n)
+    )
+    expected = xi.copy()
+    expected[:, 0] *= math.sqrt(amp)
+    for i in range(1, n):
+        expected[:, i] = (
+            sampler.rho[i - 1] * expected[:, i - 1] + sampler.innovation[i - 1] * xi[:, i]
+        )
+    got = _block(sampler, 5, 1, 50)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - expected)) <= 1e-13 * math.sqrt(amp)
+
+
 def _path(kernel, grid, seed):
     """Ensemble path 0 of master seed ``seed`` as a one-row block."""
     return _block(FieldSampler(kernel, grid), seed, 0, 1)
@@ -292,7 +309,7 @@ class TestSampling:
         # A block is charged one tile at a time: 4096 paths on 100 001
         # points stream in 64-row tiles and reach the draw...
         wide = FieldSampler(kernel, Grid(10.0, 100_001))
-        assert grf.tile_rows(kernel, 100_001, 10.0) == 64
+        assert grf.tile_rows(kernel, 100_001) == 64
         with pytest.raises(AssertionError, match="allocating call reached"):
             next(wide.tiles(0, 0, 4096))
         # ...while one 64-row tile on 2 200 001 points is past the budget.
@@ -318,27 +335,53 @@ class TestSampling:
         )
 
     @pytest.mark.parametrize("n", [2, 3, 41, 1001])
-    @pytest.mark.parametrize("amp", [1.0, 1e4])
+    @pytest.mark.parametrize("amp", [1.0, 1e4, 1.7e308])
     @pytest.mark.parametrize(
-        "steps", [1e-6, 0.025, 0.1, 1.0, 20.0, 40.0, 100.0, 700.0, 730.0, 800.0]
+        "steps",
+        [1e-6, 0.025, 0.1, 1.0, 20.0, 40.0, 100.0, 149.0, 151.0, 299.0, 301.0,
+         700.0, 730.0, 800.0],
     )
     def test_ar1_scan_matches_the_sequential_recursion(self, steps, amp, n):
-        # h/zeta = steps: rho runs from 1 - 1e-6 through subnormal (730) to 0
+        # h/zeta = steps: rho runs from 1 - 1e-6 through subnormal (730) to 0;
+        # blocks end at steps past 150 and are scaled by up to e**300
         grid = Grid(steps * (n - 1), n)
-        sampler = FieldSampler(CorrelationKernel(amp, 1.0, 1.0), grid)
-        xi = np.random.default_rng(
-            np.random.SeedSequence(5, spawn_key=(1,))
-        ).standard_normal((50, n))
-        expected = xi.copy()
-        expected[:, 0] *= math.sqrt(amp)
-        for i in range(1, n):
-            expected[:, i] = (
-                sampler.rho[i - 1] * expected[:, i - 1]
-                + sampler.innovation[i - 1] * xi[:, i]
-            )
-        got = _block(sampler, 5, 1, 50)
-        assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - expected)) <= 1e-13 * math.sqrt(amp)
+        _assert_scan_is_the_recursion(FieldSampler(CorrelationKernel(amp, 1.0, 1.0), grid))
+
+    @pytest.mark.parametrize("amp", [1.0, 1.7e308])
+    def test_ar1_scan_of_mixed_steps_matches_the_sequential_recursion(self, amp):
+        # log-uniform steps of 1e-3 to 1e3 zeta cut the row into runs next to
+        # blocks; after the last far step come a block of four nodes, whose
+        # steps sum to 300 zeta, and a lone last node
+        steps = np.exp(np.random.default_rng(3).uniform(math.log(1e-3), math.log(1e3), 400))
+        steps = np.concatenate((steps, [200.0, 100.0, 100.0, 100.0, 100.0]))
+        nodes = np.concatenate(([0.0], np.cumsum(steps)))
+        grid = Grid(nodes[-1], 2)
+        sampler = FieldSampler(CorrelationKernel(amp, 1.0, 1.0), grid, nodes)
+        lengths = np.diff(sampler._cuts)
+        long_run = sampler._runs & (lengths > 1)
+        assert np.any(long_run[1:] & ~sampler._runs[:-1])
+        assert np.any(long_run[:-1] & ~sampler._runs[1:])
+        assert lengths[-1] == 1 and lengths[-2] == 4 and not sampler._runs[-2]
+        _assert_scan_is_the_recursion(sampler)
+
+    @pytest.mark.parametrize("ratio", [0.025, 25.0, 100.0, 625.0])
+    def test_ar1_sampler_holds_no_more_than_it_charges(self, ratio):
+        # The Euler check's refined grid at h/zeta = ratio: scan blocks of
+        # 12 001, 13 and 4 nodes, and one run.  The build may hold the 7
+        # arrays of n that sampler_bytes charges, the sampler then keeps at
+        # most 5.
+        n = 100_001
+        grid = Grid(5.0, n)
+        kernel = CorrelationKernel(1.0, grid.spacing / ratio, 1.0)
+        tracemalloc.start()
+        try:
+            sampler = FieldSampler(kernel, grid)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sampler.route == grf.AR1_ROUTE
+        assert peak <= grf.sampler_bytes(kernel, n)
+        assert kept <= 8 * 5 * n
 
     def test_ar1_with_rho_zero_is_scaled_white_noise(self):
         amp, n = 2.5, 41
@@ -364,7 +407,8 @@ class TestSampling:
         "kappa, zeta, least, most",
         [
             (1.0, 0.05, 65, 65),  # fine AR(1): 512 KiB tiles of 1001 points
-            (1.0, 1e-4, 4096, None),  # h/zeta 50: one-column scan blocks
+            # h/zeta 50: the same height, as the scan's cut is the sampler's
+            (1.0, 1e-4, 65, 65),
             (2.0, 0.5, 1001, None),  # dense: no fewer rows than the factor
         ],
     )
@@ -372,7 +416,7 @@ class TestSampling:
         self, kappa, zeta, least, most
     ):
         kernel = CorrelationKernel(1.0, zeta, kappa)
-        rows = grf.tile_rows(kernel, 1001, 5.0)
+        rows = grf.tile_rows(kernel, 1001)
         assert rows >= least
         assert most is None or rows <= most
 
@@ -384,8 +428,8 @@ class TestSampling:
         tiles = list(sampler.tiles(8, 3, count))
         heights = [len(tile) for tile in tiles]
         assert sum(heights) == count
-        assert max(heights) == grf.tile_rows(sampler.kernel, n, 5.0, count)
-        assert max(heights) <= grf.tile_rows(sampler.kernel, n, 5.0)
+        assert max(heights) == grf.tile_rows(sampler.kernel, n, count)
+        assert max(heights) <= grf.tile_rows(sampler.kernel, n)
         assert max(heights) - min(heights) <= 1
         # the whole block as one draw from its keyed stream, one transform
         block = sampler._transform(

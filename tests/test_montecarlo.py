@@ -581,6 +581,26 @@ class TestRunEnsemble:
         assert depths[0] == 0.0 and depths[-1] == 5.0
         assert np.all(np.diff(depths) > 0)
 
+    @pytest.mark.parametrize(
+        "length,n_points",
+        # the last two spacings are subnormal, and the last one underflows to 0
+        [(5.0, 257), (5.0, 1001), (7.3, 50_001), (1e3, 999_999), (1e-310, 3001),
+         (5e-324, 1001)],
+    )
+    def test_default_depths_are_the_grid_points_they_pick(self, length, n_points):
+        grid = Grid(length, n_points)
+        idx = np.linspace(0, n_points - 1, 256).round().astype(int)
+        assert np.array_equal(default_depths(grid), grid.points[idx])
+
+    def test_default_depths_never_build_the_grid(self):
+        tracemalloc.start()
+        try:
+            default_depths(Grid(5.0, 10_000_001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestLognormalOracle:
     def test_deterministic_limit(self):
