@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=None,
                    help="grid points (default: spacing <= zeta/10)")
     p.add_argument("--paths", type=int, default=_DEFAULTS["paths"],
-                   help="Monte Carlo ensemble size")
+                   help="Monte Carlo ensemble size, even: mirrored pairs")
     p.add_argument("--seed", type=int, default=_DEFAULTS["seed"],
                    help="master seed for the ensemble")
     p.add_argument("--modes", type=str, default=_DEFAULTS["modes"],
@@ -199,8 +199,8 @@ def parse_args(argv=None) -> ExperimentConfig:
         raise UsageError(f"--grid-points: must be >= 2, got {args.grid_points}")
     if args.seed < 0:
         raise UsageError(f"--seed: must be >= 0, got {args.seed}")
-    if args.paths < 2:
-        raise UsageError(f"--paths: must be >= 2, got {args.paths}")
+    if args.paths < 4 or args.paths % 2:
+        raise UsageError(f"--paths: must be even and >= 4, got {args.paths}")
     if args.workers < 1:
         raise UsageError(f"--workers: must be >= 1, got {args.workers}")
 

@@ -49,8 +49,8 @@ from .errors import FactorizationFailure, MemoryBudgetExceeded, OutOfDomain
 _JITTER_EXPONENTS = range(-12, -5)
 # Grid.for_kernel resolves the correlation length with this many nodes.
 _POINTS_PER_LENGTH = 10
-# Paths per keyed stream: an ensemble draws block c of its paths as
-# tiles(master_seed, c, CHUNK_PATHS), the last block shorter.
+# Paths per keyed stream: an ensemble draws block c of its paths, mirrored
+# pairs, as tiles(master_seed, c, CHUNK_PATHS // 2), the last block shorter.
 CHUNK_PATHS = 4096
 # Bytes one pipeline may hold at once, charged before it builds anything:
 # a sampler and each tile (sampler_bytes), an ensemble (montecarlo) and the

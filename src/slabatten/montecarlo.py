@@ -45,9 +45,12 @@ _HEAVY_TAIL_STD = 1.5
 class EnsembleStats:
     """Per-depth summary of an ensemble run.
 
-    negative_coefficient_fraction is the fraction of (path, node) pairs
-    where the sampled absorption coefficient went negative, a
-    model-validity diagnostic.  The integral skewness/kurtosis describe
+    n_paths counts paths, both halves of each mirrored pair, and sem is
+    taken over the pair means.  negative_coefficient_fraction is the
+    fraction of (path, node) pairs, over all n_paths, where the sampled
+    absorption coefficient went negative, a model-validity diagnostic.
+    The integral skewness/kurtosis, over the drawn rows only (the mirror
+    would make every odd moment 0), describe
     the path integral of the field over the whole slab, which should be
     Gaussian: the last running sum of the path's nodes, the trapezoid
     integral on the dense route and, for kappa = 1, the exact conditional
@@ -137,7 +140,7 @@ def ensemble_bytes(
     nodes = stepping_nodes(kernel, grid, depths)
     streams = max(1, min(workers, -(-n_paths // CHUNK_PATHS)))
     counts = (min(CHUNK_PATHS, n_paths), n_paths % CHUNK_PATHS)  # full, last block
-    rows = max(tile_rows(kernel, nodes.size, c) for c in counts)
+    rows = max(tile_rows(kernel, nodes.size, c // 2) for c in counts)  # drawn rows
     gathered = 0 if np.array_equal(depths, nodes) else depths.size
     streamed = 8 * _STREAM_ARRAYS * streams * rows * (nodes.size + gathered)
     return sampler_bytes(kernel, nodes.size, streamed)
@@ -173,11 +176,18 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Per-depth mean and SEM of the exact pathwise intensity.
 
-    Paths are drawn in fixed blocks of CHUNK_PATHS, block c from the
-    stream keyed by (master_seed, c).  A worker streams its block through
-    row tiles (FieldSampler.tiles): each tile is drawn, transformed,
-    integrated and added to the block's partial sums, so no
-    (CHUNK_PATHS, n) array is held unless a dense tile is a whole block.
+    ``n_paths``, even and at least 4, counts paths in antithetic pairs:
+    each drawn row X also stands for its mirror -X, whose integrals are
+    the row's negated, so a pair's mean factor is ``cosh(alpha sigma_a I)``
+    for one draw, transform and running sum.  The SEM is taken over the
+    ``n_paths / 2`` pair means, which are independent where the two paths
+    of a pair are not (Hammersley & Morton, Proc. Camb. Phil. Soc. 52,
+    449, 1956).  Paths are drawn in fixed blocks of CHUNK_PATHS, block c
+    as half as many rows from the stream keyed by (master_seed, c).  A
+    worker streams its block through row tiles (FieldSampler.tiles): each
+    tile is drawn, transformed, integrated and added to the block's
+    partial sums, so no whole block of rows is held unless a dense tile
+    is one.
     At most two blocks per worker are in flight, and their partial sums
     are added in block order, so memory does not grow with n_paths and
     the result is bit-identical for any worker count.  One FieldSampler
@@ -200,8 +210,8 @@ def run_ensemble(
     alpha*sigma_a*sqrt(Var int G) at the deepest requested depth exceeds
     1.5: sample means of such heavy-tailed lognormals converge poorly.
     """
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    if n_paths < 4 or n_paths % 2:
+        raise ValueError(f"n_paths must be even and >= 4, got {n_paths}")
     medium = sm.medium
     depths = checked_depths(
         default_depths(grid) if depths is None else np.asarray(depths, dtype=float),
@@ -247,25 +257,31 @@ def run_ensemble(
     prefactor = medium.i0 * np.exp(exponent)
 
     def chunk_partials(chunk: int):
-        count = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS)
+        pairs = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS) // 2
         factor_sum = factor_sq_sum = 0.0
-        slab_integral = np.empty(count)
+        slab_integral = np.empty(pairs)
         negatives = 0
         start = 0
-        for values in sampler.tiles(master_seed, chunk, count):
+        for values in sampler.tiles(master_seed, chunk, pairs):
             rows = len(values)
             sums = running_integral(values, weights)
             slab_integral[start : start + rows] = sums[:, -1]
-            # The integrals at the depths become the factors exp(-scale I),
-            # then their squares, in place.
+            # The integrals at the depths become the pair means
+            # (exp(-scale I) + exp(scale I)) / 2 = cosh(scale I) less 1, then
+            # their squares, in place.  Near the surface a pair mean is
+            # 1 + O(v) with a variance of O(v^2), v = scale^2 Var I, which
+            # sums of the means themselves would lose to rounding.
             factors = read(sums)
             del sums
-            factors *= -scale
-            np.exp(factors, out=factors)
+            factors *= scale
+            np.cosh(factors, out=factors)
+            factors -= 1.0
             factor_sum = factor_sum + factors.sum(axis=0)
             np.square(factors, out=factors)
             factor_sq_sum = factor_sq_sum + factors.sum(axis=0)
+            # X below the cut, and its mirror -X below it
             negatives += int(np.count_nonzero(values < neg_cut))
+            negatives += int(np.count_nonzero(values > -neg_cut))
             start += rows
             # The factors go now and the values when the next tile
             # replaces them, which leaves the peak, reached in read, where
@@ -273,12 +289,13 @@ def run_ensemble(
             # tile instead of returning them to the system and faulting
             # them in again.
             del factors
+        square = slab_integral * slab_integral
         raw = np.array(
             [
                 slab_integral.sum(),
-                (slab_integral**2).sum(),
-                (slab_integral**3).sum(),
-                (slab_integral**4).sum(),
+                square.sum(),
+                (square * slab_integral).sum(),
+                (square * square).sum(),
             ]
         )
         return factor_sum, factor_sq_sum, raw, negatives
@@ -296,14 +313,16 @@ def run_ensemble(
             raw_moments += raw
             negative_count += negatives
 
-    mean_factor = factor_sum / n_paths
+    # The pair means are independent; the two paths of a pair are not.
+    n_pairs = n_paths // 2
+    mean_factor = 1.0 + factor_sum / n_pairs
     factor_var = np.maximum(
-        (factor_sq_sum - factor_sum**2 / n_paths) / (n_paths - 1), 0.0
+        (factor_sq_sum - factor_sum**2 / n_pairs) / (n_pairs - 1), 0.0
     )
     mean = prefactor * mean_factor
-    sem = prefactor * np.sqrt(factor_var / n_paths)
+    sem = prefactor * np.sqrt(factor_var / n_pairs)
 
-    m2, m3, m4 = _central_moments(raw_moments, n_paths)
+    m2, m3, m4 = _central_moments(raw_moments, n_pairs)
     if m2 > 0:
         skewness = float(m3 / m2**1.5)
         excess_kurtosis = float(m4 / m2**2 - 3.0)

@@ -145,6 +145,10 @@ class TestMainExitCodes:
             # numpy's SeedSequence would reject it without naming the flag,
             # and a run without a sampler would not notice it at all
             (["--seed", "-1", "--modes", "beer"], "--seed: must be >= 0"),
+            # mirrored pairs, and two of them for a sample variance
+            (["--paths", "2"], "--paths: must be even and >= 4"),
+            (["--paths", "3"], "--paths: must be even and >= 4"),
+            (["--paths", "5"], "--paths: must be even and >= 4"),
             # zeta**kappa overflows inside the kernel
             (["--zeta", "1e300"], "overflows"),
             # z/zeta = 1e600: the heavy-tail check's square quadrature cannot
@@ -266,7 +270,7 @@ class TestMainExitCodes:
     def test_dense_ensemble_past_the_budget_exits_1_before_factoring(
         self, tmp_path, capsys, monkeypatch
     ):
-        # The factor alone fits; with two workers' tile streams it does not,
+        # The factor alone fits; with four workers' tile streams it does not,
         # and the run says so before the 7000 x 7000 covariance is built.
         def build(kernel, grid):
             raise AssertionError("covariance built")
@@ -274,11 +278,11 @@ class TestMainExitCodes:
         monkeypatch.setattr(grf, "covariance_matrix", build)
         out = tmp_path / "x.csv"
         code = main([
-            "--grid-points", "7000", "--paths", "8192", "--modes", "mc",
-            "--workers", "2", "--out", str(out),
+            "--grid-points", "7000", "--paths", "16384", "--modes", "mc",
+            "--workers", "4", "--out", str(out),
         ])
         assert code == 1
-        assert "2 worker(s)' tiles on 7000 points" in capsys.readouterr().err
+        assert "4 worker(s)' tiles on 7000 points" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])

@@ -50,7 +50,7 @@ GRID_BOUND = {
     "integral_at": lambda z: integral_at(GRID, PATH, z),
     "path_intensity": lambda z: path_intensity(SM.medium, GRID, PATH, z),
     "path_intensity_em": lambda z: path_intensity_em(SM.medium, GRID, PATH, z),
-    "run_ensemble": lambda z: run_ensemble(SM, GRID, 2, master_seed=1, depths=z),
+    "run_ensemble": lambda z: run_ensemble(SM, GRID, 4, master_seed=1, depths=z),
 }
 CALLS = {**UNBOUNDED, **GRID_BOUND}
 BAD = [-0.5, -1e-300, math.nan]

@@ -30,6 +30,7 @@ from slabatten import (
     run_ensemble,
 )
 from slabatten.grf import CHUNK_PATHS
+from slabatten.quadrature import square_double_integral
 
 LOGNORMAL_EXAMPLE = 4.846583187098  # I0=10, sigma=1, C=1, zeta=1, alpha=0.8, z=1
 
@@ -55,8 +56,11 @@ def _route(sm, grid, depths):
     """The ensemble's one formula, for the tests that pin its bits.
 
     Returns the sampler it draws with, a function taking a tile (or a
-    whole block) of its draws to the integrals of G up to ``depths``, and
-    the per-depth prefactor of the mean factor exp(-alpha sigma_a I).  The
+    whole block) of its draws to the integrals of G up to ``depths`` (or,
+    with ``slab=True``, over the whole slab, as the moments take it), and
+    the per-depth prefactor of the mean factor exp(-alpha sigma_a I).  A
+    drawn row X stands for the pair X, -X, whose mean factor is
+    cosh(alpha sigma_a I) for the row's integral I, summed less 1.  The
     kernel picks only the nodes and the step weights: kappa 1 draws the
     stepping nodes {0} U depths U {L} and weights each step by its OU
     bridge, whose variances V(z) the prefactor carries as
@@ -91,10 +95,10 @@ def _route(sm, grid, depths):
             + np.take(running, upper, axis=-1) * frac
         )
 
-    def integrate(values):
+    def integrate(values, slab=False):
         integral = np.zeros(values.shape)
         integral[:, 1:] = np.cumsum(weights * (values[:, 1:] + values[:, :-1]), axis=1)
-        return at_depths(integral)
+        return integral[:, -1] if slab else at_depths(integral)
 
     bridged = at_depths(np.concatenate(([0.0], np.cumsum(variances))))
     prefactor = medium.i0 * np.exp(0.5 * scale**2 * bridged - medium.sigma_a * depths)
@@ -263,14 +267,15 @@ class TestRunEnsemble:
         sampler, integrate, prefactor = _route(sm, grid, one.depths)
         f_sum = f_sq = 0.0
         for chunk, count in enumerate(counts):
-            block = _block(sampler, 41, chunk, count)
-            # the pathwise factor exp(-alpha sigma_a I), one row per path
-            f = np.exp(-medium.alpha * medium.sigma_a * integrate(block))
+            block = _block(sampler, 41, chunk, count // 2)
+            # the pair mean factor cosh(alpha sigma_a I) less 1, one row per pair
+            f = np.cosh(medium.alpha * medium.sigma_a * integrate(block)) - 1.0
             f_sum = f_sum + f.sum(axis=0)
             f_sq = f_sq + (f**2).sum(axis=0)
-        mean = prefactor * (f_sum / n)
-        var = np.maximum((f_sq - f_sum**2 / n) / (n - 1), 0.0)
-        sem = prefactor * np.sqrt(var / n)
+        pairs = n // 2
+        mean = prefactor * (1.0 + f_sum / pairs)
+        var = np.maximum((f_sq - f_sum**2 / pairs) / (pairs - 1), 0.0)
+        sem = prefactor * np.sqrt(var / pairs)
         # Sums taken tile by tile round differently from whole-block sums,
         # and the SEM's f_sq - f_sum**2/n cancellation near the surface
         # magnifies that; a dropped or repeated row moves both by about 1e-4.
@@ -282,12 +287,15 @@ class TestRunEnsemble:
     )
     @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
     def test_bit_identical_to_the_tile_formula(self, kappa, depths, monkeypatch):
-        # The reduction taken tile by tile and chunk by chunk, each factor
-        # exp(-scale I) and its square a fresh array: run_ensemble must give
-        # its bits exactly, as the byte-identical CSV needs (test_grf pins
-        # integral_at's bits the same way).  Smaller tiles cut a chunk
-        # into several also at the few stepping nodes of the kappa-1 route.
-        monkeypatch.setattr(grf, "_TILE_BYTES", 64 * 2**10)
+        # The reduction taken tile by tile and chunk by chunk, each pair
+        # mean less 1, cosh(scale I) - 1, and its square a fresh array:
+        # run_ensemble must give its bits exactly, as the byte-identical CSV
+        # needs (test_grf pins integral_at's bits the same way).  Smaller
+        # tiles cut a chunk into several also at the few stepping nodes of
+        # the kappa-1 route.  A row and its mirror are both counted against
+        # the negative cut, and the slab integral's moments are taken over
+        # the drawn rows alone.
+        monkeypatch.setattr(grf, "_TILE_BYTES", 32 * 2**10)
         medium = MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0)
         sm = StochasticMedium(medium, CorrelationKernel(1.0, 0.5, kappa))
         grid = Grid(5.0, 101)
@@ -296,21 +304,36 @@ class TestRunEnsemble:
         got = run_ensemble(sm, grid, n, 43, depths=depths)
         sampler, integrate, prefactor = _route(sm, grid, got.depths)
         scale = medium.alpha * medium.sigma_a
+        cut = -1.0 / medium.alpha
         f_sum = np.zeros(got.depths.shape)
         f_sq = np.zeros(got.depths.shape)
+        negatives, slab = 0, []
         for chunk, count in enumerate(counts):
             chunk_sum = chunk_sq = 0.0
-            tiles = list(sampler.tiles(43, chunk, count))
+            tiles = list(sampler.tiles(43, chunk, count // 2))
             assert len(tiles) > 1 or chunk == 1
             for values in tiles:
-                f = np.exp(-scale * integrate(values))
+                f = np.cosh(scale * integrate(values)) - 1.0
                 chunk_sum = chunk_sum + f.sum(axis=0)
                 chunk_sq = chunk_sq + (f**2).sum(axis=0)
+                negatives += np.count_nonzero(values < cut)
+                negatives += np.count_nonzero(-values < cut)
+                slab.append(integrate(values, slab=True))
             f_sum += chunk_sum
             f_sq += chunk_sq
-        var = np.maximum((f_sq - f_sum**2 / n) / (n - 1), 0.0)
-        assert np.array_equal(got.mean, prefactor * (f_sum / n))
-        assert np.array_equal(got.sem, prefactor * np.sqrt(var / n))
+        pairs = n // 2
+        var = np.maximum((f_sq - f_sum**2 / pairs) / (pairs - 1), 0.0)
+        assert np.array_equal(got.mean, prefactor * (1.0 + f_sum / pairs))
+        assert np.array_equal(got.sem, prefactor * np.sqrt(var / pairs))
+        assert negatives > 0
+        nodes = sampler.nodes.size
+        assert got.negative_coefficient_fraction == negatives / (n * nodes)
+        slab = np.concatenate(slab)
+        assert slab.size == pairs
+        dev = slab - slab.mean()
+        m2, m3, m4 = (np.mean(dev**k) for k in (2, 3, 4))
+        assert got.integral_skewness == pytest.approx(m3 / m2**1.5, abs=1e-9)
+        assert got.integral_excess_kurtosis == pytest.approx(m4 / m2**2 - 3, abs=1e-9)
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
     def test_depths_map_back_to_their_places(self, kappa):
@@ -355,9 +378,9 @@ class TestRunEnsemble:
         sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.3), kernel)
         run_ensemble(sm, grid, 300, 7)
         field = np.concatenate(tiles)
-        assert field.shape == (300, drawn)
+        assert field.shape == (150, drawn)  # one row per mirrored pair
         if drawn == n_points:
-            expected = _block(FieldSampler(kernel, grid), 7, 0, 300)
+            expected = _block(FieldSampler(kernel, grid), 7, 0, 150)
             np.testing.assert_allclose(field, expected, rtol=1e-13, atol=1e-13)
 
     def test_kappa1_mean_is_the_continuum_law_on_a_coarse_grid(self):
@@ -480,6 +503,24 @@ class TestRunEnsemble:
         b = run_ensemble(sm, grid, 1000, master_seed=11)
         assert np.array_equal(a.mean, b.mean)
 
+    def test_pair_sem_is_the_exact_antithetic_sem(self):
+        # For X ~ N(0, v), a pair's mean cosh X has variance
+        # (e^v - 1)^2 / 2, so at z = 0.5 and 1, where the exponent std is
+        # below 1 and the SEM is trusted, the observed SEM is its exact value
+        # and sqrt(1 - e^-v) of the exact SEM of as many independent paths.
+        # v = (alpha sigma_a)^2 Var int_0^z G, continuum to 4e-4 on 51 points.
+        # The seed was chosen once.
+        sm = _sm(alpha=0.8)
+        n = 20_000
+        stats = run_ensemble(sm, Grid(5.0, 51), n, 7, depths=[0.5, 1.0])
+        for z, sem in zip(stats.depths, stats.sem):
+            v = 0.64 * square_double_integral(sm.kernel, z)
+            beer_z = beer(sm.medium, z)
+            pair_sem = beer_z * math.expm1(v) / math.sqrt(2 * (n // 2))
+            path_sem = beer_z * math.sqrt((math.exp(2 * v) - math.exp(v)) / n)
+            assert 0.85 <= sem / pair_sem <= 1.15
+            assert sem / path_sem == pytest.approx(math.sqrt(-math.expm1(-v)), abs=0.05)
+
     def test_oracle_triangle(self):
         # MC mean, lognormal oracle and the EXACT closed form must agree
         # pairwise: MC within 3 SEM of both, the analytic pair to 1e-8
@@ -543,7 +584,7 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(CorrelationKernel, "evaluate", counting)
         with pytest.warns(ReliabilityWarning):
-            run_ensemble(sm, Grid.for_kernel(10.0, kernel), 2, master_seed=1)
+            run_ensemble(sm, Grid.for_kernel(10.0, kernel), 4, master_seed=1)
         assert 0 < sum(sizes) < 1e6
 
     def test_invariants_and_validation(self):
@@ -553,8 +594,9 @@ class TestRunEnsemble:
         assert np.all(stats.sem >= 0.0)
         assert np.all(stats.mean > 0.0)
         assert stats.n_paths == 500
-        with pytest.raises(ValueError):
-            run_ensemble(sm, grid, 1, master_seed=9)
+        for odd_or_one_pair in (1, 2, 3, 5):
+            with pytest.raises(ValueError, match="even and >= 4"):
+                run_ensemble(sm, grid, odd_or_one_pair, master_seed=9)
         with pytest.raises(OutOfDomain):
             run_ensemble(sm, grid, 10, master_seed=9, depths=[1.0, 2.5])
         with pytest.raises(OutOfDomain):
