@@ -3,7 +3,12 @@
 Parses medium/kernel/grid parameters, evaluates the selected pipelines
 (deterministic Beer baseline, both closed-form conventions, Monte Carlo
 ensemble, Euler integrator cross-check), writes the curve data as CSV
-and prints a text report with the convention adjudication.
+and prints a text report with the convention adjudication.  Every
+warning the run meets, from any layer or thread, ends the report once,
+in one sorted block of ``warning: <Category>: <message>`` lines; a run
+that fails prints only its error.  ``--workers`` counts all of a run's
+threads: the Euler check gets one of its own only when the ensemble
+leaves one idle.
 
 Exit codes: 0 success, 1 invalid configuration (any ValueError: a flag
 check's UsageError, an ``--out`` that cannot be written, a run past the
@@ -24,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaged import AveragedLaw, ExponentConvention, averaged_intensity
-from .errors import FactorizationFailure, ReliabilityWarning
+from .errors import FactorizationFailure, FluctuationWarning, ReliabilityWarning
 from .grf import (
     AR1_ROUTE,
     CHUNK_PATHS,
@@ -172,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=_DEFAULTS["out"],
                    help="CSV output path")
     p.add_argument("--workers", type=int, default=1,
-                   help="ensemble and Euler-check threads, results unchanged")
+                   help="threads for the ensemble and, when one is idle, the "
+                   "Euler check; results unchanged")
     return p
 
 
@@ -299,20 +305,6 @@ def _adjudicate(rows: list) -> list:
     return lines
 
 
-class _NumpyErrors:
-    """Collects numpy's floating-point error messages, written to it in
-    ``np.errstate``'s "log" mode, as report lines, each once, in the order
-    first seen."""
-
-    def __init__(self):
-        self.lines = {}
-
-    def write(self, message: str) -> None:
-        # numpy writes "Warning: overflow encountered in exp\n"
-        text = message.strip().removeprefix("Warning: ")
-        self.lines.setdefault(f"warning: RuntimeWarning: {text}", None)
-
-
 def _euler_check_lines(config: ExperimentConfig) -> list:
     """Mean |Euler - exact| at the slab exit across grid refinements.
 
@@ -323,42 +315,35 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     only the per-path errors are kept.  The exact value at L needs the
     trapezoid integral up to the last node only, one sum per refinement:
     ``h (sum v - (v_0 + v_last) / 2)``.
-
-    numpy's overflow, divide and invalid errors are collected under
-    ``np.errstate``, which holds per thread, and end the section as
-    ``warning: RuntimeWarning: ...`` lines, so the section reads the same
-    whether the check runs beside the ensemble or after it.
     """
     medium, base = config.medium, config.grid
     cells = _euler_check_points(base) - 1
     grids = [Grid(base.length, cells // s + 1) for s in _EULER_CHECK_STRIDES]
-    caught = _NumpyErrors()
-    with np.errstate(divide="log", over="log", invalid="log", call=caught):
-        sampler = FieldSampler(config.kernel, grids[-1])
-        beer_at_exit = beer(medium, base.length)
-        scale = medium.alpha * medium.sigma_a
-        per_path = np.empty((len(grids), _EULER_CHECK_PATHS))
-        start = 0
-        for values in sampler.tiles(config.master_seed, 0, _EULER_CHECK_PATHS):
-            stop = start + len(values)
-            for i, (stride, grid) in enumerate(zip(_EULER_CHECK_STRIDES, grids)):
-                path = values[:, ::stride]
-                euler = path_intensity_em(medium, grid, path, base.length)
-                ends = path[:, 0] + path[:, -1]
-                integral = grid.spacing * (path.sum(axis=1) - 0.5 * ends)
-                exact = beer_at_exit * np.exp(-scale * integral)
-                per_path[i, start:stop] = np.abs(euler - exact)
-            start = stop
-            del values, path  # free this tile before the next one is drawn
-        lines = ["euler check (mean |Euler - exact| at z = L, nested refinements):"]
-        errors = [float(np.mean(row)) for row in per_path]
-        for grid, err in zip(grids, errors):
-            lines.append(f"  h = {grid.spacing:.6g}: {err:.6g}")
-        for i in range(1, len(errors)):
-            if errors[i] > 0:
-                order = np.log2(errors[i - 1] / errors[i])
-                lines.append(f"  observed order (refinement {i}): {order:.2f}")
-    return lines + list(caught.lines)
+    sampler = FieldSampler(config.kernel, grids[-1])
+    beer_at_exit = beer(medium, base.length)
+    scale = medium.alpha * medium.sigma_a
+    per_path = np.empty((len(grids), _EULER_CHECK_PATHS))
+    start = 0
+    for values in sampler.tiles(config.master_seed, 0, _EULER_CHECK_PATHS):
+        stop = start + len(values)
+        for i, (stride, grid) in enumerate(zip(_EULER_CHECK_STRIDES, grids)):
+            path = values[:, ::stride]
+            euler = path_intensity_em(medium, grid, path, base.length)
+            ends = path[:, 0] + path[:, -1]
+            integral = grid.spacing * (path.sum(axis=1) - 0.5 * ends)
+            exact = beer_at_exit * np.exp(-scale * integral)
+            per_path[i, start:stop] = np.abs(euler - exact)
+        start = stop
+        del values, path  # free this tile before the next one is drawn
+    lines = ["euler check (mean |Euler - exact| at z = L, nested refinements):"]
+    errors = [float(np.mean(row)) for row in per_path]
+    for grid, err in zip(grids, errors):
+        lines.append(f"  h = {grid.spacing:.6g}: {err:.6g}")
+    for i in range(1, len(errors)):
+        if errors[i] > 0:
+            order = np.log2(errors[i - 1] / errors[i])
+            lines.append(f"  observed order (refinement {i}): {order:.2f}")
+    return lines
 
 
 def _euler_check_points(grid: Grid) -> int:
@@ -376,13 +361,15 @@ def _euler_check_bytes(config: ExperimentConfig) -> int:
 
 def _euler_check_beside(config: ExperimentConfig, depths) -> bool:
     """Charge the Euler check to the memory budget, and say whether it runs
-    on its own thread beside the ensemble: with a second worker, when its
-    charge and ``ensemble_bytes`` fit the budget together."""
+    on its own thread beside the ensemble: when the ensemble's chunks leave
+    a worker idle and its charge and ``ensemble_bytes`` fit the budget
+    together."""
     if "euler-check" not in config.modes:
         return False
     euler = _euler_check_bytes(config)
     check_budget(euler, "the Euler check on its refined grid")
-    if config.workers == 1 or "mc" not in config.modes:
+    chunks = -(-config.n_paths // CHUNK_PATHS)
+    if "mc" not in config.modes or chunks >= config.workers:
         return False
     ensemble = ensemble_bytes(
         config.kernel, config.grid, config.n_paths, depths, config.workers
@@ -456,17 +443,14 @@ def _sampler_line(stats: EnsembleStats, kernel: CorrelationKernel, grid: Grid) -
 def _ensemble_lines(config: ExperimentConfig, depths, columns: dict) -> list:
     """Run the ensemble, fill its CSV columns and return its report lines."""
     medium, kernel, grid = config.medium, config.kernel, config.grid
-    # The ensemble's warnings belong to this run's report, not stderr.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ReliabilityWarning)
-        stats = run_ensemble(
-            StochasticMedium(medium, kernel),
-            grid,
-            config.n_paths,
-            config.master_seed,
-            depths=depths,
-            workers=config.workers,
-        )
+    stats = run_ensemble(
+        StochasticMedium(medium, kernel),
+        grid,
+        config.n_paths,
+        config.master_seed,
+        depths=depths,
+        workers=config.workers,
+    )
     columns["mc_mean"] = stats.mean
     columns["mc_sem"] = stats.sem
     expected = _negative_fraction_expectation(
@@ -480,7 +464,6 @@ def _ensemble_lines(config: ExperimentConfig, depths, columns: dict) -> list:
         "slab integral of G: skewness = "
         f"{stats.integral_skewness:.4f}, excess kurtosis = "
         f"{stats.integral_excess_kurtosis:.4f}",
-        *(f"warning: {w.category.__name__}: {w.message}" for w in caught),
     ]
 
 
@@ -535,14 +518,27 @@ def run(config: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        return run(parse_args(argv))
-    except ValueError as err:
-        print(f"slabatten: error: {err}", file=sys.stderr)
-        return 1
-    except FactorizationFailure as err:
-        print(f"slabatten: numerical failure: {err}", file=sys.stderr)
-        return 2
+    # The run's one warning capture.  It must be entered before any thread
+    # starts and left after every thread has joined: filters and record
+    # are the process's, so it then holds the warnings of run_ensemble's
+    # workers and of the Euler check's thread too.  Only the package's own
+    # categories are made "always"; every other filter stays as found, so
+    # an "error" filter still raises out of main.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ReliabilityWarning)
+        warnings.simplefilter("always", FluctuationWarning)
+        try:
+            code = run(parse_args(argv))
+        except ValueError as err:
+            print(f"slabatten: error: {err}", file=sys.stderr)
+            return 1
+        except FactorizationFailure as err:
+            print(f"slabatten: numerical failure: {err}", file=sys.stderr)
+            return 2
+    # Each distinct warning once, sorted: the same block at any --workers.
+    for line in sorted({f"warning: {w.category.__name__}: {w.message}" for w in caught}):
+        print(line)
+    return code
 
 
 def console_entry() -> None:

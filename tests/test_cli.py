@@ -18,7 +18,6 @@ import slabatten
 from slabatten import (
     CorrelationKernel,
     FactorizationFailure,
-    FluctuationWarning,
     MediumSpec,
     ReliabilityWarning,
     cli,
@@ -180,12 +179,16 @@ class TestMainExitCodes:
         assert code == 1
         assert "kappa" in capsys.readouterr().err
 
-    def test_large_alpha_warns_and_exits_0(self, tmp_path):
+    def test_large_alpha_warns_and_exits_0(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        with pytest.warns(FluctuationWarning):
-            code = main(["--alpha", "1.5", "--modes", "beer", "--out", str(out)])
+        code = main(["--alpha", "1.5", "--modes", "beer", "--out", str(out)])
         assert code == 0
         assert out.exists()
+        report = capsys.readouterr().out.splitlines()
+        assert report[-1] == (
+            "warning: FluctuationWarning: alpha = 1.5 is outside the "
+            "small-fluctuation regime"
+        )
 
     def test_mean_that_does_not_decay_is_reported_and_exits_0(self, tmp_path, capsys):
         # sigma_inf = 1 - 0.64 * 3 * sqrt(pi)/2 < 0
@@ -584,7 +587,6 @@ class TestCsvContract:
         with warnings.catch_warnings():
             # alpha = 0 must give the exact 0 without a division by zero
             warnings.simplefilter("error", RuntimeWarning)
-            warnings.simplefilter("ignore", ReliabilityWarning)
             code = main(flags + [
                 "--modes", "mc", "--paths", "50",
                 "--grid-points", "21", "--length", "2", "--out", str(out),
@@ -595,6 +597,7 @@ class TestCsvContract:
             assert f"negative-coefficient fraction = {fraction} " in report
         assert f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected})" in report
         assert "E<1/|A|>" not in report
+        assert "warning: RuntimeWarning" not in report
 
     def test_euler_check_holds_tiles_not_its_whole_block(self, tmp_path):
         # 100 paths on the 4001-point refined grid (1001 points at zeta
@@ -674,16 +677,22 @@ class TestDeterminism:
             config = parse_args(["--modes", "mc,euler-check", *flags])
             return _euler_check_beside(config, default_depths(config.grid))
 
-        assert beside("--workers", "2")
-        assert not beside("--workers", "1")
+        # Only beside an ensemble that leaves a worker idle: 20 000 paths
+        # are five 4096-path chunks, 4096 paths one.
+        assert beside("--workers", "2", "--paths", "4096")
+        assert not beside("--workers", "1", "--paths", "4096")
+        assert not beside("--workers", "2", "--paths", "4098")
+        assert not beside("--workers", "5")
+        assert beside("--workers", "6")
         # Each fits the budget alone, the two together do not: the Euler
         # check's dense build on 9 437 points takes 2.14e9 bytes.
-        config = parse_args(["--modes", "mc,euler-check", "--grid-points", "2360"])
+        flags = ["--modes", "mc,euler-check", "--grid-points", "2360", "--paths", "4096"]
+        config = parse_args(flags)
         depths = default_depths(config.grid)
         euler = _euler_check_bytes(config)
         ensemble = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths, 2)
         assert max(euler, ensemble) <= grf.MEMORY_BUDGET < euler + ensemble
-        assert not beside("--grid-points", "2360", "--workers", "2")
+        assert not beside(*flags[2:], "--workers", "2")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -737,39 +746,104 @@ def test_memory_bounds_never_undercount_the_charges(
     assert max(charges["euler"]) <= bound
 
 
-# Runs the CLI in a fresh interpreter, where numpy's RuntimeWarnings reach
-# stderr as in any run (the suite turns them into errors).
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["--length", "1e160", "--grid-points", "11", "--paths", "200"],
-        ["--kappa", "1", "--zeta", "0.05", "--paths", "2000"],
-    ],
-    ids=["overflowing", "fine-grid"],
-)
-def test_output_is_the_same_with_the_euler_check_beside_the_ensemble(tmp_path, flags):
+OVERFLOWING = ["--length", "1e160", "--grid-points", "11", "--paths", "200"]
+
+
+def _run_cli(tmp_path, *flags):
+    """Run the CLI in a fresh interpreter, where warnings that escape it
+    reach stderr as in any run (the suite turns RuntimeWarnings into
+    errors); return the process and the CSV it wrote."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(slabatten.__file__).parents[1]), env.get("PYTHONPATH", "")) if p
     )
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "slabatten.cli", *flags, "--out", str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    return proc, out.read_bytes() if proc.returncode == 0 else None
+
+
+@pytest.mark.parametrize(
+    "flags,expected",
+    [
+        (["--alpha", "0.8", "--paths", "20000"],
+         "warning: ReliabilityWarning: exponent std 2.24 > 1.5"),
+        (["--alpha", "1.2", "--modes", "beer,exact"],
+         "warning: FluctuationWarning: alpha = 1.2 is outside the small-fluctuation regime"),
+        (OVERFLOWING + ["--modes", "beer,exact,mc,euler-check"],
+         "warning: RuntimeWarning: overflow encountered in exp"),
+    ],
+    ids=["readme", "large-alpha", "overflowing"],
+)
+def test_each_warning_ends_the_report_once_and_none_reaches_stderr(
+    tmp_path, flags, expected
+):
+    reports = []
+    for workers in ("1", "2"):
+        proc, _ = _run_cli(tmp_path, *flags, "--workers", workers)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1]
+    report = reports[0].splitlines()
+    block = [line for line in report if line.startswith("warning:")]
+    assert report[len(report) - len(block):] == block == sorted(set(block))
+    assert [line for line in block if line.startswith(expected)] != []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_the_warning_capture_keeps_an_error_filter(tmp_path, workers):
+    with pytest.raises(RuntimeWarning):
+        main([*OVERFLOWING, "--modes", "beer,exact,mc,euler-check",
+              "--workers", workers, "--out", str(tmp_path / "x.csv")])
+
+
+def test_warnings_of_many_workers_read_as_those_of_one(tmp_path, capsys):
+    # Five chunks overflow, each on a worker thread, with more workers than
+    # cores and threads switched often: the block must neither lose nor
+    # repeat nor reorder a line.
+    argv = ["--length", "1e160", "--grid-points", "11", "--paths", "20000",
+            "--modes", "beer,mc", "--out", str(tmp_path / "x.csv")]
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", RuntimeWarning)  # expected here
+            for workers in ("1", "4"):
+                assert main([*argv, "--workers", workers]) == 0
+                reports.append(capsys.readouterr().out)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1]
+    assert "warning: RuntimeWarning: overflow encountered in cosh" in reports[0].splitlines()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [OVERFLOWING, ["--kappa", "1", "--zeta", "0.05", "--paths", "2000"]],
+    ids=["overflowing", "fine-grid"],
+)
+def test_output_is_the_same_with_the_euler_check_beside_the_ensemble(tmp_path, flags):
     runs = []
     for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "slabatten.cli", *flags,
-             "--modes", "beer,mc,euler-check", "--workers", workers, "--out", str(out)],
-            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        proc, csv = _run_cli(
+            tmp_path, *flags, "--modes", "beer,mc,euler-check", "--workers", workers
         )
         assert proc.returncode == 0, proc.stderr
-        runs.append((proc.stdout.replace(str(out), "OUT"), proc.stderr, out.read_bytes()))
+        runs.append((proc.stdout, proc.stderr, csv))
     assert runs[0] == runs[1]
     report = runs[0][0].splitlines()
     section = report[report.index(
         "euler check (mean |Euler - exact| at z = L, nested refinements):"
     ):]
     if flags[0] == "--length":
-        # The check's own numpy warnings end its section, not stderr.
-        assert "warning: RuntimeWarning: overflow encountered in exp" in section
+        # The check's own numpy warnings join the run's block, not stderr.
+        block = [line for line in report if line.startswith("warning:")]
+        assert "warning: RuntimeWarning: overflow encountered in exp" in block
         assert runs[0][1] == ""
     else:
         assert not [line for line in section if line.startswith("warning:")]

@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
 """In-process, warm layer times of one Monte Carlo ensemble, in µs per path.
 
-    PYTHONPATH=src python3 tools/ensemble_layers.py [--plain] [--paths 20000]
+    PYTHONPATH=src python3 tools/ensemble_layers.py [--paths 20000]
 
 For three configurations (kappa 2 on 51 and 501 points, kappa 1 stepped at
 all 501 grid points; zeta 1, L 5, alpha 0.8, sigma_a 1) it times
 ``run_ensemble`` as a whole, then replays its chunk loop with the package's
 own calls and times each layer: the normals, the transform to field values,
 ``running_integral``, the reduction at the depths (factors and their sums),
-the negative count and the slab integral's raw moments.  By default the
-replay draws one row per antithetic pair, as ``run_ensemble`` does; with
-``--plain`` it draws one row per path and reduces ``exp`` factors and
-``np.power`` moments, as the ensemble did before pairs, so that an older
-checkout can be measured by the same replay.  Each figure is the median of
-``--repeat`` runs, divided by the path count.
+the negative count and the slab integral's raw moments.  The replay draws
+one row per antithetic pair, as ``run_ensemble`` does.  Each figure is the
+median of ``--repeat`` runs, divided by the path count.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from slabatten.grf import stepping_nodes, tile_rows
 LAYERS = ("normals", "transform", "running_integral", "reduction", "negatives", "moments")
 
 
-def replay(kernel, grid, depths, n_paths, seed, plain):
+def replay(kernel, grid, depths, n_paths, seed):
     """One ensemble's chunk loop, its seconds per layer."""
     scale, cut = 0.8, -1.0 / 0.8
     nodes = stepping_nodes(kernel, grid, depths)
@@ -46,7 +43,7 @@ def replay(kernel, grid, depths, n_paths, seed, plain):
     clock = time.perf_counter
     for chunk in range(-(-n_paths // CHUNK_PATHS)):
         count = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS)
-        drawn = count if plain else count // 2
+        drawn = count // 2
         rows = tile_rows(kernel, nodes.size, drawn)
         n_tiles = max(1, -(-drawn // rows))
         base, extra = divmod(drawn, n_tiles)
@@ -63,35 +60,27 @@ def replay(kernel, grid, depths, n_paths, seed, plain):
             start += len(values)
             t3 = clock()
             factors = read(sums)
-            factors *= -scale if plain else scale
-            if plain:
-                np.exp(factors, out=factors)
-            else:
-                np.cosh(factors, out=factors)
-                factors -= 1.0
+            factors *= scale
+            np.cosh(factors, out=factors)
+            factors -= 1.0
             factors.sum(axis=0)
             np.square(factors, out=factors)
             factors.sum(axis=0)
             t4 = clock()
             np.count_nonzero(values < cut)
-            if not plain:
-                np.count_nonzero(values > -cut)
+            np.count_nonzero(values > -cut)
             t5 = clock()
             for name, dt in zip(LAYERS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
                 spent[name] += dt
         t0 = clock()
-        if plain:
-            [(slab**k).sum() for k in (1, 2, 3, 4)]
-        else:
-            square = slab * slab
-            [slab.sum(), square.sum(), (square * slab).sum(), (square * square).sum()]
+        square = slab * slab
+        [slab.sum(), square.sum(), (square * slab).sum(), (square * square).sum()]
         spent["moments"] += clock() - t0
     return spent
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--plain", action="store_true", help="one row per path, as before pairs")
     parser.add_argument("--paths", type=int, default=20000)
     parser.add_argument("--repeat", type=int, default=11)
     args = parser.parse_args()
@@ -109,13 +98,13 @@ def main() -> None:
             t0 = time.perf_counter()
             run_ensemble(sm, grid, args.paths, 1 + r, depths=depths)
             walls.append(time.perf_counter() - t0)
-            for name, s in replay(kernel, grid, depths, args.paths, 1 + r, args.plain).items():
+            for name, s in replay(kernel, grid, depths, args.paths, 1 + r).items():
                 layers[name].append(s)
         per_path = {"run_ensemble": statistics.median(walls)}
         per_path.update((name, statistics.median(s)) for name, s in layers.items())
         key = f"kappa{kappa:g}_{n_points}pts_{np.size(depths)}depths"
         result[key] = {name: round(1e6 * s / args.paths, 3) for name, s in per_path.items()}
-    print(json.dumps({"plain": args.plain, "paths": args.paths, "us_per_path": result}))
+    print(json.dumps({"paths": args.paths, "us_per_path": result}))
 
 
 if __name__ == "__main__":
