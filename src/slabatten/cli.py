@@ -12,7 +12,8 @@ leaves one idle.
 
 Exit codes: 0 success, 1 invalid configuration (any ValueError: a flag
 check's UsageError, an ``--out`` that cannot be written, a run past the
-memory budget), 2 numerical failure (covariance factorization).
+memory budget, an ensemble whose mean or SEM is not finite), 2 numerical
+failure (covariance factorization).
 """
 
 from __future__ import annotations

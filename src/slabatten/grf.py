@@ -148,18 +148,22 @@ class CorrelationKernel:
         if out.ndim == 0:
             out = np.asarray(out)
         np.abs(out, out=out)
+        # x**1 and x*1 are x: those passes are skipped, bit for bit.
         if self.correlation_length < _GUARDED_ZETA:
             # The kernel value where the scaled lag or its power overflows
             # is exp(-inf) = 0, the exact limit.
             with np.errstate(over="ignore"):
                 out /= self.correlation_length
-                out **= self.exponent
+                if self.exponent != 1:
+                    out **= self.exponent
         else:
             out /= self.correlation_length
-            out **= self.exponent
+            if self.exponent != 1:
+                out **= self.exponent
         np.negative(out, out=out)
         np.exp(out, out=out)
-        out *= self.amplitude
+        if self.amplitude != 1:
+            out *= self.amplitude
         return float(out) if out.ndim == 0 else out
 
 

@@ -209,6 +209,8 @@ def run_ensemble(
     Emits a ReliabilityWarning when the exponent standard deviation
     alpha*sigma_a*sqrt(Var int G) at the deepest requested depth exceeds
     1.5: sample means of such heavy-tailed lognormals converge poorly.
+    Raises ValueError, naming the first such depth, when a depth's mean or
+    SEM is not finite: its pair factors or their squares overflowed.
     """
     if n_paths < 4 or n_paths % 2:
         raise ValueError(f"n_paths must be even and >= 4, got {n_paths}")
@@ -321,6 +323,14 @@ def run_ensemble(
     )
     mean = prefactor * mean_factor
     sem = prefactor * np.sqrt(factor_var / n_pairs)
+    finite = np.isfinite(mean) & np.isfinite(sem)
+    if not finite.all():
+        raise ValueError(
+            "the ensemble mean or SEM is not finite at depth "
+            f"z = {depths[np.argmin(finite)]:g} cm: the pair factors "
+            "cosh(alpha*sigma_a*I) of the sampled integrals I, or their "
+            "squares, overflow"
+        )
 
     m2, m3, m4 = _central_moments(raw_moments, n_pairs)
     if m2 > 0:

@@ -22,7 +22,9 @@ their cost does not grow with the depth:
   block of lags; the diagonal panels split their inner interval at the
   diagonal.  Every lag of block ``d`` exceeds ``h (d - 1)``, so only the
   blocks ``d <= 1 + ceil(U / h)``, at most ``_MAX_OFFSET_BLOCKS``, are
-  summed (``512 + 256 * blocks`` kernel values, at most ``512 + 256 * 47``).
+  summed.  The rule's symmetry leaves 136 distinct lags of the diagonal's
+  512 and 129 of each block's 256, so a depth costs ``136 + 129 * blocks``
+  kernel values, at most ``136 + 129 * 47``.
 
 The square route deliberately does not use the lag identity: it stays a
 second, independent discretization of the same variance, so agreement
@@ -31,11 +33,11 @@ between ``square = 2 * ordered`` checks both.
 Everything that does not depend on the depth is cached with the 16-point
 rule and frozen read-only: the graded nodes with their weights ``w`` and
 lag weights ``w (1 - t)`` (``_ordered_rule``), and one lag table in units
-of the panel width with its weights (``_square_rule``): the diagonal
-split's 512 nodes, then the 256 lags ``d + t_a - t_b`` of each offset
-block.  One depth then costs one kernel evaluation and one
-``(2, n) @ (n,)`` product on the ordered route, and one evaluation, one dot
-and one ``(blocks, 256) @ (256,)`` product on the square route.
+of the panel width with its two weight rows (``_square_rule``): the
+diagonal's 136 distinct lags, then the 129 distinct lags
+``d + t_a - t_b`` of each offset block, the counts ``P - d`` folded into
+the weights.  One depth then costs one kernel evaluation and one
+``(2, n) @ (n,)`` product on both routes.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ _SUPPORT_DECAY = 40.0
 # kappa >= 1, and once ceil(z/zeta) >= 8 panels, z/zeta > 7 and
 # h > 7 zeta / 8, so U/h < 320/7; fewer panels leave at most 7 blocks.
 _MAX_OFFSET_BLOCKS = 1 + math.ceil(_SUPPORT_DECAY * _MIN_PANELS / (_MIN_PANELS - 1))
+# Distinct lags of the square route's diagonal (136) and of each offset
+# block (129), by the symmetry of the 16-point rule (_square_rule).
+_DIAGONAL_LAGS = _PANEL_ORDER * (_PANEL_ORDER + 1) // 2
+_BLOCK_LAGS = 1 + _PANEL_ORDER**2 // 2
 # The lag rule splits its first panel [0, 1/P] into [2^-k, 2^(1-k)]/P for
 # k = 1..14 plus [0, 2^-14]/P: for non-integer kappa, u**kappa is not
 # smooth at u = 0.  Against 30-digit adaptive quadrature the ordered route
@@ -116,23 +122,43 @@ def _ordered_rule(n_panels: int):
 def _square_rule():
     """Depth-independent pieces of ``square_double_integral``.
 
-    One lag table in units of the panel width: the diagonal split's nodes
-    ``s_a * t_b`` over both part lengths ``s`` in ``(t, 1 - t)`` of each
-    outer node (512), then the lags ``d + t_a - t_b`` of each offset block
-    ``d = 1.._MAX_OFFSET_BLOCKS`` (256 each).  Then the diagonal's weights
-    ``w_a s_a w_b`` and a block's weights ``w_a w_b``, flattened alike, and
-    the offsets ``d``.
+    The 16-point rule is symmetric, ``t_(15-a) = 1 - t_a`` and
+    ``w_(15-a) = w_a``, once its upper nodes are built as exactly ``1 - t``
+    of its lower ones (leggauss's are off by at most 5.6e-17), so each
+    distinct lag of the tensor-product sum is kept once, with the summed
+    weights of the node pairs that carry it.  One lag table in units of
+    the panel width: the diagonal split's lags ``t_a t_b`` for ``a <= b``
+    (136 of 512: the part lengths ``s`` and ``1 - s`` give the same lags,
+    and ``(a, b)`` and ``(b, a)`` the same product), then those of each
+    offset block ``d = 1.._MAX_OFFSET_BLOCKS`` (129 of 256: the pairs
+    ``(a, b)`` and ``(15-b, 15-a)`` carry the same lag ``d + t_a - t_b``,
+    and the 16 pairs ``a = b`` the one lag ``d``).  Then the two weight
+    rows ``A`` and ``B`` of the sum ``P (A . phi) + B . phi``: ``A`` holds
+    the diagonal's weights and twice each block's, ``B`` a block's weights
+    times ``-2 d``, so the counts ``P - d`` stay exact.
     """
     t, w = _unit_panel_rule()
-    parts = np.concatenate([t, 1.0 - t])
-    offsets = np.arange(1.0, _MAX_OFFSET_BLOCKS + 1)
-    block_lags = offsets[:, None] + (t[:, None] - t).ravel()
-    return _read_only(
-        np.concatenate([(parts[:, None] * t).ravel(), block_lags.ravel()]),
-        np.outer(np.tile(w, 2) * parts, w).ravel(),
-        np.outer(w, w).ravel(),
-        offsets,
-    )
+    half = _PANEL_ORDER // 2
+    t = np.concatenate([t[:half], 1.0 - t[half - 1 :: -1]])
+    d = np.arange(1.0, _MAX_OFFSET_BLOCKS + 1)[:, None]
+    lags = np.empty(_DIAGONAL_LAGS + _BLOCK_LAGS * d.size)
+    weights = np.zeros((2, lags.size))
+    a, b = np.indices((_PANEL_ORDER, _PANEL_ORDER)).reshape(2, -1)
+    # The diagonal's (a, b) stands for (b, a) too unless a = b.
+    i, j = a[a <= b], b[a <= b]
+    lags[:_DIAGONAL_LAGS] = t[i] * t[j]
+    weights[0, :_DIAGONAL_LAGS] = (1.0 + (i != j)) * w[i] * w[j] * (t[i] + t[j])
+    # A block's lag 0 of the pairs a = b, then one pair of each other
+    # mirror orbit: (a, b) with a + b < 15 stands for (15-b, 15-a) too,
+    # and a + b = 15 is its own mirror.
+    keep = (a != b) & (a + b < _PANEL_ORDER)
+    i, j = a[keep], b[keep]
+    offsets = np.append(0.0, t[i] - t[j])
+    pair_weights = np.append(w @ w, (1.0 + (i + j < _PANEL_ORDER - 1)) * w[i] * w[j])
+    lags[_DIAGONAL_LAGS:].reshape(d.size, -1)[:] = d + offsets
+    weights[0, _DIAGONAL_LAGS:].reshape(d.size, -1)[:] = 2.0 * pair_weights
+    weights[1, _DIAGONAL_LAGS:].reshape(d.size, -1)[:] = -2.0 * d * pair_weights
+    return _read_only(lags, weights)
 
 
 def _support(kernel: CorrelationKernel) -> float:
@@ -188,8 +214,10 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     each part by the 16-point rule scaled to its length.  Blocks past
     ``d = 1 + ceil(U / h)`` hold only lags beyond the kernel's support
     ``U = zeta * 40^(1/kappa)`` and are left out of the sum; the weights
-    ``P - d`` of the others stay exact counts.  ``z`` is one depth; an
-    array of depths raises ValueError.
+    ``P - d`` of the others stay exact counts.  Each distinct lag of the
+    sum is evaluated once (``_square_rule``), and the sum is
+    ``h^2 (P (A . phi) + B . phi)``, from one ``(2, n) @ (n,)`` product.
+    ``z`` is one depth; an array of depths raises ValueError.
     """
     z = one_depth(z)
     if z == 0:
@@ -198,9 +226,7 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     h = z / panels
     # U / h, capped at P: a subnormal h must not divide U.
     blocks = min(panels - 1, 1 + math.ceil(min(_support(kernel) / z, 1.0) * panels))
-    lags, diagonal_weights, pair_weights, d = _square_rule()
-    n_diagonal = diagonal_weights.size
-    phi = kernel.evaluate(h * lags[: n_diagonal + pair_weights.size * blocks], 0.0)
-    diagonal = float(diagonal_weights @ phi[:n_diagonal])
-    offsets = phi[n_diagonal:].reshape(blocks, -1) @ pair_weights
-    return h * h * (panels * diagonal + 2.0 * float((panels - d[:blocks]) @ offsets))
+    lags, weights = _square_rule()
+    n = _DIAGONAL_LAGS + _BLOCK_LAGS * blocks
+    per_panel, by_offset = (weights[:, :n] @ kernel.evaluate(h * lags[:n], 0.0)).tolist()
+    return h * h * (panels * per_panel + by_offset)

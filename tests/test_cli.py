@@ -746,7 +746,11 @@ def test_memory_bounds_never_undercount_the_charges(
     assert max(charges["euler"]) <= bound
 
 
-OVERFLOWING = ["--length", "1e160", "--grid-points", "11", "--paths", "200"]
+# Overflows in several layers and threads (the grid covariance's powers, the
+# squares of the slab integrals, the Euler products), yet every CSV column
+# is finite: alpha 1e-200 keeps each pair factor cosh(alpha sigma_a I) at 1.
+OVERFLOWING = ["--length", "1e160", "--alpha", "1e-200", "--grid-points", "11",
+               "--paths", "200"]
 
 
 def _run_cli(tmp_path, *flags):
@@ -773,7 +777,7 @@ def _run_cli(tmp_path, *flags):
         (["--alpha", "1.2", "--modes", "beer,exact"],
          "warning: FluctuationWarning: alpha = 1.2 is outside the small-fluctuation regime"),
         (OVERFLOWING + ["--modes", "beer,exact,mc,euler-check"],
-         "warning: RuntimeWarning: overflow encountered in exp"),
+         "warning: RuntimeWarning: overflow encountered in multiply"),
     ],
     ids=["readme", "large-alpha", "overflowing"],
 )
@@ -805,8 +809,8 @@ def test_warnings_of_many_workers_read_as_those_of_one(tmp_path, capsys):
     # Five chunks overflow, each on a worker thread, with more workers than
     # cores and threads switched often: the block must neither lose nor
     # repeat nor reorder a line.
-    argv = ["--length", "1e160", "--grid-points", "11", "--paths", "20000",
-            "--modes", "beer,mc", "--out", str(tmp_path / "x.csv")]
+    argv = ["--length", "1e160", "--alpha", "1e-200", "--grid-points", "11",
+            "--paths", "20000", "--modes", "beer,mc", "--out", str(tmp_path / "x.csv")]
     reports = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -819,7 +823,8 @@ def test_warnings_of_many_workers_read_as_those_of_one(tmp_path, capsys):
     finally:
         sys.setswitchinterval(interval)
     assert reports[0] == reports[1]
-    assert "warning: RuntimeWarning: overflow encountered in cosh" in reports[0].splitlines()
+    # the squares of the chunks' slab integrals
+    assert "warning: RuntimeWarning: overflow encountered in multiply" in reports[0].splitlines()
 
 
 @pytest.mark.parametrize(
@@ -843,7 +848,26 @@ def test_output_is_the_same_with_the_euler_check_beside_the_ensemble(tmp_path, f
     if flags[0] == "--length":
         # The check's own numpy warnings join the run's block, not stderr.
         block = [line for line in report if line.startswith("warning:")]
-        assert "warning: RuntimeWarning: overflow encountered in exp" in block
+        assert "warning: RuntimeWarning: overflow encountered in reduce" in block
         assert runs[0][1] == ""
     else:
         assert not [line for line in section if line.startswith("warning:")]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_an_ensemble_past_the_float_range_exits_1_and_writes_no_csv(tmp_path, workers):
+    # kappa 2, zeta 1 on 100 cm steps: the grid's trapezoid integral has far
+    # more variance than the continuum's, and from z = 400 cm the squares of
+    # the pair factors cosh(alpha sigma_a I) overflow, so the SEM is nan.
+    proc, csv = _run_cli(
+        tmp_path, "--length", "1000", "--grid-points", "11", "--modes", "beer,mc",
+        "--paths", "200", "--workers", workers,
+    )
+    assert proc.returncode == 1 and csv is None
+    assert not (tmp_path / "out.csv").exists()
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "slabatten: error: the ensemble mean or SEM is not finite at depth "
+        "z = 400 cm: the pair factors cosh(alpha*sigma_a*I) of the sampled "
+        "integrals I, or their squares, overflow\n"
+    )

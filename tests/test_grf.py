@@ -51,6 +51,22 @@ class TestCorrelationKernel:
         assert type(scalar) is float
         assert scalar == 1.3 * np.exp(-((0.4 / 0.7) ** kappa))
 
+    @pytest.mark.parametrize(
+        "amplitude, kappa", [(1.0, 1.0), (1.0, 1.5), (1.3, 1.0), (1.0, 2.0), (1.3, 2.0)]
+    )
+    @pytest.mark.parametrize("zeta", [0.7, 1e-160])
+    def test_skipped_identity_passes_keep_every_bit(self, amplitude, kappa, zeta):
+        # kappa 1 skips the power and C = 1 the product.  zeta 1e-160 takes
+        # the guarded branch: the second set of lags, over zeta, squares
+        # past the float range.  The diagonal's lags are 0.
+        k = CorrelationKernel(amplitude, zeta, kappa)
+        z = np.concatenate([zeta * Grid(5.0, 101).points, Grid(5.0, 11).points])
+        with np.errstate(over="ignore"):
+            expected = (
+                np.exp(-np.power(np.abs(z[:, None] - z[None, :]) / zeta, kappa)) * amplitude
+            )
+        assert np.array_equal(k.evaluate(z[:, None], z[None, :]), expected)
+
     @pytest.mark.parametrize("zeta", [1e-170, 5e-324])
     def test_lags_past_the_float_range_give_exact_zero(self, zeta):
         # |dz|/zeta (5e-324) or its square (1e-170) overflows; 0 is the

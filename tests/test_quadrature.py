@@ -39,6 +39,24 @@ def _incomplete_gamma_form(kernel, z):
     return c * (z * zeta / kappa * lower(1.0 / kappa) - zeta**2 / kappa * lower(2.0 / kappa))
 
 
+def _unfolded_square(kernel, z):
+    """``square_double_integral``'s tensor-product sum with every node pair
+    its own term: the diagonal split's 512 lags, then 256 lags per offset
+    block, each with its weight and the count ``P - d``."""
+    t, w = _unit_panel_rule()
+    zeta, kappa = kernel.correlation_length, kernel.exponent
+    panels = max(8, math.ceil(z / zeta))
+    h = z / panels
+    blocks = min(panels - 1, 1 + math.ceil(min(zeta * 40.0 ** (1.0 / kappa) / z, 1.0) * panels))
+    parts = np.concatenate([t, 1.0 - t])
+    weights = (np.tile(w, 2) * parts)[:, None] * w
+    total = panels * np.sum(weights * kernel.evaluate(h * parts[:, None] * t, 0.0))
+    for d in range(1, blocks + 1):
+        lags = d + t[:, None] - t[None, :]
+        total += 2.0 * (panels - d) * np.sum(np.outer(w, w) * kernel.evaluate(h * lags, 0.0))
+    return h * h * total
+
+
 def _dense_square(kernel, z, panels):
     """The tensor-product rule over [0, z]^2 evaluated on every node pair."""
     t, w = composite_unit_rule(panels)
@@ -181,6 +199,17 @@ class TestSquareDoubleIntegral:
             _dense_square(k, z, panels), rel=1e-13
         )
 
+    @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("panels", [8, 40, 10**6])
+    def test_folded_lags_sum_as_every_node_pair(self, kappa, panels):
+        # zeta = 0.25 makes z / zeta exactly P; at P = 8 every other block is
+        # summed and the two weight rows cancel most
+        k = CorrelationKernel(1.3, 0.25, kappa)
+        z = 0.25 * panels
+        assert square_double_integral(k, z) == pytest.approx(
+            _unfolded_square(k, z), rel=1e-14, abs=0.0
+        )
+
     @pytest.mark.parametrize("zeta, z", [(0.05, 3.0), (0.3, 0.7), (1.0, 10.0)])
     def test_fractional_exponent_against_adaptive_quadrature(self, zeta, z):
         k = CorrelationKernel(1.3, zeta, 1.5)
@@ -219,9 +248,9 @@ class TestAtAnyDepth:
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
     def test_one_kernel_evaluation_per_call_of_bounded_size(self, kappa, monkeypatch):
-        # the square route sums at most 47 offset blocks of 256 lags after
-        # the diagonal's 512; the ordered route at most 47 panels plus 14
-        # graded ones of 16 nodes
+        # the square route sums at most 47 offset blocks of 129 distinct
+        # lags after the diagonal's 136; the ordered route at most 47
+        # panels plus 14 graded ones of 16 nodes
         evaluate = CorrelationKernel.evaluate
         sizes = []
 
@@ -233,7 +262,7 @@ class TestAtAnyDepth:
         monkeypatch.setattr(CorrelationKernel, "evaluate", counting)
         kernel = CorrelationKernel(1.0, self.ZETA, kappa)
         for route, bound in (
-            (square_double_integral, 512 + 256 * 47),
+            (square_double_integral, 136 + 129 * 47),
             (ordered_double_integral, 16 * (47 + 14)),
         ):
             for depth_ratio in (10.0, 1e4, 1e8):
