@@ -12,8 +12,9 @@ Modules
 grf
     Correlation kernels, grid covariances, row-tile sampling
     (the exact AR(1) recursion as a prefix-sum scan for kappa = 1, at the
-    grid's points or any increasing nodes, dense Cholesky for other
-    kernels), ou_bridge, the exact kappa-1 integral between two nodes,
+    grid's points or any increasing nodes, a low-rank pivoted Cholesky
+    factor for kappa = 2 on resolved grids, dense Cholesky for other
+    kernels and grids), ou_bridge, the exact kappa-1 integral between two nodes,
     and integral_at, the trapezoid integral of a path or block of paths,
     plain arrays of grid values, up to given depths.
 medium

@@ -12,8 +12,9 @@ leaves one idle.
 
 Exit codes: 0 success, 1 invalid configuration (any ValueError: a flag
 check's UsageError, an ``--out`` that cannot be written, a run past the
-memory budget, an ensemble whose mean or SEM is not finite), 2 numerical
-failure (covariance factorization).
+memory budget, an ensemble whose mean or SEM or an Euler check whose
+error is not finite), 2 numerical failure (covariance factorization).
+A run that exits 1 or 2 writes no CSV.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .grf import (
     AR1_ROUTE,
     CHUNK_PATHS,
     MEMORY_BUDGET,
+    PIVOTED_ROUTE,
     CorrelationKernel,
     FieldSampler,
     Grid,
@@ -315,7 +317,8 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     washed out by path-to-path variation.  The paths arrive in row tiles;
     only the per-path errors are kept.  The exact value at L needs the
     trapezoid integral up to the last node only, one sum per refinement:
-    ``h (sum v - (v_0 + v_last) / 2)``.
+    ``h (sum v - (v_0 + v_last) / 2)``.  Raises ValueError, naming the
+    coarsest such step, when a mean error is not finite.
     """
     medium, base = config.medium, config.grid
     cells = _euler_check_points(base) - 1
@@ -339,6 +342,11 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     lines = ["euler check (mean |Euler - exact| at z = L, nested refinements):"]
     errors = [float(np.mean(row)) for row in per_path]
     for grid, err in zip(grids, errors):
+        if not math.isfinite(err):
+            raise ValueError(
+                f"the Euler check's mean error is not finite at h = {grid.spacing:g} "
+                "cm: the Euler products or the pathwise intensities overflow"
+            )
         lines.append(f"  h = {grid.spacing:.6g}: {err:.6g}")
     for i in range(1, len(errors)):
         if errors[i] > 0:
@@ -428,6 +436,11 @@ def _sampler_line(stats: EnsembleStats, kernel: CorrelationKernel, grid: Grid) -
             "between them (kappa = 1), sampled share of the slab-integral "
             f"variance = {1.0 - stats.bridge_variance / total:.6g}"
         )
+    if stats.sampler_route == PIVOTED_ROUTE:
+        return (
+            f"sampler: pivoted Cholesky, n = {grid.n_points}, rank = {stats.rank}, "
+            f"left-out variance <= {stats.left_out:.3g}"
+        )
     line = f"sampler: dense Cholesky, n = {grid.n_points}, jitter = {stats.jitter:.3g}"
     if grid.spacing > kernel.correlation_length:
         # The grid field's trapezoid integral then has a variance of its
@@ -457,14 +470,19 @@ def _ensemble_lines(config: ExperimentConfig, depths, columns: dict) -> list:
     expected = _negative_fraction_expectation(
         medium.sigma_a, medium.alpha, kernel.amplitude
     )
+    if math.isnan(stats.integral_skewness):
+        moments = "skewness and excess kurtosis not available (raw moments overflow)"
+    else:
+        moments = (
+            f"skewness = {stats.integral_skewness:.4f}, "
+            f"excess kurtosis = {stats.integral_excess_kurtosis:.4f}"
+        )
     return [
         f"ensemble: {stats.n_paths} paths, negative-coefficient fraction = "
         f"{stats.negative_coefficient_fraction:.6g} "
         f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected:.6g})",
         _sampler_line(stats, kernel, grid),
-        "slab integral of G: skewness = "
-        f"{stats.integral_skewness:.4f}, excess kurtosis = "
-        f"{stats.integral_excess_kurtosis:.4f}",
+        f"slab integral of G: {moments}",
     ]
 
 
@@ -500,19 +518,22 @@ def run(config: ExperimentConfig) -> int:
         euler = pool.submit(_euler_check_lines, config) if beside else None
         if "mc" in config.modes:
             report.extend(_ensemble_lines(config, depths, columns))
-
-        rows = _csv_rows(depths, columns)
-        text = "\n".join([_config_echo(config), ",".join(COLUMNS), *rows]) + "\n"
-        try:
-            Path(config.out).write_text(text, encoding="utf-8")
-        except OSError as err:
-            raise UsageError(f"--out: {err.strerror}: {config.out}") from None
-
-        report.extend(_adjudicate(rows))
+        # Every pipeline ends before the CSV is written, so no failing run
+        # leaves one; an error of the check's thread is raised here, as it
+        # would be from the call.
+        euler_lines = []
         if "euler-check" in config.modes:
-            # An error of the check's thread is raised here, as it would be
-            # from the call.
-            report.extend(_euler_check_lines(config) if euler is None else euler.result())
+            euler_lines = _euler_check_lines(config) if euler is None else euler.result()
+
+    rows = _csv_rows(depths, columns)
+    text = "\n".join([_config_echo(config), ",".join(COLUMNS), *rows]) + "\n"
+    try:
+        Path(config.out).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise UsageError(f"--out: {err.strerror}: {config.out}") from None
+
+    report.extend(_adjudicate(rows))
+    report.extend(euler_lines)
     report.append(f"wrote {config.out} ({len(rows)} rows)")
     print("\n".join(report))
     return 0

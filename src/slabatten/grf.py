@@ -18,10 +18,16 @@ Phys. Rev. E 54, 2084, 1996), at the grid's points or at any increasing
 nodes, the closed-form Cholesky factor of their covariance, evaluated as a
 blocked, rescaled prefix sum (Blelloch, CMU-CS-90-190, 1990) that carries
 each run of nodes after far steps at once, in O(n) time and memory.
-Every other kernel is drawn by dense
-Cholesky factorization of the grid covariance (exact for any kernel and
-grid at the sizes used here), the normals times the transposed factor
-in one matrix product.  A path is a plain array of node values, ``(n,)``
+Every other kernel is drawn as the normals times the transposed factor
+``F`` of the grid covariance ``M``, in one matrix product.  On grids at
+least as fine as ``Grid.for_kernel``'s the squared-exponential kernel
+(kappa = 2) has a numerical rank far below ``n`` (23 of 51 points, 24 of
+501 or 4 001, at L/zeta = 5), so there ``F`` is the ``(n, r)`` pivoted
+Cholesky factor (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62,
+428, 2012), stopped once no node's left-out variance exceeds ``1e-12 C``,
+and a path takes ``r`` normals.  Every other kernel and grid takes the
+``(n, n)`` LAPACK Cholesky factor of ``M`` plus a diagonal jitter of at
+least ``1e-12 C``.  A path is a plain array of node values, ``(n,)``
 for one path or ``(rows, n)`` for a block, and ``running_integral``
 integrates it as one weighted running sum over neighbouring nodes: the
 trapezoid rule on the grid (``integral_at``), matching the Riemann-sum
@@ -44,8 +50,10 @@ from .errors import FactorizationFailure, MemoryBudgetExceeded, OutOfDomain
 # Diagonal jitter ladder for the Cholesky factorization, relative to the
 # kernel amplitude: start at 1e-12*C, multiply by 10 on failure, stop at
 # 1e-6*C.  Rounding can leave a nearly singular covariance indefinite at
-# the first rung: kappa 2, zeta 1e6 and L 5 on 9 400 points needs 1e-11*C
-# (on 8 500 points 1e-12*C suffices).
+# the first rung: kappa 2, zeta 1e6 and L 5 on 9 400 points needed 1e-11*C
+# (on 8 500 points 1e-12*C sufficed); that grid now takes the pivoted
+# factor, rank 2.  The pivoted factor stops at the first rung's level: it
+# leaves out at most that much variance per node.
 _JITTER_EXPONENTS = range(-12, -5)
 # Grid.for_kernel resolves the correlation length with this many nodes.
 _POINTS_PER_LENGTH = 10
@@ -81,6 +89,7 @@ _GUARDED_ZETA = 1e-100
 # FieldSampler.route values.
 AR1_ROUTE = "ar1"
 CHOLESKY_ROUTE = "cholesky"
+PIVOTED_ROUTE = "pivoted"
 
 
 @dataclass(frozen=True)
@@ -199,12 +208,20 @@ class Grid:
         ``correlation_length / 10``.  Override by constructing a Grid
         directly when a specific resolution is needed.
         """
-        target = kernel.correlation_length / _POINTS_PER_LENGTH
-        # Checked as a float first: the count may overflow to inf (or target
-        # underflow to 0), and inf has no integer for Grid to check.
-        cells = length / target if target > 0 else math.inf
+        # Checked as a float first: the count may overflow to inf (or its
+        # target underflow to 0), and inf has no integer for Grid to check.
+        cells = _cells_to_resolve(length, kernel)
         check_budget(8 * cells, f"the node array of a grid of {cells:.6g} points")
         return cls(length, max(2, math.ceil(cells) + 1))
+
+
+def _cells_to_resolve(length: float, kernel: CorrelationKernel) -> float:
+    """Cells of ``Grid.for_kernel``'s grid before rounding up, inf where the
+    count passes the float range.  A grid of ``n`` points is at least as
+    fine, ``n >= Grid.for_kernel(length, kernel).n_points``, when
+    ``n - 1 >= cells``: ``n - 1 >= ceil(cells)`` for the integer ``n - 1``."""
+    target = kernel.correlation_length / _POINTS_PER_LENGTH
+    return length / target if target > 0 else math.inf
 
 
 def checked_depths(z, length: float = math.inf):
@@ -381,6 +398,46 @@ def _cholesky_with_jitter(matrix: np.ndarray, amplitude: float):
     )
 
 
+def _pivoted_cholesky(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
+    """Transposed ``(r, n)`` pivoted Cholesky factor of the grid covariance:
+    its rows are the columns of ``F`` with ``F F^T`` within ``1e-12 C`` of
+    ``covariance_matrix`` (Harbrecht, Peters & Schneider, 2012).
+
+    Step ``k`` pivots on the node ``i`` of largest residual variance ``d_i``,
+    takes its residual column ``M[:, i] - F[:, :k] F[i, :k]``, one GEMV over
+    the rows found so far, scaled by ``1/sqrt(d_i)``, and subtracts the
+    column's squares from ``d``.  It stops once every ``d`` is at most
+    ``C 10**_JITTER_EXPONENTS[0]``: ``d`` is then ``M - F F^T`` on the
+    diagonal, and the rest of that positive semidefinite residual is no
+    larger.  The grid is uniform and the kernel stationary, so column ``i``
+    of ``M`` is a slice of one table of ``2n - 1`` lags: ``n`` kernel values
+    in all, not ``r`` columns of them.
+    """
+    n, amplitude = grid.n_points, kernel.amplitude
+    lags = kernel.evaluate(grid.points, 0.0)  # column 0 of covariance_matrix
+    table = np.concatenate((lags[:0:-1], lags))  # M[:, i] = table[n-1-i : 2n-1-i]
+    bound = amplitude * 10.0 ** _JITTER_EXPONENTS[0]
+    residual = np.full(n, amplitude)
+    rows, square = np.empty((n, n)), np.empty(n)
+    rank = 0
+    while rank < n:
+        i = int(residual.argmax())
+        if residual[i] <= bound:
+            break
+        row = rows[rank]
+        np.dot(rows[:rank, i], rows[:rank], out=row)
+        np.subtract(table[n - 1 - i : 2 * n - 1 - i], row, out=row)
+        row *= 1.0 / math.sqrt(residual[i])
+        residual -= np.multiply(row, row, out=square)
+        residual[i] = 0.0
+        rank += 1
+    # Shrinks the buffer in place, as only the rows written were ever
+    # touched; no view of it is left to dangle once ``row`` is gone.
+    del row
+    rows.resize((rank, n), refcheck=False)
+    return rows
+
+
 def stepping_nodes(kernel: CorrelationKernel, grid: Grid, depths) -> np.ndarray:
     """The nodes an ensemble read at ``depths`` draws: the grid's points, or
     for kappa = 1, whose steps ``ou_bridge`` integrates exactly, only
@@ -398,8 +455,10 @@ def stepping_nodes(kernel: CorrelationKernel, grid: Grid, depths) -> np.ndarray:
 def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
     """Most bytes a FieldSampler on ``n`` nodes holds at once with
     ``streamed`` bytes of tiles beside it: its build, or what it keeps with
-    the tiles.  The dense route builds the covariance, its copy and the
-    factor; the AR(1) route 7 arrays of ``n``, of which it keeps at most 5."""
+    the tiles.  The LAPACK route builds the covariance, its copy and the
+    factor, and any kernel but kappa = 1 is charged that, as the grid picks
+    between it and the pivoted route, whose one ``n x n`` buffer holds no
+    more; the AR(1) route 7 arrays of ``n``, of which it keeps at most 5."""
     if kernel.exponent == 1:
         return max(8 * 7 * n, 8 * 5 * n + streamed)
     return max(8 * 3 * n * n, 8 * n * n + streamed)
@@ -435,11 +494,18 @@ class FieldSampler:
     ``kappa = 1`` uses the exact AR(1) recursion over the steps between
     the nodes (``route == AR1_ROUTE``, with ``rho``, the per-step ratios
     ``exp(-h_k/zeta)``, and ``innovation``, the per-step innovation
-    scales, ``factor`` None and ``jitter`` 0); any other kernel the dense
-    Cholesky factor of the grid covariance, computed once at construction
-    (``route == CHOLESKY_ROUTE``, with the diagonal ``jitter`` that made
-    it succeed).  Sampling is then pure in (seed, chunk, count), so a
-    single sampler can be shared read-only across concurrent workers.
+    scales, ``factor`` None and ``jitter`` 0).  Any other kernel uses a
+    factor ``F`` of the grid covariance ``M``, computed once at
+    construction: for kappa = 2 on a grid at least as fine as
+    ``Grid.for_kernel``'s the ``(n, rank)`` pivoted Cholesky factor
+    (``route == PIVOTED_ROUTE``, ``jitter`` 0, and ``left_out``, the most
+    variance ``M - F F^T`` leaves out at a node, ``1e-12 C``), else the
+    ``(n, n)`` LAPACK factor of ``M + jitter I`` (``route ==
+    CHOLESKY_ROUTE``, with the diagonal ``jitter`` that made it succeed).
+    ``rank`` is the normals a path takes, ``n`` on the other routes, and
+    ``left_out`` is 0 there.  Sampling is then pure in (seed, chunk,
+    count), so a single sampler can be shared read-only across concurrent
+    workers.
     ``tiles`` is the one draw method: it reads block ``chunk`` from its
     keyed stream and sends every tile of normals through the same
     row-by-row transform, so on the AR(1) route a row is bit-identical
@@ -465,6 +531,7 @@ class FieldSampler:
                 raise ValueError("nodes must be a strictly increasing 1-D array")
             if kernel.exponent != 1 and not np.array_equal(self.nodes, grid.points):
                 raise ValueError("nodes other than the grid's need kappa = 1")
+        self.rank, self.left_out = n, 0.0
         if kernel.exponent == 1:
             self.factor, self.jitter = None, 0.0
             # h/zeta per step; inf (rho = 0) for a subnormal zeta
@@ -496,6 +563,12 @@ class FieldSampler:
             cuts[k] = n
             self._cuts, self._runs = cuts[: k + 1].copy(), runs[:k].copy()
             return
+        if kernel.exponent == 2 and n - 1 >= _cells_to_resolve(grid.length, kernel):
+            self.route, self.jitter = PIVOTED_ROUTE, 0.0
+            self.factor = _pivoted_cholesky(kernel, grid).T
+            self.rank = self.factor.shape[1]
+            self.left_out = kernel.amplitude * 10.0 ** _JITTER_EXPONENTS[0]
+            return
         self.factor, self.jitter = _cholesky_with_jitter(
             covariance_matrix(kernel, grid), kernel.amplitude
         )
@@ -505,7 +578,7 @@ class FieldSampler:
         left-out variance of the step into it (0 at node 0).  The AR(1)
         route's steps are exact OU bridges (``ou_bridge``), the dense
         route's trapezoid panels, ``w = h/2`` and ``v = 0``."""
-        if self.route == CHOLESKY_ROUTE:
+        if self.route != AR1_ROUTE:
             steps = self.nodes.size - 1
             w, v = np.full(steps, 0.5 * self.grid.spacing), np.zeros(steps)
         else:
@@ -516,14 +589,16 @@ class FieldSampler:
         """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
 
         Each tile has shape ``(rows, n)``, one column per node, with
-        ``rows`` balanced and at most ``tile_rows(kernel, n, count)``.  The
-        tiles are consecutive draws from the block's one stream,
-        ``SeedSequence(master_seed, spawn_key=(chunk,))``, so the same
-        (master_seed, chunk, count) always gives the same bits, also from
-        concurrent threads.  The AR(1) recursion is the dense factor in
-        closed form, so both routes give the same paths for the same key
-        up to the dense route's jitter (about 1e-11).  A tile's running
-        integrals are ``running_integral(values, step_weights()[0])``.
+        ``rows`` balanced and at most ``tile_rows(kernel, n, count)``.  It is
+        drawn as ``(rows, rank)`` normals, consecutive draws from the
+        block's one stream, ``SeedSequence(master_seed, spawn_key=(chunk,))``,
+        so the same (master_seed, chunk, count) always gives the same bits,
+        also from concurrent threads.  The AR(1) recursion is the LAPACK
+        factor in closed form, so those two routes give the same paths for
+        the same key up to the LAPACK route's jitter (about 1e-11); the
+        pivoted route draws fewer normals per path, so other paths of the
+        same law.  A tile's running integrals are
+        ``running_integral(values, step_weights()[0])``.
         """
         n = self.nodes.size
         rows = tile_rows(self.kernel, n, count)
@@ -532,11 +607,12 @@ class FieldSampler:
         check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} nodes")
         stream = default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))
         for t in range(n_tiles):
-            yield self._transform(stream.standard_normal((base + (t < extra), n)))
+            normals = stream.standard_normal((base + (t < extra), self.rank))
+            yield self._transform(normals)
 
     def _transform(self, normals: np.ndarray) -> np.ndarray:
-        """Field values from a ``(rows, n)`` tile of normals, row by row."""
-        if self.route == CHOLESKY_ROUTE:
+        """Field values from a ``(rows, rank)`` tile of normals, row by row."""
+        if self.route != AR1_ROUTE:
             return normals @ self.factor.T
         # x_0 = sqrt(C) xi_0, x_i = rho_i x_{i-1} + s_i xi_i, in place, with
         # rho_i and s_i the ratio and innovation scale of the step into

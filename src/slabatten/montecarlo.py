@@ -14,6 +14,7 @@ bypasses both the sampler and the erf closed form.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -55,10 +56,13 @@ class EnsembleStats:
     Gaussian: the last running sum of the path's nodes, the trapezoid
     integral on the dense route and, for kappa = 1, the exact conditional
     mean given the stepping nodes, of which bridge_variance is the
-    variance the bridges leave out, V(L) (0 on the dense route).  sampler_route
-    is the FieldSampler route that drew the paths (grf.AR1_ROUTE or
-    grf.CHOLESKY_ROUTE) and jitter the diagonal jitter its factor
-    actually used (0 for the AR(1) recursion).
+    variance the bridges leave out, V(L) (0 on the dense route).  They are
+    NaN, not available, where the rows' raw moments overflow.
+    sampler_route is the FieldSampler route that drew the paths
+    (grf.AR1_ROUTE, grf.CHOLESKY_ROUTE or grf.PIVOTED_ROUTE), jitter the
+    diagonal jitter its factor actually used (0 but on the LAPACK route),
+    rank the normals it drew per path and left_out the most variance its
+    factor leaves out at a node (0 but on the pivoted route).
     """
 
     depths: np.ndarray
@@ -70,6 +74,8 @@ class EnsembleStats:
     integral_excess_kurtosis: float
     sampler_route: str
     jitter: float
+    rank: int
+    left_out: float
     bridge_variance: float
 
 
@@ -333,7 +339,10 @@ def run_ensemble(
         )
 
     m2, m3, m4 = _central_moments(raw_moments, n_pairs)
-    if m2 > 0:
+    if not np.isfinite([m2, m3, m4]).all():
+        # the integrals' squares or fourth powers passed the float range
+        skewness = excess_kurtosis = math.nan
+    elif m2 > 0:
         skewness = float(m3 / m2**1.5)
         excess_kurtosis = float(m4 / m2**2 - 3.0)
     else:
@@ -350,6 +359,8 @@ def run_ensemble(
         integral_excess_kurtosis=excess_kurtosis,
         sampler_route=sampler.route,
         jitter=sampler.jitter,
+        rank=sampler.rank,
+        left_out=sampler.left_out,
         bridge_variance=bridge_variance,
     )
 

@@ -240,8 +240,9 @@ class TestMainExitCodes:
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         out = tmp_path / "x.csv"
+        # kappa 2 on this grid, as fine as Grid.for_kernel's, takes no ladder
         code = main([
-            "--alpha", "0.2", "--modes", "mc", "--paths", "10",
+            "--alpha", "0.2", "--kappa", "1.5", "--modes", "mc", "--paths", "10",
             "--grid-points", "21", "--length", "2", "--out", str(out),
         ])
         captured = capsys.readouterr()
@@ -548,7 +549,12 @@ class TestCsvContract:
                 "between them (kappa = 1), sampled share of the slab-integral "
                 "variance = 0.998533",
             ),
-            ("2", "1", "sampler: dense Cholesky, n = 21, jitter = 1e-12"),
+            (
+                "2",
+                "1",
+                "sampler: pivoted Cholesky, n = 21, rank = 13, "
+                "left-out variance <= 1e-12",
+            ),
             (
                 "2",
                 "1e-170",
@@ -653,7 +659,7 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_euler_check_error_is_raised_after_the_csv_is_written(
+    def test_euler_check_error_leaves_no_csv(
         self, tmp_path, capsys, monkeypatch, workers
     ):
         def fail(config):
@@ -669,8 +675,7 @@ class TestDeterminism:
         captured = capsys.readouterr()
         assert captured.err == "slabatten: numerical failure: probe message\n"
         assert captured.out == ""
-        _, rows = _read_csv(out)
-        assert len(rows) == 21
+        assert not out.exists()
 
     def test_euler_check_runs_beside_the_ensemble_only_within_the_budget(self):
         def beside(*flags):
@@ -776,7 +781,7 @@ def _run_cli(tmp_path, *flags):
          "warning: ReliabilityWarning: exponent std 2.24 > 1.5"),
         (["--alpha", "1.2", "--modes", "beer,exact"],
          "warning: FluctuationWarning: alpha = 1.2 is outside the small-fluctuation regime"),
-        (OVERFLOWING + ["--modes", "beer,exact,mc,euler-check"],
+        (OVERFLOWING + ["--modes", "beer,exact,mc"],
          "warning: RuntimeWarning: overflow encountered in multiply"),
     ],
     ids=["readme", "large-alpha", "overflowing"],
@@ -838,20 +843,18 @@ def test_output_is_the_same_with_the_euler_check_beside_the_ensemble(tmp_path, f
         proc, csv = _run_cli(
             tmp_path, *flags, "--modes", "beer,mc,euler-check", "--workers", workers
         )
-        assert proc.returncode == 0, proc.stderr
-        runs.append((proc.stdout, proc.stderr, csv))
+        runs.append((proc.returncode, proc.stdout, proc.stderr, csv))
     assert runs[0] == runs[1]
-    report = runs[0][0].splitlines()
+    if flags[0] == "--length":
+        # the check's Euler products overflow, beside the ensemble or not
+        assert runs[0][0] == 1 and runs[0][3] is None
+        return
+    assert runs[0][0] == 0, runs[0][2]
+    report = runs[0][1].splitlines()
     section = report[report.index(
         "euler check (mean |Euler - exact| at z = L, nested refinements):"
     ):]
-    if flags[0] == "--length":
-        # The check's own numpy warnings join the run's block, not stderr.
-        block = [line for line in report if line.startswith("warning:")]
-        assert "warning: RuntimeWarning: overflow encountered in reduce" in block
-        assert runs[0][1] == ""
-    else:
-        assert not [line for line in section if line.startswith("warning:")]
+    assert not [line for line in section if line.startswith("warning:")]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -871,3 +874,33 @@ def test_an_ensemble_past_the_float_range_exits_1_and_writes_no_csv(tmp_path, wo
         "z = 400 cm: the pair factors cosh(alpha*sigma_a*I) of the sampled "
         "integrals I, or their squares, overflow\n"
     )
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_an_euler_check_past_the_float_range_exits_1_and_writes_no_csv(tmp_path, workers):
+    # 1e159 cm steps: the Euler products overflow to inf, so the mean error
+    # is not finite; at --workers 2 the check runs beside the ensemble.
+    proc, csv = _run_cli(
+        tmp_path, *OVERFLOWING, "--modes", "beer,mc,euler-check", "--workers", workers
+    )
+    assert proc.returncode == 1 and csv is None
+    assert not (tmp_path / "out.csv").exists()
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "slabatten: error: the Euler check's mean error is not finite at "
+        "h = 1e+159 cm: the Euler products or the pathwise intensities overflow\n"
+    )
+
+
+def test_slab_integral_moments_past_the_float_range_are_not_available(tmp_path):
+    # The slab integrals are about 1e160, so their squares overflow; every
+    # CSV column stays finite, as alpha 1e-200 keeps each pair factor at 1.
+    proc, csv = _run_cli(tmp_path, *OVERFLOWING, "--modes", "beer,mc")
+    assert proc.returncode == 0, proc.stderr
+    report = proc.stdout.splitlines()
+    assert [line for line in report if line.startswith("slab integral of G:")] == [
+        "slab integral of G: skewness and excess kurtosis not available "
+        "(raw moments overflow)"
+    ]
+    assert "0.0000" not in proc.stdout
+    assert "nan" not in csv.decode()

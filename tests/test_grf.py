@@ -283,7 +283,9 @@ class TestSampling:
         def build(kernel, grid):
             raise Built
 
+        # either builder of the dense routes
         monkeypatch.setattr(grf, "covariance_matrix", build)
+        monkeypatch.setattr(grf, "_pivoted_cholesky", build)
         kernel = CorrelationKernel(1.0, 0.01, 2.0)
         with pytest.raises(MemoryBudgetExceeded, match="10001 points"):
             FieldSampler(kernel, Grid.for_kernel(10.0, kernel))
@@ -451,7 +453,7 @@ class TestSampling:
         block = sampler._transform(
             np.random.default_rng(
                 np.random.SeedSequence(8, spawn_key=(3,))
-            ).standard_normal((count, n))
+            ).standard_normal((count, sampler.rank))
         )
         if kappa == 1.0:
             # the scan acts row by row, so the cut does not move a bit
@@ -496,7 +498,8 @@ class TestSampling:
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         amp = 2.5
-        kernel, grid = CorrelationKernel(amp, 1.0, 2.0), Grid(1.0, 11)
+        # kappa 2 on this grid, as fine as Grid.for_kernel's, takes no ladder
+        kernel, grid = CorrelationKernel(amp, 1.0, 1.5), Grid(1.0, 11)
         if failures == 7:
             with pytest.raises(FactorizationFailure, match="positive definite"):
                 FieldSampler(kernel, grid)
@@ -557,6 +560,58 @@ class TestSampling:
         variance = sq_sum / n
         three_se = 3.0 * amp * math.sqrt(2.0 / n)
         assert np.max(np.abs(variance - amp)) < three_se
+
+
+class TestPivotedCholesky:
+    @pytest.mark.parametrize("n", [51, 501, 2001])
+    def test_factor_leaves_out_at_most_the_bound(self, n):
+        amp = 2.5
+        kernel, grid = CorrelationKernel(amp, 1.0, 2.0), Grid(5.0, n)
+        sampler = FieldSampler(kernel, grid)
+        assert sampler.route == grf.PIVOTED_ROUTE and sampler.jitter == 0.0
+        factor, matrix = sampler.factor, covariance_matrix(kernel, grid)
+        assert factor.shape == (n, sampler.rank) and sampler.rank < 30
+        assert sampler.left_out == 1e-12 * amp
+        assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * amp
+        left_out = np.diag(matrix) - np.einsum("ij,ij->i", factor, factor)
+        # 0 up to the rounding of a sum of rank squares
+        assert left_out.min() >= -sampler.rank * np.finfo(float).eps * amp
+        assert left_out.max() <= 1e-12 * amp
+
+    def test_readme_grid_has_rank_23(self):
+        kernel = CorrelationKernel(1.0, 1.0, 2.0)
+        sampler = FieldSampler(kernel, Grid.for_kernel(5.0, kernel))
+        assert (sampler.grid.n_points, sampler.rank) == (51, 23)
+        assert next(sampler.tiles(1, 0, 10)).shape == (10, 51)
+
+    @pytest.mark.parametrize(
+        "kappa,zeta", [(1.5, 1.0), (2.0, 2.01)], ids=["kappa1.5", "kappa2-coarse-grid"]
+    )
+    def test_other_kernels_and_coarse_grids_keep_the_lapack_factor(self, kappa, zeta):
+        # zeta 2.01 on 101 points over L 25: h = 0.25 > zeta / 10
+        amp = 2.5
+        kernel, grid = CorrelationKernel(amp, zeta, kappa), Grid(25.0, 101)
+        sampler = FieldSampler(kernel, grid)
+        assert sampler.route == grf.CHOLESKY_ROUTE
+        assert (sampler.rank, sampler.left_out, sampler.jitter) == (101, 0.0, 1e-12 * amp)
+        matrix = covariance_matrix(kernel, grid)
+        matrix[np.diag_indices(101)] += 1e-12 * amp
+        assert np.array_equal(sampler.factor, np.linalg.cholesky(matrix))
+
+    @pytest.mark.parametrize(
+        "length,zeta", [(5.0, 1.0), (2.0, 1.0), (5.0, 0.05), (3.0, 0.7), (0.5, 0.01)]
+    )
+    def test_route_follows_the_grid_of_for_kernel(self, length, zeta):
+        kernel = CorrelationKernel(1.0, zeta, 2.0)
+        n = Grid.for_kernel(length, kernel).n_points
+        routes = [FieldSampler(kernel, Grid(length, m)).route for m in (n - 1, n, n + 1)]
+        assert routes == [grf.CHOLESKY_ROUTE, grf.PIVOTED_ROUTE, grf.PIVOTED_ROUTE]
+
+    def test_grid_whose_for_kernel_passes_the_budget_keeps_the_lapack_factor(self):
+        kernel = CorrelationKernel(1.0, 1e-170, 2.0)
+        with pytest.raises(MemoryBudgetExceeded):
+            Grid.for_kernel(5.0, kernel)
+        assert FieldSampler(kernel, Grid(5.0, 11)).route == grf.CHOLESKY_ROUTE
 
 
 def _tanh(u):
