@@ -12,8 +12,9 @@ leaves one idle.
 
 Exit codes: 0 success, 1 invalid configuration (any ValueError: a flag
 check's UsageError, an ``--out`` that cannot be written, a run past the
-memory budget, an ensemble whose mean or SEM or an Euler check whose
-error is not finite), 2 numerical failure (covariance factorization).
+memory budget, a closed-form intensity, an ensemble mean or SEM or an
+Euler check error that is not finite), 2 numerical failure (covariance
+factorization).
 A run that exits 1 or 2 writes no CSV.
 """
 
@@ -506,12 +507,21 @@ def run(config: ExperimentConfig) -> int:
 
     if "beer" in config.modes:
         columns["beer"] = np.atleast_1d(beer(medium, depths))
-    if "paper" in config.modes:
-        law = AveragedLaw(medium, kernel, ExponentConvention.PAPER_HALF)
-        columns["averaged_paper"] = np.atleast_1d(averaged_intensity(law, depths))
-    if "exact" in config.modes:
-        law = AveragedLaw(medium, kernel, ExponentConvention.EXACT)
-        columns["averaged_exact"] = np.atleast_1d(averaged_intensity(law, depths))
+    # Exact first: its boost is the larger, so it names the first depth.
+    for convention in (ExponentConvention.EXACT, ExponentConvention.PAPER_HALF):
+        if convention.value in config.modes:
+            law = AveragedLaw(medium, kernel, convention)
+            # Past the float range the run fails below, not with a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                column = np.atleast_1d(averaged_intensity(law, depths))
+            finite = np.isfinite(column)
+            if not finite.all():
+                raise ValueError(
+                    f"the {convention.value} closed form's mean intensity is not "
+                    f"finite at depth z = {depths[np.argmin(finite)]:g} cm: its "
+                    "boost exp(gain*alpha^2*sigma_a^2*C*Y(z)) overflows"
+                )
+            columns[f"averaged_{convention.value}"] = column
 
     # Leaving the block joins the Euler check's thread, whatever raised.
     with ThreadPoolExecutor(max_workers=1) as pool:

@@ -82,9 +82,9 @@ _BRIDGE_TERMS = 10
 # Below this correlation length a scaled lag |dz|/zeta of slab size can
 # pass the float range, or its power can, so CorrelationKernel.evaluate
 # ignores overflow there.  Above it overflow needs lags past 1e54 cm, and
-# the guard is not free: np.errstate costs 1-3 us per entry, and the
-# quadrature evaluates the kernel once per call, 2 040 times in a 256-depth
-# sweep of four kernels, which ran 8-12 % slower with the guard always on.
+# the guard is not free: np.errstate costs 1-3 us per entry, and when the
+# quadrature evaluated the kernel here, once per call, 2 040 times in a
+# 256-depth sweep of four kernels, it ran 8-12 % slower with the guard on.
 _GUARDED_ZETA = 1e-100
 # FieldSampler.route values.
 AR1_ROUTE = "ar1"
@@ -174,6 +174,18 @@ class CorrelationKernel:
         if self.amplitude != 1:
             out *= self.amplitude
         return float(out) if out.ndim == 0 else out
+
+    def evaluate_scaled(self, scale: float, powers) -> np.ndarray:
+        """``evaluate(scale * u, 0.0)`` at unit lags ``u >= 0`` given
+        ``powers = u**kappa``: ``C exp(-(scale / zeta)**kappa powers)``, one
+        multiply and one exp.  ``(scale / zeta)**kappa`` must not overflow
+        (the quadrature keeps it at most 40); where it underflows the kernel
+        is its exact limit C."""
+        out = np.multiply(powers, -((scale / self.correlation_length) ** self.exponent))
+        np.exp(out, out=out)
+        if self.amplitude != 1:
+            out *= self.amplitude
+        return out
 
 
 @dataclass(frozen=True)

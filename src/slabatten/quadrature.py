@@ -31,13 +31,16 @@ second, independent discretization of the same variance, so agreement
 between ``square = 2 * ordered`` checks both.
 
 Everything that does not depend on the depth is cached with the 16-point
-rule and frozen read-only: the graded nodes with their weights ``w`` and
-lag weights ``w (1 - t)`` (``_ordered_rule``), and one lag table in units
-of the panel width with its two weight rows (``_square_rule``): the
-diagonal's 136 distinct lags, then the 129 distinct lags
-``d + t_a - t_b`` of each offset block, the counts ``P - d`` folded into
-the weights.  One depth then costs one kernel evaluation and one
-``(2, n) @ (n,)`` product on both routes.
+rule and frozen read-only: the graded nodes' weights ``w`` and lag
+weights ``w (1 - t)``, and one lag table in units of the panel width with
+its two weight rows (``_square_table``): the diagonal's 136 distinct
+lags, then the 129 distinct lags ``d + t_a - t_b`` of each offset block,
+the counts ``P - d`` folded into the weights.  A call's lags are unit
+lags ``u`` times one scale ``s``, the span ``V`` or the panel width ``h``,
+so each rule keeps ``u**kappa``, cached per kappa on first use
+(``_ordered_rule``, ``_square_rule``; kappa 1 keeps ``u``).  One depth
+then costs one scalar ``(s/zeta)**kappa <= 40``, one multiply, one exp
+(``CorrelationKernel.evaluate_scaled``) and one ``(2, n) @ (n,)`` product.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ _SUPPORT_DECAY = 40.0
 # h > 7 zeta / 8, so U/h < 320/7; fewer panels leave at most 7 blocks.
 _MAX_OFFSET_BLOCKS = 1 + math.ceil(_SUPPORT_DECAY * _MIN_PANELS / (_MIN_PANELS - 1))
 # Distinct lags of the square route's diagonal (136) and of each offset
-# block (129), by the symmetry of the 16-point rule (_square_rule).
+# block (129), by the symmetry of the 16-point rule (_square_table).
 _DIAGONAL_LAGS = _PANEL_ORDER * (_PANEL_ORDER + 1) // 2
 _BLOCK_LAGS = 1 + _PANEL_ORDER**2 // 2
 # The lag rule splits its first panel [0, 1/P] into [2^-k, 2^(1-k)]/P for
@@ -111,15 +114,16 @@ def graded_unit_rule(n_panels: int):
 
 
 @lru_cache(maxsize=64)
-def _ordered_rule(n_panels: int):
-    """``graded_unit_rule(n_panels)`` nodes ``t`` with the two weight rows
-    ``w`` and ``w * (1 - t)`` of ``ordered_double_integral``."""
+def _ordered_rule(n_panels: int, kappa: float):
+    """``graded_unit_rule(n_panels)`` nodes ``t`` raised to kappa (``t``
+    itself at kappa 1), with the two weight rows ``w`` and ``w * (1 - t)``
+    of ``ordered_double_integral``, which needs ``t`` only in the kernel."""
     t, w = graded_unit_rule(n_panels)
-    return _read_only(t, np.stack([w, w * (1.0 - t)]))
+    return _read_only(t if kappa == 1 else t**kappa, np.stack([w, w * (1.0 - t)]))
 
 
 @lru_cache(maxsize=None)
-def _square_rule():
+def _square_table():
     """Depth-independent pieces of ``square_double_integral``.
 
     The 16-point rule is symmetric, ``t_(15-a) = 1 - t_a`` and
@@ -161,6 +165,14 @@ def _square_rule():
     return _read_only(lags, weights)
 
 
+@lru_cache(maxsize=8)
+def _square_rule(kappa: float):
+    """``_square_table``'s lags raised to kappa (the table itself at kappa
+    1), with its one pair of weight rows."""
+    lags, weights = _square_table()
+    return _read_only(lags if kappa == 1 else lags**kappa, weights)
+
+
 def _support(kernel: CorrelationKernel) -> float:
     """The lag ``U`` past which the kernel is below ``e^-40 C``."""
     return kernel.correlation_length * _SUPPORT_DECAY ** (1.0 / kernel.exponent)
@@ -184,15 +196,19 @@ def ordered_double_integral(kernel: CorrelationKernel, z: float) -> float:
     ``V ((z - V) sum w phi(V t) + V sum w (1 - t) phi(V t))``.  One kernel
     value per node of a panelized rule on [0, V], panels sized to one
     correlation length, the first panel graded toward the lag-0 endpoint
-    where ``u**kappa`` is singular for non-integer kappa.  ``z`` is one
+    where ``u**kappa`` is singular for non-integer kappa.  The nodes'
+    powers ``t**kappa`` are cached per kappa, so the kernel values cost one
+    multiply by ``(V/zeta)**kappa <= 40`` and one exp.  ``z`` is one
     depth; an array of depths raises ValueError.
     """
     z = one_depth(z)
     if z == 0:
         return 0.0
     span = min(z, _support(kernel))
-    t, weights = _ordered_rule(_panel_count(span, kernel.correlation_length))
-    phi_sum, lag_sum = (weights @ kernel.evaluate(span * t, 0.0)).tolist()
+    powers, weights = _ordered_rule(
+        _panel_count(span, kernel.correlation_length), kernel.exponent
+    )
+    phi_sum, lag_sum = (weights @ kernel.evaluate_scaled(span, powers)).tolist()
     return span * ((z - span) * phi_sum + span * lag_sum)
 
 
@@ -215,7 +231,9 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     ``d = 1 + ceil(U / h)`` hold only lags beyond the kernel's support
     ``U = zeta * 40^(1/kappa)`` and are left out of the sum; the weights
     ``P - d`` of the others stay exact counts.  Each distinct lag of the
-    sum is evaluated once (``_square_rule``), and the sum is
+    sum is evaluated once, from the powers ``lags**kappa`` that
+    ``_square_rule`` caches per kappa, by one multiply by
+    ``(h/zeta)**kappa <= 1`` and one exp, and the sum is
     ``h^2 (P (A . phi) + B . phi)``, from one ``(2, n) @ (n,)`` product.
     ``z`` is one depth; an array of depths raises ValueError.
     """
@@ -226,7 +244,7 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     h = z / panels
     # U / h, capped at P: a subnormal h must not divide U.
     blocks = min(panels - 1, 1 + math.ceil(min(_support(kernel) / z, 1.0) * panels))
-    lags, weights = _square_rule()
+    powers, weights = _square_rule(kernel.exponent)
     n = _DIAGONAL_LAGS + _BLOCK_LAGS * blocks
-    per_panel, by_offset = (weights[:, :n] @ kernel.evaluate(h * lags[:n], 0.0)).tolist()
+    per_panel, by_offset = (weights[:, :n] @ kernel.evaluate_scaled(h, powers[:n])).tolist()
     return h * h * (panels * per_panel + by_offset)

@@ -892,6 +892,35 @@ def test_an_euler_check_past_the_float_range_exits_1_and_writes_no_csv(tmp_path,
     )
 
 
+@pytest.mark.parametrize(
+    "amplitude, modes, message",
+    [
+        ("1e3", "beer,paper,exact", "the exact closed form's mean intensity is not "
+         "finite at depth z = 1.9 cm"),
+        ("1e3", "beer,paper,mc", "the paper closed form's mean intensity is not "
+         "finite at depth z = 3.1 cm"),
+        ("1e300", "beer,paper,exact,mc,euler-check", "the exact closed form's mean "
+         "intensity is not finite at depth z = 0.1 cm"),
+    ],
+    ids=["exact-from-1.9", "paper-from-3.1", "every-depth"],
+)
+def test_a_closed_form_past_the_float_range_exits_1_and_writes_no_csv(
+    tmp_path, amplitude, modes, message
+):
+    # The boost exp(gain alpha^2 sigma_a^2 C Y(z)) passes the float range;
+    # the run stops before the ensemble and the Euler check start.
+    proc, csv = _run_cli(
+        tmp_path, "--amplitude", amplitude, "--modes", modes, "--paths", "4"
+    )
+    assert proc.returncode == 1 and csv is None
+    assert not (tmp_path / "out.csv").exists()
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"slabatten: error: {message}: its boost "
+        "exp(gain*alpha^2*sigma_a^2*C*Y(z)) overflows\n"
+    )
+
+
 def test_slab_integral_moments_past_the_float_range_are_not_available(tmp_path):
     # The slab integrals are about 1e160, so their squares overflow; every
     # CSV column stays finite, as alpha 1e-200 keeps each pair factor at 1.

@@ -574,15 +574,15 @@ class TestRunEnsemble:
         # kernel's support
         kernel = CorrelationKernel(20.0, 0.01, 1.0)
         sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.8, i0=10.0), kernel)
-        evaluate = CorrelationKernel.evaluate
+        evaluate_scaled = CorrelationKernel.evaluate_scaled
         sizes = []
 
-        def counting(self, z1, z2):
-            out = evaluate(self, z1, z2)
+        def counting(self, scale, powers):
+            out = evaluate_scaled(self, scale, powers)
             sizes.append(np.size(out))
             return out
 
-        monkeypatch.setattr(CorrelationKernel, "evaluate", counting)
+        monkeypatch.setattr(CorrelationKernel, "evaluate_scaled", counting)
         with pytest.warns(ReliabilityWarning):
             run_ensemble(sm, Grid.for_kernel(10.0, kernel), 4, master_seed=1)
         assert 0 < sum(sizes) < 1e6

@@ -1,16 +1,28 @@
 """Panelized Gauss-Legendre evaluators for the covariance integrals."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
 
+import slabatten
 from slabatten import CorrelationKernel, ordered_double_integral, square_double_integral
+from slabatten.grf import _GUARDED_ZETA
 from slabatten.quadrature import (
+    _BLOCK_LAGS,
+    _DIAGONAL_LAGS,
     _ordered_rule,
+    _panel_count,
     _square_rule,
+    _square_table,
+    _support,
     _unit_panel_rule,
     composite_unit_rule,
     graded_unit_rule,
@@ -57,6 +69,28 @@ def _unfolded_square(kernel, z):
     return h * h * total
 
 
+def _ordered_by_evaluate(kernel, z):
+    """``ordered_double_integral`` with the kernel evaluated at the lags
+    ``span * t`` themselves, on the same rule."""
+    span = min(z, _support(kernel))
+    # kappa 1's powers are the nodes themselves
+    t, weights = _ordered_rule(_panel_count(span, kernel.correlation_length), 1.0)
+    phi_sum, lag_sum = weights @ kernel.evaluate(span * t, 0.0)
+    return span * ((z - span) * phi_sum + span * lag_sum)
+
+
+def _square_by_evaluate(kernel, z):
+    """``square_double_integral`` with the kernel evaluated at the lags
+    ``h * lags`` themselves, on the same rule."""
+    panels = _panel_count(z, kernel.correlation_length)
+    h = z / panels
+    blocks = min(panels - 1, 1 + math.ceil(min(_support(kernel) / z, 1.0) * panels))
+    lags, weights = _square_table()
+    n = _DIAGONAL_LAGS + _BLOCK_LAGS * blocks
+    per_panel, by_offset = weights[:, :n] @ kernel.evaluate(h * lags[:n], 0.0)
+    return h * h * (panels * per_panel + by_offset)
+
+
 def _dense_square(kernel, z, panels):
     """The tensor-product rule over [0, z]^2 evaluated on every node pair."""
     t, w = composite_unit_rule(panels)
@@ -92,14 +126,27 @@ class TestCompositeRule:
         for p in range(10):
             assert (w @ nodes**p) == pytest.approx(1.0 / (p + 1), rel=1e-13)
 
+    def test_no_rule_is_built_at_import(self):
+        # a CLI call that never integrates must not pay for the tables
+        code = (
+            "from slabatten import quadrature as q; "
+            "print([f.cache_info().currsize for f in "
+            "(q._unit_panel_rule, q._ordered_rule, q._square_table, q._square_rule)])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(slabatten.__file__).parents[1])},
+        ).stdout
+        assert out.strip() == "[0, 0, 0, 0]"
+
     @pytest.mark.parametrize(
         "rule",
         [
             _unit_panel_rule,
             lambda: composite_unit_rule(3),
             lambda: graded_unit_rule(3),
-            lambda: _ordered_rule(3),
-            _square_rule,
+            lambda: [a for kappa in (1.0, 1.5, 2.0) for a in _ordered_rule(3, kappa)],
+            lambda: [a for kappa in (1.0, 1.5, 2.0) for a in _square_rule(kappa)],
         ],
         ids=["unit", "composite", "graded", "ordered", "square"],
     )
@@ -251,15 +298,15 @@ class TestAtAnyDepth:
         # the square route sums at most 47 offset blocks of 129 distinct
         # lags after the diagonal's 136; the ordered route at most 47
         # panels plus 14 graded ones of 16 nodes
-        evaluate = CorrelationKernel.evaluate
+        evaluate_scaled = CorrelationKernel.evaluate_scaled
         sizes = []
 
-        def counting(self, z1, z2):
-            out = evaluate(self, z1, z2)
+        def counting(self, scale, powers):
+            out = evaluate_scaled(self, scale, powers)
             sizes.append(np.size(out))
             return out
 
-        monkeypatch.setattr(CorrelationKernel, "evaluate", counting)
+        monkeypatch.setattr(CorrelationKernel, "evaluate_scaled", counting)
         kernel = CorrelationKernel(1.0, self.ZETA, kappa)
         for route, bound in (
             (square_double_integral, 136 + 129 * 47),
@@ -269,3 +316,63 @@ class TestAtAnyDepth:
                 sizes.clear()
                 route(kernel, depth_ratio * self.ZETA)
                 assert len(sizes) == 1 and sizes[0] <= bound, (route.__name__, sizes)
+
+
+class TestCachedLagPowers:
+    """Both routes read the kernel from cached powers ``u**kappa`` of their
+    unit lags, ``C exp(-(s/zeta)**kappa u**kappa)`` at the depth's scale
+    ``s``, where the kernel's own formula is ``C exp(-(s u / zeta)**kappa)``."""
+
+    KAPPAS = [1.0, 1.2, 1.5, 2.0]
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("zeta", [1e-200, 0.3, 1.0, 1e120])
+    def test_scaled_evaluation_matches_evaluate(self, kappa, zeta):
+        # exp's condition number is its argument, so the two agree to
+        # 1e-15 relative where it is at most 1, and in proportion beyond
+        kernel = CorrelationKernel(1.7, zeta, kappa)
+        lags, _ = _square_table()
+        for ratio in np.geomspace(1e-6, 40.0 ** (1.0 / kappa), 25):
+            scale = ratio * zeta
+            expected = kernel.evaluate(scale * lags, 0.0)
+            got = kernel.evaluate_scaled(scale, lags**kappa)
+            argument = (ratio * lags) ** kappa
+            kept = expected > 1e-300
+            rel = np.abs(got - expected)[kept] / expected[kept]
+            assert np.all(rel <= 1e-15 * np.maximum(1.0, argument[kept])), ratio
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("depth_ratio", [1e-3, 0.1, 3.0, 47.5, 1e3, 1e8])
+    def test_routes_match_the_kernel_evaluated_at_their_lags(self, kappa, depth_ratio):
+        kernel = CorrelationKernel(1.7, 0.3, kappa)
+        z = depth_ratio * 0.3
+        assert ordered_double_integral(kernel, z) == pytest.approx(
+            _ordered_by_evaluate(kernel, z), rel=1e-14, abs=0.0
+        )
+        assert square_double_integral(kernel, z) == pytest.approx(
+            _square_by_evaluate(kernel, z), rel=1e-14, abs=0.0
+        )
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize(
+        "zeta, z",
+        [
+            (1e-3 * _GUARDED_ZETA, 2.5e-103),  # evaluate's guarded branch
+            (1e-3 * _GUARDED_ZETA, 1e-95),
+            (1.0, 1e-170),  # (z / zeta)**kappa underflows to 0 at kappa 2
+            (1e10, 1e-300),  # z / zeta is subnormal
+        ],
+    )
+    def test_tiny_correlation_lengths_and_depths_stay_finite(self, kappa, zeta, z):
+        kernel = CorrelationKernel(1.7, zeta, kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ordered = ordered_double_integral(kernel, z)
+            square = square_double_integral(kernel, z)
+            references = _ordered_by_evaluate(kernel, z), _square_by_evaluate(kernel, z)
+        assert math.isfinite(ordered) and math.isfinite(square)
+        assert (ordered, square) == pytest.approx(references, rel=1e-14, abs=0.0)
+        if z < 1e-100 * zeta:
+            # the kernel is C over [0, z]: Y = C z^2 / 2
+            assert ordered == pytest.approx(0.5 * 1.7 * z * z, rel=1e-14)
+            assert square == pytest.approx(1.7 * z * z, rel=1e-14)
