@@ -72,6 +72,18 @@ def theta(kernel: CorrelationKernel, z):
     return kernel.amplitude * (0.5 * _SQRT_PI * zeta * _erf(z / zeta))
 
 
+def _unit_outer_y(kernel: CorrelationKernel, z):
+    """Y(z) of ``outer_y``: its value at amplitude C = 1."""
+    _require_squared_exponential(kernel)
+    zeta = kernel.correlation_length
+    z = checked_depths(z)
+    u = z / zeta
+    # u * u, not u**2: a scalar's ** is libm pow, which differs from the
+    # array square in the last bit for about 1 in 1 300 depths.  expm1, not
+    # exp - 1, which cancels for z << zeta.
+    return 0.5 * zeta * (_SQRT_PI * z * _erf(u) + zeta * np.expm1(-(u * u)))
+
+
 def outer_y(kernel: CorrelationKernel, z):
     """Ordered covariance integral C * Y(z), Y(z) = int_0^z W(z1) dz1, in
     closed form: the erf twin of ``ordered_double_integral(kernel, z)``.
@@ -81,15 +93,7 @@ def outer_y(kernel: CorrelationKernel, z):
     large-z asymptote (zeta/2)*(sqrt(pi)*z - zeta).  Units cm^2.  A scalar
     depth gives a float.
     """
-    _require_squared_exponential(kernel)
-    zeta = kernel.correlation_length
-    z = checked_depths(z)
-    u = z / zeta
-    # u * u, not u**2: a scalar's ** is libm pow, which differs from the
-    # array square in the last bit for about 1 in 1 300 depths.  expm1, not
-    # exp - 1, which cancels for z << zeta.
-    y = 0.5 * zeta * (_SQRT_PI * z * _erf(u) + zeta * np.expm1(-(u * u)))
-    return kernel.amplitude * y
+    return kernel.amplitude * _unit_outer_y(kernel, z)
 
 
 @dataclass(frozen=True)
@@ -110,13 +114,16 @@ def averaged_intensity(law: AveragedLaw, z):
 
     Beer's decay times a boost that is 1 at z = 0 and grows with z,
     formed in one exp: deep in the slab Beer's factor underflows and the
-    boost overflows where the mean itself is finite.  Reduces exactly to
-    Beer's law at alpha = 0 and at z = 0 returns the incident intensity.
+    boost overflows where the mean itself is finite.  The gain takes C before
+    Y(z), and at alpha = 0 no Y(z) is formed, so neither a C Y(z) nor a Y(z)
+    past the float range reads as an overflow (0 * inf): the law is exactly
+    Beer's at alpha = 0, and the incident intensity at z = 0.
     """
     m = law.medium
     z = checked_depths(z)
-    gain = law.convention.gain * m.alpha**2 * m.sigma_a**2
-    return m.i0 * np.exp(gain * outer_y(law.kernel, z) - m.sigma_a * z)
+    gain = law.convention.gain * m.alpha**2 * m.sigma_a**2 * law.kernel.amplitude
+    boost = gain * _unit_outer_y(law.kernel, z) if gain else 0.0
+    return m.i0 * np.exp(boost - m.sigma_a * z)
 
 
 def cumulant_series_exponent(

@@ -179,7 +179,7 @@ class CorrelationKernel:
         """``evaluate(scale * u, 0.0)`` at unit lags ``u >= 0`` given
         ``powers = u**kappa``: ``C exp(-(scale / zeta)**kappa powers)``, one
         multiply and one exp.  ``(scale / zeta)**kappa`` must not overflow
-        (the quadrature keeps it at most 40); where it underflows the kernel
+        (the quadrature keeps it at most 1); where it underflows the kernel
         is its exact limit C."""
         out = np.multiply(powers, -((scale / self.correlation_length) ** self.exponent))
         np.exp(out, out=out)

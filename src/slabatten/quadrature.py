@@ -30,17 +30,15 @@ The square route deliberately does not use the lag identity: it stays a
 second, independent discretization of the same variance, so agreement
 between ``square = 2 * ordered`` checks both.
 
-Everything that does not depend on the depth is cached with the 16-point
-rule and frozen read-only: the graded nodes' weights ``w`` and lag
-weights ``w (1 - t)``, and one lag table in units of the panel width with
-its two weight rows (``_square_table``): the diagonal's 136 distinct
-lags, then the 129 distinct lags ``d + t_a - t_b`` of each offset block,
-the counts ``P - d`` folded into the weights.  A call's lags are unit
-lags ``u`` times one scale ``s``, the span ``V`` or the panel width ``h``,
-so each rule keeps ``u**kappa``, cached per kappa on first use
-(``_ordered_rule``, ``_square_rule``; kappa 1 keeps ``u``).  One depth
-then costs one scalar ``(s/zeta)**kappa <= 40``, one multiply, one exp
-(``CorrelationKernel.evaluate_scaled``) and one ``(2, n) @ (n,)`` product.
+Everything that does not depend on the depth is built on first use and
+frozen read-only: the 16-point rule, stored as numpy's ``leggauss(16)``
+gives it, and one table of unit lags per route, in panel widths, with
+two weight rows (``_ordered_table``, ``_square_table``).  A call reads a
+prefix of its route's table at one scale ``s``, the panel width ``V/P``
+or ``h``, at most zeta, from the table's ``u**kappa`` cached per kappa
+(``_raised``; kappa 1 keeps ``u``): one scalar ``(s/zeta)**kappa <= 1``,
+one multiply, one exp (``CorrelationKernel.evaluate_scaled``) and one
+``(2, n) @ (n,)`` product.
 """
 
 from __future__ import annotations
@@ -49,16 +47,25 @@ import math
 from functools import lru_cache
 
 import numpy as np
-# Imported here, not through np.polynomial on first use, so the first
-# integral does not pay for loading numpy.polynomial.
-from numpy.polynomial.legendre import leggauss
 
 from .grf import CorrelationKernel, one_depth
 
 _PANEL_ORDER = 16
+# numpy's leggauss(16) on [-1, 1], bit for bit, as the positive nodes and
+# weights of the symmetric rule: no eigen-solve and no numpy.polynomial.
+_GAUSS_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GAUSS_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
 _MIN_PANELS = 8
 # Past the lag zeta * _SUPPORT_DECAY**(1/kappa) the kernel is below e^-40 C.
 _SUPPORT_DECAY = 40.0
+# Ordered-route panels ceil(V/zeta) <= 41: V <= 40 zeta, but V/zeta can round past 40.
+_ORDERED_PANELS = math.ceil(_SUPPORT_DECAY) + 1
 # The most square-route blocks 1 + ceil(U/h) can reach, 47: U <= 40 zeta for
 # kappa >= 1, and once ceil(z/zeta) >= 8 panels, z/zeta > 7 and
 # h > 7 zeta / 8, so U/h < 320/7; fewer panels leave at most 7 blocks.
@@ -67,11 +74,11 @@ _MAX_OFFSET_BLOCKS = 1 + math.ceil(_SUPPORT_DECAY * _MIN_PANELS / (_MIN_PANELS -
 # block (129), by the symmetry of the 16-point rule (_square_table).
 _DIAGONAL_LAGS = _PANEL_ORDER * (_PANEL_ORDER + 1) // 2
 _BLOCK_LAGS = 1 + _PANEL_ORDER**2 // 2
-# The lag rule splits its first panel [0, 1/P] into [2^-k, 2^(1-k)]/P for
-# k = 1..14 plus [0, 2^-14]/P: for non-integer kappa, u**kappa is not
-# smooth at u = 0.  Against 30-digit adaptive quadrature the ordered route
-# is off by 8e-8 relative at kappa = 1.5 without grading, by 1e-13 at
-# kappa = 1.05 with 10 levels and by at most 5e-16 with 14.
+# The lag rule splits its first panel [0, 1] into [2^-k, 2^(1-k)] for
+# k = 1..14 plus [0, 2^-14], in panel widths: for non-integer kappa,
+# u**kappa is not smooth at u = 0.  Against 30-digit adaptive quadrature the
+# ordered route is off by 8e-8 relative at kappa = 1.5 without grading, by
+# 1e-13 at kappa = 1.05 with 10 levels and by at most 5e-16 with 14.
 _GRADING_LEVELS = 14
 
 
@@ -85,52 +92,36 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=None)
 def _unit_panel_rule():
-    nodes, weights = leggauss(_PANEL_ORDER)
+    x, w = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
+    nodes, weights = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
     return _read_only((nodes + 1.0) / 2.0, weights / 2.0)
 
 
-def composite_unit_rule(n_panels: int):
-    """Nodes and weights of a panelized Gauss-Legendre rule on [0, 1]."""
-    if n_panels < 1:
-        raise ValueError(f"n_panels must be >= 1, got {n_panels}")
-    base, weights = _unit_panel_rule()
-    offsets = np.arange(n_panels)[:, None] / n_panels
-    nodes = (offsets + base[None, :] / n_panels).ravel()
-    return _read_only(nodes, np.tile(weights / n_panels, n_panels))
-
-
-def graded_unit_rule(n_panels: int):
-    """``composite_unit_rule(n_panels)`` with its first panel graded
-    geometrically toward 0 over ``_GRADING_LEVELS`` halvings."""
+@lru_cache(maxsize=None)
+def _ordered_table():
+    """Depth-independent pieces of ``ordered_double_integral``, in panel
+    widths: the nodes ``tau`` of the first panel's 15 graded subpanels, then
+    ``k + t`` for the panels ``k = 1.._ORDERED_PANELS - 1`` (a rule of ``P``
+    panels is the first ``16 (P + 14)``), and the weight rows ``w_hat`` and
+    ``w_hat * tau``."""
     t, w = _unit_panel_rule()
-    nodes, weights = composite_unit_rule(n_panels)
     halvings = np.ldexp(1.0, -np.arange(1, _GRADING_LEVELS + 1))
-    lefts = np.append(halvings, 0.0) / n_panels
-    widths = np.append(halvings, halvings[-1]) / n_panels
-    return _read_only(
-        np.concatenate([(lefts[:, None] + widths[:, None] * t).ravel(), nodes[t.size :]]),
-        np.concatenate([(widths[:, None] * w).ravel(), weights[t.size :]]),
-    )
-
-
-@lru_cache(maxsize=64)
-def _ordered_rule(n_panels: int, kappa: float):
-    """``graded_unit_rule(n_panels)`` nodes ``t`` raised to kappa (``t``
-    itself at kappa 1), with the two weight rows ``w`` and ``w * (1 - t)``
-    of ``ordered_double_integral``, which needs ``t`` only in the kernel."""
-    t, w = graded_unit_rule(n_panels)
-    return _read_only(t if kappa == 1 else t**kappa, np.stack([w, w * (1.0 - t)]))
+    lefts = np.append(halvings, 0.0)[:, None]
+    widths = np.append(halvings, halvings[-1])[:, None]
+    panels = np.arange(1.0, _ORDERED_PANELS)[:, None]
+    tau = np.concatenate([(lefts + widths * t).ravel(), (panels + t).ravel()])
+    weights = np.concatenate([(widths * w).ravel(), np.tile(w, panels.size)])
+    return _read_only(tau, np.stack([weights, weights * tau]))
 
 
 @lru_cache(maxsize=None)
 def _square_table():
     """Depth-independent pieces of ``square_double_integral``.
 
-    The 16-point rule is symmetric, ``t_(15-a) = 1 - t_a`` and
-    ``w_(15-a) = w_a``, once its upper nodes are built as exactly ``1 - t``
-    of its lower ones (leggauss's are off by at most 5.6e-17), so each
-    distinct lag of the tensor-product sum is kept once, with the summed
-    weights of the node pairs that carry it.  One lag table in units of
+    The 16-point rule is symmetric bit for bit, ``t_(15-a) = 1 - t_a`` for
+    ``a < 8`` (not for ``a >= 8``: 5.6e-17 off) and ``w_(15-a) = w_a``, so
+    each distinct lag of the tensor-product sum is kept once, with the
+    summed weights of the node pairs that carry it.  One lag table in units of
     the panel width: the diagonal split's lags ``t_a t_b`` for ``a <= b``
     (136 of 512: the part lengths ``s`` and ``1 - s`` give the same lags,
     and ``(a, b)`` and ``(b, a)`` the same product), then those of each
@@ -142,8 +133,6 @@ def _square_table():
     times ``-2 d``, so the counts ``P - d`` stay exact.
     """
     t, w = _unit_panel_rule()
-    half = _PANEL_ORDER // 2
-    t = np.concatenate([t[:half], 1.0 - t[half - 1 :: -1]])
     d = np.arange(1.0, _MAX_OFFSET_BLOCKS + 1)[:, None]
     lags = np.empty(_DIAGONAL_LAGS + _BLOCK_LAGS * d.size)
     weights = np.zeros((2, lags.size))
@@ -165,11 +154,11 @@ def _square_table():
     return _read_only(lags, weights)
 
 
-@lru_cache(maxsize=8)
-def _square_rule(kappa: float):
-    """``_square_table``'s lags raised to kappa (the table itself at kappa
-    1), with its one pair of weight rows."""
-    lags, weights = _square_table()
+@lru_cache(maxsize=16)
+def _raised(table, kappa: float):
+    """The unit lags of ``table()`` (``_ordered_table`` or ``_square_table``)
+    raised to kappa (the lags themselves at kappa 1), with its weight rows."""
+    lags, weights = table()
     return _read_only(lags if kappa == 1 else lags**kappa, weights)
 
 
@@ -196,20 +185,23 @@ def ordered_double_integral(kernel: CorrelationKernel, z: float) -> float:
     ``V ((z - V) sum w phi(V t) + V sum w (1 - t) phi(V t))``.  One kernel
     value per node of a panelized rule on [0, V], panels sized to one
     correlation length, the first panel graded toward the lag-0 endpoint
-    where ``u**kappa`` is singular for non-integer kappa.  The nodes'
-    powers ``t**kappa`` are cached per kappa, so the kernel values cost one
-    multiply by ``(V/zeta)**kappa <= 40`` and one exp.  ``z`` is one
+    where ``u**kappa`` is singular for non-integer kappa.  The nodes are
+    ``t = tau / P``, the first ``16 (P + 14)`` of ``_ordered_table``, so the
+    sums are ``A / P`` and ``A / P - B / P^2`` for the sums ``A`` and ``B``
+    of its two weight rows, read at the scale ``V / P <= zeta``: one
+    multiply by ``(V/(P zeta))**kappa <= 1`` and one exp.  ``z`` is one
     depth; an array of depths raises ValueError.
     """
     z = one_depth(z)
     if z == 0:
         return 0.0
     span = min(z, _support(kernel))
-    powers, weights = _ordered_rule(
-        _panel_count(span, kernel.correlation_length), kernel.exponent
-    )
-    phi_sum, lag_sum = (weights @ kernel.evaluate_scaled(span, powers)).tolist()
-    return span * ((z - span) * phi_sum + span * lag_sum)
+    panels = _panel_count(span, kernel.correlation_length)
+    powers, weights = _raised(_ordered_table, kernel.exponent)
+    n = _PANEL_ORDER * (panels + _GRADING_LEVELS)
+    a, b = (weights[:, :n] @ kernel.evaluate_scaled(span / panels, powers[:n])).tolist()
+    phi_sum = a / panels
+    return span * ((z - span) * phi_sum + span * (phi_sum - b / panels**2))
 
 
 def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
@@ -232,7 +224,7 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     ``U = zeta * 40^(1/kappa)`` and are left out of the sum; the weights
     ``P - d`` of the others stay exact counts.  Each distinct lag of the
     sum is evaluated once, from the powers ``lags**kappa`` that
-    ``_square_rule`` caches per kappa, by one multiply by
+    ``_raised`` caches per kappa, by one multiply by
     ``(h/zeta)**kappa <= 1`` and one exp, and the sum is
     ``h^2 (P (A . phi) + B . phi)``, from one ``(2, n) @ (n,)`` product.
     ``z`` is one depth; an array of depths raises ValueError.
@@ -244,7 +236,7 @@ def square_double_integral(kernel: CorrelationKernel, z: float) -> float:
     h = z / panels
     # U / h, capped at P: a subnormal h must not divide U.
     blocks = min(panels - 1, 1 + math.ceil(min(_support(kernel) / z, 1.0) * panels))
-    powers, weights = _square_rule(kernel.exponent)
+    powers, weights = _raised(_square_table, kernel.exponent)
     n = _DIAGONAL_LAGS + _BLOCK_LAGS * blocks
     per_panel, by_offset = (weights[:, :n] @ kernel.evaluate_scaled(h, powers[:n])).tolist()
     return h * h * (panels * per_panel + by_offset)

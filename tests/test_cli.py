@@ -921,6 +921,27 @@ def test_a_closed_form_past_the_float_range_exits_1_and_writes_no_csv(
     )
 
 
+@pytest.mark.parametrize(
+    "flags, rows",
+    [
+        (["--amplitude", "1e308"], 51),
+        (["--zeta", "1e150", "--length", "1e160", "--grid-points", "11"], 11),
+    ],
+    ids=["C-Y-past-the-float-range", "Y-past-the-float-range"],
+)
+def test_a_zero_alpha_gives_beers_law(tmp_path, flags, rows):
+    # C Y(z) passes the float range from z = 2.6 cm at C = 1e308, and Y(z)
+    # itself once zeta z does, yet the boost's gain alpha^2 sigma_a^2 C is 0
+    # and the law is Beer's.
+    proc, _ = _run_cli(tmp_path, *flags, "--alpha", "0", "--modes", "beer,exact")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    _, cells = _read_csv(tmp_path / "out.csv")
+    beer, exact = COLUMNS.index("beer"), COLUMNS.index("averaged_exact")
+    assert len(cells) == rows
+    assert [r[exact] for r in cells] == [r[beer] for r in cells]
+
+
 def test_slab_integral_moments_past_the_float_range_are_not_available(tmp_path):
     # The slab integrals are about 1e160, so their squares overflow; every
     # CSV column stays finite, as alpha 1e-200 keeps each pair factor at 1.

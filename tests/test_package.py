@@ -80,7 +80,8 @@ def test_every_public_name_resolves():
 
 
 # Runs the CLI with scipy unimportable and reports, per command, the exit
-# code and the numpy/scipy modules that were first imported during main().
+# code and the numpy/scipy modules that were first imported during main(),
+# then every numpy.polynomial module loaded by the import or the commands.
 _IMPORT_PROBE = """
 import json, sys
 sys.modules["scipy"] = None
@@ -95,6 +96,8 @@ for argv in json.loads(sys.argv[1]):
     code = slabatten.cli.main(argv)
     results.append({"code": code, "new": sorted(loaded() - before)})
 sys.stderr.write("PROBE " + json.dumps(results) + "\\n")
+polynomial = [k for k in sys.modules if k.split(".")[:2] == ["numpy", "polynomial"]]
+sys.stderr.write("POLYNOMIAL " + json.dumps(sorted(polynomial)) + "\\n")
 """
 
 
@@ -119,6 +122,10 @@ def test_cli_runs_without_scipy_and_imports_nothing_inside_main(tmp_path):
     # A module first loaded inside main() is an import paid in every run's
     # wall time; numpy submodules belong at module import.
     assert results == [{"code": 0, "new": []}] * len(commands)
+    # The quadrature's rule is stored: numpy.polynomial would cost 3-4 ms
+    # of import and about 1.4 MB of peak memory in every run.
+    polynomial = [line for line in proc.stderr.splitlines() if line.startswith("POLYNOMIAL ")]
+    assert json.loads(polynomial[-1][len("POLYNOMIAL "):]) == []
     for i, cmd in enumerate(commands):
         local = tmp_path / f"local{i}.csv"
         assert main(cmd + ["--out", str(local)]) == 0

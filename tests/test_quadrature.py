@@ -9,23 +9,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import special
 from scipy.integrate import quad
 
 import slabatten
-from slabatten import CorrelationKernel, ordered_double_integral, square_double_integral
+from slabatten import (
+    CorrelationKernel,
+    ordered_double_integral,
+    quadrature,
+    square_double_integral,
+)
 from slabatten.grf import _GUARDED_ZETA
 from slabatten.quadrature import (
     _BLOCK_LAGS,
     _DIAGONAL_LAGS,
-    _ordered_rule,
+    _ORDERED_PANELS,
+    _ordered_table,
     _panel_count,
-    _square_rule,
+    _raised,
     _square_table,
     _support,
     _unit_panel_rule,
-    composite_unit_rule,
-    graded_unit_rule,
 )
 
 
@@ -70,13 +75,16 @@ def _unfolded_square(kernel, z):
 
 
 def _ordered_by_evaluate(kernel, z):
-    """``ordered_double_integral`` with the kernel evaluated at the lags
-    ``span * t`` themselves, on the same rule."""
+    """``ordered_double_integral`` on the same rule, written on [0, 1]:
+    ``V ((z - V) sum w phi(V t) + V sum w (1 - t) phi(V t))`` with the
+    kernel evaluated at the lags ``V t`` themselves."""
     span = min(z, _support(kernel))
-    # kappa 1's powers are the nodes themselves
-    t, weights = _ordered_rule(_panel_count(span, kernel.correlation_length), 1.0)
-    phi_sum, lag_sum = weights @ kernel.evaluate(span * t, 0.0)
-    return span * ((z - span) * phi_sum + span * lag_sum)
+    panels = _panel_count(span, kernel.correlation_length)
+    tau, (w_hat, _) = _ordered_table()
+    n = 16 * (panels + 14)
+    t, w = tau[:n] / panels, w_hat[:n] / panels
+    phi = kernel.evaluate(span * t, 0.0)
+    return span * ((z - span) * (w @ phi) + span * ((w * (1.0 - t)) @ phi))
 
 
 def _square_by_evaluate(kernel, z):
@@ -89,6 +97,16 @@ def _square_by_evaluate(kernel, z):
     n = _DIAGONAL_LAGS + _BLOCK_LAGS * blocks
     per_panel, by_offset = weights[:, :n] @ kernel.evaluate(h * lags[:n], 0.0)
     return h * h * (panels * per_panel + by_offset)
+
+
+def composite_unit_rule(n_panels: int):
+    """Nodes and weights of a panelized Gauss-Legendre rule on [0, 1]."""
+    if n_panels < 1:
+        raise ValueError(f"n_panels must be >= 1, got {n_panels}")
+    base, weights = _unit_panel_rule()
+    offsets = np.arange(n_panels)[:, None] / n_panels
+    nodes = (offsets + base[None, :] / n_panels).ravel()
+    return nodes, np.tile(weights / n_panels, n_panels)
 
 
 def _dense_square(kernel, z, panels):
@@ -118,20 +136,59 @@ class TestCompositeRule:
         with pytest.raises(ValueError):
             composite_unit_rule(0)
 
-    def test_graded_rule_integrates_polynomials_exactly(self):
-        # the first panel is split into 15 subpanels, the other 4 kept
-        nodes, w = graded_unit_rule(5)
-        assert nodes.size == 16 * (15 + 4)
+    def test_stored_rule_is_leggauss_bit_for_bit(self):
+        nodes, weights = leggauss(16)
+        t, w = _unit_panel_rule()
+        assert t.tobytes() == ((nodes + 1.0) / 2.0).tobytes()
+        assert w.tobytes() == (weights / 2.0).tobytes()
+
+    def test_stored_rule_folds_onto_its_mirror_image(self):
+        # t_(15-a) = 1 - t_a for a < 8: _square_table keeps one lag of each
+        # mirror pair of node pairs
+        t, w = _unit_panel_rule()
+        assert t[:7:-1].tobytes() == (1.0 - t[:8]).tobytes()
+        assert w[::-1].tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("panels", [5, 8, _ORDERED_PANELS])
+    def test_ordered_table_integrates_polynomials_exactly(self, panels):
+        # the first panel is split into 15 subpanels, the other P - 1 kept;
+        # the second weight row integrates t^(p + 1), in panel widths
+        tau, (w_hat, w_tau) = _ordered_table()
+        n = 16 * (panels + 14)
+        nodes, w = tau[:n] / panels, w_hat[:n] / panels
         assert np.all(nodes > 0.0) and np.all(nodes < 1.0)
         for p in range(10):
             assert (w @ nodes**p) == pytest.approx(1.0 / (p + 1), rel=1e-13)
+            assert (w_tau[:n] @ nodes**p) / panels**2 == pytest.approx(
+                1.0 / (p + 2), rel=1e-13
+            )
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
+    def test_ordered_table_covers_every_panel_count(self, kappa, monkeypatch):
+        # at z >= U the route takes ceil(U / zeta) panels, which the rounding
+        # of U / zeta lifts to 41 for some zeta at kappa 1
+        counts = []
+
+        def counting(span, scale):
+            counts.append(_panel_count(span, scale))
+            return counts[-1]
+
+        monkeypatch.setattr(quadrature, "_panel_count", counting)
+        for zeta in np.geomspace(1.000001 * _GUARDED_ZETA, 1e150, 2001).tolist():
+            kernel = CorrelationKernel(1.0, zeta, kappa)
+            for z in (_support(kernel), 3.0 * _support(kernel)):
+                ordered_double_integral(kernel, z)
+        tau, _ = _ordered_table()
+        assert 16 * (max(counts) + 14) <= tau.size == 16 * (_ORDERED_PANELS + 14)
+        if kappa == 1.0:
+            assert max(counts) == _ORDERED_PANELS
 
     def test_no_rule_is_built_at_import(self):
         # a CLI call that never integrates must not pay for the tables
         code = (
             "from slabatten import quadrature as q; "
             "print([f.cache_info().currsize for f in "
-            "(q._unit_panel_rule, q._ordered_rule, q._square_table, q._square_rule)])"
+            "(q._unit_panel_rule, q._ordered_table, q._square_table, q._raised)])"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -143,12 +200,12 @@ class TestCompositeRule:
         "rule",
         [
             _unit_panel_rule,
-            lambda: composite_unit_rule(3),
-            lambda: graded_unit_rule(3),
-            lambda: [a for kappa in (1.0, 1.5, 2.0) for a in _ordered_rule(3, kappa)],
-            lambda: [a for kappa in (1.0, 1.5, 2.0) for a in _square_rule(kappa)],
+            _ordered_table,
+            _square_table,
+            lambda: [a for kappa in (1.0, 1.5, 2.0) for a in _raised(_ordered_table, kappa)],
+            lambda: [a for kappa in (1.0, 1.5, 2.0) for a in _raised(_square_table, kappa)],
         ],
-        ids=["unit", "composite", "graded", "ordered", "square"],
+        ids=["unit", "ordered-table", "square-table", "ordered", "square"],
     )
     def test_cached_rules_are_read_only(self, rule):
         # every later integral shares the cached arrays
@@ -296,7 +353,7 @@ class TestAtAnyDepth:
     @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
     def test_one_kernel_evaluation_per_call_of_bounded_size(self, kappa, monkeypatch):
         # the square route sums at most 47 offset blocks of 129 distinct
-        # lags after the diagonal's 136; the ordered route at most 47
+        # lags after the diagonal's 136; the ordered route at most 41
         # panels plus 14 graded ones of 16 nodes
         evaluate_scaled = CorrelationKernel.evaluate_scaled
         sizes = []
@@ -310,7 +367,7 @@ class TestAtAnyDepth:
         kernel = CorrelationKernel(1.0, self.ZETA, kappa)
         for route, bound in (
             (square_double_integral, 136 + 129 * 47),
-            (ordered_double_integral, 16 * (47 + 14)),
+            (ordered_double_integral, 16 * (41 + 14)),
         ):
             for depth_ratio in (10.0, 1e4, 1e8):
                 sizes.clear()
