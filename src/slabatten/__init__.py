@@ -14,9 +14,10 @@ grf
     (the exact AR(1) recursion as a prefix-sum scan for kappa = 1, at the
     grid's points or any increasing nodes, a low-rank pivoted Cholesky
     factor for kappa = 2 on resolved grids, dense Cholesky for other
-    kernels and grids), ou_bridge, the exact kappa-1 integral between two nodes,
-    and integral_at, the trapezoid integral of a path or block of paths,
-    plain arrays of grid values, up to given depths.
+    kernels and grids; the pivoted factor also where LAPACK fails), ou_bridge,
+    the exact kappa-1 integral between two nodes, and running_integral,
+    the one integrator of a path or block of paths, plain arrays of node
+    values.
 medium
     The purely absorbing slab: MediumSpec, Beer's decay (beer) and the
     fluctuating absorption coefficient (StochasticMedium).
@@ -29,8 +30,8 @@ quadrature
     Gauss-Legendre evaluation of the ordered and square covariance
     integrals for any kernel, taking ``(kernel, z)``.
 montecarlo
-    Exact pathwise solutions, reproducible parallel ensembles and the
-    lognormal quadrature oracle.
+    Reproducible parallel ensembles of exact pathwise solutions, the Euler
+    cross-check and the lognormal quadrature oracle.
 cli
     The `slabatten` batch experiment runner (CSV curves plus report).
 """
@@ -44,20 +45,18 @@ from .averaged import (
     theta,
 )
 from .errors import (
-    FactorizationFailure,
     FluctuationWarning,
     MemoryBudgetExceeded,
     OutOfDomain,
     ReliabilityWarning,
     SlabModelError,
 )
-from .grf import CorrelationKernel, FieldSampler, Grid, covariance_matrix, integral_at
+from .grf import CorrelationKernel, FieldSampler, Grid, covariance_matrix
 from .medium import MediumSpec, StochasticMedium, beer
 from .montecarlo import (
     EnsembleStats,
     default_depths,
     lognormal_oracle,
-    path_intensity,
     path_intensity_em,
     run_ensemble,
 )
@@ -68,8 +67,9 @@ __version__ = "0.1.0"
 # EnsembleStats is the return type of run_ensemble; SlabModelError is the
 # base class callers catch.  cumulant_series_exponent and lognormal_oracle
 # are referees: the acceptance suite and the benchmark check the closed
-# form and the ensemble against them.  path_intensity referees the Euler
-# integrator in acceptance criterion 9 and the block/row tests.  theta is
+# form and the ensemble against them; the exact pathwise intensity that
+# referees the Euler integrator and the block/row tests is a test helper
+# built on grf.running_integral, the ensemble's one integrator.  theta is
 # the paper's drift C W(z), the derivative of outer_y; the closed form's
 # drift-ODE check in the tests is built on it.
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "CorrelationKernel",
     "EnsembleStats",
     "ExponentConvention",
-    "FactorizationFailure",
     "FieldSampler",
     "FluctuationWarning",
     "Grid",
@@ -92,11 +91,9 @@ __all__ = [
     "covariance_matrix",
     "cumulant_series_exponent",
     "default_depths",
-    "integral_at",
     "lognormal_oracle",
     "ordered_double_integral",
     "outer_y",
-    "path_intensity",
     "path_intensity_em",
     "run_ensemble",
     "square_double_integral",

@@ -13,9 +13,7 @@ leaves one idle.
 Exit codes: 0 success, 1 invalid configuration (any ValueError: a flag
 check's UsageError, an ``--out`` that cannot be written, a run past the
 memory budget, a closed-form intensity, an ensemble mean or SEM or an
-Euler check error that is not finite), 2 numerical failure (covariance
-factorization).
-A run that exits 1 or 2 writes no CSV.
+Euler check error that is not finite).  A run that exits 1 writes no CSV.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaged import AveragedLaw, ExponentConvention, averaged_intensity
-from .errors import FactorizationFailure, FluctuationWarning, ReliabilityWarning
+from .errors import FluctuationWarning, ReliabilityWarning
 from .grf import (
     AR1_ROUTE,
     CHUNK_PATHS,
@@ -82,50 +80,6 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with our exit codes, reading any negative float as a value.
-
-    argparse takes a token after a flag for an option unless it looks like
-    ``-3`` or ``-.5``, so ``--alpha -1e-3`` or ``--sigma-a -inf`` would fail
-    with "expected one argument" before the range checks could name the
-    bound.  A float flag (or, as argparse allows, a prefix of one) followed
-    by a token that parses as a float is joined into ``--flag=token`` first.
-    """
-
-    def __init__(self, *args, **kwargs):
-        self.float_flags = set()  # filled by add_argument, also from super()
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.type is float:
-            self.float_flags.update(action.option_strings)
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        joined = []
-        for token in sys.argv[1:] if args is None else args:
-            if (
-                joined
-                and self._takes_float(joined[-1])
-                and token.startswith("-")
-                and _is_float(token)
-            ):
-                joined[-1] += "=" + token
-            else:
-                joined.append(token)
-        return super().parse_known_args(joined, namespace)
-
-    def _takes_float(self, token: str) -> bool:
-        if token in self.float_flags:
-            return True
-        # An ambiguous prefix stays ambiguous after joining; argparse says so.
-        return (
-            self.allow_abbrev
-            and token.startswith("--")
-            and len(token) > 2
-            and any(flag.startswith(token) for flag in self.float_flags)
-        )
-
     def error(self, message):  # argparse would exit(2); we own the exit codes
         raise UsageError(message)
 
@@ -187,7 +141,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
+    # argparse takes a token after a flag for an option unless it looks like
+    # -3 or -.5, so --alpha -1e-3 or --sigma-a -inf would fail with "expected
+    # one argument" before the range checks could name the bound.  A float
+    # flag, or a -- prefix of one as argparse allows, followed by a token
+    # that parses as a negative float is joined into --flag=token first; an
+    # ambiguous prefix stays ambiguous after joining, and argparse says so.
+    floats = ["--" + k.replace("_", "-") for k, v in _DEFAULTS.items()
+              if isinstance(v, float)]
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        flag = tokens[-1] if tokens else ""
+        if token.startswith("-") and _is_float(token) and flag[2:] and any(
+            f.startswith(flag) for f in floats
+        ):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"--{name.replace('_', '-')}: must be finite, got {value}")
@@ -564,9 +535,6 @@ def main(argv=None) -> int:
         except ValueError as err:
             print(f"slabatten: error: {err}", file=sys.stderr)
             return 1
-        except FactorizationFailure as err:
-            print(f"slabatten: numerical failure: {err}", file=sys.stderr)
-            return 2
     # Each distinct warning once, sorted: the same block at any --workers.
     for line in sorted({f"warning: {w.category.__name__}: {w.message}" for w in caught}):
         print(line)

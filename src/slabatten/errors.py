@@ -1,7 +1,6 @@
 """Exception and warning types shared across the package.
 
-Every error is a ValueError (bad input; CLI exit code 1) except the
-numerical FactorizationFailure (exit code 2).
+Every error is a ValueError (bad input; CLI exit code 1).
 """
 
 
@@ -14,15 +13,6 @@ class OutOfDomain(SlabModelError, ValueError):
     length L, [0, inf) for the rest (NaN included).
 
     Raised by grf.checked_depths, which every call taking a depth uses.
-    """
-
-
-class FactorizationFailure(SlabModelError):
-    """Covariance Cholesky failed even at the largest diagonal jitter.
-
-    A guard on the dense route: every kernel CorrelationKernel accepts is
-    positive definite, so only rounding in a nearly singular grid
-    covariance can bring the factor here.
     """
 
 

@@ -26,13 +26,14 @@ least as fine as ``Grid.for_kernel``'s the squared-exponential kernel
 Cholesky factor (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62,
 428, 2012), stopped once no node's left-out variance exceeds ``1e-12 C``,
 and a path takes ``r`` normals.  Every other kernel and grid takes the
-``(n, n)`` LAPACK Cholesky factor of ``M`` plus a diagonal jitter of at
-least ``1e-12 C``.  A path is a plain array of node values, ``(n,)``
+``(n, n)`` LAPACK Cholesky factor of ``M`` plus a diagonal jitter of
+``1e-12 C``, or the pivoted factor where LAPACK rejects that matrix, so
+the factor cannot fail.  A path is a plain array of node values, ``(n,)``
 for one path or ``(rows, n)`` for a block, and ``running_integral``
 integrates it as one weighted running sum over neighbouring nodes: the
-trapezoid rule on the grid (``integral_at``), matching the Riemann-sum
-definition of the stochastic integral, or on the AR(1) route each step's
-exact OU-bridge mean given its two ends (``ou_bridge``).
+trapezoid rule on the grid, matching the Riemann-sum definition of the
+stochastic integral, or on the AR(1) route each step's exact OU-bridge
+mean given its two ends (``ou_bridge``).
 """
 
 from __future__ import annotations
@@ -45,16 +46,17 @@ import numpy as np
 # cost out of the first tile drawn.
 from numpy.random import SeedSequence, default_rng
 
-from .errors import FactorizationFailure, MemoryBudgetExceeded, OutOfDomain
+from .errors import MemoryBudgetExceeded, OutOfDomain
 
-# Diagonal jitter ladder for the Cholesky factorization, relative to the
-# kernel amplitude: start at 1e-12*C, multiply by 10 on failure, stop at
-# 1e-6*C.  Rounding can leave a nearly singular covariance indefinite at
-# the first rung: kappa 2, zeta 1e6 and L 5 on 9 400 points needed 1e-11*C
-# (on 8 500 points 1e-12*C sufficed); that grid now takes the pivoted
-# factor, rank 2.  The pivoted factor stops at the first rung's level: it
-# leaves out at most that much variance per node.
-_JITTER_EXPONENTS = range(-12, -5)
+# Relative to the kernel amplitude C: the diagonal jitter of the LAPACK
+# factor and the most variance the pivoted factor leaves out at a node.
+# Where rounding leaves a covariance indefinite at this jitter, the pivoted
+# factor, which cannot fail, takes over.  Of 75 kernel/grid pairs probed
+# (kappa 1.0001 to 2, up to 9 400 points), two were indefinite here, and
+# both take the pivoted factor: kappa 2, zeta 1e6, L 5 on 9 400 points as
+# a resolved grid, and kappa 1.9999, zeta 1e8, L 5 on 4 001 points
+# through that fallback (rank 1).
+_JITTER = 1e-12
 # Grid.for_kernel resolves the correlation length with this many nodes.
 _POINTS_PER_LENGTH = 10
 # Paths per keyed stream: an ensemble draws block c of its paths, mirrored
@@ -79,13 +81,6 @@ _SCAN_EXPONENT = 300.0
 # Terms of ou_bridge's series for x - 2 tanh(x/2), x < 2: the last one
 # kept is below 1e-16 of the sum there.
 _BRIDGE_TERMS = 10
-# Below this correlation length a scaled lag |dz|/zeta of slab size can
-# pass the float range, or its power can, so CorrelationKernel.evaluate
-# ignores overflow there.  Above it overflow needs lags past 1e54 cm, and
-# the guard is not free: np.errstate costs 1-3 us per entry, and when the
-# quadrature evaluated the kernel here, once per call, 2 040 times in a
-# 256-depth sweep of four kernels, it ran 8-12 % slower with the guard on.
-_GUARDED_ZETA = 1e-100
 # FieldSampler.route values.
 AR1_ROUTE = "ar1"
 CHOLESKY_ROUTE = "cholesky"
@@ -157,15 +152,10 @@ class CorrelationKernel:
         if out.ndim == 0:
             out = np.asarray(out)
         np.abs(out, out=out)
-        # x**1 and x*1 are x: those passes are skipped, bit for bit.
-        if self.correlation_length < _GUARDED_ZETA:
-            # The kernel value where the scaled lag or its power overflows
-            # is exp(-inf) = 0, the exact limit.
-            with np.errstate(over="ignore"):
-                out /= self.correlation_length
-                if self.exponent != 1:
-                    out **= self.exponent
-        else:
+        # x**1 and x*1 are x: those passes are skipped, bit for bit.  The
+        # kernel value where the scaled lag or its power overflows is
+        # exp(-inf) = 0, the exact limit.
+        with np.errstate(over="ignore"):
             out /= self.correlation_length
             if self.exponent != 1:
                 out **= self.exponent
@@ -318,26 +308,6 @@ def depth_reader(nodes: np.ndarray, depths: np.ndarray, spacing: float):
     return lambda sums: np.take(sums, idx, -1) * below + np.take(sums, upper, -1) * frac
 
 
-def integral_at(grid: Grid, values, depths):
-    """Trapezoid integral of the field from 0 to each depth, linear between nodes.
-
-    ``values`` holds one path, shape ``(n,)``, or a block of paths, shape
-    ``(rows, n)``, with ``values[..., q]`` the field at Z_q (dimensionless;
-    the integral is in cm), and ``depths`` is a scalar or an array.  The
-    result, ``running_integral`` with weights ``h/2`` read by
-    ``depth_reader`` as the ensemble reads it, has shape
-    ``values.shape[:-1] + np.shape(depths)`` and is exactly 0 at depth 0.
-    Raises ValueError for values of any other shape (``checked_values``)
-    and OutOfDomain for depths outside [0, L], NaN included
-    (``checked_depths``).
-    """
-    values = checked_values(grid, values)
-    depths = np.asarray(checked_depths(depths, grid.length), dtype=float)
-    read = depth_reader(grid.points, depths, grid.spacing)
-    # [()] gives a numpy scalar for one path and one depth
-    return read(running_integral(values, 0.5 * grid.spacing))[()]
-
-
 def ou_bridge(kernel: CorrelationKernel, steps):
     """Exact integral of the kappa = 1 field over each step, given its ends.
 
@@ -387,29 +357,6 @@ def covariance_matrix(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
     return kernel.evaluate(z[:, None], z[None, :])
 
 
-def _cholesky_with_jitter(matrix: np.ndarray, amplitude: float):
-    """Factor ``matrix + jitter*I`` climbing the jitter ladder.
-
-    The jitter is written onto the diagonal of ``matrix`` in place, so
-    the caller must not need the matrix afterwards.  Returns the
-    lower-triangular factor and the jitter that succeeded.  Raises
-    FactorizationFailure once the ladder is exhausted.
-    """
-    diagonal = matrix.diagonal().copy()
-    for expo in _JITTER_EXPONENTS:
-        jitter = amplitude * 10.0**expo
-        np.fill_diagonal(matrix, diagonal + jitter)
-        try:
-            return np.linalg.cholesky(matrix), jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise FactorizationFailure(
-        "covariance is not positive definite even at maximum jitter "
-        f"({amplitude * 10.0 ** _JITTER_EXPONENTS[-1]:.1e}); "
-        "the grid covariance is too nearly singular to factor"
-    )
-
-
 def _pivoted_cholesky(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
     """Transposed ``(r, n)`` pivoted Cholesky factor of the grid covariance:
     its rows are the columns of ``F`` with ``F F^T`` within ``1e-12 C`` of
@@ -419,16 +366,17 @@ def _pivoted_cholesky(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
     takes its residual column ``M[:, i] - F[:, :k] F[i, :k]``, one GEMV over
     the rows found so far, scaled by ``1/sqrt(d_i)``, and subtracts the
     column's squares from ``d``.  It stops once every ``d`` is at most
-    ``C 10**_JITTER_EXPONENTS[0]``: ``d`` is then ``M - F F^T`` on the
-    diagonal, and the rest of that positive semidefinite residual is no
-    larger.  The grid is uniform and the kernel stationary, so column ``i``
-    of ``M`` is a slice of one table of ``2n - 1`` lags: ``n`` kernel values
-    in all, not ``r`` columns of them.
+    ``C _JITTER``: ``d`` is then ``M - F F^T`` on the diagonal, and the rest
+    of that positive semidefinite residual is no larger.  The grid is
+    uniform and the kernel stationary, so column ``i`` of ``M`` is a slice
+    of one table of ``2n - 1`` lags: ``n`` kernel values in all, not ``r``
+    columns of them.  It cannot fail: it takes a square root only of a
+    ``d_i`` above the bound.
     """
     n, amplitude = grid.n_points, kernel.amplitude
     lags = kernel.evaluate(grid.points, 0.0)  # column 0 of covariance_matrix
     table = np.concatenate((lags[:0:-1], lags))  # M[:, i] = table[n-1-i : 2n-1-i]
-    bound = amplitude * 10.0 ** _JITTER_EXPONENTS[0]
+    bound = amplitude * _JITTER
     residual = np.full(n, amplitude)
     rows, square = np.empty((n, n)), np.empty(n)
     rank = 0
@@ -468,9 +416,10 @@ def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
     """Most bytes a FieldSampler on ``n`` nodes holds at once with
     ``streamed`` bytes of tiles beside it: its build, or what it keeps with
     the tiles.  The LAPACK route builds the covariance, its copy and the
-    factor, and any kernel but kappa = 1 is charged that, as the grid picks
-    between it and the pivoted route, whose one ``n x n`` buffer holds no
-    more; the AR(1) route 7 arrays of ``n``, of which it keeps at most 5."""
+    factor, and any kernel but kappa = 1 is charged that, as the grid (or a
+    LAPACK failure, once the covariance is released) picks between it and
+    the pivoted route, whose one ``n x n`` buffer holds no more; the AR(1)
+    route 7 arrays of ``n``, of which it keeps at most 5."""
     if kernel.exponent == 1:
         return max(8 * 7 * n, 8 * 5 * n + streamed)
     return max(8 * 3 * n * n, 8 * n * n + streamed)
@@ -502,7 +451,7 @@ class FieldSampler:
     Paths are drawn at ``nodes``, strictly increasing abscissae in
     ``[0, L]``: the grid's points unless given, and other nodes only on
     the AR(1) route (ValueError otherwise; ``stepping_nodes`` gives an
-    ensemble's).  The kernel alone picks the route.
+    ensemble's).  The kernel and the grid pick the route.
     ``kappa = 1`` uses the exact AR(1) recursion over the steps between
     the nodes (``route == AR1_ROUTE``, with ``rho``, the per-step ratios
     ``exp(-h_k/zeta)``, and ``innovation``, the per-step innovation
@@ -513,7 +462,8 @@ class FieldSampler:
     (``route == PIVOTED_ROUTE``, ``jitter`` 0, and ``left_out``, the most
     variance ``M - F F^T`` leaves out at a node, ``1e-12 C``), else the
     ``(n, n)`` LAPACK factor of ``M + jitter I`` (``route ==
-    CHOLESKY_ROUTE``, with the diagonal ``jitter`` that made it succeed).
+    CHOLESKY_ROUTE``, ``jitter`` ``1e-12 C``), or the pivoted factor
+    where LAPACK rejects that matrix.
     ``rank`` is the normals a path takes, ``n`` on the other routes, and
     ``left_out`` is 0 there.  Sampling is then pure in (seed, chunk,
     count), so a single sampler can be shared read-only across concurrent
@@ -575,15 +525,20 @@ class FieldSampler:
             cuts[k] = n
             self._cuts, self._runs = cuts[: k + 1].copy(), runs[:k].copy()
             return
-        if kernel.exponent == 2 and n - 1 >= _cells_to_resolve(grid.length, kernel):
-            self.route, self.jitter = PIVOTED_ROUTE, 0.0
-            self.factor = _pivoted_cholesky(kernel, grid).T
-            self.rank = self.factor.shape[1]
-            self.left_out = kernel.amplitude * 10.0 ** _JITTER_EXPONENTS[0]
-            return
-        self.factor, self.jitter = _cholesky_with_jitter(
-            covariance_matrix(kernel, grid), kernel.amplitude
-        )
+        if kernel.exponent != 2 or n - 1 < _cells_to_resolve(grid.length, kernel):
+            matrix = covariance_matrix(kernel, grid)
+            self.jitter = kernel.amplitude * _JITTER
+            matrix[np.diag_indices(n)] += self.jitter
+            try:
+                self.factor = np.linalg.cholesky(matrix)
+                return
+            except np.linalg.LinAlgError:
+                pass
+            del matrix  # freed before the pivoted factor's buffer is built
+        self.route, self.jitter = PIVOTED_ROUTE, 0.0
+        self.factor = _pivoted_cholesky(kernel, grid).T
+        self.rank = self.factor.shape[1]
+        self.left_out = kernel.amplitude * _JITTER
 
     def step_weights(self):
         """``(w, v)`` per node: the ``running_integral`` weight and the

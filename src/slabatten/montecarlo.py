@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import ReliabilityWarning
 from .grf import CHUNK_PATHS, CorrelationKernel, FieldSampler, Grid, check_budget
-from .grf import checked_depths, checked_values, depth_reader, integral_at, one_depth
+from .grf import checked_depths, checked_values, depth_reader, one_depth
 from .grf import running_integral, sampler_bytes, stepping_nodes, tile_rows
-from .medium import MediumSpec, StochasticMedium, beer
+from .medium import MediumSpec, StochasticMedium
 from .quadrature import square_double_integral
 
 _MAX_DEFAULT_ROWS = 256
@@ -79,27 +79,17 @@ class EnsembleStats:
     bridge_variance: float
 
 
-def path_intensity(medium: MediumSpec, grid: Grid, values, depths):
-    """Exact pathwise intensity I0*exp(-sigma_a*z - alpha*sigma_a*int_0^z G).
-
-    ``values`` is one path ``(n,)`` or a block ``(rows, n)`` on ``grid``.
-    One value per path row and depth: the result has shape
-    ``values.shape[:-1] + np.shape(depths)``.
-    """
-    integral = integral_at(grid, values, depths)
-    return beer(medium, depths) * np.exp(-medium.alpha * medium.sigma_a * integral)
-
-
 def path_intensity_em(medium: MediumSpec, grid: Grid, values, z: float):
     """Explicit Euler stepping of the pathwise decay ODE on the path grid.
 
     ``values`` is one path ``(n,)`` or a block ``(rows, n)`` on ``grid``;
     one value per path row at the one depth ``z``.  First-order accurate
-    in the grid spacing; converges to path_intensity under grid
-    refinement and exists only as an independent integrator cross-check.
-    Raises ValueError for values of any other shape (``checked_values``,
-    as in integral_at) or an array of depths, and OutOfDomain for z
-    outside [0, L], NaN included (``one_depth``).
+    in the grid spacing; converges to the exact pathwise intensity
+    ``I0*exp(-sigma_a*z - alpha*sigma_a*int_0^z G)`` under grid refinement
+    and exists only as an independent integrator cross-check.  Raises
+    ValueError for values of any other shape (``checked_values``) or an
+    array of depths, and OutOfDomain for z outside [0, L], NaN included
+    (``one_depth``).
     """
     values = checked_values(grid, values)
     z = one_depth(z, grid.length)
@@ -204,7 +194,7 @@ def run_ensemble(
 
     Every route integrates a tile as the running sum of
     ``w_k (X_(k-1) + X_k)`` over its nodes (``grf.running_integral``),
-    read at the depths as ``integral_at`` reads it.  Dense kernels draw
+    read at the depths by ``grf.depth_reader``.  Dense kernels draw
     the grid's points with the trapezoid's ``w = h/2``.  ``kappa = 1``
     draws only ``{0} U depths U {L}`` (``grf.stepping_nodes``) with the
     weights of each step's exact conditional mean given its ends

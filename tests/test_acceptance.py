@@ -24,13 +24,13 @@ from slabatten import (
     lognormal_oracle,
     ordered_double_integral,
     outer_y,
-    path_intensity,
     path_intensity_em,
     run_ensemble,
 )
 from slabatten.cli import COLUMNS, _decay_rate_limit, main
 
 from ode_check import ode_residual
+from path_check import path_intensity
 
 SWEEP_ZETAS = (0.1, 1.0, 5.0, 1e4)
 SWEEP_DEPTHS = np.linspace(0.0, 10.0, 64)

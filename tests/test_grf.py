@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 
@@ -13,16 +14,16 @@ from hypothesis import strategies as st
 
 from slabatten import (
     CorrelationKernel,
-    FactorizationFailure,
     FieldSampler,
     Grid,
     MemoryBudgetExceeded,
     OutOfDomain,
     covariance_matrix,
     grf,
-    integral_at,
     square_double_integral,
 )
+
+from path_check import integral_at
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -196,6 +197,12 @@ class TestCovarianceMatrix:
         m = covariance_matrix(k, Grid(1.0, 2))
         e = math.exp(-1.0)
         np.testing.assert_allclose(m, [[1.0, e], [e, 1.0]], rtol=1e-15)
+
+    def test_lags_past_the_float_range_give_zero_without_a_warning(self):
+        # (1e159 / 1)**2 overflows to inf, and the kernel's exact limit there
+        # is exp(-inf) = 0; the suite turns any RuntimeWarning into an error
+        m = covariance_matrix(CorrelationKernel(2.5, 1.0, 2.0), Grid(1e160, 11))
+        assert np.array_equal(m, np.diag(np.full(11, 2.5)))
 
     def test_symmetric_with_amplitude_diagonal(self):
         k = CorrelationKernel(2.5, 0.7, 1.5)
@@ -483,35 +490,57 @@ class TestSampling:
         assert np.max(np.abs(sq_sum / n - amp)) < 3.0 * var_se
         assert np.max(np.abs(lag_sum / n - amp * rho)) < 3.0 * lag_se
 
-    @pytest.mark.parametrize("failures", range(8))
-    def test_jitter_ladder_climbs_one_rung_per_failure(self, monkeypatch, failures):
-        # No accepted kernel fails at the first rung on a small grid, so the
-        # first `failures` factorizations are made to fail.
-        calls = []
-        cholesky = np.linalg.cholesky
+    def test_a_lapack_failure_takes_the_pivoted_factor(self, monkeypatch):
+        # No accepted kernel fails at the jitter on a small grid, so the one
+        # LAPACK factorization is made to fail.
+        calls, released = [], []
+        pivoted = grf._pivoted_cholesky
 
         def failing(matrix):
             calls.append(matrix[0, 0])
-            if len(calls) <= failures:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cholesky(matrix)
+            released.append(weakref.ref(matrix))
+            raise np.linalg.LinAlgError("not positive definite")
+
+        def after_release(kernel, grid):
+            # the covariance is freed before the pivoted factor's buffer
+            assert [ref() for ref in released] == [None]
+            return pivoted(kernel, grid)
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(grf, "_pivoted_cholesky", after_release)
         amp = 2.5
-        # kappa 2 on this grid, as fine as Grid.for_kernel's, takes no ladder
+        # kappa 2 on this grid, as fine as Grid.for_kernel's, takes the
+        # pivoted factor without trying LAPACK
         kernel, grid = CorrelationKernel(amp, 1.0, 1.5), Grid(1.0, 11)
-        if failures == 7:
-            with pytest.raises(FactorizationFailure, match="positive definite"):
-                FieldSampler(kernel, grid)
-            assert len(calls) == 7
-            return
         sampler = FieldSampler(kernel, grid)
-        jitter = 1e-12 * 10**failures * amp
-        assert sampler.jitter == pytest.approx(jitter, rel=1e-15)
-        # each rung adds its jitter to the original diagonal
-        assert calls == pytest.approx(
-            [amp + 1e-12 * 10**k * amp for k in range(failures + 1)], rel=1e-15
-        )
+        # one LAPACK call, on M + 1e-12 C I
+        assert calls == [amp + 1e-12 * amp]
+        assert sampler.route == grf.PIVOTED_ROUTE
+        assert (sampler.jitter, sampler.left_out) == (0.0, 1e-12 * amp)
+        factor, matrix = sampler.factor, covariance_matrix(kernel, grid)
+        assert factor.shape == (11, sampler.rank)
+        assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * amp
+        assert next(sampler.tiles(1, 0, 10)).shape == (10, 11)
+
+    @pytest.mark.parametrize(
+        "kappa,zeta,length,n",
+        [(1.9999, 1e3, 5.0, 1001), (1.0001, 1e8, 5.0, 1001), (2.0, 1.0, 110.0, 1000)],
+        ids=["kappa1.9999", "kappa1.0001", "kappa2-coarse-grid"],
+    )
+    def test_nearly_singular_covariances_factor_at_the_jitter(
+        self, monkeypatch, kappa, zeta, length, n
+    ):
+        # Near the ends of the kernel family, and kappa 2 on a grid coarser
+        # than Grid.for_kernel's, LAPACK factors M + 1e-12 C I itself.
+        def fallback(kernel, grid):
+            raise AssertionError("LAPACK failed at the jitter")
+
+        monkeypatch.setattr(grf, "_pivoted_cholesky", fallback)
+        amp = 2.5
+        sampler = FieldSampler(CorrelationKernel(amp, zeta, kappa), Grid(length, n))
+        assert sampler.route == grf.CHOLESKY_ROUTE
+        assert (sampler.rank, sampler.jitter) == (n, 1e-12 * amp)
+        assert np.all(np.isfinite(sampler.factor))
 
     @pytest.mark.parametrize("zeta", [1.0, 0.05])
     def test_ar1_at_uneven_nodes_is_the_cholesky_factor_of_their_covariance(

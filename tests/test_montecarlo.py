@@ -22,15 +22,15 @@ from slabatten import (
     beer,
     default_depths,
     lognormal_oracle,
-    path_intensity,
     path_intensity_em,
     grf,
-    integral_at,
     montecarlo,
     run_ensemble,
 )
 from slabatten.grf import CHUNK_PATHS
 from slabatten.quadrature import square_double_integral
+
+from path_check import integral_at, path_intensity
 
 LOGNORMAL_EXAMPLE = 4.846583187098  # I0=10, sigma=1, C=1, zeta=1, alpha=0.8, z=1
 

@@ -171,12 +171,10 @@ def _public_errors():
     }
 
 
-def test_every_public_error_is_a_value_error_or_a_factorization_failure():
-    # The CLI catches exactly these two: a third kind would end in a traceback.
+def test_every_public_error_is_a_value_error():
+    # The CLI catches exactly this kind: another would end in a traceback.
     other = [
-        name
-        for name, error in _public_errors().items()
-        if not issubclass(error, (ValueError, slabatten.FactorizationFailure))
+        name for name, error in _public_errors().items() if not issubclass(error, ValueError)
     ]
     assert other == []
 
@@ -191,8 +189,5 @@ def test_main_maps_every_public_error_to_its_exit_code(
         raise error("probe message")
 
     monkeypatch.setattr(cli, "run", fail)
-    numerical = issubclass(error, slabatten.FactorizationFailure)
-    assert cli.main(["--out", str(tmp_path / "x.csv")]) == (2 if numerical else 1)
-    err = capsys.readouterr().err
-    prefix = "slabatten: numerical failure:" if numerical else "slabatten: error:"
-    assert err == f"{prefix} probe message\n"
+    assert cli.main(["--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "slabatten: error: probe message\n"

@@ -20,7 +20,6 @@ from slabatten import (
     quadrature,
     square_double_integral,
 )
-from slabatten.grf import _GUARDED_ZETA
 from slabatten.quadrature import (
     _BLOCK_LAGS,
     _DIAGONAL_LAGS,
@@ -174,7 +173,7 @@ class TestCompositeRule:
             return counts[-1]
 
         monkeypatch.setattr(quadrature, "_panel_count", counting)
-        for zeta in np.geomspace(1.000001 * _GUARDED_ZETA, 1e150, 2001).tolist():
+        for zeta in np.geomspace(1.000001e-100, 1e150, 2001).tolist():
             kernel = CorrelationKernel(1.0, zeta, kappa)
             for z in (_support(kernel), 3.0 * _support(kernel)):
                 ordered_double_integral(kernel, z)
@@ -414,8 +413,8 @@ class TestCachedLagPowers:
     @pytest.mark.parametrize(
         "zeta, z",
         [
-            (1e-3 * _GUARDED_ZETA, 2.5e-103),  # evaluate's guarded branch
-            (1e-3 * _GUARDED_ZETA, 1e-95),
+            (1e-3 * 1e-100, 2.5e-103),  # evaluate's scaled lags overflow
+            (1e-3 * 1e-100, 1e-95),
             (1.0, 1e-170),  # (z / zeta)**kappa underflows to 0 at kappa 2
             (1e10, 1e-300),  # z / zeta is subnormal
         ],
