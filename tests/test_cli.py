@@ -221,10 +221,28 @@ class TestMainExitCodes:
         assert f"sigma_inf = {rate:.6g} /cm (Beer: sigma_a = 1 /cm)\n" in capsys.readouterr().out
         assert "sigma_inf" not in out.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "kernel_flags,length,n,sampler_line",
+        [
+            (
+                ["--kappa", "1.5", "--amplitude", "2.5"], "1", 11,
+                "sampler: pivoted Cholesky, n = 11, rank = 11, left-out variance <= 2.5e-12",
+            ),
+            (
+                ["--kappa", "1.2", "--zeta", "0.3", "--amplitude", "0.7"], "4", 41,
+                "sampler: pivoted Cholesky, n = 41, rank = 41, left-out variance <= 7e-13",
+            ),
+            (
+                ["--kappa", "2", "--amplitude", "2.5"], "10", 41,
+                "sampler: pivoted Cholesky, n = 41, rank = 39, left-out variance <= 2.5e-12",
+            ),
+        ],
+        ids=["kappa1.5", "kappa1.2", "kappa2-coarse-grid"],
+    )
     def test_a_lapack_failure_is_reported_as_the_pivoted_factor(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, kernel_flags, length, n, sampler_line
     ):
-        # No accepted kernel fails at the jitter on a small grid, so the one
+        # No accepted kernel fails at the jitter on these grids, so the one
         # LAPACK factorization is made to fail; the pivoted factor takes over.
         calls = []
 
@@ -234,19 +252,16 @@ class TestMainExitCodes:
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         out = tmp_path / "x.csv"
-        # kappa 2 on this grid, as fine as Grid.for_kernel's, would take the
-        # pivoted factor without trying LAPACK
         code = main([
-            "--alpha", "0.2", "--kappa", "1.5", "--modes", "mc", "--paths", "10",
-            "--grid-points", "11", "--length", "1", "--amplitude", "2.5",
-            "--out", str(out),
+            "--alpha", "0.2", *kernel_flags, "--modes", "mc", "--paths", "10",
+            "--grid-points", str(n), "--length", length, "--out", str(out),
         ])
         captured = capsys.readouterr()
         assert (code, captured.err, len(calls)) == (0, "", 1)
-        assert out.exists()
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert len([row for row in rows if not row.startswith(("#", "z"))]) == n
         lines = [line for line in captured.out.splitlines() if line.startswith("sampler:")]
-        assert lines == ["sampler: pivoted Cholesky, n = 11, rank = 11, "
-                         "left-out variance <= 2.5e-12"]
+        assert lines == [sampler_line]
 
     def test_grid_beyond_the_memory_budget_exits_1(self, tmp_path, capsys, monkeypatch):
         def build(kernel, grid):

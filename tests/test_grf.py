@@ -490,9 +490,23 @@ class TestSampling:
         assert np.max(np.abs(sq_sum / n - amp)) < 3.0 * var_se
         assert np.max(np.abs(lag_sum / n - amp * rho)) < 3.0 * lag_se
 
-    def test_a_lapack_failure_takes_the_pivoted_factor(self, monkeypatch):
-        # No accepted kernel fails at the jitter on a small grid, so the one
-        # LAPACK factorization is made to fail.
+    @pytest.mark.parametrize(
+        "amp,zeta,kappa,length,n,rank",
+        [
+            (2.5, 1.0, 1.5, 1.0, 11, 11),
+            (0.7, 0.3, 1.2, 4.0, 41, 41),
+            (4.0, 2.0, 1.8, 4.0, 41, 41),
+            (2.5, 1.0, 2.0, 10.0, 41, 39),
+        ],
+        ids=["kappa1.5", "kappa1.2", "kappa1.8", "kappa2-coarse-grid"],
+    )
+    def test_a_lapack_failure_takes_the_pivoted_factor(
+        self, monkeypatch, amp, zeta, kappa, length, n, rank
+    ):
+        # No accepted kernel fails at the jitter on these grids, so the one
+        # LAPACK factorization is made to fail.  Kappa 2 on a grid coarser
+        # than Grid.for_kernel's tries LAPACK, and its pivoted factor stops
+        # short of full rank at the 1e-12 C bound.
         calls, released = [], []
         pivoted = grf._pivoted_cholesky
 
@@ -508,19 +522,30 @@ class TestSampling:
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         monkeypatch.setattr(grf, "_pivoted_cholesky", after_release)
-        amp = 2.5
-        # kappa 2 on this grid, as fine as Grid.for_kernel's, takes the
-        # pivoted factor without trying LAPACK
-        kernel, grid = CorrelationKernel(amp, 1.0, 1.5), Grid(1.0, 11)
+        kernel, grid = CorrelationKernel(amp, zeta, kappa), Grid(length, n)
         sampler = FieldSampler(kernel, grid)
         # one LAPACK call, on M + 1e-12 C I
         assert calls == [amp + 1e-12 * amp]
         assert sampler.route == grf.PIVOTED_ROUTE
         assert (sampler.jitter, sampler.left_out) == (0.0, 1e-12 * amp)
         factor, matrix = sampler.factor, covariance_matrix(kernel, grid)
-        assert factor.shape == (11, sampler.rank)
+        assert factor.shape == (n, rank) and sampler.rank == rank
         assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * amp
-        assert next(sampler.tiles(1, 0, 10)).shape == (10, 11)
+        assert next(sampler.tiles(1, 0, 10)).shape == (10, n)
+
+    def test_only_a_lapack_failure_takes_the_pivoted_factor(self, monkeypatch):
+        # Any other error from the factorization, such as running out of
+        # memory, is not a rank problem and reaches the caller unchanged.
+        def failing(matrix):
+            raise MemoryError("probe")
+
+        def fallback(kernel, grid):
+            raise AssertionError("pivoted factor built")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(grf, "_pivoted_cholesky", fallback)
+        with pytest.raises(MemoryError, match="probe"):
+            FieldSampler(CorrelationKernel(2.5, 1.0, 1.5), Grid(1.0, 11))
 
     @pytest.mark.parametrize(
         "kappa,zeta,length,n",
