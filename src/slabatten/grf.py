@@ -6,12 +6,12 @@ is positive definite, so it defines a field, only for kappa <= 2
 (Schoenberg, Trans. AMS 44, 522, 1938).  Ensembles are cut into
 fixed blocks of ``CHUNK_PATHS`` paths, and block ``c`` of master seed
 ``s`` is always one stream, ``SeedSequence(s, spawn_key=(c,))``, of
-standard normals, one row of node values per path.  A block is always
-drawn as consecutive row tiles (``FieldSampler.tiles``) of at most
-``tile_rows``, so a caller holds a few tiles instead of whole blocks.
-Each tile of normals becomes field values by one transform that acts row
-by row.  For ``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov) that
-is the exact AR(1) recursion
+standard normals, one row per path.  A block is always drawn as
+consecutive row tiles of at most ``tile_rows`` (``FieldSampler.normals``,
+the one stream and tile cut), so a caller holds a few tiles instead of
+whole blocks.  ``FieldSampler.tiles`` turns each tile of normals into
+field values by one transform that acts row by row.  For ``kappa = 1``
+(an Ornstein-Uhlenbeck process, Markov) that is the exact AR(1) recursion
 ``x_i = rho_i*x_{i-1} + sqrt(C*(1 - rho_i**2))*xi_i`` with
 ``rho_i = exp(-h_i/zeta)`` for the step h_i into node i (Gillespie,
 Phys. Rev. E 54, 2084, 1996), at the grid's points or at any increasing
@@ -33,7 +33,11 @@ for one path or ``(rows, n)`` for a block, and ``running_integral``
 integrates it as one weighted running sum over neighbouring nodes: the
 trapezoid rule on the grid, matching the Riemann-sum definition of the
 stochastic integral, or on the AR(1) route each step's exact OU-bridge
-mean given its two ends (``ou_bridge``).
+mean given its two ends (``ou_bridge``).  Being linear, it also
+integrates a factor's columns once (``running_integral(F^T, w)``), which
+is how the Monte Carlo ensemble integrates the dense routes' paths
+without their node values; the AR(1) route's tiles are integrated one by
+one.
 """
 
 from __future__ import annotations
@@ -377,7 +381,7 @@ def _pivoted_cholesky(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
     lags = kernel.evaluate(grid.points, 0.0)  # column 0 of covariance_matrix
     table = np.concatenate((lags[:0:-1], lags))  # M[:, i] = table[n-1-i : 2n-1-i]
     bound = amplitude * _JITTER
-    residual = np.full(n, amplitude)
+    residual = np.full(n, float(amplitude))
     rows, square = np.empty((n, n)), np.empty(n)
     rank = 0
     while rank < n:
@@ -398,11 +402,19 @@ def _pivoted_cholesky(kernel: CorrelationKernel, grid: Grid) -> np.ndarray:
     return rows
 
 
+def draws_by_factor(kernel: CorrelationKernel) -> bool:
+    """Whether ``FieldSampler`` draws ``kernel`` as normals times a factor of
+    the grid covariance (the LAPACK or the pivoted route): every kernel but
+    kappa = 1, which takes the AR(1) recursion.  The one test of the route
+    made before a sampler is built."""
+    return kernel.exponent != 1
+
+
 def stepping_nodes(kernel: CorrelationKernel, grid: Grid, depths) -> np.ndarray:
     """The nodes an ensemble read at ``depths`` draws: the grid's points, or
     for kappa = 1, whose steps ``ou_bridge`` integrates exactly, only
     ``{0} U depths U {L}``, sorted and distinct."""
-    if kernel.exponent != 1:
+    if draws_by_factor(kernel):
         return grid.points
     ends = np.sort(np.concatenate(([0.0], np.atleast_1d(depths), [grid.length])))
     # np.unique would import numpy.ma on its first call
@@ -420,7 +432,7 @@ def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
     LAPACK failure, once the covariance is released) picks between it and
     the pivoted route, whose one ``n x n`` buffer holds no more; the AR(1)
     route 7 arrays of ``n``, of which it keeps at most 5."""
-    if kernel.exponent == 1:
+    if not draws_by_factor(kernel):
         return max(8 * 7 * n, 8 * 5 * n + streamed)
     return max(8 * 3 * n * n, 8 * n * n + streamed)
 
@@ -431,7 +443,7 @@ def tile_rows(kernel: CorrelationKernel, n: int, count=None) -> int:
     ``_TILE_BYTES``, at least ``_MIN_TILE_ROWS``, and on the dense route at
     least ``n``, as each tile's product reads the whole factor (on 2001
     points, 512 KiB tiles took 1.7-2.0 s where n rows took 1.2 s)."""
-    rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n), 0 if kernel.exponent == 1 else n)
+    rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n), n if draws_by_factor(kernel) else 0)
     return rows if count is None else -(-count // max(1, -(-count // rows)))
 
 
@@ -468,21 +480,21 @@ class FieldSampler:
     ``left_out`` is 0 there.  Sampling is then pure in (seed, chunk,
     count), so a single sampler can be shared read-only across concurrent
     workers.
-    ``tiles`` is the one draw method: it reads block ``chunk`` from its
-    keyed stream and sends every tile of normals through the same
-    row-by-row transform, so on the AR(1) route a row is bit-identical
-    however its block was cut into tiles; a dense-route row may differ in
-    the last bits, since a matrix product of another height can take
-    another BLAS kernel.  Requests above the memory budget raise
+    ``normals`` is the one draw: it reads block ``chunk`` from its keyed
+    stream, tile by tile.  ``tiles`` sends every tile of normals through
+    the same row-by-row transform, so on the AR(1) route a row is
+    bit-identical however its block was cut into tiles; a dense-route row
+    may differ in the last bits, since a matrix product of another height
+    can take another BLAS kernel.  Requests above the memory budget raise
     MemoryBudgetExceeded before anything is allocated: the sampler
-    (``sampler_bytes``) before any per-node array, a tile before the first
-    one is drawn.
+    (``sampler_bytes``) before any per-node array, a tile of field values
+    before the first one is drawn.
     """
 
     def __init__(self, kernel: CorrelationKernel, grid: Grid, nodes=None):
         self.kernel = kernel
         self.grid = grid
-        self.route = AR1_ROUTE if kernel.exponent == 1 else CHOLESKY_ROUTE
+        self.route = CHOLESKY_ROUTE if draws_by_factor(kernel) else AR1_ROUTE
         n = grid.n_points if nodes is None else np.size(nodes)
         check_budget(sampler_bytes(kernel, n), f"the {self.route} route on {n} points")
         if nodes is None:
@@ -491,10 +503,10 @@ class FieldSampler:
             self.nodes = checked_depths(nodes, grid.length)
             if self.nodes.ndim != 1 or not np.all(self.nodes[1:] > self.nodes[:-1]):
                 raise ValueError("nodes must be a strictly increasing 1-D array")
-            if kernel.exponent != 1 and not np.array_equal(self.nodes, grid.points):
+            if draws_by_factor(kernel) and not np.array_equal(self.nodes, grid.points):
                 raise ValueError("nodes other than the grid's need kappa = 1")
         self.rank, self.left_out = n, 0.0
-        if kernel.exponent == 1:
+        if not draws_by_factor(kernel):
             self.factor, self.jitter = None, 0.0
             # h/zeta per step; inf (rho = 0) for a subnormal zeta
             with np.errstate(over="ignore"):
@@ -552,29 +564,46 @@ class FieldSampler:
             w, v = ou_bridge(self.kernel, np.diff(self.nodes))
         return np.concatenate(([0.0], w)), np.concatenate(([0.0], v))
 
+    def normals(self, master_seed: int, chunk: int, count: int, out=None):
+        """Yield the standard normals of block ``chunk``'s ``count`` paths as
+        consecutive ``(rows, rank)`` tiles, ``rows`` balanced and at most
+        ``tile_rows(kernel, n, count)``: consecutive draws from the block's
+        one stream, ``SeedSequence(master_seed, spawn_key=(chunk,))``, so
+        the same (master_seed, chunk, count) always gives the same bits,
+        also from concurrent threads.  Each tile is a fresh array, or the
+        leading rows of ``out``, a C-contiguous buffer of at least that many
+        rows by ``rank``, drawn into in place: the same bits either way.
+        ``tiles`` and the dense-route ensemble both draw through here, so
+        they cut a block into the same tiles of the same normals.
+        """
+        rows = tile_rows(self.kernel, self.nodes.size, count)
+        if out is not None and (len(out) < rows or out.shape[1:] != (self.rank,)):
+            raise ValueError(f"out must hold ({rows}, {self.rank}) normals, got {out.shape}")
+        n_tiles = max(1, -(-count // max(1, rows)))
+        base, extra = divmod(count, n_tiles)
+        stream = default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))
+        for t in range(n_tiles):
+            size = base + (t < extra)
+            if out is None:
+                yield stream.standard_normal((size, self.rank))
+            else:
+                yield stream.standard_normal(out=out[:size])
+
     def tiles(self, master_seed: int, chunk: int, count: int):
         """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
 
-        Each tile has shape ``(rows, n)``, one column per node, with
-        ``rows`` balanced and at most ``tile_rows(kernel, n, count)``.  It is
-        drawn as ``(rows, rank)`` normals, consecutive draws from the
-        block's one stream, ``SeedSequence(master_seed, spawn_key=(chunk,))``,
-        so the same (master_seed, chunk, count) always gives the same bits,
-        also from concurrent threads.  The AR(1) recursion is the LAPACK
-        factor in closed form, so those two routes give the same paths for
-        the same key up to the LAPACK route's jitter (about 1e-11); the
-        pivoted route draws fewer normals per path, so other paths of the
-        same law.  A tile's running integrals are
-        ``running_integral(values, step_weights()[0])``.
+        Each tile has shape ``(rows, n)``, one column per node: a fresh
+        tile of ``normals`` sent through the row-by-row transform.  The
+        AR(1) recursion is the LAPACK factor in closed form, so those two
+        routes give the same paths for the same key up to the LAPACK
+        route's jitter (about 1e-11); the pivoted route draws fewer normals
+        per path, so other paths of the same law.  A tile's running
+        integrals are ``running_integral(values, step_weights()[0])``.
         """
         n = self.nodes.size
         rows = tile_rows(self.kernel, n, count)
-        n_tiles = max(1, -(-count // max(1, rows)))
-        base, extra = divmod(count, n_tiles)
         check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} nodes")
-        stream = default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))
-        for t in range(n_tiles):
-            normals = stream.standard_normal((base + (t < extra), self.rank))
+        for normals in self.normals(master_seed, chunk, count):
             yield self._transform(normals)
 
     def _transform(self, normals: np.ndarray) -> np.ndarray:

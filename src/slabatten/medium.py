@@ -61,8 +61,8 @@ class StochasticMedium:
     its ensemble mean is sigma_a and its standard deviation
     alpha * sigma_a * sqrt(C).  Gaussian tails make it negative at a plane
     with probability Phi(-1 / (alpha * sqrt(C))); such values are kept
-    as-is, since clamping would bias the moments, and the ensemble runner
-    reports their frequency.
+    as-is, since clamping would bias the moments, and the CLI report
+    states that probability.
     """
 
     medium: MediumSpec

@@ -2,11 +2,15 @@
 
 Each sampled path has the closed pathwise solution
 ``I0 * exp(-sigma_a*z - alpha*sigma_a*int_0^z G)``, its integral one
-weighted running sum over the nodes it is drawn at.  For kappa = 1 the
-ensemble draws the field only at the output depths and weights each
-step by its exact Ornstein-Uhlenbeck bridge, so its mean has no
-discretization error at all; for other kernels the weights are the
-trapezoid rule's on the grid.  An explicit Euler integrator is kept
+weighted running sum over the nodes it is drawn at (``running_integral``).
+For kappa = 1 the ensemble draws the field only at the output depths,
+integrates each tile of node values and weights each step by its exact
+Ornstein-Uhlenbeck bridge, so its mean has no discretization error at
+all.  Other kernels take the trapezoid rule's weights on the grid, and
+as a path's integrals are linear in its normals, the ensemble integrates
+the covariance factor once, at the depths and over the slab, and turns
+each tile of normals into integrals by one product, forming no node
+values.  An explicit Euler integrator is kept
 alongside as an independent cross-check, and an analytic lognormal
 oracle (Gaussian moment identity plus tensor-product quadrature)
 bypasses both the sampler and the erf closed form.
@@ -23,19 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReliabilityWarning
-from .grf import CHUNK_PATHS, CorrelationKernel, FieldSampler, Grid, check_budget
-from .grf import checked_depths, checked_values, depth_reader, one_depth
-from .grf import running_integral, sampler_bytes, stepping_nodes, tile_rows
+from .grf import AR1_ROUTE, CHUNK_PATHS, CorrelationKernel, FieldSampler, Grid
+from .grf import check_budget, checked_depths, checked_values, depth_reader
+from .grf import draws_by_factor, one_depth, running_integral, sampler_bytes
+from .grf import stepping_nodes, tile_rows
 from .medium import MediumSpec, StochasticMedium
-from .quadrature import square_double_integral
+from .quadrature import ordered_double_integral, square_double_integral
 
 _MAX_DEFAULT_ROWS = 256
-# Arrays of (tile rows, nodes + gathered depths) one worker holds at once:
-# a tile's values, its running integral and the integrals gathered (or
-# blended) at the depths, which the reduction turns into factors and their
-# squares in place (tracemalloc peaks while two chunks stream, with any
-# factor already built: 1.3 to 2.0 of them for n from 51 to 2001, on both
-# routes), with a margin.
+# Arrays of (tile rows, nodes + gathered depths) one AR(1)-route worker
+# holds at once: a tile's values, its running integral and the integrals
+# gathered (or blended) at the depths, which the reduction turns into
+# factors and their squares in place (tracemalloc peaks while two chunks
+# stream: 1.3 to 2.0 of them for n from 51 to 2001), with a margin.
 _STREAM_ARRAYS = 4
 # Exponent standard deviations above this make the lognormal sample mean
 # heavy-tailed enough that the SEM stops being trustworthy.
@@ -47,17 +51,14 @@ class EnsembleStats:
     """Per-depth summary of an ensemble run.
 
     n_paths counts paths, both halves of each mirrored pair, and sem is
-    taken over the pair means.  negative_coefficient_fraction is the
-    fraction of (path, node) pairs, over all n_paths, where the sampled
-    absorption coefficient went negative, a model-validity diagnostic.
-    The integral skewness/kurtosis, over the drawn rows only (the mirror
-    would make every odd moment 0), describe
+    taken over the pair means.  The integral skewness/kurtosis, over the
+    drawn rows only (the mirror would make every odd moment 0), describe
     the path integral of the field over the whole slab, which should be
-    Gaussian: the last running sum of the path's nodes, the trapezoid
-    integral on the dense route and, for kappa = 1, the exact conditional
-    mean given the stepping nodes, of which bridge_variance is the
-    variance the bridges leave out, V(L) (0 on the dense route).  They are
-    NaN, not available, where the rows' raw moments overflow.
+    Gaussian: the trapezoid integral of the grid field on the dense route
+    and, for kappa = 1, the exact conditional mean given the stepping
+    nodes, of which bridge_variance is the variance the bridges leave out,
+    V(L) (0 on the dense route).  They are NaN, not available, where the
+    rows' raw moments overflow.
     sampler_route is the FieldSampler route that drew the paths
     (grf.AR1_ROUTE, grf.CHOLESKY_ROUTE or grf.PIVOTED_ROUTE), jitter the
     diagonal jitter its factor actually used (0 but on the LAPACK route),
@@ -69,7 +70,6 @@ class EnsembleStats:
     mean: np.ndarray
     sem: np.ndarray
     n_paths: int
-    negative_coefficient_fraction: float
     integral_skewness: float
     integral_excess_kurtosis: float
     sampler_route: str
@@ -129,17 +129,38 @@ def ensemble_bytes(
     kernel: CorrelationKernel, grid: Grid, n_paths: int, depths, workers: int
 ) -> int:
     """The bytes ``run_ensemble`` charges before it builds anything: its
-    sampler (``grf.sampler_bytes``) with, per concurrent worker,
-    ``_STREAM_ARRAYS`` arrays of its tallest tile (``grf.tile_rows``) by
-    its nodes and, unless they are the nodes in order, its depths."""
+    sampler (``grf.sampler_bytes``) with what it holds beside it, by its
+    tallest tile (``grf.tile_rows``) and its ``n`` nodes.  On the dense
+    routes that is the ``(rank, d + 1)`` basis of ``_integrated_factor``
+    and, per concurrent worker, the normals buffer and the ``(rows, d + 1)``
+    product buffer, with ``rank`` charged as ``n``, its bound, as the
+    factor is not built yet.  On the AR(1) route it is, per worker,
+    ``_STREAM_ARRAYS`` arrays of the tile's rows by its nodes and, unless
+    they are the nodes in order, its depths."""
     depths = np.atleast_1d(depths)
     nodes = stepping_nodes(kernel, grid, depths)
+    n = nodes.size
     streams = max(1, min(workers, -(-n_paths // CHUNK_PATHS)))
     counts = (min(CHUNK_PATHS, n_paths), n_paths % CHUNK_PATHS)  # full, last block
-    rows = max(tile_rows(kernel, nodes.size, c // 2) for c in counts)  # drawn rows
-    gathered = 0 if np.array_equal(depths, nodes) else depths.size
-    streamed = 8 * _STREAM_ARRAYS * streams * rows * (nodes.size + gathered)
-    return sampler_bytes(kernel, nodes.size, streamed)
+    rows = max(tile_rows(kernel, n, c // 2) for c in counts)  # drawn rows
+    if draws_by_factor(kernel):
+        columns = depths.size + 1
+        streamed = 8 * (n * columns + streams * rows * (n + columns))
+    else:
+        gathered = 0 if np.array_equal(depths, nodes) else depths.size
+        streamed = 8 * _STREAM_ARRAYS * streams * rows * (n + gathered)
+    return sampler_bytes(kernel, n, streamed)
+
+
+def _integrated_factor(factor: np.ndarray, weights, read) -> np.ndarray:
+    """The dense routes' ``(rank, d + 1)`` basis ``B``: the columns of the
+    factor ``F`` integrated by ``running_integral`` with the step
+    ``weights``, read at the depths by ``read`` (a ``depth_reader``), and
+    the slab integral at ``L`` last.  A path's integrals are linear in its
+    normals, so a row of normals times ``B`` gives what the row's node
+    values ``normals @ F^T`` would, integrated and read, up to rounding."""
+    sums = running_integral(factor.T, weights)
+    return np.concatenate((read(sums), sums[:, -1:]), axis=1)
 
 
 def _central_moments(raw: np.ndarray, n: int):
@@ -175,36 +196,40 @@ def run_ensemble(
     ``n_paths``, even and at least 4, counts paths in antithetic pairs:
     each drawn row X also stands for its mirror -X, whose integrals are
     the row's negated, so a pair's mean factor is ``cosh(alpha sigma_a I)``
-    for one draw, transform and running sum.  The SEM is taken over the
-    ``n_paths / 2`` pair means, which are independent where the two paths
-    of a pair are not (Hammersley & Morton, Proc. Camb. Phil. Soc. 52,
-    449, 1956).  Paths are drawn in fixed blocks of CHUNK_PATHS, block c
-    as half as many rows from the stream keyed by (master_seed, c).  A
-    worker streams its block through row tiles (FieldSampler.tiles): each
-    tile is drawn, transformed, integrated and added to the block's
-    partial sums, so no whole block of rows is held unless a dense tile
-    is one.
+    for one draw.  The SEM is taken over the ``n_paths / 2`` pair means,
+    which are independent where the two paths of a pair are not
+    (Hammersley & Morton, Proc. Camb. Phil. Soc. 52, 449, 1956).  Paths
+    are drawn in fixed blocks of CHUNK_PATHS, block c as half as many rows
+    from the stream keyed by (master_seed, c), cut into row tiles
+    (FieldSampler.normals): a worker turns each tile into its integrals at
+    the depths and adds them to the block's partial sums, so no whole
+    block of rows is held unless a tile is one.
     At most two blocks per worker are in flight, and their partial sums
     are added in block order, so memory does not grow with n_paths and
     the result is bit-identical for any worker count.  One FieldSampler
     (for a dense route, one covariance factor) is built and shared
-    read-only by the workers.  The sampler and the concurrent tile
-    streams, ``ensemble_bytes``, are charged to the memory budget before
-    the sampler is built (MemoryBudgetExceeded).
+    read-only by the workers.  The sampler and what the workers hold,
+    ``ensemble_bytes``, are charged to the memory budget before the
+    sampler is built (MemoryBudgetExceeded).
 
-    Every route integrates a tile as the running sum of
-    ``w_k (X_(k-1) + X_k)`` over its nodes (``grf.running_integral``),
-    read at the depths by ``grf.depth_reader``.  Dense kernels draw
-    the grid's points with the trapezoid's ``w = h/2``.  ``kappa = 1``
-    draws only ``{0} U depths U {L}`` (``grf.stepping_nodes``) with the
-    weights of each step's exact conditional mean given its ends
-    (``grf.ou_bridge``), and the bridges' summed variance V(z) enters each
+    Every route integrates as the running sum of ``w_k (X_(k-1) + X_k)``
+    over its nodes (``grf.running_integral``), read at the depths by
+    ``grf.depth_reader``.  Dense kernels take the grid's points with the
+    trapezoid's ``w = h/2``, and integrate their factor once: a tile of
+    normals times the ``(rank, d + 1)`` basis of ``_integrated_factor``
+    is its integrals at the depths and over the slab, one product into a
+    buffer the block reuses, with no node values formed.  ``kappa = 1``
+    integrates each tile of node values (``FieldSampler.tiles``), drawn at
+    ``{0} U depths U {L}`` only (``grf.stepping_nodes``) with the weights
+    of each step's exact conditional mean given its ends
+    (``grf.ou_bridge``); the bridges' summed variance V(z) enters each
     depth's mean as the exact factor ``exp((alpha sigma_a)^2 V(z) / 2)``,
     so the estimate is unbiased for the continuum law on any grid.
 
     Emits a ReliabilityWarning when the exponent standard deviation
     alpha*sigma_a*sqrt(Var int G) at the deepest requested depth exceeds
-    1.5: sample means of such heavy-tailed lognormals converge poorly.
+    1.5, with ``Var int_0^z G = 2 ordered_double_integral(kernel, z)``:
+    sample means of such heavy-tailed lognormals converge poorly.
     Raises ValueError, naming the first such depth, when a depth's mean or
     SEM is not finite: its pair factors or their squares overflowed.
     """
@@ -224,7 +249,7 @@ def run_ensemble(
     scale = medium.alpha * medium.sigma_a
     deepest = float(depths.max())
     if deepest > 0 and scale > 0:
-        exponent_std = scale * np.sqrt(square_double_integral(sm.kernel, deepest))
+        exponent_std = scale * math.sqrt(2.0 * ordered_double_integral(sm.kernel, deepest))
         if exponent_std > _HEAVY_TAIL_STD:
             warnings.warn(
                 f"exponent std {exponent_std:.2f} > {_HEAVY_TAIL_STD}: the "
@@ -233,9 +258,6 @@ def run_ensemble(
                 ReliabilityWarning,
                 stacklevel=2,
             )
-
-    # sigma_a (1 + alpha G) is never negative without alpha or sigma_a
-    neg_cut = -1.0 / medium.alpha if min(medium.alpha, medium.sigma_a) > 0 else -np.inf
 
     nodes = stepping_nodes(sm.kernel, grid, depths)
     chunks = range((n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS)
@@ -247,6 +269,9 @@ def run_ensemble(
     sampler = FieldSampler(sm.kernel, grid, nodes)
     weights, variances = sampler.step_weights()
     read = depth_reader(nodes, depths, grid.spacing)
+    dense = sampler.route != AR1_ROUTE
+    if dense:
+        basis = _integrated_factor(sampler.factor, weights, read)
     bridged = np.cumsum(variances)
     bridge_variance = float(bridged[-1])
     # The depth's Beer exponent and the bridges' exact variance factor in
@@ -256,37 +281,49 @@ def run_ensemble(
 
     def chunk_partials(chunk: int):
         pairs = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS) // 2
+        if dense:
+            tallest = tile_rows(sm.kernel, nodes.size, pairs)
+            normals = np.empty((tallest, sampler.rank))
+            product = np.empty((tallest, basis.shape[1]))
+            tiles = sampler.normals(master_seed, chunk, pairs, out=normals)
+        else:
+            tiles = sampler.tiles(master_seed, chunk, pairs)
         factor_sum = factor_sq_sum = 0.0
         slab_integral = np.empty(pairs)
-        negatives = 0
         start = 0
-        for values in sampler.tiles(master_seed, chunk, pairs):
-            rows = len(values)
-            sums = running_integral(values, weights)
-            slab_integral[start : start + rows] = sums[:, -1]
-            # The integrals at the depths become the pair means
-            # (exp(-scale I) + exp(scale I)) / 2 = cosh(scale I) less 1, then
-            # their squares, in place.  Near the surface a pair mean is
-            # 1 + O(v) with a variance of O(v^2), v = scale^2 Var I, which
-            # sums of the means themselves would lose to rounding.
-            factors = read(sums)
-            del sums
-            factors *= scale
-            np.cosh(factors, out=factors)
-            factors -= 1.0
-            factor_sum = factor_sum + factors.sum(axis=0)
-            np.square(factors, out=factors)
-            factor_sq_sum = factor_sq_sum + factors.sum(axis=0)
-            # X below the cut, and its mirror -X below it
-            negatives += int(np.count_nonzero(values < neg_cut))
-            negatives += int(np.count_nonzero(values > -neg_cut))
+        for tile in tiles:
+            rows = len(tile)
+            if dense:
+                # the integrals at the depths, then over the slab
+                integrals = np.matmul(tile, basis, out=product[:rows])
+                slab_integral[start : start + rows] = integrals[:, -1]
+            else:
+                sums = running_integral(tile, weights)
+                slab_integral[start : start + rows] = sums[:, -1]
+                integrals = read(sums)
+                del sums
             start += rows
-            # The factors go now and the values when the next tile
+            # The integrals become the pair means (exp(-scale I) +
+            # exp(scale I)) / 2 = cosh(scale I) less 1, then their squares,
+            # in place.  Near the surface a pair mean is 1 + O(v) with a
+            # variance of O(v^2), v = scale^2 Var I, which sums of the means
+            # themselves would lose to rounding.  The dense route reduces
+            # its slab column too, as one pass over a contiguous buffer,
+            # and drops it: there cosh may overflow where no depth's does
+            # (a depth's overflow raises below).
+            with np.errstate(over="ignore"):
+                integrals *= scale
+                np.cosh(integrals, out=integrals)
+                integrals -= 1.0
+                factor_sum = factor_sum + integrals.sum(axis=0)
+                np.square(integrals, out=integrals)
+                factor_sq_sum = factor_sq_sum + integrals.sum(axis=0)
+            # The AR(1) factors go now and the values when the next tile
             # replaces them, which leaves the peak, reached in read, where
             # it was: the allocator then reuses their blocks from tile to
             # tile instead of returning them to the system and faulting
             # them in again.
-            del factors
+            del integrals
         square = slab_integral * slab_integral
         raw = np.array(
             [
@@ -296,20 +333,16 @@ def run_ensemble(
                 (square * square).sum(),
             ]
         )
-        return factor_sum, factor_sq_sum, raw, negatives
+        return factor_sum[: depths.size], factor_sq_sum[: depths.size], raw
 
     factor_sum = np.zeros(prefactor.shape)
     factor_sq_sum = np.zeros(prefactor.shape)
     raw_moments = np.zeros(4)
-    negative_count = 0
     with ThreadPoolExecutor(max_workers=streams) as pool:
-        for f_sum, f_sq, raw, negatives in _in_order(
-            pool, chunk_partials, chunks, 2 * streams
-        ):
+        for f_sum, f_sq, raw in _in_order(pool, chunk_partials, chunks, 2 * streams):
             factor_sum += f_sum
             factor_sq_sum += f_sq
             raw_moments += raw
-            negative_count += negatives
 
     # The pair means are independent; the two paths of a pair are not.
     n_pairs = n_paths // 2
@@ -344,7 +377,6 @@ def run_ensemble(
         mean=mean,
         sem=sem,
         n_paths=n_paths,
-        negative_coefficient_fraction=negative_count / (n_paths * nodes.size),
         integral_skewness=skewness,
         integral_excess_kurtosis=excess_kurtosis,
         sampler_route=sampler.route,

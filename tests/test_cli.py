@@ -149,13 +149,6 @@ class TestMainExitCodes:
             (["--paths", "5"], "--paths: must be even and >= 4"),
             # zeta**kappa overflows inside the kernel
             (["--zeta", "1e300"], "overflows"),
-            # z/zeta = 1e600: the heavy-tail check's square quadrature cannot
-            # count its panels
-            (
-                ["--kappa", "1", "--zeta", "1e-300", "--length", "1e300",
-                 "--grid-points", "3", "--modes", "beer,mc", "--paths", "10"],
-                "z/zeta overflows at depth z = 1e+300 cm, zeta = 1e-300 cm",
-            ),
             # an --out the CSV cannot be written to; the last --out wins
             (["--modes", "beer", "--out", "/nonexistent/dir/x.csv"],
              "--out: No such file or directory: /nonexistent/dir/x.csv"),
@@ -279,19 +272,20 @@ class TestMainExitCodes:
     def test_dense_ensemble_past_the_budget_exits_1_before_factoring(
         self, tmp_path, capsys, monkeypatch
     ):
-        # The factor alone fits; with four workers' tile streams it does not,
-        # and the run says so before the 7000 x 7000 covariance is built.
-        def build(kernel, grid):
-            raise AssertionError("covariance built")
+        # The factor alone fits; with ten workers' buffers it does not, and
+        # the run says so before the 9400-point factor is built.
+        def build(*args):
+            raise AssertionError("factor built")
 
         monkeypatch.setattr(grf, "covariance_matrix", build)
+        monkeypatch.setattr(grf, "_pivoted_cholesky", build)
         out = tmp_path / "x.csv"
         code = main([
-            "--grid-points", "7000", "--paths", "16384", "--modes", "mc",
-            "--workers", "4", "--out", str(out),
+            "--grid-points", "9400", "--paths", "40960", "--modes", "mc",
+            "--workers", "10", "--out", str(out),
         ])
         assert code == 1
-        assert "4 worker(s)' tiles on 7000 points" in capsys.readouterr().err
+        assert "10 worker(s)' tiles on 9400 points" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -583,16 +577,16 @@ class TestCsvContract:
         assert "sampler" not in out.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
-        "flags,fraction,expected",
+        "flags,expected",
         [
-            (["--alpha", "0.8"], None, "0.10565"),
-            (["--alpha", "0"], "0", "0"),
+            (["--alpha", "0.8"], "0.10565"),
+            (["--alpha", "0"], "0"),
             # no absorption, so no negative coefficient, whatever G does
-            (["--sigma-a", "0"], "0", "0"),
+            (["--sigma-a", "0"], "0"),
         ],
     )
     def test_negative_fraction_shown_with_its_exact_expectation(
-        self, tmp_path, capsys, flags, fraction, expected
+        self, tmp_path, capsys, flags, expected
     ):
         out = tmp_path / "curves.csv"
         with warnings.catch_warnings():
@@ -603,12 +597,46 @@ class TestCsvContract:
                 "--grid-points", "21", "--length", "2", "--out", str(out),
             ])
         assert code == 0
-        report = capsys.readouterr().out
-        if fraction is not None:
-            assert f"negative-coefficient fraction = {fraction} " in report
-        assert f"(exact expectation Phi(-1/(alpha*sqrt C)) = {expected})" in report
-        assert "E<1/|A|>" not in report
-        assert "warning: RuntimeWarning" not in report
+        report = capsys.readouterr().out.splitlines()
+        assert [line for line in report if line.startswith("ensemble:")] == [
+            "ensemble: 50 paths, negative-coefficient fraction "
+            f"Phi(-1/(alpha*sqrt C)) = {expected} (exact: G ~ N(0, C) at every node)"
+        ]
+        assert "E<1/|A|>" not in "\n".join(report)
+        assert "warning: RuntimeWarning" not in "\n".join(report)
+
+    @pytest.mark.parametrize(
+        "flags,share",
+        [
+            # the parent's own configurations
+            (["--zeta", "0.05"], "0.987089"),
+            (["--zeta", "0.5", "--grid-points", "11"], "0.915816"),
+            # 2.5e20-zeta steps: 1 - V(L)/Var cancels to -2.2e-16, where the
+            # share is (2 (2 tanh(1.25e20)) - 1) / 5e20
+            (["--zeta", "1e-20", "--length", "5", "--grid-points", "3"], "6e-21"),
+            # L/zeta = 1e600 is inf: every tanh is 1, the share 0
+            (["--zeta", "1e-300", "--length", "1e300", "--grid-points", "3"], "0"),
+            # L/zeta = 5e-13 in 100 steps: the share is 1 - 1e-17, which the
+            # tanh form would round to 0.998384
+            (["--zeta", "1e13", "--grid-points", "101"], "1"),
+        ],
+        ids=["zeta0.05", "zeta0.5-coarse", "zeta1e-20", "past-the-float-range", "zeta1e13"],
+    )
+    def test_sampled_share_of_the_slab_variance(self, tmp_path, capsys, flags, share):
+        out = tmp_path / "curves.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--kappa", "1", *flags, "--modes", "beer,mc", "--paths", "10",
+                         "--out", str(out)])
+        assert code == 0
+        report = capsys.readouterr().out.splitlines()
+        assert [line for line in report if line.startswith("sampler:")] == [
+            "sampler: AR(1) recursion at the output depths, exact OU bridge "
+            "between them (kappa = 1), sampled share of the slab-integral "
+            f"variance = {share}"
+        ]
+        _, cells = _read_csv(out)
+        assert all(math.isfinite(float(cell)) for row in cells for cell in row if cell)
 
     def test_euler_check_holds_tiles_not_its_whole_block(self, tmp_path):
         # 100 paths on the 4001-point refined grid (1001 points at zeta
@@ -715,26 +743,42 @@ def test_memory_bounds_never_undercount_the_charges(
     tmp_path, monkeypatch, kappa, points, workers
 ):
     # Every budget charge of a run, by what made it: the ensemble (its
-    # sampler, its tile streams, its workers' tiles) or the Euler check,
-    # and the (rows, nodes) of the tiles FieldSampler.tiles charged.  The
-    # charges each pipeline plans with, before anything is built, must be
-    # its sampler with the tallest tile it really drew, on both routes,
-    # with the depths the grid's own nodes (21 points) and 256 of 301.
+    # sampler, its workers' tiles) or the Euler check, the (rows, nodes) of
+    # the tiles FieldSampler.tiles charged, and the rows of every tile of
+    # normals the ensemble drew.  The charges each pipeline plans with,
+    # before anything is built, must be its sampler with the tallest tile
+    # it really drew, on both routes, with the depths the grid's own nodes
+    # (21 points) and 256 of 301.
     charges = {"ensemble": [], "euler": []}
     tiles = {"ensemble": [], "euler": []}
+    drawn = []
     check_budget = grf.check_budget
+    normals = grf.FieldSampler.normals
+
+    def stage():
+        stack = {frame.name for frame in traceback.extract_stack()}
+        if "_euler_check_lines" in stack:
+            return "euler"
+        return "ensemble" if "run_ensemble" in stack or "chunk_partials" in stack else None
 
     def recording(needed, what):
-        stack = {frame.name for frame in traceback.extract_stack()}
-        run = "euler" if "_euler_check_lines" in stack else "ensemble"
-        if run == "euler" or "run_ensemble" in stack or "chunk_partials" in stack:
+        run = stage()
+        if run is not None:
             charges[run].append(needed)
             if what.startswith("a tile of"):
                 tiles[run].append(tuple(int(w) for w in what.split() if w.isdigit()))
         check_budget(needed, what)
 
+    def recording_normals(self, *args, **kwargs):
+        run = stage()
+        for tile in normals(self, *args, **kwargs):
+            if run == "ensemble":
+                drawn.append(len(tile))
+            yield tile
+
     monkeypatch.setattr(grf, "check_budget", recording)
     monkeypatch.setattr(montecarlo, "check_budget", recording)
+    monkeypatch.setattr(grf.FieldSampler, "normals", recording_normals)
     argv = ["--kappa", kappa, "--zeta", "0.5", "--grid-points", points,
             "--paths", "5000", "--modes", "beer,mc,euler-check",
             "--workers", workers, "--out", str(tmp_path / "x.csv")]
@@ -742,10 +786,18 @@ def test_memory_bounds_never_undercount_the_charges(
     config = parse_args(argv)
     depths = default_depths(config.grid)
     nodes = grf.stepping_nodes(config.kernel, config.grid, depths)
-    rows = max(r for r, n in tiles["ensemble"])
-    gathered = 0 if np.array_equal(depths, nodes) else depths.size
+    rows = max(drawn)
     # 5000 paths are two blocks, streamed by as many workers
-    streamed = 8 * montecarlo._STREAM_ARRAYS * int(workers) * rows * (nodes.size + gathered)
+    if kappa == "1":
+        assert rows == max(r for r, n in tiles["ensemble"])
+        gathered = 0 if np.array_equal(depths, nodes) else depths.size
+        streamed = 8 * montecarlo._STREAM_ARRAYS * int(workers) * rows * (nodes.size + gathered)
+    else:
+        # no tile of node values: the integrated factor, at rank <= n, and
+        # per worker its buffers of normals and of the d + 1 integrals
+        assert tiles["ensemble"] == []
+        columns = depths.size + 1
+        streamed = 8 * (nodes.size * columns + int(workers) * rows * (nodes.size + columns))
     bound = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths, config.workers)
     assert bound == grf.sampler_bytes(config.kernel, nodes.size, streamed)
     assert max(charges["ensemble"]) <= bound

@@ -490,6 +490,28 @@ class TestSampling:
         assert np.max(np.abs(sq_sum / n - amp)) < 3.0 * var_se
         assert np.max(np.abs(lag_sum / n - amp * rho)) < 3.0 * lag_se
 
+    def test_normals_fill_a_buffer_with_the_bits_of_fresh_tiles(self):
+        sampler = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(5.0, 51))
+        rows = grf.tile_rows(sampler.kernel, 51, 2048)
+        buffer = np.empty((rows, sampler.rank))
+        fresh = list(sampler.normals(9, 3, 2048))
+        filled = [tile.copy() for tile in sampler.normals(9, 3, 2048, out=buffer)]
+        assert len(fresh) == len(filled) > 1
+        for a, b in zip(fresh, filled):
+            assert np.array_equal(a, b)
+        # a buffer too short or too narrow would draw another cut of the stream
+        for shape in ((rows - 1, sampler.rank), (rows, sampler.rank + 1)):
+            with pytest.raises(ValueError, match="out must hold"):
+                next(sampler.normals(9, 3, 2048, out=np.empty(shape)))
+
+    def test_integer_parameters_draw_as_floats(self):
+        # An integer amplitude once made the pivoted factor's residual an
+        # integer array, which its float updates cannot be written into.
+        whole = FieldSampler(CorrelationKernel(1, 1, 2), Grid(5, 51))
+        real = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(5.0, 51))
+        assert whole.route == real.route == grf.PIVOTED_ROUTE
+        assert np.array_equal(whole.factor, real.factor)
+
     @pytest.mark.parametrize(
         "amp,zeta,kappa,length,n,rank",
         [

@@ -233,7 +233,6 @@ class TestRunEnsemble:
         stats = run_ensemble(sm, grid, 200, master_seed=4)
         np.testing.assert_array_equal(stats.mean, beer(sm.medium, stats.depths))
         assert np.all(stats.sem == 0.0)
-        assert stats.negative_coefficient_fraction == 0.0
 
     def test_worker_count_does_not_change_bits(self):
         # 9000 paths are three fixed-size chunks; at 1001 points each chunk
@@ -248,8 +247,6 @@ class TestRunEnsemble:
                 assert np.array_equal(a.mean, b.mean)
                 assert np.array_equal(a.sem, b.sem)
                 assert a.integral_skewness == b.integral_skewness
-                fraction = a.negative_coefficient_fraction
-                assert fraction == b.negative_coefficient_fraction
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
     def test_tiles_follow_the_chunk_streams(self, kappa):
@@ -292,9 +289,11 @@ class TestRunEnsemble:
         # run_ensemble must give its bits exactly, as the byte-identical CSV
         # needs (test_grf pins integral_at's bits the same way).  Smaller
         # tiles cut a chunk into several also at the few stepping nodes of
-        # the kappa-1 route.  A row and its mirror are both counted against
-        # the negative cut, and the slab integral's moments are taken over
-        # the drawn rows alone.
+        # the kappa-1 route.  The kappa-1 route integrates each tile of node
+        # values; the dense route multiplies each tile of normals by its
+        # factor integrated once, read at the depths with the slab column
+        # last, and reduces all of those columns.  The slab integral's
+        # moments are taken over the drawn rows alone.
         monkeypatch.setattr(grf, "_TILE_BYTES", 32 * 2**10)
         medium = MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0)
         sm = StochasticMedium(medium, CorrelationKernel(1.0, 0.5, kappa))
@@ -304,36 +303,96 @@ class TestRunEnsemble:
         got = run_ensemble(sm, grid, n, 43, depths=depths)
         sampler, integrate, prefactor = _route(sm, grid, got.depths)
         scale = medium.alpha * medium.sigma_a
-        cut = -1.0 / medium.alpha
-        f_sum = np.zeros(got.depths.shape)
-        f_sq = np.zeros(got.depths.shape)
-        negatives, slab = 0, []
+        d = got.depths.size
+        if kappa != 1:
+            factor = sampler.factor.T
+            basis = np.concatenate(
+                (integrate(factor), integrate(factor, slab=True)[:, None]), axis=1
+            )
+        f_sum = np.zeros(d)
+        f_sq = np.zeros(d)
+        slab = []
         for chunk, count in enumerate(counts):
             chunk_sum = chunk_sq = 0.0
-            tiles = list(sampler.tiles(43, chunk, count // 2))
+            if kappa == 1:
+                tiles = [
+                    (integrate(values), integrate(values, slab=True))
+                    for values in sampler.tiles(43, chunk, count // 2)
+                ]
+            else:
+                tiles = [
+                    (product, product[:, -1])
+                    for product in (
+                        normals @ basis for normals in sampler.normals(43, chunk, count // 2)
+                    )
+                ]
             assert len(tiles) > 1 or chunk == 1
-            for values in tiles:
-                f = np.cosh(scale * integrate(values)) - 1.0
+            for integrals, slab_integral in tiles:
+                slab.append(slab_integral.copy())
+                f = np.cosh(scale * integrals) - 1.0
                 chunk_sum = chunk_sum + f.sum(axis=0)
                 chunk_sq = chunk_sq + (f**2).sum(axis=0)
-                negatives += np.count_nonzero(values < cut)
-                negatives += np.count_nonzero(-values < cut)
-                slab.append(integrate(values, slab=True))
-            f_sum += chunk_sum
-            f_sq += chunk_sq
+            f_sum += chunk_sum[:d]
+            f_sq += chunk_sq[:d]
         pairs = n // 2
         var = np.maximum((f_sq - f_sum**2 / pairs) / (pairs - 1), 0.0)
         assert np.array_equal(got.mean, prefactor * (1.0 + f_sum / pairs))
         assert np.array_equal(got.sem, prefactor * np.sqrt(var / pairs))
-        assert negatives > 0
-        nodes = sampler.nodes.size
-        assert got.negative_coefficient_fraction == negatives / (n * nodes)
         slab = np.concatenate(slab)
         assert slab.size == pairs
         dev = slab - slab.mean()
         m2, m3, m4 = (np.mean(dev**k) for k in (2, 3, 4))
         assert got.integral_skewness == pytest.approx(m3 / m2**1.5, abs=1e-9)
         assert got.integral_excess_kurtosis == pytest.approx(m4 / m2**2 - 3, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kernel,grid,depths,route",
+        [
+            (CorrelationKernel(1.0, 1.0, 2.0), Grid(5.0, 101),
+             [2.71, 0.33, 5.0, 2.71, 1.0, 0.0], grf.PIVOTED_ROUTE),
+            (CorrelationKernel(1.0, 1.0, 2.0), Grid(5.0, 501), None, grf.PIVOTED_ROUTE),
+            (CorrelationKernel(0.7, 0.3, 1.5), Grid(4.0, 41),
+             [2.71, 0.33, 4.0, 2.71, 1.0, 0.0], grf.CHOLESKY_ROUTE),
+        ],
+        ids=["pivoted-mixed", "pivoted-256-depths", "lapack-mixed"],
+    )
+    def test_integrated_factor_gives_the_tiles_integrals(self, kernel, grid, depths, route):
+        # Tile by tile, the normals times the integrated factor are the
+        # integrals of the tile's node values normals @ F^T, read at the
+        # depths (node, off-node, repeated and unsorted ones, or 256 of 501
+        # points), with the slab integral last: the same linear map summed
+        # in another order.
+        depths = montecarlo.default_depths(grid) if depths is None else np.array(depths)
+        sampler = FieldSampler(kernel, grid)
+        assert sampler.route == route
+        weights, _ = sampler.step_weights()
+        read = grf.depth_reader(grid.points, depths, grid.spacing)
+        basis = montecarlo._integrated_factor(sampler.factor, weights, read)
+        assert basis.shape == (sampler.rank, depths.size + 1)
+        tiles = 0
+        for normals in sampler.normals(5, 0, 3000):
+            sums = grf.running_integral(normals @ sampler.factor.T, weights)
+            want = np.concatenate((read(sums), sums[:, -1:]), axis=1)
+            got = normals @ basis
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+            tiles += 1
+        assert tiles > 1
+
+    @pytest.mark.parametrize(
+        "kernel,grid",
+        [(CorrelationKernel(1.0, 1.0, 2.0), Grid(5.0, 51)),
+         (CorrelationKernel(0.7, 0.3, 1.5), Grid(4.0, 41))],
+        ids=["pivoted", "lapack"],
+    )
+    def test_dense_ensemble_forms_no_node_values(self, kernel, grid, monkeypatch):
+        def refuse(self, normals):
+            raise AssertionError("node values formed")
+
+        monkeypatch.setattr(FieldSampler, "_transform", refuse)
+        sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0), kernel)
+        stats = run_ensemble(sm, grid, 2 * CHUNK_PATHS + 100, 3, workers=2)
+        assert stats.sampler_route != grf.AR1_ROUTE
+        assert np.all(np.isfinite(stats.mean)) and np.all(stats.sem[1:] > 0.0)
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
     def test_depths_map_back_to_their_places(self, kappa):
@@ -452,6 +511,26 @@ class TestRunEnsemble:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_memory_charge_is_what_the_workers_hold(self):
+        # The README run, kappa 2 on 51 points at one worker: 2048-pair
+        # blocks in two tiles of 1024 rows (1285 at most), the factor's 51^2
+        # beside the (51, 52) integrated factor, with its rank charged as n,
+        # and one worker's normals (1024, 51) and integrals (1024, 52).
+        grid = Grid(5.0, 51)
+        kernel = CorrelationKernel(1.0, 1.0, 2.0)
+        assert montecarlo.ensemble_bytes(kernel, grid, 20_000, grid.points, 1) == 8 * (
+            51 * 51 + 51 * 52 + 1024 * (51 + 52)
+        )
+        # kappa 1 at zeta 0.05 (1001 points), 2000 paths: one block of 1000
+        # pairs in four tiles of 250 rows on the 256 stepping nodes, the
+        # default depths, and the AR(1) sampler's 5 arrays of 256.
+        grid = Grid(5.0, 1001)
+        kernel = CorrelationKernel(1.0, 0.05, 1.0)
+        depths = default_depths(grid)
+        assert montecarlo.ensemble_bytes(kernel, grid, 2000, depths, 2) == 8 * (
+            5 * 256 + montecarlo._STREAM_ARRAYS * 250 * 256
+        )
+
     def test_memory_charge_counts_concurrent_workers(self, monkeypatch):
         class Drawn(Exception):
             pass
@@ -543,22 +622,6 @@ class TestRunEnsemble:
         ]
         for lo, hi in zip(sems, sems[1:]):
             assert np.all(hi[1:] > lo[1:])  # depth 0 stays pinned at SEM 0
-
-    def test_negative_coefficient_fraction(self):
-        grid = Grid(5.0, 101)
-        quiet = run_ensemble(_sm(alpha=0.1), grid, 2000, master_seed=6)
-        assert quiet.negative_coefficient_fraction == 0.0
-        with pytest.warns(ReliabilityWarning):
-            noisy = run_ensemble(_sm(alpha=0.8), grid, 2000, master_seed=6)
-        # P(G < -1/0.8) for unit variance is about 0.106
-        assert 0.08 < noisy.negative_coefficient_fraction < 0.13
-
-    def test_no_negative_coefficient_without_absorption(self):
-        # sigma_a (1 + alpha G) is identically 0, however negative G gets
-        stats = run_ensemble(
-            _sm(alpha=0.8, sigma_a=0.0), Grid(5.0, 101), 2000, master_seed=6
-        )
-        assert stats.negative_coefficient_fraction == 0.0
 
     def test_heavy_tail_warning_threshold(self):
         grid = Grid(5.0, 51)
