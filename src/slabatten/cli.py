@@ -337,7 +337,7 @@ def _euler_check_bytes(config: ExperimentConfig) -> int:
     """The Euler check's charge: its sampler on the finest grid with its
     tallest tile of paths and of temporaries (``FieldSampler.tiles``)."""
     n = _euler_check_points(config.grid)
-    rows = tile_rows(config.kernel, n, _EULER_CHECK_PATHS)
+    rows = tile_rows(config.kernel, n, config.grid.length, _EULER_CHECK_PATHS)
     return sampler_bytes(config.kernel, n, 8 * 2 * rows * n)
 
 

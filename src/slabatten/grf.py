@@ -71,10 +71,14 @@ CHUNK_PATHS = 4096
 # Euler check (cli).  2 GiB leaves room on an 8 GB machine.
 MEMORY_BUDGET = 2 * 2**30
 # tile_rows: tiles of about this many bytes stay in cache with their running
-# integral.  The floor keeps a few paths on a long grid out of one-row tiles
-# that each repeat the AR(1) scan's loop over its table: the Euler check of
-# --kappa 1 --zeta 1e-6 --grid-points 50001 (100 paths on 200 001 nodes)
-# took 1.24 s in two tiles and 10.3 s in 100 without it (medians of 3).
+# integral.  The floor applies on the AR(1) route only where the scan's table
+# may have more than one entry, on slabs past half of _SCAN_EXPONENT zeta:
+# there each tile repeats the scan's Python loop over the table, and the
+# floor keeps a few paths on a long grid out of one-row tiles.  The Euler
+# check of --kappa 1 --zeta 1e-6 --grid-points 50001 (100 paths on 200 001
+# nodes) took 1.24 s in two tiles and 10.3 s in 100 without it (medians of
+# 3).  On a thinner slab the loop is one step per tile, and the floor would
+# only hold more rows at once.
 _TILE_BYTES = 512 * 2**10
 _MIN_TILE_ROWS = 64
 # The AR(1) scan rescales a block of columns by the inverse running product
@@ -437,13 +441,24 @@ def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
     return max(8 * 3 * n * n, 8 * n * n + streamed)
 
 
-def tile_rows(kernel: CorrelationKernel, n: int, count=None) -> int:
-    """Rows of the tallest tile ``FieldSampler.tiles`` yields on ``n`` nodes,
-    or in a block of ``count`` paths cut into balanced tiles: about
-    ``_TILE_BYTES``, at least ``_MIN_TILE_ROWS``, and on the dense route at
-    least ``n``, as each tile's product reads the whole factor (on 2001
-    points, 512 KiB tiles took 1.7-2.0 s where n rows took 1.2 s)."""
-    rows = max(_MIN_TILE_ROWS, _TILE_BYTES // (8 * n), n if draws_by_factor(kernel) else 0)
+def tile_rows(kernel: CorrelationKernel, n: int, length: float, count=None) -> int:
+    """Rows of the tallest tile ``FieldSampler.tiles`` yields on ``n`` nodes
+    of a slab of ``length``, or in a block of ``count`` paths cut into
+    balanced tiles: about ``_TILE_BYTES``, at least one, and at least the
+    rows that spread the work each tile repeats.  On the dense route that
+    is ``n``, as each tile's product reads the whole factor (on 2001
+    points, 512 KiB tiles took 1.7-2.0 s where n rows took 1.2 s).  On the
+    AR(1) route it is ``_MIN_TILE_ROWS`` where the scan's table may have
+    more than one entry, and nothing on a slab of at most half of
+    ``_SCAN_EXPONENT`` zeta: there no step passes the far-step cut and the
+    steps sum below ``_SCAN_EXPONENT``, so any nodes make one entry."""
+    if draws_by_factor(kernel):
+        floor = n
+    elif length > 0.5 * _SCAN_EXPONENT * kernel.correlation_length:
+        floor = _MIN_TILE_ROWS
+    else:
+        floor = 1
+    rows = max(floor, _TILE_BYTES // (8 * n))
     return rows if count is None else -(-count // max(1, -(-count // rows)))
 
 
@@ -567,7 +582,7 @@ class FieldSampler:
     def normals(self, master_seed: int, chunk: int, count: int, out=None):
         """Yield the standard normals of block ``chunk``'s ``count`` paths as
         consecutive ``(rows, rank)`` tiles, ``rows`` balanced and at most
-        ``tile_rows(kernel, n, count)``: consecutive draws from the block's
+        ``tile_rows(kernel, n, L, count)``: consecutive draws from the block's
         one stream, ``SeedSequence(master_seed, spawn_key=(chunk,))``, so
         the same (master_seed, chunk, count) always gives the same bits,
         also from concurrent threads.  Each tile is a fresh array, or the
@@ -576,7 +591,7 @@ class FieldSampler:
         ``tiles`` and the dense-route ensemble both draw through here, so
         they cut a block into the same tiles of the same normals.
         """
-        rows = tile_rows(self.kernel, self.nodes.size, count)
+        rows = tile_rows(self.kernel, self.nodes.size, self.grid.length, count)
         if out is not None and (len(out) < rows or out.shape[1:] != (self.rank,)):
             raise ValueError(f"out must hold ({rows}, {self.rank}) normals, got {out.shape}")
         n_tiles = max(1, -(-count // max(1, rows)))
@@ -601,7 +616,7 @@ class FieldSampler:
         integrals are ``running_integral(values, step_weights()[0])``.
         """
         n = self.nodes.size
-        rows = tile_rows(self.kernel, n, count)
+        rows = tile_rows(self.kernel, n, self.grid.length, count)
         check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} nodes")
         for normals in self.normals(master_seed, chunk, count):
             yield self._transform(normals)

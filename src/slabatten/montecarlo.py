@@ -142,7 +142,7 @@ def ensemble_bytes(
     n = nodes.size
     streams = max(1, min(workers, -(-n_paths // CHUNK_PATHS)))
     counts = (min(CHUNK_PATHS, n_paths), n_paths % CHUNK_PATHS)  # full, last block
-    rows = max(tile_rows(kernel, n, c // 2) for c in counts)  # drawn rows
+    rows = max(tile_rows(kernel, n, grid.length, c // 2) for c in counts)  # drawn rows
     if draws_by_factor(kernel):
         columns = depths.size + 1
         streamed = 8 * (n * columns + streams * rows * (n + columns))
@@ -282,7 +282,7 @@ def run_ensemble(
     def chunk_partials(chunk: int):
         pairs = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS) // 2
         if dense:
-            tallest = tile_rows(sm.kernel, nodes.size, pairs)
+            tallest = tile_rows(sm.kernel, nodes.size, grid.length, pairs)
             normals = np.empty((tallest, sampler.rank))
             product = np.empty((tallest, basis.shape[1]))
             tiles = sampler.normals(master_seed, chunk, pairs, out=normals)

@@ -641,8 +641,9 @@ class TestCsvContract:
     def test_euler_check_holds_tiles_not_its_whole_block(self, tmp_path):
         # 100 paths on the 4001-point refined grid (1001 points at zeta
         # 0.05) are 3.2 MB as one block; the Euler check streams them in
-        # row tiles, reads the coarser grids as views, builds its Euler
-        # step factors in one buffer and keeps only per-path errors.
+        # 512 KiB row tiles (a slab 100 zeta thick takes no 64-row floor),
+        # reads the coarser grids as views, builds its Euler step factors
+        # in one buffer and keeps only per-path errors.
         out = tmp_path / "curves.csv"
         tracemalloc.start()
         try:
@@ -654,7 +655,34 @@ class TestCsvContract:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 2 * 100 * 4001 * 8
+        assert peak < 4 * grf._TILE_BYTES
+
+    @pytest.mark.parametrize(
+        "zeta,heights",
+        [("0.05", [15] * 2 + [14] * 5), ("0.01", [50, 50])],
+        ids=["L100zeta-512KiB", "L500zeta-floor"],
+    )
+    def test_euler_check_tiles_take_the_floor_only_past_150_zeta(
+        self, tmp_path, monkeypatch, zeta, heights
+    ):
+        # On 4001 refined nodes 512 KiB is 16 rows: 7 tiles of the 100
+        # paths.  A slab of 500 zeta may cut the AR(1) scan into several
+        # entries, whose loop each tile repeats, so it keeps 64-row tiles.
+        drawn = []
+        tiles = grf.FieldSampler.tiles
+
+        def recording(self, *args):
+            for tile in tiles(self, *args):
+                drawn.append(tile.shape)
+                yield tile
+
+        monkeypatch.setattr(grf.FieldSampler, "tiles", recording)
+        code = main([
+            "--kappa", "1", "--zeta", zeta, "--grid-points", "1001",
+            "--modes", "euler-check", "--out", str(tmp_path / "curves.csv"),
+        ])
+        assert code == 0
+        assert drawn == [(rows, 4001) for rows in heights]
 
     def test_euler_check_mode_reports_order(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"

@@ -334,7 +334,7 @@ class TestSampling:
         # A block is charged one tile at a time: 4096 paths on 100 001
         # points stream in 64-row tiles and reach the draw...
         wide = FieldSampler(kernel, Grid(10.0, 100_001))
-        assert grf.tile_rows(kernel, 100_001) == 64
+        assert grf.tile_rows(kernel, 100_001, 10.0) == 64
         with pytest.raises(AssertionError, match="allocating call reached"):
             next(wide.tiles(0, 0, 4096))
         # ...while one 64-row tile on 2 200 001 points is past the budget.
@@ -429,21 +429,39 @@ class TestSampling:
         assert x[0, 1] == sampler.rho[0] * math.sqrt(amp)
 
     @pytest.mark.parametrize(
-        "kappa, zeta, least, most",
+        "kappa, zeta, n, least, most",
         [
-            (1.0, 0.05, 65, 65),  # fine AR(1): 512 KiB tiles of 1001 points
+            (1.0, 0.05, 1001, 65, 65),  # fine AR(1): 512 KiB tiles of 1001 points
             # h/zeta 50: the same height, as the scan's cut is the sampler's
-            (1.0, 1e-4, 65, 65),
-            (2.0, 0.5, 1001, None),  # dense: no fewer rows than the factor
+            (1.0, 1e-4, 1001, 65, 65),
+            # L/zeta 100: one scan entry, so 512 KiB alone sets the height...
+            (1.0, 0.05, 4001, 16, 16),
+            # ...and L/zeta 500 may loop over many, so the floor holds
+            (1.0, 0.01, 4001, 64, 64),
+            (2.0, 0.5, 1001, 1001, None),  # dense: no fewer rows than the factor
         ],
     )
     def test_tile_height_follows_the_work_each_tile_repeats(
-        self, kappa, zeta, least, most
+        self, kappa, zeta, n, least, most
     ):
         kernel = CorrelationKernel(1.0, zeta, kappa)
-        rows = grf.tile_rows(kernel, 1001)
+        rows = grf.tile_rows(kernel, n, 5.0)
         assert rows >= least
         assert most is None or rows <= most
+
+    @pytest.mark.parametrize("thickness", [1.0, 100.0, 150.0, 151.0, 500.0, 1e5])
+    def test_tiles_drop_the_floor_only_where_the_scan_has_one_entry(self, thickness):
+        # tile_rows decides from L/zeta alone, before any sampler exists,
+        # whether a tile repeats the scan's loop over several table entries.
+        kernel = CorrelationKernel(1.0, 5.0 / thickness, 1.0)
+        grid = Grid(5.0, 4001)
+        rng = np.random.default_rng(7)
+        inner = np.sort(rng.choice(grid.points[1:-1], 300, replace=False))
+        floored = grf.tile_rows(kernel, 4001, grid.length) >= grf._MIN_TILE_ROWS
+        assert floored == (thickness > 150)
+        for nodes in (None, np.concatenate(([0.0], inner, [5.0])), [0.0, 5.0]):
+            entries = len(FieldSampler(kernel, grid, nodes)._cuts) - 1
+            assert entries == 1 or floored
 
     @pytest.mark.parametrize("count", [1, 300, 4096])
     @pytest.mark.parametrize("n", [51, 1001])
@@ -453,8 +471,8 @@ class TestSampling:
         tiles = list(sampler.tiles(8, 3, count))
         heights = [len(tile) for tile in tiles]
         assert sum(heights) == count
-        assert max(heights) == grf.tile_rows(sampler.kernel, n, count)
-        assert max(heights) <= grf.tile_rows(sampler.kernel, n)
+        assert max(heights) == grf.tile_rows(sampler.kernel, n, 5.0, count)
+        assert max(heights) <= grf.tile_rows(sampler.kernel, n, 5.0)
         assert max(heights) - min(heights) <= 1
         # the whole block as one draw from its keyed stream, one transform
         block = sampler._transform(
@@ -492,7 +510,7 @@ class TestSampling:
 
     def test_normals_fill_a_buffer_with_the_bits_of_fresh_tiles(self):
         sampler = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(5.0, 51))
-        rows = grf.tile_rows(sampler.kernel, 51, 2048)
+        rows = grf.tile_rows(sampler.kernel, 51, 5.0, 2048)
         buffer = np.empty((rows, sampler.rank))
         fresh = list(sampler.normals(9, 3, 2048))
         filled = [tile.copy() for tile in sampler.normals(9, 3, 2048, out=buffer)]

@@ -541,11 +541,12 @@ class TestRunEnsemble:
         monkeypatch.setattr(grf, "default_rng", refuse)
         sm = StochasticMedium(
             MediumSpec(sigma_a=1.0, alpha=0.1, i0=10.0),
-            CorrelationKernel(1.0, 1.0, 1.0),
+            CorrelationKernel(1.0, 0.01, 1.0),
         )
-        # Tiles of 64 rows on 700 001 points, all of them output depths (so
-        # all of them stepping nodes): one worker's stream is charged about
-        # 1.4 GB, two are past the 2 GiB budget.
+        # Tiles of 64 rows, the floor of a slab 500 zeta thick, on 700 001
+        # points, all of them output depths (so all of them stepping
+        # nodes): one worker's stream is charged about 1.4 GB, two are past
+        # the 2 GiB budget.
         grid = Grid(5.0, 700_001)
         depths = grid.points
         with pytest.raises(Drawn):

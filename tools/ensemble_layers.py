@@ -63,7 +63,7 @@ def replay(kernel, grid, depths, n_paths, seed):
         drawn = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS) // 2
         out = None
         if dense:
-            rows = tile_rows(kernel, nodes.size, drawn)
+            rows = tile_rows(kernel, nodes.size, grid.length, drawn)
             out = np.empty((rows, sampler.rank))
             product = np.empty((rows, basis.shape[1]))
         tiles = sampler.normals(seed, chunk, drawn, out=out)
