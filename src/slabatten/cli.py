@@ -410,17 +410,23 @@ def _sampled_share(stats: EnsembleStats, kernel: CorrelationKernel, grid: Grid) 
     cancellation from ``x = 1`` up, where V(L) may be nearly all of it.
     Below, where V(L) is at most a fifth of it, the share is
     ``1 - V(L) / Var``, with ``Var = (v + 2 C L w) / (1 + tanh(x / 2))``
-    for ``(w, v) = ou_bridge(kernel, L)``: nonnegative terms only."""
+    for ``(w, v) = ou_bridge(kernel, L)``: nonnegative terms only.  Neither
+    depends on ``C`` or the unit of length, so both are taken for ``C = 1``
+    in units of ``L``, where no ``C L^2`` underflows."""
     zeta = kernel.correlation_length
+    nodes = stepping_nodes(kernel, grid, stats.depths)
     with np.errstate(over="ignore"):  # inf past the float range: tanh 1
         x = grid.length / zeta
-        steps = np.diff(stepping_nodes(kernel, grid, stats.depths)) / zeta
+        steps = np.diff(nodes) / zeta
     if x >= 1:
         left = math.expm1(-x)
         return (2.0 * float(np.tanh(0.5 * steps).sum()) + left) / (x + left)
-    w, v = (float(a[0]) for a in ou_bridge(kernel, [grid.length]))
-    total = (v + 2.0 * kernel.amplitude * grid.length * w) / (1.0 + math.tanh(0.5 * x))
-    return 1.0 - stats.bridge_variance / total
+    # zeta is 1 / x lengths L, kept finite: below x = 1e-300 the share,
+    # 1 - x / 6, is 1 all the same
+    unit = CorrelationKernel(1.0, 1.0 / max(x, 1e-300), 1.0)
+    w, v = (float(a[0]) for a in ou_bridge(unit, [1.0]))
+    total = (v + 2.0 * w) / (1.0 + math.tanh(0.5 * x))
+    return 1.0 - float(ou_bridge(unit, np.diff(nodes) / grid.length)[1].sum()) / total
 
 
 def _sampler_line(stats: EnsembleStats, kernel: CorrelationKernel, grid: Grid) -> str:
@@ -465,7 +471,10 @@ def _ensemble_lines(config: ExperimentConfig, depths, columns: dict) -> list:
         medium.sigma_a, medium.alpha, kernel.amplitude
     )
     if math.isnan(stats.integral_skewness):
-        moments = "skewness and excess kurtosis not available (raw moments overflow)"
+        moments = (
+            "skewness and excess kurtosis not available "
+            "(raw moments underflow or overflow)"
+        )
     else:
         moments = (
             f"skewness = {stats.integral_skewness:.4f}, "

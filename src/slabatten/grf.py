@@ -446,8 +446,10 @@ def tile_rows(kernel: CorrelationKernel, n: int, length: float, count=None) -> i
     of a slab of ``length``, or in a block of ``count`` paths cut into
     balanced tiles: about ``_TILE_BYTES``, at least one, and at least the
     rows that spread the work each tile repeats.  On the dense route that
-    is ``n``, as each tile's product reads the whole factor (on 2001
-    points, 512 KiB tiles took 1.7-2.0 s where n rows took 1.2 s).  On the
+    is ``n``: a tile of node values reads the whole factor (for the Euler
+    check on 2001 points, 512 KiB tiles took 1.7-2.0 s where n rows took
+    1.2 s); the ensemble's tiles read only the ``(rank, d + 1)`` basis, but
+    capping them at 256 rows measured slower at 1001 points.  On the
     AR(1) route it is ``_MIN_TILE_ROWS`` where the scan's table may have
     more than one entry, and nothing on a slab of at most half of
     ``_SCAN_EXPONENT`` zeta: there no step passes the far-step cut and the

@@ -58,7 +58,7 @@ class EnsembleStats:
     and, for kappa = 1, the exact conditional mean given the stepping
     nodes, of which bridge_variance is the variance the bridges leave out,
     V(L) (0 on the dense route).  They are NaN, not available, where the
-    rows' raw moments overflow.
+    rows' powers underflow or overflow.
     sampler_route is the FieldSampler route that drew the paths
     (grf.AR1_ROUTE, grf.CHOLESKY_ROUTE or grf.PIVOTED_ROUTE), jitter the
     diagonal jitter its factor actually used (0 but on the LAPACK route),
@@ -161,6 +161,27 @@ def _integrated_factor(factor: np.ndarray, weights, read) -> np.ndarray:
     values ``normals @ F^T`` would, integrated and read, up to rounding."""
     sums = running_integral(factor.T, weights)
     return np.concatenate((read(sums), sums[:, -1:]), axis=1)
+
+
+def _pair_factor_sums(integrals: np.ndarray, scale: float):
+    """The column sums of the pair means less 1 of a tile's ``integrals``,
+    and of their squares, which the tile is overwritten with in place.
+    A pair's mean is (exp(-scale I) + exp(scale I)) / 2 = cosh(scale I).
+    Near the surface it is 1 + O(v) with a variance of O(v^2), v = scale^2
+    Var I, which sums of the means themselves would lose to rounding."""
+    with np.errstate(over="ignore"):
+        integrals *= scale
+        np.cosh(integrals, out=integrals)
+        integrals -= 1.0
+        sums = integrals.sum(axis=0)
+        np.square(integrals, out=integrals)
+        return sums, integrals.sum(axis=0)
+
+
+def _power_sums(x: np.ndarray) -> np.ndarray:
+    """The sums of ``x``, ``x^2``, ``x^3`` and ``x^4``."""
+    square = x * x
+    return np.array([x.sum(), square.sum(), (square * x).sum(), (square * square).sum()])
 
 
 def _central_moments(raw: np.ndarray, n: int):
@@ -303,36 +324,19 @@ def run_ensemble(
                 integrals = read(sums)
                 del sums
             start += rows
-            # The integrals become the pair means (exp(-scale I) +
-            # exp(scale I)) / 2 = cosh(scale I) less 1, then their squares,
-            # in place.  Near the surface a pair mean is 1 + O(v) with a
-            # variance of O(v^2), v = scale^2 Var I, which sums of the means
-            # themselves would lose to rounding.  The dense route reduces
-            # its slab column too, as one pass over a contiguous buffer,
-            # and drops it: there cosh may overflow where no depth's does
-            # (a depth's overflow raises below).
-            with np.errstate(over="ignore"):
-                integrals *= scale
-                np.cosh(integrals, out=integrals)
-                integrals -= 1.0
-                factor_sum = factor_sum + integrals.sum(axis=0)
-                np.square(integrals, out=integrals)
-                factor_sq_sum = factor_sq_sum + integrals.sum(axis=0)
+            # The dense route reduces its slab column too, as one pass over a
+            # contiguous buffer, and drops it: there cosh may overflow where
+            # no depth's does (a depth's overflow raises below).
+            sums, sq_sums = _pair_factor_sums(integrals, scale)
+            factor_sum = factor_sum + sums
+            factor_sq_sum = factor_sq_sum + sq_sums
             # The AR(1) factors go now and the values when the next tile
             # replaces them, which leaves the peak, reached in read, where
             # it was: the allocator then reuses their blocks from tile to
             # tile instead of returning them to the system and faulting
             # them in again.
             del integrals
-        square = slab_integral * slab_integral
-        raw = np.array(
-            [
-                slab_integral.sum(),
-                square.sum(),
-                (square * slab_integral).sum(),
-                (square * square).sum(),
-            ]
-        )
+        raw = _power_sums(slab_integral)
         return factor_sum[: depths.size], factor_sq_sum[: depths.size], raw
 
     factor_sum = np.zeros(prefactor.shape)
@@ -362,15 +366,12 @@ def run_ensemble(
         )
 
     m2, m3, m4 = _central_moments(raw_moments, n_pairs)
-    if not np.isfinite([m2, m3, m4]).all():
-        # the integrals' squares or fourth powers passed the float range
+    with np.errstate(all="ignore"):
+        skewness, excess_kurtosis = float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
+    # Not available where the integrals' powers pass the float range: a
+    # zero-mean Gaussian's m2 is 0 only where they underflow.
+    if not (m2 > 0 and math.isfinite(skewness) and math.isfinite(excess_kurtosis)):
         skewness = excess_kurtosis = math.nan
-    elif m2 > 0:
-        skewness = float(m3 / m2**1.5)
-        excess_kurtosis = float(m4 / m2**2 - 3.0)
-    else:
-        skewness = 0.0
-        excess_kurtosis = 0.0
 
     return EnsembleStats(
         depths=depths,

@@ -619,8 +619,14 @@ class TestCsvContract:
             # L/zeta = 5e-13 in 100 steps: the share is 1 - 1e-17, which the
             # tanh form would round to 0.998384
             (["--zeta", "1e13", "--grid-points", "101"], "1"),
+            # C L^2 underflows, and with it Var int_0^L G: the share, 1 - x/6
+            # for x = L/zeta, is 1 (x is 1e-310 at zeta 1e10)
+            (["--length", "1e-300"], "1"),
+            (["--length", "1e-300", "--zeta", "1e10"], "1"),
+            (["--amplitude", "1e-300", "--length", "1e-20"], "1"),
         ],
-        ids=["zeta0.05", "zeta0.5-coarse", "zeta1e-20", "past-the-float-range", "zeta1e13"],
+        ids=["zeta0.05", "zeta0.5-coarse", "zeta1e-20", "past-the-float-range", "zeta1e13",
+             "thin", "thin-subnormal-x", "faint"],
     )
     def test_sampled_share_of_the_slab_variance(self, tmp_path, capsys, flags, share):
         out = tmp_path / "curves.csv"
@@ -1028,15 +1034,27 @@ def test_a_zero_alpha_gives_beers_law(tmp_path, flags, rows):
     assert [r[exact] for r in cells] == [r[beer] for r in cells]
 
 
-def test_slab_integral_moments_past_the_float_range_are_not_available(tmp_path):
-    # The slab integrals are about 1e160, so their squares overflow; every
-    # CSV column stays finite, as alpha 1e-200 keeps each pair factor at 1.
-    proc, csv = _run_cli(tmp_path, *OVERFLOWING, "--modes", "beer,mc")
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [*OVERFLOWING, "--modes", "beer,mc"],
+        ["--length", "1e-300", "--modes", "beer,mc", "--paths", "8"],
+        ["--amplitude", "1e-300", "--modes", "beer,exact,mc", "--paths", "8"],
+    ],
+    ids=["overflowing", "thin", "faint"],
+)
+def test_slab_integral_moments_past_the_float_range_are_not_available(tmp_path, flags):
+    # The slab integrals are about 1e160, so their squares overflow, or
+    # about 1e-300 or 1e-150 (sqrt C L), so their squares or fourth powers
+    # underflow; every CSV column stays finite, as alpha 1e-200 keeps each
+    # overflowing pair factor at 1.
+    proc, csv = _run_cli(tmp_path, *flags)
     assert proc.returncode == 0, proc.stderr
     report = proc.stdout.splitlines()
     assert [line for line in report if line.startswith("slab integral of G:")] == [
         "slab integral of G: skewness and excess kurtosis not available "
-        "(raw moments overflow)"
+        "(raw moments underflow or overflow)"
     ]
     assert "0.0000" not in proc.stdout
     assert "nan" not in csv.decode()
+    assert "scalar divide" not in proc.stdout
