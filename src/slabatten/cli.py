@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=_DEFAULTS["out"],
                    help="CSV output path")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for the ensemble and, when one is idle, the "
-                   "Euler check; results unchanged")
+                   help="threads for the ensemble (at most the CPUs) and, when "
+                   "one is idle, the Euler check; results unchanged")
     return p
 
 

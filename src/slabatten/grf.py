@@ -6,14 +6,13 @@ is positive definite, so it defines a field, only for kappa <= 2
 (Schoenberg, Trans. AMS 44, 522, 1938).  Ensembles are cut into
 fixed blocks of ``CHUNK_PATHS`` paths, and block ``c`` of master seed
 ``s`` is always one stream, ``SeedSequence(s, spawn_key=(c,))``, of
-standard normals, one row per path.  A block is always drawn as
-consecutive row tiles of at most ``tile_rows`` (``FieldSampler.normals``,
-the one stream and tile cut), so a caller holds a few tiles instead of
-whole blocks.  ``FieldSampler.tiles`` turns each tile of normals into
-field values by one transform that acts row by row.  For ``kappa = 1``
-(an Ornstein-Uhlenbeck process, Markov) that is the exact AR(1) recursion
-``x_i = rho_i*x_{i-1} + sqrt(C*(1 - rho_i**2))*xi_i`` with
-``rho_i = exp(-h_i/zeta)`` for the step h_i into node i (Gillespie,
+standard normals, one row per path, drawn as consecutive row tiles of
+at most ``tile_rows`` (``FieldSampler.normals``, the one stream and tile
+cut), so a caller holds a few tiles, not whole blocks.
+``FieldSampler.transform`` turns a tile into field values row by row.
+For ``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov) that is the
+exact AR(1) recursion ``x_i = rho_i*x_{i-1} + sqrt(C*(1 - rho_i**2))*xi_i``
+with ``rho_i = exp(-h_i/zeta)`` for the step h_i into node i (Gillespie,
 Phys. Rev. E 54, 2084, 1996), at the grid's points or at any increasing
 nodes, the closed-form Cholesky factor of their covariance, evaluated as a
 blocked, rescaled prefix sum (Blelloch, CMU-CS-90-190, 1990) that carries
@@ -34,10 +33,9 @@ integrates it as one weighted running sum over neighbouring nodes: the
 trapezoid rule on the grid, matching the Riemann-sum definition of the
 stochastic integral, or on the AR(1) route each step's exact OU-bridge
 mean given its two ends (``ou_bridge``).  Being linear, it also
-integrates a factor's columns once (``running_integral(F^T, w)``), which
-is how the Monte Carlo ensemble integrates the dense routes' paths
-without their node values; the AR(1) route's tiles are integrated one by
-one.
+integrates a factor's columns once (``running_integral(F^T, w)``), so
+the Monte Carlo ensemble integrates the dense routes' paths without
+their node values.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ _JITTER = 1e-12
 # Grid.for_kernel resolves the correlation length with this many nodes.
 _POINTS_PER_LENGTH = 10
 # Paths per keyed stream: an ensemble draws block c of its paths, mirrored
-# pairs, as tiles(master_seed, c, CHUNK_PATHS // 2), the last block shorter.
+# pairs, as normals(master_seed, c, CHUNK_PATHS // 2), the last one shorter.
 CHUNK_PATHS = 4096
 # Bytes one pipeline may hold at once, charged before it builds anything:
 # a sampler and each tile (sampler_bytes), an ensemble (montecarlo) and the
@@ -442,13 +440,13 @@ def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
 
 
 def tile_rows(kernel: CorrelationKernel, n: int, length: float, count=None) -> int:
-    """Rows of the tallest tile ``FieldSampler.tiles`` yields on ``n`` nodes
+    """Rows of the tallest tile ``FieldSampler.normals`` yields on ``n`` nodes
     of a slab of ``length``, or in a block of ``count`` paths cut into
     balanced tiles: about ``_TILE_BYTES``, at least one, and at least the
     rows that spread the work each tile repeats.  On the dense route that
     is ``n``: a tile of node values reads the whole factor (for the Euler
     check on 2001 points, 512 KiB tiles took 1.7-2.0 s where n rows took
-    1.2 s); the ensemble's tiles read only the ``(rank, d + 1)`` basis, but
+    1.2 s); the ensemble's tiles read only the ``(rank, d')`` basis, but
     capping them at 256 rows measured slower at 1001 points.  On the
     AR(1) route it is ``_MIN_TILE_ROWS`` where the scan's table may have
     more than one entry, and nothing on a slab of at most half of
@@ -494,18 +492,16 @@ class FieldSampler:
     CHOLESKY_ROUTE``, ``jitter`` ``1e-12 C``), or the pivoted factor
     where LAPACK rejects that matrix.
     ``rank`` is the normals a path takes, ``n`` on the other routes, and
-    ``left_out`` is 0 there.  Sampling is then pure in (seed, chunk,
-    count), so a single sampler can be shared read-only across concurrent
-    workers.
+    ``left_out`` is 0 there.  Sampling is then pure in (seed, chunk, count),
+    so one sampler can be shared read-only across concurrent workers.
     ``normals`` is the one draw: it reads block ``chunk`` from its keyed
-    stream, tile by tile.  ``tiles`` sends every tile of normals through
-    the same row-by-row transform, so on the AR(1) route a row is
-    bit-identical however its block was cut into tiles; a dense-route row
-    may differ in the last bits, since a matrix product of another height
-    can take another BLAS kernel.  Requests above the memory budget raise
-    MemoryBudgetExceeded before anything is allocated: the sampler
-    (``sampler_bytes``) before any per-node array, a tile of field values
-    before the first one is drawn.
+    stream, tile by tile, and ``transform`` turns a tile into field values
+    row by row, so on the AR(1) route a row is bit-identical however its
+    block was cut; a dense-route row may differ in the last bits, as a
+    product of another height can take another BLAS kernel.  Requests
+    above the memory budget raise MemoryBudgetExceeded before anything is
+    allocated: the sampler (``sampler_bytes``) before any per-node array,
+    ``tiles``' tile of field values before the first one is drawn.
     """
 
     def __init__(self, kernel: CorrelationKernel, grid: Grid, nodes=None):
@@ -590,8 +586,6 @@ class FieldSampler:
         also from concurrent threads.  Each tile is a fresh array, or the
         leading rows of ``out``, a C-contiguous buffer of at least that many
         rows by ``rank``, drawn into in place: the same bits either way.
-        ``tiles`` and the dense-route ensemble both draw through here, so
-        they cut a block into the same tiles of the same normals.
         """
         rows = tile_rows(self.kernel, self.nodes.size, self.grid.length, count)
         if out is not None and (len(out) < rows or out.shape[1:] != (self.rank,)):
@@ -610,21 +604,22 @@ class FieldSampler:
         """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
 
         Each tile has shape ``(rows, n)``, one column per node: a fresh
-        tile of ``normals`` sent through the row-by-row transform.  The
-        AR(1) recursion is the LAPACK factor in closed form, so those two
-        routes give the same paths for the same key up to the LAPACK
-        route's jitter (about 1e-11); the pivoted route draws fewer normals
-        per path, so other paths of the same law.  A tile's running
-        integrals are ``running_integral(values, step_weights()[0])``.
+        tile of ``normals`` sent through ``transform``.  The AR(1)
+        recursion is the LAPACK factor in closed form, so those two routes
+        give the same paths for the same key up to the LAPACK route's
+        jitter (about 1e-11); the pivoted route draws fewer normals per
+        path, so other paths of the same law.  A tile's running integrals
+        are ``running_integral(values, step_weights()[0])``.
         """
         n = self.nodes.size
         rows = tile_rows(self.kernel, n, self.grid.length, count)
         check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} nodes")
         for normals in self.normals(master_seed, chunk, count):
-            yield self._transform(normals)
+            yield self.transform(normals)
 
-    def _transform(self, normals: np.ndarray) -> np.ndarray:
-        """Field values from a ``(rows, rank)`` tile of normals, row by row."""
+    def transform(self, normals: np.ndarray) -> np.ndarray:
+        """Field values from a ``(rows, rank)`` tile of normals, row by row;
+        on the AR(1) route the tile itself, overwritten in place."""
         if self.route != AR1_ROUTE:
             return normals @ self.factor.T
         # x_0 = sqrt(C) xi_0, x_i = rho_i x_{i-1} + s_i xi_i, in place, with

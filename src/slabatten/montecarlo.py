@@ -3,15 +3,15 @@
 Each sampled path has the closed pathwise solution
 ``I0 * exp(-sigma_a*z - alpha*sigma_a*int_0^z G)``, its integral one
 weighted running sum over the nodes it is drawn at (``running_integral``).
-For kappa = 1 the ensemble draws the field only at the output depths,
-integrates each tile of node values and weights each step by its exact
+Every route draws a block's normals into one buffer, tile by tile, and
+turns each tile into its integrals.  For kappa = 1 the field is drawn
+only at the output depths and each step weighted by its exact
 Ornstein-Uhlenbeck bridge, so its mean has no discretization error at
 all.  Other kernels take the trapezoid rule's weights on the grid, and
 as a path's integrals are linear in its normals, the ensemble integrates
-the covariance factor once, at the depths and over the slab, and turns
-each tile of normals into integrals by one product, forming no node
-values.  An explicit Euler integrator is kept
-alongside as an independent cross-check, and an analytic lognormal
+the covariance factor once and turns each tile of normals into integrals
+by one product, forming no node values.  An explicit Euler integrator is
+kept alongside as an independent cross-check, and an analytic lognormal
 oracle (Gaussian moment identity plus tensor-product quadrature)
 bypasses both the sampler and the erf closed form.
 """
@@ -19,6 +19,7 @@ bypasses both the sampler and the erf closed form.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -35,11 +36,11 @@ from .medium import MediumSpec, StochasticMedium
 from .quadrature import ordered_double_integral, square_double_integral
 
 _MAX_DEFAULT_ROWS = 256
-# Arrays of (tile rows, nodes + gathered depths) one AR(1)-route worker
-# holds at once: a tile's values, its running integral and the integrals
-# gathered (or blended) at the depths, which the reduction turns into
-# factors and their squares in place (tracemalloc peaks while two chunks
-# stream: 1.3 to 2.0 of them for n from 51 to 2001), with a margin.
+# Arrays of (tile rows, nodes + gathered ends) one AR(1)-route worker
+# holds at once: its normals, made a tile's values in place, their running
+# integral and the integrals read at the _ends, which the reduction turns
+# into factors and their squares in place (tracemalloc peaks at 2.1 to 2.5
+# of them per worker while two chunks stream, n 51 to 2001), with a margin.
 _STREAM_ARRAYS = 4
 # Exponent standard deviations above this make the lognormal sample mean
 # heavy-tailed enough that the SEM stops being trustworthy.
@@ -125,18 +126,24 @@ def default_depths(grid: Grid) -> np.ndarray:
     return depths
 
 
+def _ends(depths: np.ndarray, length: float) -> np.ndarray:
+    """The depths ``run_ensemble`` reads at: ``depths``, then ``L`` unless
+    it is the last, so the slab's integral is the last column."""
+    return depths if depths[-1] == length else np.append(depths, length)
+
+
 def ensemble_bytes(
     kernel: CorrelationKernel, grid: Grid, n_paths: int, depths, workers: int
 ) -> int:
     """The bytes ``run_ensemble`` charges before it builds anything: its
     sampler (``grf.sampler_bytes``) with what it holds beside it, by its
     tallest tile (``grf.tile_rows``) and its ``n`` nodes.  On the dense
-    routes that is the ``(rank, d + 1)`` basis of ``_integrated_factor``
-    and, per concurrent worker, the normals buffer and the ``(rows, d + 1)``
-    product buffer, with ``rank`` charged as ``n``, its bound, as the
-    factor is not built yet.  On the AR(1) route it is, per worker,
+    routes that is the ``(rank, d')`` basis of ``_integrated_factor`` and,
+    per worker asked for, the normals and ``(rows, d')`` product buffers,
+    with ``rank`` and ``d'`` charged as their bounds ``n`` and ``d + 1``,
+    as the factor is not built yet.  On the AR(1) route it is, per worker,
     ``_STREAM_ARRAYS`` arrays of the tile's rows by its nodes and, unless
-    they are the nodes in order, its depths."""
+    they are the nodes in order, its ``_ends``."""
     depths = np.atleast_1d(depths)
     nodes = stepping_nodes(kernel, grid, depths)
     n = nodes.size
@@ -147,20 +154,18 @@ def ensemble_bytes(
         columns = depths.size + 1
         streamed = 8 * (n * columns + streams * rows * (n + columns))
     else:
-        gathered = 0 if np.array_equal(depths, nodes) else depths.size
+        ends = _ends(depths, grid.length)
+        gathered = 0 if np.array_equal(ends, nodes) else ends.size
         streamed = 8 * _STREAM_ARRAYS * streams * rows * (n + gathered)
     return sampler_bytes(kernel, n, streamed)
 
 
 def _integrated_factor(factor: np.ndarray, weights, read) -> np.ndarray:
-    """The dense routes' ``(rank, d + 1)`` basis ``B``: the columns of the
-    factor ``F`` integrated by ``running_integral`` with the step
-    ``weights``, read at the depths by ``read`` (a ``depth_reader``), and
-    the slab integral at ``L`` last.  A path's integrals are linear in its
-    normals, so a row of normals times ``B`` gives what the row's node
-    values ``normals @ F^T`` would, integrated and read, up to rounding."""
-    sums = running_integral(factor.T, weights)
-    return np.concatenate((read(sums), sums[:, -1:]), axis=1)
+    """The dense routes' ``(rank, d')`` basis ``B``: the factor ``F``'s
+    columns integrated with the step ``weights`` and read by ``read``.  A
+    path's integrals are linear in its normals, so a row of normals times
+    ``B`` is its node values ``normals @ F^T`` integrated and read, up to rounding."""
+    return read(running_integral(factor.T, weights))
 
 
 def _pair_factor_sums(integrals: np.ndarray, scale: float):
@@ -221,28 +226,26 @@ def run_ensemble(
     which are independent where the two paths of a pair are not
     (Hammersley & Morton, Proc. Camb. Phil. Soc. 52, 449, 1956).  Paths
     are drawn in fixed blocks of CHUNK_PATHS, block c as half as many rows
-    from the stream keyed by (master_seed, c), cut into row tiles
-    (FieldSampler.normals): a worker turns each tile into its integrals at
-    the depths and adds them to the block's partial sums, so no whole
-    block of rows is held unless a tile is one.
-    At most two blocks per worker are in flight, and their partial sums
-    are added in block order, so memory does not grow with n_paths and
-    the result is bit-identical for any worker count.  One FieldSampler
-    (for a dense route, one covariance factor) is built and shared
-    read-only by the workers.  The sampler and what the workers hold,
-    ``ensemble_bytes``, are charged to the memory budget before the
-    sampler is built (MemoryBudgetExceeded).
+    from the stream keyed by (master_seed, c), tile by tile into one
+    buffer (FieldSampler.normals): a worker turns each tile into its
+    integrals and adds them to the block's partial sums.  At most two
+    blocks per thread are in flight, on at most ``workers`` threads and
+    the CPUs the process may use, and their partial sums are added in
+    block order, so memory does not grow with n_paths and the result is
+    bit-identical for any worker count.  One FieldSampler (for a dense
+    route, one covariance factor) is built and shared read-only by the
+    workers.  The sampler and what the workers hold, ``ensemble_bytes``,
+    are charged to the budget before the sampler is built (MemoryBudgetExceeded).
 
     Every route integrates as the running sum of ``w_k (X_(k-1) + X_k)``
-    over its nodes (``grf.running_integral``), read at the depths by
-    ``grf.depth_reader``.  Dense kernels take the grid's points with the
-    trapezoid's ``w = h/2``, and integrate their factor once: a tile of
-    normals times the ``(rank, d + 1)`` basis of ``_integrated_factor``
-    is its integrals at the depths and over the slab, one product into a
-    buffer the block reuses, with no node values formed.  ``kappa = 1``
-    integrates each tile of node values (``FieldSampler.tiles``), drawn at
-    ``{0} U depths U {L}`` only (``grf.stepping_nodes``) with the weights
-    of each step's exact conditional mean given its ends
+    over its nodes (``grf.running_integral``), read at the depths and
+    then over the slab (``_ends``, ``grf.depth_reader``).  Dense kernels
+    take the grid's points with the trapezoid's ``w = h/2`` and integrate
+    their factor once (``_integrated_factor``): a tile of normals times
+    that basis is its integrals, with no node values formed.  ``kappa = 1``
+    turns the tile into node values in place (``FieldSampler.transform``)
+    at ``{0} U depths U {L}`` only (``grf.stepping_nodes``) and weights
+    each step by its exact conditional mean given its ends
     (``grf.ou_bridge``); the bridges' summed variance V(z) enters each
     depth's mean as the exact factor ``exp((alpha sigma_a)^2 V(z) / 2)``,
     so the estimate is unbiased for the continuum law on any grid.
@@ -287,9 +290,11 @@ def run_ensemble(
         ensemble_bytes(sm.kernel, grid, n_paths, depths, workers),
         f"an ensemble's sampler and {streams} worker(s)' tiles on {nodes.size} points",
     )
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    threads = min(streams, len(affinity(0)) if affinity else os.cpu_count() or 1)
     sampler = FieldSampler(sm.kernel, grid, nodes)
     weights, variances = sampler.step_weights()
-    read = depth_reader(nodes, depths, grid.spacing)
+    read = depth_reader(nodes, _ends(depths, grid.length), grid.spacing)
     dense = sampler.route != AR1_ROUTE
     if dense:
         basis = _integrated_factor(sampler.factor, weights, read)
@@ -297,53 +302,37 @@ def run_ensemble(
     bridge_variance = float(bridged[-1])
     # The depth's Beer exponent and the bridges' exact variance factor in
     # one exp (V = 0 on the dense route, whose sums carry all the variance).
-    exponent = 0.5 * scale**2 * read(bridged) - medium.sigma_a * depths
+    exponent = 0.5 * scale**2 * read(bridged)[: depths.size] - medium.sigma_a * depths
     prefactor = medium.i0 * np.exp(exponent)
 
     def chunk_partials(chunk: int):
         pairs = min(CHUNK_PATHS, n_paths - chunk * CHUNK_PATHS) // 2
-        if dense:
-            tallest = tile_rows(sm.kernel, nodes.size, grid.length, pairs)
-            normals = np.empty((tallest, sampler.rank))
-            product = np.empty((tallest, basis.shape[1]))
-            tiles = sampler.normals(master_seed, chunk, pairs, out=normals)
-        else:
-            tiles = sampler.tiles(master_seed, chunk, pairs)
-        factor_sum = factor_sq_sum = 0.0
-        slab_integral = np.empty(pairs)
-        start = 0
-        for tile in tiles:
-            rows = len(tile)
+        tallest = tile_rows(sm.kernel, nodes.size, grid.length, pairs)
+        normals = np.empty((tallest, sampler.rank))
+        product = np.empty((tallest, basis.shape[1])) if dense else None
+        factor_sum = factor_sq_sum = raw = 0.0
+        for tile in sampler.normals(master_seed, chunk, pairs, out=normals):
             if dense:
-                # the integrals at the depths, then over the slab
-                integrals = np.matmul(tile, basis, out=product[:rows])
-                slab_integral[start : start + rows] = integrals[:, -1]
+                integrals = np.matmul(tile, basis, out=product[: len(tile)])
             else:
-                sums = running_integral(tile, weights)
-                slab_integral[start : start + rows] = sums[:, -1]
-                integrals = read(sums)
-                del sums
-            start += rows
-            # The dense route reduces its slab column too, as one pass over a
-            # contiguous buffer, and drops it: there cosh may overflow where
-            # no depth's does (a depth's overflow raises below).
+                integrals = read(running_integral(sampler.transform(tile), weights))
+            raw = raw + _power_sums(integrals[:, -1])
+            # An appended slab column is reduced too, in one pass over the
+            # tile, and dropped: there cosh may overflow where no depth's
+            # does (a depth's overflow raises below).
             sums, sq_sums = _pair_factor_sums(integrals, scale)
             factor_sum = factor_sum + sums
             factor_sq_sum = factor_sq_sum + sq_sums
-            # The AR(1) factors go now and the values when the next tile
-            # replaces them, which leaves the peak, reached in read, where
-            # it was: the allocator then reuses their blocks from tile to
-            # tile instead of returning them to the system and faulting
-            # them in again.
+            # The AR(1) integrals go before the next draw, so the allocator
+            # reuses their blocks for the next tile's, not faulting in new ones.
             del integrals
-        raw = _power_sums(slab_integral)
         return factor_sum[: depths.size], factor_sq_sum[: depths.size], raw
 
     factor_sum = np.zeros(prefactor.shape)
     factor_sq_sum = np.zeros(prefactor.shape)
     raw_moments = np.zeros(4)
-    with ThreadPoolExecutor(max_workers=streams) as pool:
-        for f_sum, f_sq, raw in _in_order(pool, chunk_partials, chunks, 2 * streams):
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for f_sum, f_sq, raw in _in_order(pool, chunk_partials, chunks, 2 * threads):
             factor_sum += f_sum
             factor_sq_sum += f_sq
             raw_moments += raw

@@ -425,7 +425,7 @@ class TestSampling:
         amp = 2.5
         sampler = FieldSampler(CorrelationKernel(amp, 1.0, 1.0), Grid(2 * steps, 3))
         assert np.all((0.0 < sampler.rho) & (sampler.rho < 2.0**-53))
-        x = sampler._transform(np.array([[1.0, 0.0, 1.0]]))
+        x = sampler.transform(np.array([[1.0, 0.0, 1.0]]))
         assert x[0, 1] == sampler.rho[0] * math.sqrt(amp)
 
     @pytest.mark.parametrize(
@@ -475,7 +475,7 @@ class TestSampling:
         assert max(heights) <= grf.tile_rows(sampler.kernel, n, 5.0)
         assert max(heights) - min(heights) <= 1
         # the whole block as one draw from its keyed stream, one transform
-        block = sampler._transform(
+        block = sampler.transform(
             np.random.default_rng(
                 np.random.SeedSequence(8, spawn_key=(3,))
             ).standard_normal((count, sampler.rank))

@@ -1,8 +1,10 @@
 """Ensemble runner, pathwise solutions, and the lognormal oracle."""
 
 import math
+import os
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -33,6 +35,14 @@ from slabatten.quadrature import square_double_integral
 from path_check import integral_at, path_intensity
 
 LOGNORMAL_EXAMPLE = 4.846583187098  # I0=10, sigma=1, C=1, zeta=1, alpha=0.8, z=1
+
+
+# A kernel and grid of each FieldSampler route, and the route's name.
+ROUTES = [
+    (CorrelationKernel(1.3, 0.5, 1.0), Grid(5.0, 51), grf.AR1_ROUTE),
+    (CorrelationKernel(1.0, 1.0, 2.0), Grid(5.0, 51), grf.PIVOTED_ROUTE),
+    (CorrelationKernel(0.7, 0.3, 1.5), Grid(4.0, 41), grf.CHOLESKY_ROUTE),
+]
 
 
 def _sm(alpha=0.1, sigma_a=1.0, i0=10.0, amplitude=1.0, zeta=1.0):
@@ -248,6 +258,42 @@ class TestRunEnsemble:
                 assert np.array_equal(a.sem, b.sem)
                 assert a.integral_skewness == b.integral_skewness
 
+    @pytest.mark.parametrize("cpus", [None, 2], ids=["affinity", "two-cpus"])
+    def test_pool_has_no_more_threads_than_the_cpus(self, monkeypatch, cpus):
+        # An executor that records its size and runs each task inline, so
+        # a million workers asked for start no thread.  Three chunks: the
+        # pool is min(workers, chunks, CPUs) and the bits are those of one.
+        sizes = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Inline)
+        sm = _sm(alpha=0.2)
+        grid = Grid(2.0, 41)
+        many = run_ensemble(sm, grid, 3 * CHUNK_PATHS, 5, workers=10**6)
+        one = run_ensemble(sm, grid, 3 * CHUNK_PATHS, 5, workers=1)
+        assert sizes == [min(3, usable), 1]
+        assert np.array_equal(many.mean, one.mean) and np.array_equal(many.sem, one.sem)
+        assert many.integral_skewness == one.integral_skewness
+
     @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
     def test_tiles_follow_the_chunk_streams(self, kappa):
         # Two chunks, the second short, each cut into several tiles: a tile
@@ -289,11 +335,12 @@ class TestRunEnsemble:
         # run_ensemble must give its bits exactly, as the byte-identical CSV
         # needs (test_grf pins integral_at's bits the same way).  Smaller
         # tiles cut a chunk into several also at the few stepping nodes of
-        # the kappa-1 route.  The kappa-1 route integrates each tile of node
-        # values; the dense route multiplies each tile of normals by its
-        # factor integrated once, read at the depths with the slab column
-        # last, and reduces all of those columns.  The slab integral's
-        # moments are taken over the drawn rows alone.
+        # the kappa-1 route.  Both routes read a tile's integrals at the
+        # depths and then at L, unless it is the last depth, and reduce all
+        # of those columns: the kappa-1 route integrates the tile's node
+        # values, the dense route multiplies the tile of normals by its
+        # factor integrated once.  The slab integral's moments are taken
+        # from the last column, over the drawn rows alone.
         monkeypatch.setattr(grf, "_TILE_BYTES", 32 * 2**10)
         medium = MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0)
         sm = StochasticMedium(medium, CorrelationKernel(1.0, 0.5, kappa))
@@ -301,34 +348,26 @@ class TestRunEnsemble:
         counts = (CHUNK_PATHS, 300)
         n = sum(counts)
         got = run_ensemble(sm, grid, n, 43, depths=depths)
-        sampler, integrate, prefactor = _route(sm, grid, got.depths)
-        scale = medium.alpha * medium.sigma_a
         d = got.depths.size
+        ends = got.depths if got.depths[-1] == 5.0 else np.append(got.depths, 5.0)
+        sampler, integrate, prefactor = _route(sm, grid, ends)
+        prefactor = prefactor[:d]
+        scale = medium.alpha * medium.sigma_a
         if kappa != 1:
-            factor = sampler.factor.T
-            basis = np.concatenate(
-                (integrate(factor), integrate(factor, slab=True)[:, None]), axis=1
-            )
+            basis = integrate(sampler.factor.T)
         f_sum = np.zeros(d)
         f_sq = np.zeros(d)
         slab = []
         for chunk, count in enumerate(counts):
             chunk_sum = chunk_sq = 0.0
             if kappa == 1:
-                tiles = [
-                    (integrate(values), integrate(values, slab=True))
-                    for values in sampler.tiles(43, chunk, count // 2)
-                ]
+                tiles = [integrate(values) for values in sampler.tiles(43, chunk, count // 2)]
             else:
-                tiles = [
-                    (product, product[:, -1])
-                    for product in (
-                        normals @ basis for normals in sampler.normals(43, chunk, count // 2)
-                    )
-                ]
+                tiles = [normals @ basis for normals in sampler.normals(43, chunk, count // 2)]
             assert len(tiles) > 1 or chunk == 1
-            for integrals, slab_integral in tiles:
-                slab.append(slab_integral.copy())
+            for integrals in tiles:
+                assert integrals.shape[1] == ends.size
+                slab.append(integrals[:, -1].copy())
                 f = np.cosh(scale * integrals) - 1.0
                 chunk_sum = chunk_sum + f.sum(axis=0)
                 chunk_sq = chunk_sq + (f**2).sum(axis=0)
@@ -360,19 +399,22 @@ class TestRunEnsemble:
         # Tile by tile, the normals times the integrated factor are the
         # integrals of the tile's node values normals @ F^T, read at the
         # depths (node, off-node, repeated and unsorted ones, or 256 of 501
-        # points), with the slab integral last: the same linear map summed
-        # in another order.
+        # points) and then at L unless it is the last depth, so the slab
+        # integral is last: the same linear map summed in another order.
         depths = montecarlo.default_depths(grid) if depths is None else np.array(depths)
         sampler = FieldSampler(kernel, grid)
         assert sampler.route == route
         weights, _ = sampler.step_weights()
-        read = grf.depth_reader(grid.points, depths, grid.spacing)
+        ends = montecarlo._ends(depths, grid.length)
+        assert ends.size == depths.size + (depths[-1] != grid.length)
+        read = grf.depth_reader(grid.points, ends, grid.spacing)
         basis = montecarlo._integrated_factor(sampler.factor, weights, read)
-        assert basis.shape == (sampler.rank, depths.size + 1)
+        assert basis.shape == (sampler.rank, ends.size)
         tiles = 0
         for normals in sampler.normals(5, 0, 3000):
             sums = grf.running_integral(normals @ sampler.factor.T, weights)
-            want = np.concatenate((read(sums), sums[:, -1:]), axis=1)
+            want = read(sums)
+            assert np.array_equal(want[:, -1], sums[:, -1])
             got = normals @ basis
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
             tiles += 1
@@ -388,11 +430,50 @@ class TestRunEnsemble:
         def refuse(self, normals):
             raise AssertionError("node values formed")
 
-        monkeypatch.setattr(FieldSampler, "_transform", refuse)
+        monkeypatch.setattr(FieldSampler, "transform", refuse)
         sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0), kernel)
         stats = run_ensemble(sm, grid, 2 * CHUNK_PATHS + 100, 3, workers=2)
         assert stats.sampler_route != grf.AR1_ROUTE
         assert np.all(np.isfinite(stats.mean)) and np.all(stats.sem[1:] > 0.0)
+
+    @pytest.mark.parametrize("kernel,grid,route", ROUTES, ids=[r[2] for r in ROUTES])
+    def test_every_route_draws_each_block_into_one_buffer(
+        self, kernel, grid, route, monkeypatch
+    ):
+        # One FieldSampler.normals draw per block, into a buffer, and no
+        # tile of node values drawn through FieldSampler.tiles (whose
+        # transform the kappa-1 route would otherwise reach).
+        def refuse(self, *args):
+            raise AssertionError("FieldSampler.tiles called")
+
+        drawn = []
+        normals = FieldSampler.normals
+
+        def recording(self, seed, chunk, count, out=None):
+            drawn.append((chunk, out is not None))
+            return normals(self, seed, chunk, count, out=out)
+
+        monkeypatch.setattr(FieldSampler, "tiles", refuse)
+        monkeypatch.setattr(FieldSampler, "normals", recording)
+        sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0), kernel)
+        stats = run_ensemble(sm, grid, 2 * CHUNK_PATHS + 100, 3, workers=2)
+        assert stats.sampler_route == route
+        assert sorted(drawn) == [(0, True), (1, True), (2, True)]
+
+    @pytest.mark.parametrize("kernel,grid,route", ROUTES, ids=[r[2] for r in ROUTES])
+    def test_appending_L_to_the_depths_moves_no_other_depth(self, kernel, grid, route):
+        # The integrals are read at the depths and then at L, unless it is
+        # the last depth: asking for L as well reads the same columns, so
+        # the other depths (on and off the nodes) keep their bits, and the
+        # slab integral's moments theirs.
+        sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0), kernel)
+        depths = np.array([2.71, 0.33, 1.0, 0.0])
+        want = run_ensemble(sm, grid, CHUNK_PATHS + 300, 13, depths=depths)
+        got = run_ensemble(sm, grid, CHUNK_PATHS + 300, 13, depths=np.append(depths, grid.length))
+        assert got.sampler_route == route
+        assert np.array_equal(got.mean[:-1], want.mean)
+        assert np.array_equal(got.sem[:-1], want.sem)
+        assert got.integral_skewness == want.integral_skewness
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
     def test_depths_map_back_to_their_places(self, kappa):
@@ -428,10 +509,10 @@ class TestRunEnsemble:
         tiles = []
 
         class Recording(FieldSampler):
-            def tiles(self, *key):
-                for values in super().tiles(*key):
-                    tiles.append(values.copy())
-                    yield values
+            def transform(self, normals):
+                values = super().transform(normals)
+                tiles.append(values.copy())
+                return values
 
         monkeypatch.setattr(montecarlo, "FieldSampler", Recording)
         sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.3), kernel)

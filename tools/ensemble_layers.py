@@ -7,12 +7,16 @@ For three configurations (kappa 2 on 51 and 501 points, kappa 1 stepped at
 all 501 grid points; zeta 1, L 5, alpha 0.8, sigma_a 1) it times
 ``run_ensemble`` with each layer of ``WRAPPED`` wrapped where it looks the
 layer up, and its ``normals``, each ``standard_normal`` draw of the keyed
-streams, through ``grf.default_rng``.  A layer called inside another counts
-toward the outer one only, as the basis's ``running_integral`` does.  The
-dense routes report ``DENSE_LAYERS``, the AR(1) route ``AR1_LAYERS``, between
-``run_ensemble`` and ``rest``, the time no layer covers: medians of
-``--repeat`` calls over the path count, after at least 1 s of calls per
-process, as OpenBLAS is slow for about its first second.
+streams, through ``grf.default_rng``.  Every route draws a block's normals
+into one buffer; the dense routes turn each tile into its integrals by one
+``product`` with the ``basis``, the AR(1) route by ``FieldSampler.transform``
+in place and ``running_integral``, its reading at the depths left in ``rest``.
+A layer called inside another counts toward the outer one only, as the
+basis's ``running_integral`` does.  The dense routes report
+``DENSE_LAYERS``, the AR(1) route ``AR1_LAYERS``, between ``run_ensemble``
+and ``rest``, the time no layer covers: medians of ``--repeat`` calls over
+the path count, after at least 1 s of calls per process, as OpenBLAS is
+slow for about its first second.
 ``minflt_per_run_ensemble`` gives the minor page faults of the first (cold)
 call and the median of the timed ones.  ``missing`` names each layer a route
 must run that was never called; if any is, the tool exits 1.
@@ -40,7 +44,7 @@ AR1_LAYERS = ("factor", "normals", "transform", "running_integral", "reduction",
 WRAPPED = {
     "factor": (FieldSampler, "__init__"),
     "basis": (montecarlo, "_integrated_factor"),
-    "transform": (FieldSampler, "_transform"),
+    "transform": (FieldSampler, "transform"),
     "running_integral": (montecarlo, "running_integral"),
     "product": (np, "matmul"),
     "reduction": (montecarlo, "_pair_factor_sums"),
