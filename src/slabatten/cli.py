@@ -8,7 +8,7 @@ warning the run meets, from any layer or thread, ends the report once,
 in one sorted block of ``warning: <Category>: <message>`` lines; a run
 that fails prints only its error.  ``--workers`` counts all of a run's
 threads: the Euler check gets one of its own only when the ensemble
-leaves one idle.
+leaves one of them idle on a CPU the process may use.
 
 Exit codes: 0 success, 1 invalid configuration (any ValueError: a flag
 check's UsageError, an ``--out`` that cannot be written, a run past the
@@ -52,6 +52,7 @@ from .montecarlo import (
     ensemble_bytes,
     path_intensity_em,
     run_ensemble,
+    usable_cpus,
 )
 
 MODES = ("beer", "paper", "exact", "mc", "euler-check")
@@ -287,9 +288,9 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     Paths are sampled once on the finest grid and read on nested subgrids
     through every stride-th node (a view, no copy), so every refinement
     integrates the same realizations and the observed order is not
-    washed out by path-to-path variation.  The paths arrive in row tiles;
-    only the per-path errors are kept.  The exact value at L needs the
-    trapezoid integral up to the last node only, one sum per refinement:
+    washed out by path-to-path variation.  The paths arrive in row tiles of
+    one buffer, as ``run_ensemble`` draws them, and only the per-path errors
+    are kept.  The exact value at L is one trapezoid sum per refinement,
     ``h (sum v - (v_0 + v_last) / 2)``.  Raises ValueError, naming the
     coarsest such step, when a mean error is not finite.
     """
@@ -300,8 +301,11 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
     beer_at_exit = beer(medium, base.length)
     scale = medium.alpha * medium.sigma_a
     per_path = np.empty((len(grids), _EULER_CHECK_PATHS))
+    rows = tile_rows(config.kernel, sampler.nodes.size, base.length, _EULER_CHECK_PATHS)
+    normals = np.empty((rows, sampler.rank))
     start = 0
-    for values in sampler.tiles(config.master_seed, 0, _EULER_CHECK_PATHS):
+    for tile in sampler.normals(config.master_seed, 0, _EULER_CHECK_PATHS, out=normals):
+        values = sampler.transform(tile)
         stop = start + len(values)
         for i, (stride, grid) in enumerate(zip(_EULER_CHECK_STRIDES, grids)):
             path = values[:, ::stride]
@@ -311,7 +315,7 @@ def _euler_check_lines(config: ExperimentConfig) -> list:
             exact = beer_at_exit * np.exp(-scale * integral)
             per_path[i, start:stop] = np.abs(euler - exact)
         start = stop
-        del values, path  # free this tile before the next one is drawn
+        del values, path  # free this tile's values before the next draw
     lines = ["euler check (mean |Euler - exact| at z = L, nested refinements):"]
     errors = [float(np.mean(row)) for row in per_path]
     for grid, err in zip(grids, errors):
@@ -334,8 +338,8 @@ def _euler_check_points(grid: Grid) -> int:
 
 
 def _euler_check_bytes(config: ExperimentConfig) -> int:
-    """The Euler check's charge: its sampler on the finest grid with its
-    tallest tile of paths and of temporaries (``FieldSampler.tiles``)."""
+    """The Euler check's one charge: its sampler on the finest grid with its
+    normals buffer and its tallest tile of paths, two tiles by the nodes."""
     n = _euler_check_points(config.grid)
     rows = tile_rows(config.kernel, n, config.grid.length, _EULER_CHECK_PATHS)
     return sampler_bytes(config.kernel, n, 8 * 2 * rows * n)
@@ -344,14 +348,14 @@ def _euler_check_bytes(config: ExperimentConfig) -> int:
 def _euler_check_beside(config: ExperimentConfig, depths) -> bool:
     """Charge the Euler check to the memory budget, and say whether it runs
     on its own thread beside the ensemble: when the ensemble's chunks leave
-    a worker idle and its charge and ``ensemble_bytes`` fit the budget
-    together."""
+    a worker idle on a free CPU (``usable_cpus``) and its charge and
+    ``ensemble_bytes`` fit the budget together."""
     if "euler-check" not in config.modes:
         return False
     euler = _euler_check_bytes(config)
     check_budget(euler, "the Euler check on its refined grid")
     chunks = -(-config.n_paths // CHUNK_PATHS)
-    if "mc" not in config.modes or chunks >= config.workers:
+    if "mc" not in config.modes or chunks >= min(config.workers, usable_cpus()):
         return False
     ensemble = ensemble_bytes(
         config.kernel, config.grid, config.n_paths, depths, config.workers

@@ -7,8 +7,8 @@ is positive definite, so it defines a field, only for kappa <= 2
 fixed blocks of ``CHUNK_PATHS`` paths, and block ``c`` of master seed
 ``s`` is always one stream, ``SeedSequence(s, spawn_key=(c,))``, of
 standard normals, one row per path, drawn as consecutive row tiles of
-at most ``tile_rows`` (``FieldSampler.normals``, the one stream and tile
-cut), so a caller holds a few tiles, not whole blocks.
+at most ``tile_rows`` into one buffer the caller holds
+(``FieldSampler.normals``, the one stream and tile cut), not whole blocks.
 ``FieldSampler.transform`` turns a tile into field values row by row.
 For ``kappa = 1`` (an Ornstein-Uhlenbeck process, Markov) that is the
 exact AR(1) recursion ``x_i = rho_i*x_{i-1} + sqrt(C*(1 - rho_i**2))*xi_i``
@@ -498,10 +498,9 @@ class FieldSampler:
     stream, tile by tile, and ``transform`` turns a tile into field values
     row by row, so on the AR(1) route a row is bit-identical however its
     block was cut; a dense-route row may differ in the last bits, as a
-    product of another height can take another BLAS kernel.  Requests
-    above the memory budget raise MemoryBudgetExceeded before anything is
-    allocated: the sampler (``sampler_bytes``) before any per-node array,
-    ``tiles``' tile of field values before the first one is drawn.
+    product of another height can take another BLAS kernel.  A sampler
+    past the budget (``sampler_bytes``) raises MemoryBudgetExceeded before
+    any per-node array; a caller charges its own buffer.
     """
 
     def __init__(self, kernel: CorrelationKernel, grid: Grid, nodes=None):
@@ -577,49 +576,31 @@ class FieldSampler:
             w, v = ou_bridge(self.kernel, np.diff(self.nodes))
         return np.concatenate(([0.0], w)), np.concatenate(([0.0], v))
 
-    def normals(self, master_seed: int, chunk: int, count: int, out=None):
+    def normals(self, master_seed: int, chunk: int, count: int, out: np.ndarray):
         """Yield the standard normals of block ``chunk``'s ``count`` paths as
         consecutive ``(rows, rank)`` tiles, ``rows`` balanced and at most
         ``tile_rows(kernel, n, L, count)``: consecutive draws from the block's
         one stream, ``SeedSequence(master_seed, spawn_key=(chunk,))``, so
         the same (master_seed, chunk, count) always gives the same bits,
-        also from concurrent threads.  Each tile is a fresh array, or the
-        leading rows of ``out``, a C-contiguous buffer of at least that many
-        rows by ``rank``, drawn into in place: the same bits either way.
+        also from concurrent threads.  Each tile is the leading rows of
+        ``out``, a C-contiguous buffer of at least that many rows by
+        ``rank``, drawn into in place: the caller allocates, and charges, it.
         """
         rows = tile_rows(self.kernel, self.nodes.size, self.grid.length, count)
-        if out is not None and (len(out) < rows or out.shape[1:] != (self.rank,)):
+        if len(out) < rows or out.shape[1:] != (self.rank,):
             raise ValueError(f"out must hold ({rows}, {self.rank}) normals, got {out.shape}")
         n_tiles = max(1, -(-count // max(1, rows)))
         base, extra = divmod(count, n_tiles)
         stream = default_rng(SeedSequence(master_seed, spawn_key=(chunk,)))
         for t in range(n_tiles):
-            size = base + (t < extra)
-            if out is None:
-                yield stream.standard_normal((size, self.rank))
-            else:
-                yield stream.standard_normal(out=out[:size])
-
-    def tiles(self, master_seed: int, chunk: int, count: int):
-        """Yield the ``count`` paths of block ``chunk`` as consecutive row tiles.
-
-        Each tile has shape ``(rows, n)``, one column per node: a fresh
-        tile of ``normals`` sent through ``transform``.  The AR(1)
-        recursion is the LAPACK factor in closed form, so those two routes
-        give the same paths for the same key up to the LAPACK route's
-        jitter (about 1e-11); the pivoted route draws fewer normals per
-        path, so other paths of the same law.  A tile's running integrals
-        are ``running_integral(values, step_weights()[0])``.
-        """
-        n = self.nodes.size
-        rows = tile_rows(self.kernel, n, self.grid.length, count)
-        check_budget(8 * 2 * rows * n, f"a tile of {rows} paths on {n} nodes")
-        for normals in self.normals(master_seed, chunk, count):
-            yield self.transform(normals)
+            yield stream.standard_normal(out=out[: base + (t < extra)])
 
     def transform(self, normals: np.ndarray) -> np.ndarray:
         """Field values from a ``(rows, rank)`` tile of normals, row by row;
-        on the AR(1) route the tile itself, overwritten in place."""
+        on the AR(1) route the tile itself, overwritten in place.  The AR(1)
+        recursion is the LAPACK factor in closed form: the two give the same
+        paths for the same normals up to its jitter (about 1e-11), and the
+        pivoted route other paths of the same law from fewer normals."""
         if self.route != AR1_ROUTE:
             return normals @ self.factor.T
         # x_0 = sqrt(C) xi_0, x_i = rho_i x_{i-1} + s_i xi_i, in place, with

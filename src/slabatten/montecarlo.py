@@ -197,6 +197,12 @@ def _central_moments(raw: np.ndarray, n: int):
     return m2, m3, m4
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else all of them."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _in_order(pool, fn, items, window: int):
     """Yield ``fn(item)`` for each item, in order, computed on ``pool``
     with at most ``window`` items submitted and not yet yielded."""
@@ -229,8 +235,8 @@ def run_ensemble(
     from the stream keyed by (master_seed, c), tile by tile into one
     buffer (FieldSampler.normals): a worker turns each tile into its
     integrals and adds them to the block's partial sums.  At most two
-    blocks per thread are in flight, on at most ``workers`` threads and
-    the CPUs the process may use, and their partial sums are added in
+    blocks per thread are in flight, on ``min(workers, usable_cpus())``
+    threads at most, and their partial sums are added in
     block order, so memory does not grow with n_paths and the result is
     bit-identical for any worker count.  One FieldSampler (for a dense
     route, one covariance factor) is built and shared read-only by the
@@ -290,8 +296,7 @@ def run_ensemble(
         ensemble_bytes(sm.kernel, grid, n_paths, depths, workers),
         f"an ensemble's sampler and {streams} worker(s)' tiles on {nodes.size} points",
     )
-    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    threads = min(streams, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    threads = min(streams, usable_cpus())
     sampler = FieldSampler(sm.kernel, grid, nodes)
     weights, variances = sampler.step_weights()
     read = depth_reader(nodes, _ends(depths, grid.length), grid.spacing)

@@ -1,12 +1,30 @@
 """The exact pathwise referee of the ensemble's integrator, shared by the
 test modules: the trapezoid integral of a path and its exact intensity,
 both built on ``grf.running_integral`` and ``grf.depth_reader``, the one
-integrator ``run_ensemble`` uses."""
+integrator ``run_ensemble`` uses, and the paths drawn as its pipelines
+draw them (``drawn_tiles``, ``drawn_block``)."""
 
 import numpy as np
 
 from slabatten import beer
 from slabatten.grf import checked_depths, checked_values, depth_reader, running_integral
+from slabatten.grf import tile_rows
+
+
+def drawn_tiles(sampler, seed, chunk, count, values=True):
+    """Block ``chunk`` of master seed ``seed`` as the pipelines draw it:
+    ``count`` rows of normals drawn tile by tile into one buffer of the
+    tallest tile (``FieldSampler.normals``) and, with ``values``, made node
+    values (``FieldSampler.transform``), each tile copied out of the buffer."""
+    rows = tile_rows(sampler.kernel, sampler.nodes.size, sampler.grid.length, count)
+    buffer = np.empty((rows, sampler.rank))
+    for tile in sampler.normals(seed, chunk, count, out=buffer):
+        yield (sampler.transform(tile) if values else tile).copy()
+
+
+def drawn_block(sampler, seed, chunk, count, values=True):
+    """``drawn_tiles``' rows in one array."""
+    return np.concatenate(list(drawn_tiles(sampler, seed, chunk, count, values)))
 
 
 def integral_at(grid, values, depths):

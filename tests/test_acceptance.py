@@ -30,7 +30,7 @@ from slabatten import (
 from slabatten.cli import COLUMNS, _decay_rate_limit, main
 
 from ode_check import ode_residual
-from path_check import path_intensity
+from path_check import drawn_block, path_intensity
 
 SWEEP_ZETAS = (0.1, 1.0, 5.0, 1e4)
 SWEEP_DEPTHS = np.linspace(0.0, 10.0, 64)
@@ -46,11 +46,6 @@ def _rel_gap(a: float, b: float) -> float:
     if a == b:
         return 0.0
     return abs(a - b) / max(abs(a), abs(b))
-
-
-def _block(sampler, seed, chunk, count):
-    """Ensemble block ``chunk`` of master seed ``seed``: its tiles' rows."""
-    return np.concatenate(list(sampler.tiles(seed, chunk, count)))
 
 
 def _csv_column(path, name):
@@ -186,7 +181,7 @@ def test_criterion_06_sampler_statistics():
     t_sums = np.zeros(4)
     for chunk, begin in enumerate(range(0, n, 8192)):
         count = min(8192, n - begin)
-        block = _block(sampler, 60, chunk, count)
+        block = drawn_block(sampler, 60, chunk, count)
         sq_sum += (block**2).sum(axis=0)
         segs = 0.5 * grid.spacing * (block[:, 1:] + block[:, :-1])
         t = segs.sum(axis=1)
@@ -265,7 +260,7 @@ def test_criterion_09_euler_cross_check_order():
     kernel = CorrelationKernel(1.0, 1.0, 2.0)
     fine_grid = Grid(3.0, 401)
     sampler = FieldSampler(kernel, fine_grid)
-    block = _block(sampler, 17, 0, 100)
+    block = drawn_block(sampler, 17, 0, 100)
 
     mean_errors = []
     for stride in (8, 4, 2, 1):

@@ -299,14 +299,21 @@ class TestMainExitCodes:
         out = tmp_path / "x.csv"
         out.write_text("kept\n", encoding="utf-8")
         missing = tmp_path / "y.csv"
-        for path in (out, missing):
-            code = main([
-                "--kappa", "1.5", "--zeta", "0.5", "--grid-points", "3000",
-                "--modes", "beer,mc,euler-check", "--paths", "2000",
-                "--workers", workers, "--out", str(path),
-            ])
-            assert code == 1
-            assert "the Euler check on its refined grid" in capsys.readouterr().err
+        # the dense route's factor on 11 997 refined points, and AR(1)
+        # tiles of 50 rows (the 64-row floor, balanced) on 2 800 001
+        for flags, needs in [
+            (["--kappa", "1.5", "--zeta", "0.5", "--grid-points", "3000"], ""),
+            (["--kappa", "1", "--zeta", "0.01", "--length", "10",
+              "--grid-points", "700001"], "needs about 2.19 GiB"),
+        ]:
+            for path in (out, missing):
+                code = main([
+                    *flags, "--modes", "beer,mc,euler-check", "--paths", "2000",
+                    "--workers", workers, "--out", str(path),
+                ])
+                assert code == 1
+                err = capsys.readouterr().err
+                assert "the Euler check on its refined grid" in err and needs in err
         # the probe of --out neither truncates a file nor leaves one behind
         assert out.read_text(encoding="utf-8") == "kept\n"
         assert not missing.exists()
@@ -675,14 +682,14 @@ class TestCsvContract:
         # paths.  A slab of 500 zeta may cut the AR(1) scan into several
         # entries, whose loop each tile repeats, so it keeps 64-row tiles.
         drawn = []
-        tiles = grf.FieldSampler.tiles
+        normals = grf.FieldSampler.normals
 
-        def recording(self, *args):
-            for tile in tiles(self, *args):
+        def recording(self, *args, **kwargs):
+            for tile in normals(self, *args, **kwargs):
                 drawn.append(tile.shape)
                 yield tile
 
-        monkeypatch.setattr(grf.FieldSampler, "tiles", recording)
+        monkeypatch.setattr(grf.FieldSampler, "normals", recording)
         code = main([
             "--kappa", "1", "--zeta", zeta, "--grid-points", "1001",
             "--modes", "euler-check", "--out", str(tmp_path / "curves.csv"),
@@ -744,13 +751,24 @@ class TestDeterminism:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_euler_check_runs_beside_the_ensemble_only_within_the_budget(self):
+    def test_euler_check_runs_beside_the_ensemble_only_within_the_budget(
+        self, monkeypatch
+    ):
         def beside(*flags):
             config = parse_args(["--modes", "mc,euler-check", *flags])
             return _euler_check_beside(config, default_depths(config.grid))
 
-        # Only beside an ensemble that leaves a worker idle: 20 000 paths
-        # are five 4096-path chunks, 4096 paths one.
+        def cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+
+        # Only beside an ensemble that leaves a worker idle on a free CPU:
+        # on 2 CPUs, 12 000 paths (three chunks) fill both at --workers 4.
+        cpus(2)
+        assert not beside("--workers", "4", "--paths", "12000")
+        assert beside("--workers", "2", "--paths", "2000")
+        # On 8: 20 000 paths are five 4096-path chunks, 4096 paths one.
+        cpus(8)
         assert beside("--workers", "2", "--paths", "4096")
         assert not beside("--workers", "1", "--paths", "4096")
         assert not beside("--workers", "2", "--paths", "4098")
@@ -776,16 +794,14 @@ class TestDeterminism:
 def test_memory_bounds_never_undercount_the_charges(
     tmp_path, monkeypatch, kappa, points, workers
 ):
-    # Every budget charge of a run, by what made it: the ensemble (its
-    # sampler, its workers' tiles) or the Euler check, the (rows, nodes) of
-    # the tiles FieldSampler.tiles charged, which only the Euler check
-    # draws, and the rows of every tile of normals the ensemble drew.  The
-    # charges each pipeline plans with, before anything is built, must be
-    # its sampler with the tallest tile it really drew, on both routes, with
-    # the depths the grid's own nodes (21 points) and 256 of 301.
+    # Every budget charge of a run, by what made it, the ensemble (its
+    # sampler, its workers' tiles) or the Euler check, and the (rows, nodes)
+    # of every tile of normals each drew.  The charges each pipeline plans
+    # with, before anything is built, must be its sampler with the tallest
+    # tile it really drew, on both routes, with the depths the grid's own
+    # nodes (21 points) and 256 of 301.
     charges = {"ensemble": [], "euler": []}
-    tiles = {"ensemble": [], "euler": []}
-    drawn = []
+    drawn = {"ensemble": [], "euler": []}
     check_budget = grf.check_budget
     normals = grf.FieldSampler.normals
 
@@ -799,15 +815,12 @@ def test_memory_bounds_never_undercount_the_charges(
         run = stage()
         if run is not None:
             charges[run].append(needed)
-            if what.startswith("a tile of"):
-                tiles[run].append(tuple(int(w) for w in what.split() if w.isdigit()))
         check_budget(needed, what)
 
     def recording_normals(self, *args, **kwargs):
         run = stage()
         for tile in normals(self, *args, **kwargs):
-            if run == "ensemble":
-                drawn.append(len(tile))
+            drawn[run].append((len(tile), self.nodes.size))
             yield tile
 
     monkeypatch.setattr(grf, "check_budget", recording)
@@ -820,8 +833,7 @@ def test_memory_bounds_never_undercount_the_charges(
     config = parse_args(argv)
     depths = default_depths(config.grid)
     nodes = grf.stepping_nodes(config.kernel, config.grid, depths)
-    rows = max(drawn)
-    assert tiles["ensemble"] == []
+    rows = max(rows for rows, _ in drawn["ensemble"])
     # 5000 paths are two blocks, streamed by as many workers
     if kappa == "1":
         gathered = 0 if np.array_equal(depths, nodes) else depths.size
@@ -835,7 +847,7 @@ def test_memory_bounds_never_undercount_the_charges(
     assert bound == grf.sampler_bytes(config.kernel, nodes.size, streamed)
     assert max(charges["ensemble"]) <= bound
     # the Euler check's finest grid sets its charge
-    rows, n = max(tiles["euler"], key=lambda tile: tile[1])
+    rows, n = max(drawn["euler"], key=lambda tile: tile[1])
     bound = _euler_check_bytes(config)
     assert bound == grf.sampler_bytes(config.kernel, n, 8 * 2 * rows * n)
     assert max(charges["euler"]) <= bound

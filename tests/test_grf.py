@@ -23,7 +23,7 @@ from slabatten import (
     square_double_integral,
 )
 
-from path_check import integral_at
+from path_check import drawn_block, drawn_tiles, integral_at
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -223,11 +223,6 @@ class TestCovarianceMatrix:
             assert eigs.min() >= -1e-10 * amp
 
 
-def _block(sampler, seed, chunk, count):
-    """Ensemble block ``chunk`` of master seed ``seed``: its tiles' rows."""
-    return np.concatenate(list(sampler.tiles(seed, chunk, count)))
-
-
 def _assert_scan_is_the_recursion(sampler):
     """The sampler's paths are the AR(1) recursion, taken node by node."""
     n, amp = sampler.nodes.size, sampler.kernel.amplitude
@@ -240,14 +235,14 @@ def _assert_scan_is_the_recursion(sampler):
         expected[:, i] = (
             sampler.rho[i - 1] * expected[:, i - 1] + sampler.innovation[i - 1] * xi[:, i]
         )
-    got = _block(sampler, 5, 1, 50)
+    got = drawn_block(sampler, 5, 1, 50)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - expected)) <= 1e-13 * math.sqrt(amp)
 
 
 def _path(kernel, grid, seed):
     """Ensemble path 0 of master seed ``seed`` as a one-row block."""
-    return _block(FieldSampler(kernel, grid), seed, 0, 1)
+    return drawn_block(FieldSampler(kernel, grid), seed, 0, 1)
 
 
 class TestSampling:
@@ -271,13 +266,13 @@ class TestSampling:
         # 300 x 201 blocks are large enough for threaded BLAS.
         sampler = FieldSampler(CorrelationKernel(1.0, 1.0, kappa), Grid(2.0, 201))
         keys = [(99, chunk, 300) for chunk in range(4)] * 2
-        serial = [_block(sampler, *key) for key in keys]
+        serial = [drawn_block(sampler, *key) for key in keys]
         assert serial[0].shape == (300, 201)
         assert np.array_equal(serial[0], serial[4])
         for other in serial[1:4]:
             assert not np.any(serial[0] == other)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda key: _block(sampler, *key), keys))
+            threaded = list(pool.map(lambda key: drawn_block(sampler, *key), keys))
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
 
@@ -331,18 +326,13 @@ class TestSampling:
         sampler = FieldSampler(kernel, Grid.for_kernel(10.0, kernel))
         assert sampler.route == grf.AR1_ROUTE and sampler.factor is None
         monkeypatch.setattr(grf, "default_rng", refuse)
-        # A block is charged one tile at a time: 4096 paths on 100 001
-        # points stream in 64-row tiles and reach the draw...
+        # 4096 paths on 100 001 points stream in 64-row tiles and reach the
+        # draw; a caller past the budget (the Euler check) is refused by its
+        # own charge, before it builds its sampler.
         wide = FieldSampler(kernel, Grid(10.0, 100_001))
         assert grf.tile_rows(kernel, 100_001, 10.0) == 64
         with pytest.raises(AssertionError, match="allocating call reached"):
-            next(wide.tiles(0, 0, 4096))
-        # ...while one 64-row tile on 2 200 001 points is past the budget.
-        big = FieldSampler(kernel, Grid(10.0, 2_200_001))
-        with pytest.raises(MemoryBudgetExceeded, match="64 paths on 2200001") as err:
-            next(big.tiles(0, 0, 4096))
-        assert "covariance" not in str(err.value)
-        assert "factor" not in str(err.value)
+            next(drawn_tiles(wide, 0, 0, 4096))
 
     @pytest.mark.parametrize("zeta,n", [(1.0, 51), (0.3, 168), (0.05, 1001)])
     def test_ar1_recursion_is_the_cholesky_factor_of_the_covariance(self, zeta, n):
@@ -356,7 +346,7 @@ class TestSampling:
         ).standard_normal((200, n))
         factor = np.linalg.cholesky(covariance_matrix(kernel, grid))
         np.testing.assert_allclose(
-            _block(sampler, 31, 2, 200), normals @ factor.T, rtol=0, atol=1e-9
+            drawn_block(sampler, 31, 2, 200), normals @ factor.T, rtol=0, atol=1e-9
         )
 
     @pytest.mark.parametrize("n", [2, 3, 41, 1001])
@@ -416,7 +406,7 @@ class TestSampling:
         xi = np.random.default_rng(
             np.random.SeedSequence(5, spawn_key=(1,))
         ).standard_normal((50, n))
-        assert np.array_equal(_block(sampler, 5, 1, 50), math.sqrt(amp) * xi)
+        assert np.array_equal(drawn_block(sampler, 5, 1, 50), math.sqrt(amp) * xi)
 
     @pytest.mark.parametrize("steps", [40.0, 100.0, 700.0])
     def test_ar1_keeps_the_memory_term_at_tiny_rho(self, steps):
@@ -468,7 +458,7 @@ class TestSampling:
     @pytest.mark.parametrize("kappa", [1.0, 2.0], ids=["kappa1", "kappa2"])
     def test_tiles_are_the_rows_of_the_block(self, kappa, n, count):
         sampler = FieldSampler(CorrelationKernel(1.0, 0.5, kappa), Grid(5.0, n))
-        tiles = list(sampler.tiles(8, 3, count))
+        tiles = list(drawn_tiles(sampler, 8, 3, count))
         heights = [len(tile) for tile in tiles]
         assert sum(heights) == count
         assert max(heights) == grf.tile_rows(sampler.kernel, n, 5.0, count)
@@ -499,7 +489,7 @@ class TestSampling:
         sq_sum = np.zeros(41)
         lag_sum = np.zeros(40)
         for chunk, start in enumerate(range(0, n, 8192)):
-            block = _block(sampler, 606, chunk, min(8192, n - start))
+            block = drawn_block(sampler, 606, chunk, min(8192, n - start))
             sq_sum += (block**2).sum(axis=0)
             lag_sum += (block[:, 1:] * block[:, :-1]).sum(axis=0)
         # Var(x^2) = 2 C^2 and Var(x_i x_{i+1}) = C^2 (1 + rho^2) for Gaussians
@@ -512,11 +502,14 @@ class TestSampling:
         sampler = FieldSampler(CorrelationKernel(1.0, 1.0, 2.0), Grid(5.0, 51))
         rows = grf.tile_rows(sampler.kernel, 51, 5.0, 2048)
         buffer = np.empty((rows, sampler.rank))
-        fresh = list(sampler.normals(9, 3, 2048))
         filled = [tile.copy() for tile in sampler.normals(9, 3, 2048, out=buffer)]
-        assert len(fresh) == len(filled) > 1
-        for a, b in zip(fresh, filled):
-            assert np.array_equal(a, b)
+        assert len(filled) > 1
+        assert all(len(tile) <= rows for tile in filled)
+        # the tiles are consecutive draws from the block's one keyed stream
+        whole = np.random.default_rng(
+            np.random.SeedSequence(9, spawn_key=(3,))
+        ).standard_normal((2048, sampler.rank))
+        assert np.array_equal(np.concatenate(filled), whole)
         # a buffer too short or too narrow would draw another cut of the stream
         for shape in ((rows - 1, sampler.rank), (rows, sampler.rank + 1)):
             with pytest.raises(ValueError, match="out must hold"):
@@ -571,7 +564,7 @@ class TestSampling:
         factor, matrix = sampler.factor, covariance_matrix(kernel, grid)
         assert factor.shape == (n, rank) and sampler.rank == rank
         assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * amp
-        assert next(sampler.tiles(1, 0, 10)).shape == (10, n)
+        assert next(drawn_tiles(sampler, 1, 0, 10)).shape == (10, n)
 
     def test_only_a_lapack_failure_takes_the_pivoted_factor(self, monkeypatch):
         # Any other error from the factorization, such as running out of
@@ -624,7 +617,7 @@ class TestSampling:
         ).standard_normal((200, nodes.size))
         factor = np.linalg.cholesky(kernel.evaluate(nodes[:, None], nodes[None, :]))
         np.testing.assert_allclose(
-            _block(sampler, 31, 2, 200), normals @ factor.T, rtol=0, atol=1e-9
+            drawn_block(sampler, 31, 2, 200), normals @ factor.T, rtol=0, atol=1e-9
         )
 
     def test_nodes_are_checked(self):
@@ -649,7 +642,7 @@ class TestSampling:
         n = 40_000
         sq_sum = np.zeros(21)
         for chunk, start in enumerate(range(0, n, 8192)):
-            block = _block(sampler, 2024, chunk, min(8192, n - start))
+            block = drawn_block(sampler, 2024, chunk, min(8192, n - start))
             sq_sum += (block**2).sum(axis=0)
         variance = sq_sum / n
         three_se = 3.0 * amp * math.sqrt(2.0 / n)
@@ -676,7 +669,7 @@ class TestPivotedCholesky:
         kernel = CorrelationKernel(1.0, 1.0, 2.0)
         sampler = FieldSampler(kernel, Grid.for_kernel(5.0, kernel))
         assert (sampler.grid.n_points, sampler.rank) == (51, 23)
-        assert next(sampler.tiles(1, 0, 10)).shape == (10, 51)
+        assert next(drawn_tiles(sampler, 1, 0, 10)).shape == (10, 51)
 
     @pytest.mark.parametrize(
         "kappa,zeta", [(1.5, 1.0), (2.0, 2.01)], ids=["kappa1.5", "kappa2-coarse-grid"]
@@ -760,7 +753,7 @@ class TestOUBridge:
             warnings.simplefilter("error")
             weights, variances = grf.ou_bridge(kernel, np.diff(nodes))
             sampler = FieldSampler(kernel, Grid(5.0, 11), nodes)
-            values = _block(sampler, 3, 0, 50)
+            values = drawn_block(sampler, 3, 0, 50)
         assert np.all(sampler.rho == 0.0)
         assert np.all(weights == zeta)
         np.testing.assert_allclose(
@@ -896,7 +889,7 @@ class TestStochasticIntegral:
         nodes = grf.stepping_nodes(kernel, grid, [2.71, 0.33])
         sampler = FieldSampler(kernel, grid, nodes)
         weights, variances = sampler.step_weights()
-        values = _block(sampler, 5, 0, 9)
+        values = drawn_block(sampler, 5, 0, 9)
         got = grf.running_integral(values, weights)
         if kappa == 2.0:
             assert np.array_equal(nodes, grid.points) and not variances.any()
@@ -928,7 +921,7 @@ class TestIntegralStatistics:
         out = np.empty(n)
         for chunk, start in enumerate(range(0, n, 8192)):
             count = min(8192, n - start)
-            block = _block(sampler, seed, chunk, count)
+            block = drawn_block(sampler, seed, chunk, count)
             segs = 0.5 * grid.spacing * (block[:, 1:] + block[:, :-1])
             out[start : start + count] = segs.sum(axis=1)
         return out

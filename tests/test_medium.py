@@ -19,10 +19,7 @@ from slabatten import (
     path_intensity_em,
 )
 
-
-def _block(sampler, seed, chunk, count):
-    """Ensemble block ``chunk`` of master seed ``seed``: its tiles' rows."""
-    return np.concatenate(list(sampler.tiles(seed, chunk, count)))
+from path_check import drawn_block
 
 
 class TestMediumSpec:
@@ -114,7 +111,7 @@ class TestAbsorptionAt:
         sampler = FieldSampler(sm.kernel, grid)
         null = np.zeros(21)
         for seed in (1, 2, 3):
-            path = _block(sampler, seed, 0, 1)
+            path = drawn_block(sampler, seed, 0, 1)
             for z in (0.0, 0.5, 1.234, 2.0):
                 assert path_intensity_em(sm.medium, grid, path, z) == path_intensity_em(
                     sm.medium, grid, null, z
@@ -134,7 +131,7 @@ class TestAbsorptionAt:
         a2 = np.empty(n)
         for chunk, start in enumerate(range(0, n, 8192)):
             count = min(8192, n - start)
-            block = _block(sampler, 77, chunk, count)
+            block = drawn_block(sampler, 77, chunk, count)
             a1[start : start + count] = m.sigma_a * (1.0 + m.alpha * block[:, z1_idx])
             a2[start : start + count] = m.sigma_a * (1.0 + m.alpha * block[:, z2_idx])
 

@@ -25,6 +25,7 @@ from slabatten import (
     default_depths,
     lognormal_oracle,
     path_intensity_em,
+    cli,
     grf,
     montecarlo,
     run_ensemble,
@@ -32,7 +33,7 @@ from slabatten import (
 from slabatten.grf import CHUNK_PATHS
 from slabatten.quadrature import square_double_integral
 
-from path_check import integral_at, path_intensity
+from path_check import drawn_block, drawn_tiles, integral_at, path_intensity
 
 LOGNORMAL_EXAMPLE = 4.846583187098  # I0=10, sigma=1, C=1, zeta=1, alpha=0.8, z=1
 
@@ -52,14 +53,9 @@ def _sm(alpha=0.1, sigma_a=1.0, i0=10.0, amplitude=1.0, zeta=1.0):
     )
 
 
-def _block(sampler, seed, chunk, count):
-    """Ensemble block ``chunk`` of master seed ``seed``: its tiles' rows."""
-    return np.concatenate(list(sampler.tiles(seed, chunk, count)))
-
-
 def _path(kernel, grid, seed, rows=1):
     """Ensemble paths [0, rows) of master seed ``seed`` as a block."""
-    return _block(FieldSampler(kernel, grid), seed, 0, rows)
+    return drawn_block(FieldSampler(kernel, grid), seed, 0, rows)
 
 
 def _route(sm, grid, depths):
@@ -310,7 +306,7 @@ class TestRunEnsemble:
         sampler, integrate, prefactor = _route(sm, grid, one.depths)
         f_sum = f_sq = 0.0
         for chunk, count in enumerate(counts):
-            block = _block(sampler, 41, chunk, count // 2)
+            block = drawn_block(sampler, 41, chunk, count // 2)
             # the pair mean factor cosh(alpha sigma_a I) less 1, one row per pair
             f = np.cosh(medium.alpha * medium.sigma_a * integrate(block)) - 1.0
             f_sum = f_sum + f.sum(axis=0)
@@ -361,9 +357,14 @@ class TestRunEnsemble:
         for chunk, count in enumerate(counts):
             chunk_sum = chunk_sq = 0.0
             if kappa == 1:
-                tiles = [integrate(values) for values in sampler.tiles(43, chunk, count // 2)]
+                tiles = [
+                    integrate(values) for values in drawn_tiles(sampler, 43, chunk, count // 2)
+                ]
             else:
-                tiles = [normals @ basis for normals in sampler.normals(43, chunk, count // 2)]
+                tiles = [
+                    normals @ basis
+                    for normals in drawn_tiles(sampler, 43, chunk, count // 2, values=False)
+                ]
             assert len(tiles) > 1 or chunk == 1
             for integrals in tiles:
                 assert integrals.shape[1] == ends.size
@@ -411,7 +412,7 @@ class TestRunEnsemble:
         basis = montecarlo._integrated_factor(sampler.factor, weights, read)
         assert basis.shape == (sampler.rank, ends.size)
         tiles = 0
-        for normals in sampler.normals(5, 0, 3000):
+        for normals in drawn_tiles(sampler, 5, 0, 3000, values=False):
             sums = grf.running_integral(normals @ sampler.factor.T, weights)
             want = read(sums)
             assert np.array_equal(want[:, -1], sums[:, -1])
@@ -436,29 +437,44 @@ class TestRunEnsemble:
         assert stats.sampler_route != grf.AR1_ROUTE
         assert np.all(np.isfinite(stats.mean)) and np.all(stats.sem[1:] > 0.0)
 
-    @pytest.mark.parametrize("kernel,grid,route", ROUTES, ids=[r[2] for r in ROUTES])
+    @pytest.mark.parametrize(
+        "kernel,grid,route",
+        ROUTES + [(CorrelationKernel(1.0, 0.05, 1.0), Grid(5.0, 1001), "euler-check")],
+        ids=[r[2] for r in ROUTES] + ["euler-check"],
+    )
     def test_every_route_draws_each_block_into_one_buffer(
         self, kernel, grid, route, monkeypatch
     ):
-        # One FieldSampler.normals draw per block, into a buffer, and no
-        # tile of node values drawn through FieldSampler.tiles (whose
-        # transform the kappa-1 route would otherwise reach).
-        def refuse(self, *args):
-            raise AssertionError("FieldSampler.tiles called")
-
+        # One FieldSampler.normals draw per block, and every tile it yields
+        # the leading rows of the one buffer it was given: the ensemble's
+        # on every route, and the Euler check's.
         drawn = []
         normals = FieldSampler.normals
 
-        def recording(self, seed, chunk, count, out=None):
-            drawn.append((chunk, out is not None))
-            return normals(self, seed, chunk, count, out=out)
+        def recording(self, seed, chunk, count, out):
+            starts = set()
+            drawn.append((chunk, starts))
+            for tile in normals(self, seed, chunk, count, out):
+                assert np.shares_memory(tile, out)
+                starts.add(tile.ctypes.data - out.ctypes.data)
+                yield tile
 
-        monkeypatch.setattr(FieldSampler, "tiles", refuse)
         monkeypatch.setattr(FieldSampler, "normals", recording)
+        if route == "euler-check":
+            # 100 paths on 4 001 refined AR(1) nodes, in 15-row tiles
+            config = cli.ExperimentConfig(
+                MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0), kernel, grid,
+                4, 3, ("euler-check",), "unused.csv",
+            )
+            assert grf.tile_rows(kernel, 4001, 5.0, 100) == 15
+            assert len(cli._euler_check_lines(config)) > 1
+            assert drawn == [(0, {0})]
+            return
         sm = StochasticMedium(MediumSpec(sigma_a=1.0, alpha=0.3, i0=10.0), kernel)
         stats = run_ensemble(sm, grid, 2 * CHUNK_PATHS + 100, 3, workers=2)
         assert stats.sampler_route == route
-        assert sorted(drawn) == [(0, True), (1, True), (2, True)]
+        assert sorted(chunk for chunk, _ in drawn) == [0, 1, 2]
+        assert all(starts == {0} for _, starts in drawn)
 
     @pytest.mark.parametrize("kernel,grid,route", ROUTES, ids=[r[2] for r in ROUTES])
     def test_appending_L_to_the_depths_moves_no_other_depth(self, kernel, grid, route):
@@ -520,7 +536,7 @@ class TestRunEnsemble:
         field = np.concatenate(tiles)
         assert field.shape == (150, drawn)  # one row per mirrored pair
         if drawn == n_points:
-            expected = _block(FieldSampler(kernel, grid), 7, 0, 150)
+            expected = drawn_block(FieldSampler(kernel, grid), 7, 0, 150)
             np.testing.assert_allclose(field, expected, rtol=1e-13, atol=1e-13)
 
     def test_kappa1_mean_is_the_continuum_law_on_a_coarse_grid(self):
@@ -542,7 +558,7 @@ class TestRunEnsemble:
         sampler = FieldSampler(sm.kernel, grid)
         f_sum = f_sq = 0.0
         for chunk, start in enumerate(range(0, n, CHUNK_PATHS)):
-            for values in sampler.tiles(seed, chunk, min(CHUNK_PATHS, n - start)):
+            for values in drawn_tiles(sampler, seed, chunk, min(CHUNK_PATHS, n - start)):
                 f = np.exp(-0.8 * integral_at(grid, values, z))
                 f_sum = f_sum + f.sum(axis=0)
                 f_sq = f_sq + (f**2).sum(axis=0)
