@@ -45,7 +45,6 @@ from .averaged import (
     theta,
 )
 from .errors import (
-    FluctuationWarning,
     MemoryBudgetExceeded,
     OutOfDomain,
     ReliabilityWarning,
@@ -78,7 +77,6 @@ __all__ = [
     "EnsembleStats",
     "ExponentConvention",
     "FieldSampler",
-    "FluctuationWarning",
     "Grid",
     "MediumSpec",
     "MemoryBudgetExceeded",

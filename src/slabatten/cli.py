@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaged import AveragedLaw, ExponentConvention, averaged_intensity
-from .errors import FluctuationWarning, ReliabilityWarning
+from .errors import ReliabilityWarning
 from .grf import (
     AR1_ROUTE,
     CHUNK_PATHS,
@@ -559,11 +559,10 @@ def main(argv=None) -> int:
     # starts and left after every thread has joined: filters and record
     # are the process's, so it then holds the warnings of run_ensemble's
     # workers and of the Euler check's thread too.  Only the package's own
-    # categories are made "always"; every other filter stays as found, so
-    # an "error" filter still raises out of main.
+    # category, ReliabilityWarning, is made "always"; every other filter
+    # stays as found, so an "error" filter still raises out of main.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ReliabilityWarning)
-        warnings.simplefilter("always", FluctuationWarning)
         try:
             code = run(parse_args(argv))
         except ValueError as err:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package.
+"""Exception types and the one warning type shared across the package.
 
 Every error is a ValueError (bad input; CLI exit code 1).
 """
@@ -18,10 +18,6 @@ class OutOfDomain(SlabModelError, ValueError):
 
 class MemoryBudgetExceeded(SlabModelError, ValueError):
     """Grid too fine for the dense covariance factor within the memory budget."""
-
-
-class FluctuationWarning(UserWarning):
-    """Fluctuation magnitude outside the small-perturbation regime."""
 
 
 class ReliabilityWarning(UserWarning):

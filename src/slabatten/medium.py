@@ -4,12 +4,10 @@ fluctuating absorption coefficient."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .errors import FluctuationWarning
 from .grf import CorrelationKernel, checked_depths
 
 
@@ -21,9 +19,8 @@ class MediumSpec:
     alpha   : relative magnitude of absorption fluctuations, >= 0.
     i0      : incident beam intensity, W/cm^2, > 0.
 
-    Fields after sigma_a are keyword-only.  alpha >= 1 is allowed but
-    emits a FluctuationWarning: the model is a small-fluctuation
-    expansion about the mean coefficient.
+    Fields after sigma_a are keyword-only.  Any alpha >= 0 is valid and
+    quiet; the CLI prints the exact negative fraction Phi(-1/(alpha sqrt C)).
     """
 
     sigma_a: float
@@ -38,13 +35,6 @@ class MediumSpec:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0 < self.i0 < math.inf:
             raise ValueError(f"i0 must be finite and > 0, got {self.i0}")
-        if self.alpha >= 1:
-            # Skip this frame and the generated __init__: report the caller.
-            warnings.warn(
-                f"alpha = {self.alpha} is outside the small-fluctuation regime",
-                FluctuationWarning,
-                stacklevel=3,
-            )
 
 
 def beer(medium: MediumSpec, z):

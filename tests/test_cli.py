@@ -171,16 +171,14 @@ class TestMainExitCodes:
         assert code == 1
         assert "kappa" in capsys.readouterr().err
 
-    def test_large_alpha_warns_and_exits_0(self, tmp_path, capsys):
+    def test_large_alpha_is_quiet_and_exits_0(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = main(["--alpha", "1.5", "--modes", "beer", "--out", str(out)])
         assert code == 0
         assert out.exists()
         report = capsys.readouterr().out.splitlines()
-        assert report[-1] == (
-            "warning: FluctuationWarning: alpha = 1.5 is outside the "
-            "small-fluctuation regime"
-        )
+        assert report[-1].startswith(f"wrote {out} (")
+        assert [line for line in report if line.startswith("warning:")] == []
 
     def test_mean_that_does_not_decay_is_reported_and_exits_0(self, tmp_path, capsys):
         # sigma_inf = 1 - 0.64 * 3 * sqrt(pi)/2 < 0
@@ -590,6 +588,10 @@ class TestCsvContract:
             (["--alpha", "0"], "0"),
             # no absorption, so no negative coefficient, whatever G does
             (["--sigma-a", "0"], "0"),
+            # alpha sqrt C = 0.01: alpha >= 1 alone makes no coefficient negative
+            (["--alpha", "1", "--amplitude", "1e-4"], "0"),
+            # alpha sqrt C = 2: a small alpha with a large C makes 31 % negative
+            (["--alpha", "0.5", "--amplitude", "16"], "0.308538"),
         ],
     )
     def test_negative_fraction_shown_with_its_exact_expectation(
@@ -611,6 +613,9 @@ class TestCsvContract:
         ]
         assert "E<1/|A|>" not in "\n".join(report)
         assert "warning: RuntimeWarning" not in "\n".join(report)
+        # no warning keyed on alpha: only the heavy-tail check may speak
+        categories = {line.split(": ")[1] for line in report if line.startswith("warning:")}
+        assert categories <= {"ReliabilityWarning"}
 
     @pytest.mark.parametrize(
         "flags,share",
@@ -882,12 +887,10 @@ def _run_cli(tmp_path, *flags):
     [
         (["--alpha", "0.8", "--paths", "20000"],
          "warning: ReliabilityWarning: exponent std 2.24 > 1.5"),
-        (["--alpha", "1.2", "--modes", "beer,exact"],
-         "warning: FluctuationWarning: alpha = 1.2 is outside the small-fluctuation regime"),
         (OVERFLOWING + ["--modes", "beer,exact,mc"],
          "warning: RuntimeWarning: overflow encountered in multiply"),
     ],
-    ids=["readme", "large-alpha", "overflowing"],
+    ids=["readme", "overflowing"],
 )
 def test_each_warning_ends_the_report_once_and_none_reaches_stderr(
     tmp_path, flags, expected

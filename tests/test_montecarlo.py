@@ -254,8 +254,8 @@ class TestRunEnsemble:
                 assert np.array_equal(a.sem, b.sem)
                 assert a.integral_skewness == b.integral_skewness
 
-    @pytest.mark.parametrize("cpus", [None, 2], ids=["affinity", "two-cpus"])
-    def test_pool_has_no_more_threads_than_the_cpus(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("case", ["affinity", "two-cpus", "no-affinity"])
+    def test_pool_has_no_more_threads_than_the_cpus(self, monkeypatch, case):
         # An executor that records its size and runs each task inline, so
         # a million workers asked for start no thread.  Three chunks: the
         # pool is min(workers, chunks, CPUs) and the bits are those of one.
@@ -276,11 +276,15 @@ class TestRunEnsemble:
                 future.set_result(fn(*args))
                 return future
 
-        if cpus is not None:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+        if case == "two-cpus":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                                 raising=False)
+        if case == "no-affinity":
+            # no affinity call, and an OS that cannot count its CPUs: one thread
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
         usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count())
+                  else os.cpu_count() or 1)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Inline)
         sm = _sm(alpha=0.2)
         grid = Grid(2.0, 41)
