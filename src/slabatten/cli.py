@@ -339,7 +339,11 @@ def _euler_check_points(grid: Grid) -> int:
 
 def _euler_check_bytes(config: ExperimentConfig) -> int:
     """The Euler check's one charge: its sampler on the finest grid with its
-    normals buffer and its tallest tile of paths, two tiles by the nodes."""
+    normals buffer and its tallest tile of paths, two tiles by the nodes.
+    The dense routes hold both; on the kappa = 1 route ``transform`` makes
+    the buffer its values in place, so the charge is one tile above what
+    it holds (with the Euler step factors' small block), an upper bound
+    kept because a charge per route would be more code than it saves."""
     n = _euler_check_points(config.grid)
     rows = tile_rows(config.kernel, n, config.grid.length, _EULER_CHECK_PATHS)
     return sampler_bytes(config.kernel, n, 8 * 2 * rows * n)

@@ -45,6 +45,12 @@ _STREAM_ARRAYS = 4
 # Exponent standard deviations above this make the lognormal sample mean
 # heavy-tailed enough that the SEM stops being trustworthy.
 _HEAVY_TAIL_STD = 1.5
+# path_intensity_em forms its step factors in blocks of about this many
+# bytes.  Per 15-row tile of 4 001 nodes and its two coarser views (min of
+# 5 in-process repeats, 2-vCPU Xeon VM) they took 0.37 ms in 256 KiB
+# blocks and 0.57 ms in 512 KiB ones, against 0.32 ms for the whole-row
+# copy; per 50-row tile of 200 001 nodes 52 ms, against 100 ms.
+_EM_BLOCK_BYTES = 256 * 2**10
 
 
 @dataclass(frozen=True)
@@ -87,22 +93,39 @@ def path_intensity_em(medium: MediumSpec, grid: Grid, values, z: float):
     one value per path row at the one depth ``z``.  First-order accurate
     in the grid spacing; converges to the exact pathwise intensity
     ``I0*exp(-sigma_a*z - alpha*sigma_a*int_0^z G)`` under grid refinement
-    and exists only as an independent integrator cross-check.  Raises
-    ValueError for values of any other shape (``checked_values``) or an
-    array of depths, and OutOfDomain for z outside [0, L], NaN included
-    (``one_depth``).
+    and exists only as an independent integrator cross-check.  The step
+    factors stream through one buffer of about 256 KiB, so the working
+    memory beside ``values`` is bounded by that block, not by the grid, and
+    the product keeps the bits of the one over whole rows.
+    Raises ValueError for values of any other shape (``checked_values``)
+    or an array of depths, and OutOfDomain for z outside [0, L], NaN
+    included (``one_depth``).
     """
     values = checked_values(grid, values)
     z = one_depth(z, grid.length)
     points = grid.points
     last = min(int(np.searchsorted(points, z, side="right")) - 1, grid.n_points - 1)
-    # The step factors 1 - sigma_a (1 + alpha G) h, built in one buffer.
-    steps = np.multiply(medium.alpha, values[..., :last])
-    steps += 1.0
-    steps *= medium.sigma_a
-    steps *= grid.spacing
-    np.subtract(1.0, steps, out=steps)
-    intensity = medium.i0 * np.prod(steps, axis=-1)
+    # The step factors 1 - sigma_a (1 + alpha G) h go a block of columns at
+    # a time into rows 1: of one small buffer, transposed so the in-place
+    # steps run over contiguous memory (on a strided view of rows they took
+    # about 3x as long).  Row 0 carries the running product,
+    # so np.prod multiplies each path's factors left to right, as it does
+    # over the whole row.
+    rows = max(1, values[..., 0].size)
+    width = max(1, min(last, _EM_BLOCK_BYTES // (8 * rows)))
+    buf = np.empty((1 + width,) + values.shape[:-1])
+    buf[0] = 1.0
+    for start in range(0, last, width):
+        stop = min(start + width, last)
+        block = buf[: 1 + stop - start]
+        steps = block[1:]
+        np.multiply(medium.alpha, values[..., start:stop].T, out=steps)
+        steps += 1.0
+        steps *= medium.sigma_a
+        steps *= grid.spacing
+        np.subtract(1.0, steps, out=steps)
+        buf[0] = np.prod(block, axis=0)
+    intensity = medium.i0 * buf[0]
     partial = z - points[last]
     if partial > 0:
         coeff = medium.sigma_a * (1.0 + medium.alpha * values[..., last])

@@ -30,6 +30,7 @@ from slabatten.cli import (
     _decay_rate_limit,
     _euler_check_beside,
     _euler_check_bytes,
+    _euler_check_points,
     _negative_fraction_expectation,
     main,
     parse_args,
@@ -657,23 +658,39 @@ class TestCsvContract:
         assert all(math.isfinite(float(cell)) for row in cells for cell in row if cell)
 
     def test_euler_check_holds_tiles_not_its_whole_block(self, tmp_path):
+        def traced(*flags):
+            argv = [*flags, "--modes", "euler-check", "--out", str(tmp_path / "curves.csv")]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return parse_args(argv), peak
+
         # 100 paths on the 4001-point refined grid (1001 points at zeta
         # 0.05) are 3.2 MB as one block; the Euler check streams them in
         # 512 KiB row tiles (a slab 100 zeta thick takes no 64-row floor),
-        # reads the coarser grids as views, builds its Euler step factors
-        # in one buffer and keeps only per-path errors.
-        out = tmp_path / "curves.csv"
-        tracemalloc.start()
-        try:
-            code = main([
-                "--kappa", "1", "--zeta", "0.05", "--modes", "euler-check",
-                "--out", str(out),
-            ])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 4 * grf._TILE_BYTES
+        # reads the coarser grids as views, streams its Euler step factors
+        # through one small buffer and keeps only per-path errors: 1.9 times
+        # 512 KiB, 2.3 while it copied each refinement's step factors.
+        _, peak = traced("--kappa", "1", "--zeta", "0.05")
+        assert peak < 2.25 * grf._TILE_BYTES
+        # At zeta 0.01 (20 001 refined points, a slab of 500 zeta) the
+        # 64-row floor cuts the 100 paths into two 50-row tiles of 8 MB, and
+        # the one tile of node values, transformed in place, is nearly all
+        # it holds: 1.15 tiles, 2.1 while it copied the step factors.
+        config, peak = traced("--kappa", "1", "--zeta", "0.01")
+        n = _euler_check_points(config.grid)
+        rows = grf.tile_rows(config.kernel, n, config.grid.length, 100)
+        assert (n, rows) == (20001, 50)
+        assert peak < 1.5 * 8 * rows * n
+        # Its charge covers both routes; the dense route peaks in its
+        # sampler's build.
+        assert peak <= _euler_check_bytes(config)
+        config, peak = traced("--kappa", "1.5", "--zeta", "0.5", "--grid-points", "101")
+        assert peak <= _euler_check_bytes(config)
 
     @pytest.mark.parametrize(
         "zeta,heights",

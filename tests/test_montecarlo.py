@@ -177,17 +177,35 @@ class TestPathIntensityEuler:
 
     def test_step_buffer_keeps_the_bits_of_the_direct_product(self):
         # the in-place step factors follow the direct formula's operation
-        # order, so the result is bit-equal to it
+        # order, and the blocks carry one running product left to right, so
+        # the result is bit-equal to it, within one block of columns and
+        # across several: on the long grid a one-row path takes three
+        # blocks, the six-row block and its strided view more
         sm = _sm(alpha=0.3)
-        medium, grid = sm.medium, Grid(2.0, 41)
-        block = _path(sm.kernel, grid, 21, rows=6)
-        coeff = medium.sigma_a * (1.0 + medium.alpha * block)
-        for z, last in ((2.0, 40), (1.23, 24)):
-            direct = medium.i0 * np.prod(1.0 - coeff[:, :last] * grid.spacing, axis=-1)
+        medium = sm.medium
+        cells = 2 * montecarlo._EM_BLOCK_BYTES // 8 + 1000
+        long_grid = Grid(2.0, cells + 1)
+        fine = _path(CorrelationKernel(1.0, 0.5, 1.0), Grid(2.0, 2 * cells + 1), 21, rows=6)
+        short_grid = Grid(2.0, 41)
+        block = _path(sm.kernel, short_grid, 21, rows=6)
+        cases = [
+            (short_grid, block, 2.0),
+            (short_grid, block, 1.23),
+            (long_grid, np.ascontiguousarray(fine[:, ::2]), 2.0),
+            (long_grid, fine[0, ::2].copy(), 2.0),
+            (long_grid, fine[:, ::2], 2.0),
+            (long_grid, fine[:, ::2], 1.2345),
+            (long_grid, fine[1, ::2], 1.2345),
+        ]
+        for grid, values, z in cases:
+            last = min(int(np.searchsorted(grid.points, z, side="right")) - 1, grid.n_points - 1)
+            coeff = medium.sigma_a * (1.0 + medium.alpha * values)
+            direct = medium.i0 * np.prod(1.0 - coeff[..., :last] * grid.spacing, axis=-1)
             partial = z - grid.points[last]
+            assert (partial > 0) == (z < 2.0)
             if partial > 0:
-                direct = direct * (1.0 - coeff[:, last] * partial)
-            assert np.array_equal(path_intensity_em(medium, grid, block, z), direct)
+                direct = direct * (1.0 - coeff[..., last] * partial)
+            assert np.array_equal(path_intensity_em(medium, grid, values, z), direct)
 
     def test_shape_mismatch_rejected(self):
         medium = MediumSpec(sigma_a=1.0, alpha=0.3)
