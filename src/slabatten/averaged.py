@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grf import CorrelationKernel, checked_depths
-from .medium import MediumSpec
+from .medium import MediumSpec, squared
 from .quadrature import ordered_double_integral
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -121,26 +121,21 @@ def averaged_intensity(law: AveragedLaw, z):
     """
     m = law.medium
     z = checked_depths(z)
-    gain = law.convention.gain * m.alpha**2 * m.sigma_a**2 * law.kernel.amplitude
+    gain = law.convention.gain * squared(m.alpha, m.sigma_a) * law.kernel.amplitude
     boost = gain * _unit_outer_y(law.kernel, z) if gain else 0.0
     return m.i0 * np.exp(boost - m.sigma_a * z)
 
 
 def cumulant_series_exponent(
-    kernel: CorrelationKernel,
-    alpha: float,
-    sigma_a: float,
-    z: float,
-    convention: ExponentConvention = ExponentConvention.EXACT,
+    kernel: CorrelationKernel, alpha: float, sigma_a: float, z: float
 ) -> float:
     """Cumulant exponent of the averaged law, evaluated by quadrature.
 
     The series stops at order 2, and exactly: the order-1 term vanishes
     (the field is zero-mean) and a Gaussian field has no nonzero
-    cumulants beyond order 2.  The order-2 term is gain * alpha^2 *
-    sigma_a^2 times the ordered double integral of the covariance,
+    cumulants beyond order 2.  The order-2 term is alpha^2 sigma_a^2
+    times the ordered double integral of the covariance, the EXACT gain,
     computed by the panelized lag-form rule (``int_0^z (z - u) phi(u)
     du``) so it can cross-check the erf closed form.
     """
-    ordered = ordered_double_integral(kernel, z)
-    return convention.gain * alpha**2 * sigma_a**2 * ordered
+    return squared(alpha, sigma_a) * ordered_double_integral(kernel, z)

@@ -1,19 +1,20 @@
 """Batch experiment runner.
 
 Parses medium/kernel/grid parameters, evaluates the selected pipelines
-(deterministic Beer baseline, both closed-form conventions, Monte Carlo
-ensemble, Euler integrator cross-check), writes the curve data as CSV
-and prints a text report with the convention adjudication.  Every
-warning the run meets, from any layer or thread, ends the report once,
-in one sorted block of ``warning: <Category>: <message>`` lines; a run
-that fails prints only its error.  ``--workers`` counts all of a run's
-threads: the Euler check gets one of its own only when the ensemble
-leaves one of them idle on a CPU the process may use.
+(Beer baseline, both closed-form conventions, and the Monte Carlo
+ensemble and Euler cross-check, which it schedules and montecarlo draws),
+writes the curves as CSV and prints a report with the convention
+adjudication.  Every warning the run meets, from any layer or thread,
+ends the report once, in one sorted block of ``warning: <Category>:
+<message>`` lines; a run that fails prints only its error.  ``--workers``
+counts all of a run's threads: the Euler check gets one of its own only
+when the ensemble leaves one of them idle on a CPU the process may use.
 
 Exit codes: 0 success, 1 invalid configuration (any ValueError: a flag
 check's UsageError, an ``--out`` that cannot be written, a run past the
 memory budget, a closed-form intensity, an ensemble mean or SEM or an
 Euler check error that is not finite).  A run that exits 1 writes no CSV.
+Any finite flag value ends in one of the two, without a traceback.
 """
 
 from __future__ import annotations
@@ -37,30 +38,23 @@ from .grf import (
     MEMORY_BUDGET,
     PIVOTED_ROUTE,
     CorrelationKernel,
-    FieldSampler,
     Grid,
     check_budget,
-    ou_bridge,
-    sampler_bytes,
-    stepping_nodes,
-    tile_rows,
+    sampled_share,
 )
-from .medium import MediumSpec, StochasticMedium, beer
+from .medium import MediumSpec, StochasticMedium, beer, squared
 from .montecarlo import (
     EnsembleStats,
     default_depths,
     ensemble_bytes,
-    path_intensity_em,
+    euler_check,
+    euler_check_bytes,
     run_ensemble,
     usable_cpus,
 )
 
 MODES = ("beer", "paper", "exact", "mc", "euler-check")
 COLUMNS = ("z", "beer", "averaged_paper", "averaged_exact", "mc_mean", "mc_sem")
-# Paths averaged by the euler-check mode, and its grids' refinements of
-# the run's grid: every stride-th node of the finest.
-_EULER_CHECK_PATHS = 100
-_EULER_CHECK_STRIDES = (4, 2, 1)
 
 _DEFAULTS = {
     "sigma_a": 1.0,
@@ -283,70 +277,18 @@ def _adjudicate(rows: list) -> list:
 
 
 def _euler_check_lines(config: ExperimentConfig) -> list:
-    """Mean |Euler - exact| at the slab exit across grid refinements.
-
-    Paths are sampled once on the finest grid and read on nested subgrids
-    through every stride-th node (a view, no copy), so every refinement
-    integrates the same realizations and the observed order is not
-    washed out by path-to-path variation.  The paths arrive in row tiles of
-    one buffer, as ``run_ensemble`` draws them, and only the per-path errors
-    are kept.  The exact value at L is one trapezoid sum per refinement,
-    ``h (sum v - (v_0 + v_last) / 2)``.  Raises ValueError, naming the
-    coarsest such step, when a mean error is not finite.
-    """
-    medium, base = config.medium, config.grid
-    cells = _euler_check_points(base) - 1
-    grids = [Grid(base.length, cells // s + 1) for s in _EULER_CHECK_STRIDES]
-    sampler = FieldSampler(config.kernel, grids[-1])
-    beer_at_exit = beer(medium, base.length)
-    scale = medium.alpha * medium.sigma_a
-    per_path = np.empty((len(grids), _EULER_CHECK_PATHS))
-    rows = tile_rows(config.kernel, sampler.nodes.size, base.length, _EULER_CHECK_PATHS)
-    normals = np.empty((rows, sampler.rank))
-    start = 0
-    for tile in sampler.normals(config.master_seed, 0, _EULER_CHECK_PATHS, out=normals):
-        values = sampler.transform(tile)
-        stop = start + len(values)
-        for i, (stride, grid) in enumerate(zip(_EULER_CHECK_STRIDES, grids)):
-            path = values[:, ::stride]
-            euler = path_intensity_em(medium, grid, path, base.length)
-            ends = path[:, 0] + path[:, -1]
-            integral = grid.spacing * (path.sum(axis=1) - 0.5 * ends)
-            exact = beer_at_exit * np.exp(-scale * integral)
-            per_path[i, start:stop] = np.abs(euler - exact)
-        start = stop
-        del values, path  # free this tile's values before the next draw
+    """The Euler check's report: ``montecarlo.euler_check``'s mean errors and
+    the observed order between neighbouring refinements."""
+    spacings, errors = euler_check(
+        config.medium, config.kernel, config.grid, config.master_seed
+    )
     lines = ["euler check (mean |Euler - exact| at z = L, nested refinements):"]
-    errors = [float(np.mean(row)) for row in per_path]
-    for grid, err in zip(grids, errors):
-        if not math.isfinite(err):
-            raise ValueError(
-                f"the Euler check's mean error is not finite at h = {grid.spacing:g} "
-                "cm: the Euler products or the pathwise intensities overflow"
-            )
-        lines.append(f"  h = {grid.spacing:.6g}: {err:.6g}")
+    lines += [f"  h = {h:.6g}: {err:.6g}" for h, err in zip(spacings, errors)]
     for i in range(1, len(errors)):
         if errors[i] > 0:
             order = np.log2(errors[i - 1] / errors[i])
             lines.append(f"  observed order (refinement {i}): {order:.2f}")
     return lines
-
-
-def _euler_check_points(grid: Grid) -> int:
-    """Points of the Euler check's finest grid, ``grid`` refined."""
-    return (grid.n_points - 1) * _EULER_CHECK_STRIDES[0] + 1
-
-
-def _euler_check_bytes(config: ExperimentConfig) -> int:
-    """The Euler check's one charge: its sampler on the finest grid with its
-    normals buffer and its tallest tile of paths, two tiles by the nodes.
-    The dense routes hold both; on the kappa = 1 route ``transform`` makes
-    the buffer its values in place, so the charge is one tile above what
-    it holds (with the Euler step factors' small block), an upper bound
-    kept because a charge per route would be more code than it saves."""
-    n = _euler_check_points(config.grid)
-    rows = tile_rows(config.kernel, n, config.grid.length, _EULER_CHECK_PATHS)
-    return sampler_bytes(config.kernel, n, 8 * 2 * rows * n)
 
 
 def _euler_check_beside(config: ExperimentConfig, depths) -> bool:
@@ -356,7 +298,7 @@ def _euler_check_beside(config: ExperimentConfig, depths) -> bool:
     ``ensemble_bytes`` fit the budget together."""
     if "euler-check" not in config.modes:
         return False
-    euler = _euler_check_bytes(config)
+    euler = euler_check_bytes(config.kernel, config.grid)
     check_budget(euler, "the Euler check on its refined grid")
     chunks = -(-config.n_paths // CHUNK_PATHS)
     if "mc" not in config.modes or chunks >= min(config.workers, usable_cpus()):
@@ -387,10 +329,10 @@ def _negative_fraction_expectation(
 ) -> float:
     """P(G < -1/alpha) for G ~ N(0, C), Phi(-1/(alpha sqrt C)) written as
     0.5 erfc(1/(alpha sqrt(2C))); exactly 0 without fluctuations or
-    without absorption, where sigma_a (1 + alpha G) is never negative."""
-    if alpha <= 0 or sigma_a <= 0:
-        return 0.0
-    return 0.5 * math.erfc(1.0 / (alpha * math.sqrt(2.0 * amplitude)))
+    without absorption, where sigma_a (1 + alpha G) is never negative, and
+    where alpha sqrt(2C) underflows, as erfc(inf) is."""
+    spread = alpha * math.sqrt(2.0 * amplitude)
+    return 0.5 * math.erfc(1.0 / spread) if spread > 0 and sigma_a > 0 else 0.0
 
 
 def _decay_rate_limit(medium: MediumSpec, kernel: CorrelationKernel) -> float:
@@ -400,41 +342,12 @@ def _decay_rate_limit(medium: MediumSpec, kernel: CorrelationKernel) -> float:
     kernel phi, and int_0^inf C exp(-(u/zeta)^kappa) du = C zeta
     Gamma(1 + 1/kappa), so for every kappa the rate tends to a constant
     below sigma_a whenever alpha > 0: the mean does not return to Beer's
-    law deep in the slab.
+    law deep in the slab, and past the float range the rate is -inf.
     """
     tail = kernel.amplitude * kernel.correlation_length * math.gamma(
         1.0 + 1.0 / kernel.exponent
     )
-    return medium.sigma_a - medium.alpha**2 * medium.sigma_a**2 * tail
-
-
-def _sampled_share(stats: EnsembleStats, kernel: CorrelationKernel, grid: Grid) -> float:
-    """The share of ``Var int_0^L G`` the AR(1) route's drawn nodes carry,
-    the rest, V(L), being left to its bridges.  With the steps
-    ``x_k = h_k / zeta`` between the stepping nodes and ``x = L / zeta``,
-    ``Var int_0^L G = 2 C zeta^2 (x + expm1(-x))`` and each bridge leaves out
-    ``2 C zeta^2 (x_k - 2 tanh(x_k / 2))``, so the share is
-    ``(2 sum tanh(x_k / 2) + expm1(-x)) / (x + expm1(-x))``, with no
-    cancellation from ``x = 1`` up, where V(L) may be nearly all of it.
-    Below, where V(L) is at most a fifth of it, the share is
-    ``1 - V(L) / Var``, with ``Var = (v + 2 C L w) / (1 + tanh(x / 2))``
-    for ``(w, v) = ou_bridge(kernel, L)``: nonnegative terms only.  Neither
-    depends on ``C`` or the unit of length, so both are taken for ``C = 1``
-    in units of ``L``, where no ``C L^2`` underflows."""
-    zeta = kernel.correlation_length
-    nodes = stepping_nodes(kernel, grid, stats.depths)
-    with np.errstate(over="ignore"):  # inf past the float range: tanh 1
-        x = grid.length / zeta
-        steps = np.diff(nodes) / zeta
-    if x >= 1:
-        left = math.expm1(-x)
-        return (2.0 * float(np.tanh(0.5 * steps).sum()) + left) / (x + left)
-    # zeta is 1 / x lengths L, kept finite: below x = 1e-300 the share,
-    # 1 - x / 6, is 1 all the same
-    unit = CorrelationKernel(1.0, 1.0 / max(x, 1e-300), 1.0)
-    w, v = (float(a[0]) for a in ou_bridge(unit, [1.0]))
-    total = (v + 2.0 * w) / (1.0 + math.tanh(0.5 * x))
-    return 1.0 - float(ou_bridge(unit, np.diff(nodes) / grid.length)[1].sum()) / total
+    return medium.sigma_a - squared(medium.alpha, medium.sigma_a) * tail
 
 
 def _sampler_line(stats: EnsembleStats, kernel: CorrelationKernel, grid: Grid) -> str:
@@ -442,7 +355,7 @@ def _sampler_line(stats: EnsembleStats, kernel: CorrelationKernel, grid: Grid) -
         return (
             "sampler: AR(1) recursion at the output depths, exact OU bridge "
             "between them (kappa = 1), sampled share of the slab-integral "
-            f"variance = {_sampled_share(stats, kernel, grid):.6g}"
+            f"variance = {sampled_share(kernel, grid, stats.depths):.6g}"
         )
     if stats.sampler_route == PIVOTED_ROUTE:
         return (

@@ -32,10 +32,10 @@ for one path or ``(rows, n)`` for a block, and ``running_integral``
 integrates it as one weighted running sum over neighbouring nodes: the
 trapezoid rule on the grid, matching the Riemann-sum definition of the
 stochastic integral, or on the AR(1) route each step's exact OU-bridge
-mean given its two ends (``ou_bridge``).  Being linear, it also
-integrates a factor's columns once (``running_integral(F^T, w)``), so
-the Monte Carlo ensemble integrates the dense routes' paths without
-their node values.
+mean given its two ends (``ou_bridge``; ``sampled_share`` is the share of
+the variance those nodes carry).  Being linear, it also integrates a
+factor's columns once (``running_integral(F^T, w)``), so the Monte Carlo
+ensemble integrates the dense routes' paths without their node values.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ _POINTS_PER_LENGTH = 10
 # pairs, as normals(master_seed, c, CHUNK_PATHS // 2), the last one shorter.
 CHUNK_PATHS = 4096
 # Bytes one pipeline may hold at once, charged before it builds anything:
-# a sampler and each tile (sampler_bytes), an ensemble (montecarlo) and the
-# Euler check (cli).  2 GiB leaves room on an 8 GB machine.
+# a sampler and each tile (sampler_bytes), an ensemble and the Euler check
+# (montecarlo).  2 GiB leaves room on an 8 GB machine.
 MEMORY_BUDGET = 2 * 2**30
 # tile_rows: tiles of about this many bytes stay in cache with their running
 # integral.  The floor applies on the AR(1) route only where the scan's table
@@ -415,15 +415,44 @@ def draws_by_factor(kernel: CorrelationKernel) -> bool:
 def stepping_nodes(kernel: CorrelationKernel, grid: Grid, depths) -> np.ndarray:
     """The nodes an ensemble read at ``depths`` draws: the grid's points, or
     for kappa = 1, whose steps ``ou_bridge`` integrates exactly, only
-    ``{0} U depths U {L}``, sorted and distinct."""
+    ``{0} U depths``, sorted and distinct."""
     if draws_by_factor(kernel):
         return grid.points
-    ends = np.sort(np.concatenate(([0.0], np.atleast_1d(depths), [grid.length])))
+    ends = np.sort(np.concatenate(([0.0], np.atleast_1d(depths))))
     # np.unique would import numpy.ma on its first call
     keep = np.empty(ends.size, dtype=bool)
     keep[0] = True
     np.not_equal(ends[1:], ends[:-1], out=keep[1:])
     return ends[keep]
+
+
+def sampled_share(kernel: CorrelationKernel, grid: Grid, depths) -> float:
+    """The share of ``Var int_0^D G``, D the deepest of ``depths``, that the
+    AR(1) route's nodes carry, the rest, V(D), being left to its bridges.
+    With ``x_k = h_k / zeta`` per step and ``x = D / zeta``, that variance is
+    ``2 C zeta^2 (x + expm1(-x))``, each bridge leaves out
+    ``2 C zeta^2 (x_k - 2 tanh(x_k / 2))``, and the share is
+    ``(2 sum tanh(x_k / 2) + expm1(-x)) / (x + expm1(-x))``, with no
+    cancellation from ``x = 1`` up, where V(D) may be nearly all of it.
+    Below, where V(D) is at most a fifth of it, it is ``1 - V(D) / Var``,
+    ``Var = (v + 2 C D w) / (1 + tanh(x / 2))`` for ``(w, v) =
+    ou_bridge(kernel, D)``: nonnegative terms only.  Neither depends on
+    ``C`` or the unit of length, so both are taken for ``C = 1`` in units
+    of ``D``, where no ``C D^2`` underflows."""
+    nodes = stepping_nodes(kernel, grid, depths)
+    deepest, zeta = float(nodes[-1]), kernel.correlation_length
+    with np.errstate(over="ignore"):  # inf past the float range: tanh 1
+        x = deepest / zeta
+        steps = np.diff(nodes) / zeta
+    if x >= 1:
+        left = math.expm1(-x)
+        return (2.0 * float(np.tanh(0.5 * steps).sum()) + left) / (x + left)
+    # zeta is 1 / x lengths D, kept finite: below x = 1e-300 the share,
+    # 1 - x / 6, is 1 all the same
+    unit = CorrelationKernel(1.0, 1.0 / max(x, 1e-300), 1.0)
+    w, v = (float(a[0]) for a in ou_bridge(unit, [1.0]))
+    total = (v + 2.0 * w) / (1.0 + math.tanh(0.5 * x))
+    return 1.0 - float(ou_bridge(unit, np.diff(nodes) / deepest)[1].sum()) / total
 
 
 def sampler_bytes(kernel: CorrelationKernel, n: int, streamed: int = 0) -> int:
@@ -446,7 +475,7 @@ def tile_rows(kernel: CorrelationKernel, n: int, length: float, count=None) -> i
     rows that spread the work each tile repeats.  On the dense route that
     is ``n``: a tile of node values reads the whole factor (for the Euler
     check on 2001 points, 512 KiB tiles took 1.7-2.0 s where n rows took
-    1.2 s); the ensemble's tiles read only the ``(rank, d')`` basis, but
+    1.2 s); the ensemble's tiles read only the ``(rank, d)`` basis, but
     capping them at 256 rows measured slower at 1001 points.  On the
     AR(1) route it is ``_MIN_TILE_ROWS`` where the scan's table may have
     more than one entry, and nothing on a slab of at most half of

@@ -37,6 +37,16 @@ class MediumSpec:
             raise ValueError(f"i0 must be finite and > 0, got {self.i0}")
 
 
+def squared(x: float, y: float = 1.0) -> float:
+    """``x**2 * y**2``, or, where Python's ``**`` raises past the float
+    range, ``(x y)^2``, inf where that passes it too."""
+    try:
+        return x**2 * y**2
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.square(x * y))
+
+
 def beer(medium: MediumSpec, z):
     """Pure-absorption exponential decay I0 * exp(-sigma_a * z), z >= 0."""
     # np.exp, not math.exp, keeps a scalar's bits equal to an array's.

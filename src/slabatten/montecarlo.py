@@ -10,10 +10,10 @@ Ornstein-Uhlenbeck bridge, so its mean has no discretization error at
 all.  Other kernels take the trapezoid rule's weights on the grid, and
 as a path's integrals are linear in its normals, the ensemble integrates
 the covariance factor once and turns each tile of normals into integrals
-by one product, forming no node values.  An explicit Euler integrator is
-kept alongside as an independent cross-check, and an analytic lognormal
-oracle (Gaussian moment identity plus tensor-product quadrature)
-bypasses both the sampler and the erf closed form.
+by one product, forming no node values.  The explicit Euler cross-check
+(``euler_check``) draws here too: no other module drives the sampler.  An
+analytic lognormal oracle (Gaussian moment identity plus tensor-product
+quadrature) bypasses both the sampler and the erf closed form.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from .grf import AR1_ROUTE, CHUNK_PATHS, CorrelationKernel, FieldSampler, Grid
 from .grf import check_budget, checked_depths, checked_values, depth_reader
 from .grf import draws_by_factor, one_depth, running_integral, sampler_bytes
 from .grf import stepping_nodes, tile_rows
-from .medium import MediumSpec, StochasticMedium
+from .medium import MediumSpec, StochasticMedium, beer, squared
 from .quadrature import ordered_double_integral, square_double_integral
 
 _MAX_DEFAULT_ROWS = 256
-# Arrays of (tile rows, nodes + gathered ends) one AR(1)-route worker
+# Arrays of (tile rows, nodes + gathered depths) one AR(1)-route worker
 # holds at once: its normals, made a tile's values in place, their running
-# integral and the integrals read at the _ends, which the reduction turns
+# integral and the integrals read at the depths, which the reduction turns
 # into factors and their squares in place (tracemalloc peaks at 2.1 to 2.5
 # of them per worker while two chunks stream, n 51 to 2001), with a margin.
 _STREAM_ARRAYS = 4
@@ -51,6 +51,10 @@ _HEAVY_TAIL_STD = 1.5
 # blocks and 0.57 ms in 512 KiB ones, against 0.32 ms for the whole-row
 # copy; per 50-row tile of 200 001 nodes 52 ms, against 100 ms.
 _EM_BLOCK_BYTES = 256 * 2**10
+# Paths averaged by the Euler check, and its grids' refinements of the
+# run's grid: every stride-th node of the finest.
+_EULER_CHECK_PATHS = 100
+_EULER_CHECK_STRIDES = (4, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -60,12 +64,12 @@ class EnsembleStats:
     n_paths counts paths, both halves of each mirrored pair, and sem is
     taken over the pair means.  The integral skewness/kurtosis, over the
     drawn rows only (the mirror would make every odd moment 0), describe
-    the path integral of the field over the whole slab, which should be
-    Gaussian: the trapezoid integral of the grid field on the dense route
-    and, for kappa = 1, the exact conditional mean given the stepping
-    nodes, of which bridge_variance is the variance the bridges leave out,
-    V(L) (0 on the dense route).  They are NaN, not available, where the
-    rows' powers underflow or overflow.
+    the path integral of the field to the deepest depth D (L in every CLI
+    run), which should be Gaussian: the trapezoid integral of the grid
+    field on the dense route and, for kappa = 1, the exact conditional mean
+    given the stepping nodes, of which bridge_variance is the variance the
+    bridges leave out, V(D) (0 on the dense route).  They are NaN, not
+    available, where the rows' powers underflow or overflow.
     sampler_route is the FieldSampler route that drew the paths
     (grf.AR1_ROUTE, grf.CHOLESKY_ROUTE or grf.PIVOTED_ROUTE), jitter the
     diagonal jitter its factor actually used (0 but on the LAPACK route),
@@ -133,6 +137,66 @@ def path_intensity_em(medium: MediumSpec, grid: Grid, values, z: float):
     return intensity
 
 
+def _euler_check_points(grid: Grid) -> int:
+    """Points of the Euler check's finest grid, ``grid`` refined."""
+    return (grid.n_points - 1) * _EULER_CHECK_STRIDES[0] + 1
+
+
+def euler_check_bytes(kernel: CorrelationKernel, grid: Grid) -> int:
+    """The Euler check's one charge: its sampler on the finest grid with its
+    normals buffer and its tallest tile of paths, two tiles by the nodes.
+    The dense routes hold both; on the kappa = 1 route ``transform`` makes
+    the buffer its values in place, so the charge is one tile above what
+    it holds (with the Euler step factors' small block), an upper bound
+    kept because a charge per route would be more code than it saves."""
+    n = _euler_check_points(grid)
+    rows = tile_rows(kernel, n, grid.length, _EULER_CHECK_PATHS)
+    return sampler_bytes(kernel, n, 8 * 2 * rows * n)
+
+
+def euler_check(medium: MediumSpec, kernel: CorrelationKernel, grid: Grid, master_seed: int):
+    """Mean |Euler - exact| at the slab exit on nested refinements of
+    ``grid``, as the lists ``(spacings, errors)``, coarsest first.
+
+    Block 0 of ``master_seed``, ``_EULER_CHECK_PATHS`` paths, is drawn once
+    on the finest grid, in row tiles of one buffer as ``run_ensemble`` draws,
+    and read on the others through every stride-th node (a view), so every
+    refinement integrates the same paths and the observed order is not
+    washed out by path-to-path variation; only per-path errors are kept.
+    The exact value at L is one trapezoid sum, ``h (sum v - (v_0 +
+    v_last) / 2)``.  Raises ValueError, naming the coarsest such step,
+    when a mean error is not finite."""
+    cells = _euler_check_points(grid) - 1
+    grids = [Grid(grid.length, cells // s + 1) for s in _EULER_CHECK_STRIDES]
+    sampler = FieldSampler(kernel, grids[-1])
+    beer_at_exit = beer(medium, grid.length)
+    scale = medium.alpha * medium.sigma_a
+    per_path = np.empty((len(grids), _EULER_CHECK_PATHS))
+    rows = tile_rows(kernel, sampler.nodes.size, grid.length, _EULER_CHECK_PATHS)
+    normals = np.empty((rows, sampler.rank))
+    start = 0
+    for tile in sampler.normals(master_seed, 0, _EULER_CHECK_PATHS, out=normals):
+        values = sampler.transform(tile)
+        stop = start + len(values)
+        for i, (stride, refined) in enumerate(zip(_EULER_CHECK_STRIDES, grids)):
+            path = values[:, ::stride]
+            euler = path_intensity_em(medium, refined, path, grid.length)
+            ends = path[:, 0] + path[:, -1]
+            integral = refined.spacing * (path.sum(axis=1) - 0.5 * ends)
+            exact = beer_at_exit * np.exp(-scale * integral)
+            per_path[i, start:stop] = np.abs(euler - exact)
+        start = stop
+        del values, path  # free this tile's values before the next draw
+    errors = [float(np.mean(row)) for row in per_path]
+    for refined, err in zip(grids, errors):
+        if not math.isfinite(err):
+            raise ValueError(
+                f"the Euler check's mean error is not finite at h = {refined.spacing:g} "
+                "cm: the Euler products or the pathwise intensities overflow"
+            )
+    return [refined.spacing for refined in grids], errors
+
+
 def default_depths(grid: Grid) -> np.ndarray:
     """Grid abscissae subsampled to at most 256 output depths.
 
@@ -149,24 +213,18 @@ def default_depths(grid: Grid) -> np.ndarray:
     return depths
 
 
-def _ends(depths: np.ndarray, length: float) -> np.ndarray:
-    """The depths ``run_ensemble`` reads at: ``depths``, then ``L`` unless
-    it is the last, so the slab's integral is the last column."""
-    return depths if depths[-1] == length else np.append(depths, length)
-
-
 def ensemble_bytes(
     kernel: CorrelationKernel, grid: Grid, n_paths: int, depths, workers: int
 ) -> int:
     """The bytes ``run_ensemble`` charges before it builds anything: its
     sampler (``grf.sampler_bytes``) with what it holds beside it, by its
     tallest tile (``grf.tile_rows``) and its ``n`` nodes.  On the dense
-    routes that is the ``(rank, d')`` basis of ``_integrated_factor`` and,
-    per worker asked for, the normals and ``(rows, d')`` product buffers,
-    with ``rank`` and ``d'`` charged as their bounds ``n`` and ``d + 1``,
-    as the factor is not built yet.  On the AR(1) route it is, per worker,
+    routes that is the ``(rank, d)`` basis of ``_integrated_factor`` and,
+    per worker asked for, the normals and ``(rows, d)`` product buffers,
+    for the ``d`` depths, with ``rank`` charged as its bound ``n``, as the
+    factor is not built yet.  On the AR(1) route it is, per worker,
     ``_STREAM_ARRAYS`` arrays of the tile's rows by its nodes and, unless
-    they are the nodes in order, its ``_ends``."""
+    they are the nodes in order, its depths."""
     depths = np.atleast_1d(depths)
     nodes = stepping_nodes(kernel, grid, depths)
     n = nodes.size
@@ -174,17 +232,15 @@ def ensemble_bytes(
     counts = (min(CHUNK_PATHS, n_paths), n_paths % CHUNK_PATHS)  # full, last block
     rows = max(tile_rows(kernel, n, grid.length, c // 2) for c in counts)  # drawn rows
     if draws_by_factor(kernel):
-        columns = depths.size + 1
-        streamed = 8 * (n * columns + streams * rows * (n + columns))
+        streamed = 8 * (n * depths.size + streams * rows * (n + depths.size))
     else:
-        ends = _ends(depths, grid.length)
-        gathered = 0 if np.array_equal(ends, nodes) else ends.size
+        gathered = 0 if np.array_equal(depths, nodes) else depths.size
         streamed = 8 * _STREAM_ARRAYS * streams * rows * (n + gathered)
     return sampler_bytes(kernel, n, streamed)
 
 
 def _integrated_factor(factor: np.ndarray, weights, read) -> np.ndarray:
-    """The dense routes' ``(rank, d')`` basis ``B``: the factor ``F``'s
+    """The dense routes' ``(rank, d)`` basis ``B``: the factor ``F``'s
     columns integrated with the step ``weights`` and read by ``read``.  A
     path's integrals are linear in its normals, so a row of normals times
     ``B`` is its node values ``normals @ F^T`` integrated and read, up to rounding."""
@@ -267,17 +323,18 @@ def run_ensemble(
     are charged to the budget before the sampler is built (MemoryBudgetExceeded).
 
     Every route integrates as the running sum of ``w_k (X_(k-1) + X_k)``
-    over its nodes (``grf.running_integral``), read at the depths and
-    then over the slab (``_ends``, ``grf.depth_reader``).  Dense kernels
+    over its nodes (``grf.running_integral``), read at the depths alone
+    (``grf.depth_reader``).  Dense kernels
     take the grid's points with the trapezoid's ``w = h/2`` and integrate
     their factor once (``_integrated_factor``): a tile of normals times
     that basis is its integrals, with no node values formed.  ``kappa = 1``
     turns the tile into node values in place (``FieldSampler.transform``)
-    at ``{0} U depths U {L}`` only (``grf.stepping_nodes``) and weights
+    at ``{0} U depths`` only (``grf.stepping_nodes``) and weights
     each step by its exact conditional mean given its ends
     (``grf.ou_bridge``); the bridges' summed variance V(z) enters each
     depth's mean as the exact factor ``exp((alpha sigma_a)^2 V(z) / 2)``,
-    so the estimate is unbiased for the continuum law on any grid.
+    so the estimate is unbiased for the continuum law on any grid.  The
+    integral's moments and ``bridge_variance`` are the deepest depth's.
 
     Emits a ReliabilityWarning when the exponent standard deviation
     alpha*sigma_a*sqrt(Var int G) at the deepest requested depth exceeds
@@ -300,7 +357,8 @@ def run_ensemble(
     depths = np.atleast_1d(depths)
 
     scale = medium.alpha * medium.sigma_a
-    deepest = float(depths.max())
+    last = int(np.argmax(depths))
+    deepest = float(depths[last])
     if deepest > 0 and scale > 0:
         exponent_std = scale * math.sqrt(2.0 * ordered_double_integral(sm.kernel, deepest))
         if exponent_std > _HEAVY_TAIL_STD:
@@ -322,15 +380,15 @@ def run_ensemble(
     threads = min(streams, usable_cpus())
     sampler = FieldSampler(sm.kernel, grid, nodes)
     weights, variances = sampler.step_weights()
-    read = depth_reader(nodes, _ends(depths, grid.length), grid.spacing)
+    read = depth_reader(nodes, depths, grid.spacing)
     dense = sampler.route != AR1_ROUTE
     if dense:
         basis = _integrated_factor(sampler.factor, weights, read)
-    bridged = np.cumsum(variances)
-    bridge_variance = float(bridged[-1])
+    bridged = read(np.cumsum(variances))
+    bridge_variance = float(bridged[last])
     # The depth's Beer exponent and the bridges' exact variance factor in
     # one exp (V = 0 on the dense route, whose sums carry all the variance).
-    exponent = 0.5 * scale**2 * read(bridged)[: depths.size] - medium.sigma_a * depths
+    exponent = 0.5 * squared(scale) * bridged - medium.sigma_a * depths
     prefactor = medium.i0 * np.exp(exponent)
 
     def chunk_partials(chunk: int):
@@ -344,17 +402,14 @@ def run_ensemble(
                 integrals = np.matmul(tile, basis, out=product[: len(tile)])
             else:
                 integrals = read(running_integral(sampler.transform(tile), weights))
-            raw = raw + _power_sums(integrals[:, -1])
-            # An appended slab column is reduced too, in one pass over the
-            # tile, and dropped: there cosh may overflow where no depth's
-            # does (a depth's overflow raises below).
+            raw = raw + _power_sums(integrals[:, last])
             sums, sq_sums = _pair_factor_sums(integrals, scale)
             factor_sum = factor_sum + sums
             factor_sq_sum = factor_sq_sum + sq_sums
             # The AR(1) integrals go before the next draw, so the allocator
             # reuses their blocks for the next tile's, not faulting in new ones.
             del integrals
-        return factor_sum[: depths.size], factor_sq_sum[: depths.size], raw
+        return factor_sum, factor_sq_sum, raw
 
     factor_sum = np.zeros(prefactor.shape)
     factor_sq_sum = np.zeros(prefactor.shape)
@@ -415,11 +470,7 @@ def lognormal_oracle(sm: StochasticMedium, z: float) -> float:
     can referee both.
     """
     medium = sm.medium
-    variance = (
-        medium.alpha**2
-        * medium.sigma_a**2
-        * square_double_integral(sm.kernel, z)
-    )
+    variance = squared(medium.alpha, medium.sigma_a) * square_double_integral(sm.kernel, z)
     # One exp, not beer(z) * exp(variance / 2): deep in the slab the first
     # underflows and the second overflows where their product is finite.
     return float(medium.i0 * np.exp(0.5 * variance - medium.sigma_a * z))

@@ -354,14 +354,6 @@ class TestCumulantSeriesExponent:
         got = cumulant_series_exponent(_kernel(), 1.0, 1.0, 1.0)
         assert got == pytest.approx(Y_1_1, rel=1e-8)
 
-    def test_convention_scales_the_quadrature(self):
-        exact = cumulant_series_exponent(_kernel(), 0.8, 1.0, 1.0)
-        half = cumulant_series_exponent(
-            _kernel(), 0.8, 1.0, 1.0,
-            convention=ExponentConvention.PAPER_HALF,
-        )
-        assert half == pytest.approx(0.5 * exact, rel=1e-14)
-
 
 class TestAsymptotics:
     def test_effective_attenuation_slope_far_from_the_boundary(self):

@@ -29,13 +29,16 @@ from slabatten.cli import (
     _DEFAULTS,
     _decay_rate_limit,
     _euler_check_beside,
-    _euler_check_bytes,
-    _euler_check_points,
     _negative_fraction_expectation,
     main,
     parse_args,
 )
-from slabatten.montecarlo import default_depths, ensemble_bytes
+from slabatten.montecarlo import (
+    _euler_check_points,
+    default_depths,
+    ensemble_bytes,
+    euler_check_bytes,
+)
 
 
 def _read_csv(path):
@@ -688,9 +691,9 @@ class TestCsvContract:
         assert peak < 1.5 * 8 * rows * n
         # Its charge covers both routes; the dense route peaks in its
         # sampler's build.
-        assert peak <= _euler_check_bytes(config)
+        assert peak <= euler_check_bytes(config.kernel, config.grid)
         config, peak = traced("--kappa", "1.5", "--zeta", "0.5", "--grid-points", "101")
-        assert peak <= _euler_check_bytes(config)
+        assert peak <= euler_check_bytes(config.kernel, config.grid)
 
     @pytest.mark.parametrize(
         "zeta,heights",
@@ -801,7 +804,7 @@ class TestDeterminism:
         flags = ["--modes", "mc,euler-check", "--grid-points", "2360", "--paths", "4096"]
         config = parse_args(flags)
         depths = default_depths(config.grid)
-        euler = _euler_check_bytes(config)
+        euler = euler_check_bytes(config.kernel, config.grid)
         ensemble = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths, 2)
         assert max(euler, ensemble) <= grf.MEMORY_BUDGET < euler + ensemble
         assert not beside(*flags[2:], "--workers", "2")
@@ -829,7 +832,7 @@ def test_memory_bounds_never_undercount_the_charges(
 
     def stage():
         stack = {frame.name for frame in traceback.extract_stack()}
-        if "_euler_check_lines" in stack:
+        if "euler_check" in stack:
             return "euler"
         return "ensemble" if "run_ensemble" in stack or "chunk_partials" in stack else None
 
@@ -862,15 +865,15 @@ def test_memory_bounds_never_undercount_the_charges(
         streamed = 8 * montecarlo._STREAM_ARRAYS * int(workers) * rows * (nodes.size + gathered)
     else:
         # no node values: the integrated factor, at rank <= n, and per
-        # worker its buffers of normals and of at most d + 1 integrals
-        columns = depths.size + 1
-        streamed = 8 * (nodes.size * columns + int(workers) * rows * (nodes.size + columns))
+        # worker its buffers of normals and of the d depths' integrals
+        d = depths.size
+        streamed = 8 * (nodes.size * d + int(workers) * rows * (nodes.size + d))
     bound = ensemble_bytes(config.kernel, config.grid, config.n_paths, depths, config.workers)
     assert bound == grf.sampler_bytes(config.kernel, nodes.size, streamed)
     assert max(charges["ensemble"]) <= bound
     # the Euler check's finest grid sets its charge
     rows, n = max(drawn["euler"], key=lambda tile: tile[1])
-    bound = _euler_check_bytes(config)
+    bound = euler_check_bytes(config.kernel, config.grid)
     assert bound == grf.sampler_bytes(config.kernel, n, 8 * 2 * rows * n)
     assert max(charges["euler"]) <= bound
 
@@ -1089,3 +1092,38 @@ def test_slab_integral_moments_past_the_float_range_are_not_available(tmp_path, 
     assert "0.0000" not in proc.stdout
     assert "nan" not in csv.decode()
     assert "scalar divide" not in proc.stdout
+
+
+_FLOAT_FLAGS = ["--" + k.replace("_", "-") for k, v in _DEFAULTS.items() if isinstance(v, float)]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[flag, value] for flag in _FLOAT_FLAGS for value in ("1e-300", "1e300")]
+    + [["--alpha", "1e-200", "--amplitude", "1e-300"]],
+    ids=lambda flags: "".join(flags),
+)
+def test_any_finite_flag_value_ends_in_0_or_1_without_a_traceback(tmp_path, capsys, flags):
+    # alpha^2 or sigma_a^2 past the float range reads as inf (Python's
+    # float ** would raise OverflowError), and an alpha sqrt(2C) that
+    # underflows gives a negative fraction of 0, not a ZeroDivisionError.
+    # Warnings are left as in a plain run: what the run meets it reports.
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        code = main([*flags, "--modes", ",".join(cli.MODES), "--grid-points", "5",
+                     "--paths", "8", "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert "nan" not in captured.out
+    assert (code == 1) == captured.err.startswith("slabatten: error: ")
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--sigma-a"])
+def test_a_rate_past_the_float_range_says_the_mean_does_not_decay(tmp_path, capsys, flag):
+    code = main([flag, "1e200", "--modes", "beer", "--out", str(tmp_path / "x.csv")])
+    assert code == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if "decay rate" in line] == [
+        f"decay rate of the mean for z >> zeta: sigma_inf = -inf /cm (Beer: sigma_a = "
+        f"{1e200 if flag == '--sigma-a' else 1:.6g} /cm); the mean intensity does not "
+        "decay with depth"
+    ]

@@ -8,15 +8,20 @@ import numpy as np
 import pytest
 
 from slabatten import (
+    AveragedLaw,
     CorrelationKernel,
     FieldSampler,
     Grid,
     MediumSpec,
     OutOfDomain,
     StochasticMedium,
+    averaged_intensity,
     beer,
+    cumulant_series_exponent,
+    lognormal_oracle,
     path_intensity_em,
 )
+from slabatten.medium import squared
 
 from path_check import drawn_block
 
@@ -132,3 +137,35 @@ class TestAbsorptionAt:
         sem_prod = product.std(ddof=1) / math.sqrt(n)
         assert abs(product.mean() - expected) < 3.0 * sem_prod
 
+
+
+class TestSquared:
+    def test_keeps_the_bits_of_the_product_of_squares(self):
+        rng = np.random.default_rng(3)
+        for a, s in rng.uniform(0.0, 10.0, size=(2000, 2)):
+            a, s = float(a), float(s)
+            assert squared(a, s) == a**2 * s**2
+            assert squared(a * s) == (a * s) ** 2
+
+    @pytest.mark.parametrize(
+        "factors, expected",
+        [
+            ((1e200,), math.inf),
+            ((0.8, 1e200), math.inf),
+            ((0.0, 1e200), 0.0),  # alpha = 0: no fluctuation term, not nan
+            ((1e-200, 1e200), 1.0),  # one square underflows, the other overflows
+            ((1e300, 1e300), math.inf),  # the product itself overflows
+        ],
+    )
+    def test_past_the_float_range(self, factors, expected):
+        assert squared(*factors) == pytest.approx(expected, rel=1e-15)
+
+    def test_the_library_calls_take_any_finite_coefficient(self):
+        kernel = CorrelationKernel(1.0, 1.0, 2.0)
+        sm = StochasticMedium(MediumSpec(sigma_a=1e200, alpha=0.5), kernel)
+        assert cumulant_series_exponent(kernel, 0.5, 1e200, 1.0) == math.inf
+        assert cumulant_series_exponent(kernel, 0.0, 1e200, 1.0) == 0.0
+        with np.errstate(over="ignore"):
+            assert lognormal_oracle(sm, 1.0) == math.inf
+        law = AveragedLaw(MediumSpec(sigma_a=1e200, alpha=0.0, i0=2.0), kernel)
+        assert averaged_intensity(law, 0.0) == 2.0

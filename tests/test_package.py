@@ -31,6 +31,25 @@ def test_no_module_imports_another_modules_private_name():
     assert offences == []
 
 
+# The sampler's protocol: its build, its tile rule, its memory charge and
+# the kappa-1 route's nodes and bridges.
+_SAMPLER_NAMES = {"FieldSampler", "tile_rows", "sampler_bytes", "ou_bridge", "stepping_nodes"}
+
+
+def test_only_grf_and_montecarlo_drive_the_sampler():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("grf", "montecarlo", "__init__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in _SAMPLER_NAMES:
+                offences.append(f"{path.name}:{node.lineno}: {name}")
+    assert offences == []
+
+
 def _used_outside_own_definition():
     """Names the package's modules (``__init__`` aside, which only
     re-exports) load as ``X`` or ``module.X``, not counting uses inside
